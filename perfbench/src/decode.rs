@@ -2,12 +2,12 @@
 //! row to the client's session and then queries with that row. A client's
 //! next step is ready when its previous response returns.
 //!
-//! The loop runs in epochs. Each epoch builds a fresh server (untimed) and
-//! every client decodes `GENERATIONS` sequences, so one replacement per client
-//! happens inside every epoch. The server has no way to close a session, so a
-//! single long-lived server would grow by one memory per replacement and make
-//! memory and run time depend on throughput; a fresh server per epoch keeps
-//! both bounded.
+//! The loop runs in epochs. Each epoch builds a fresh server (timed as a
+//! set-up, outside any step) and every client decodes `GENERATIONS`
+//! sequences, so one replacement per client happens inside every epoch. The
+//! server has no way to close a session, so a single long-lived server would
+//! grow by one memory per replacement and make memory and run time depend on
+//! throughput; a fresh server per epoch keeps both bounded.
 
 use std::time::Instant;
 
@@ -57,6 +57,8 @@ pub struct DecodePhase {
     pub lag_us: Chunked,
     /// Steps per active second, one value per epoch.
     pub epoch_qps: Vec<f64>,
+    /// Wall seconds of each epoch's set-up.
+    pub setup_s: Vec<f64>,
     pub checks: CheckTally,
     pub appends: u64,
     pub full_reprepares: u64,
@@ -104,7 +106,12 @@ pub fn closed_loop(
     let mut epoch = 0;
     loop {
         // Set-up of the epoch's server is not part of any step.
-        let (mut server, sessions) = clock.paused(|| spec.set_up(backend()))?;
+        let (mut server, sessions) = clock.paused(|| {
+            let start = Instant::now();
+            let built = spec.set_up(backend());
+            phase.setup_s.push(start.elapsed().as_secs_f64());
+            built
+        })?;
         let start_us = clock.now_us();
         let mut clients: Vec<Client> = sessions
             .iter()

@@ -99,7 +99,13 @@ struct Outcome {
 }
 
 fn execute(args: &Args, spec: &Spec, host: &str) -> Result<Outcome, ServeError> {
-    let seconds = args.seconds as f64;
+    // A traced run gives half of the time to the untraced run it is compared
+    // with, so every run takes about `--seconds`.
+    let seconds = if args.trace {
+        args.seconds as f64 / 2.0
+    } else {
+        args.seconds as f64
+    };
     let untraced = run::run(spec, args.seed, seconds, None)?;
     let mut runs = vec![("untraced", &untraced)];
     let traced_run;

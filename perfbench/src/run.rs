@@ -1,5 +1,6 @@
-//! One run of a workload: repeated set-up, then open-loop or closed-loop
-//! serving, then the output check on the sampled responses.
+//! One run of a workload: set-up, then open-loop or closed-loop serving with
+//! the set-up repeated between segments, then the output check on the sampled
+//! responses.
 
 use std::time::Instant;
 
@@ -11,12 +12,13 @@ use crate::check::CheckTally;
 use crate::decode;
 use crate::openloop::{self, Chunked, PhaseCounts};
 use crate::probe::Probe;
-use crate::stats::{quiet_high, quiet_low, ratio};
+use crate::stats::{median, ratio};
 use crate::traced::TracedBackend;
 use crate::workload::{Kind, Spec};
 
-/// Set-ups per run; `setup_s` is their quiet decile.
-const SETUP_REPS: usize = 31;
+/// Set-ups timed after each open-loop cycle of latency chunk and backlog
+/// rounds. The closed loop times the set-up of each of its epochs instead.
+const SETUPS_BETWEEN: usize = 2;
 /// Sampled queries replayed through the stage functions in a traced run.
 const MAX_REPLAYS: usize = 256;
 /// Rows of each live decode session replayed as queries.
@@ -80,7 +82,7 @@ impl Run {
         vec![
             Metric {
                 name: "setup_s",
-                value: quiet_low(&self.setup_s),
+                value: median(&self.setup_s),
                 unit: "s",
                 samples: self.setup_s.len(),
             },
@@ -137,6 +139,19 @@ fn peak_rss_mb() -> f64 {
         .map_or(0.0, |kib| kib / 1024.0)
 }
 
+/// One set-up, timed into `setup_s`; the server it builds is dropped.
+fn timed_set_up(
+    spec: &Spec,
+    backend: &dyn Fn() -> Box<dyn ComputeBackend>,
+    setup_s: &mut Vec<f64>,
+) -> Result<(), ServeError> {
+    let start = Instant::now();
+    let built = spec.set_up(backend())?;
+    setup_s.push(start.elapsed().as_secs_f64());
+    drop(built);
+    Ok(())
+}
+
 /// Runs `spec` for `seconds`. With a probe, the server is built around a
 /// `TracedBackend` and the serving calls are timed.
 pub fn run(
@@ -155,15 +170,9 @@ pub fn run(
     };
     let reference = kind.backend();
 
-    let mut setup_s = Vec::with_capacity(SETUP_REPS);
-    let mut built = None;
-    for _ in 0..SETUP_REPS {
-        let start = Instant::now();
-        let out = spec.set_up(backend())?;
-        setup_s.push(start.elapsed().as_secs_f64());
-        built = Some(out);
-    }
-    let (mut server, sessions) = built.expect("at least one set-up");
+    // The first set-up also warms the allocator and code paths; it is not
+    // timed.
+    let (mut server, sessions) = spec.set_up(backend())?;
     let setup_cache = (server.cache().hits(), server.cache().misses());
 
     if kind == Kind::DecodeStream {
@@ -191,9 +200,9 @@ pub fn run(
             .collect();
         return Ok(Run {
             kind,
-            setup_s,
+            setup_s: phase.setup_s,
             setup_cache,
-            throughput_qps: quiet_high(&phase.epoch_qps),
+            throughput_qps: median(&phase.epoch_qps),
             throughput_samples: phase.epoch_qps.len(),
             latency_us: phase.latency_us,
             lag_us: phase.lag_us,
@@ -210,7 +219,27 @@ pub fn run(
         });
     }
 
-    let open = openloop::serve(&mut server, &sessions, spec, seed, seconds, probe);
+    let mut setup_s = Vec::new();
+    let mut setup_error = None;
+    let mut between = || {
+        for _ in 0..SETUPS_BETWEEN {
+            if let Err(e) = timed_set_up(spec, &backend, &mut setup_s) {
+                setup_error = Some(e);
+            }
+        }
+    };
+    let open = openloop::serve(
+        &mut server,
+        &sessions,
+        spec,
+        seed,
+        seconds,
+        probe,
+        &mut between,
+    );
+    if let Some(e) = setup_error {
+        return Err(e);
+    }
     let mut checks = CheckTally::default();
     let mut replay: Vec<(usize, Vec<Vec<f32>>)> = Vec::new();
     for (i, served) in open.served.iter().enumerate() {

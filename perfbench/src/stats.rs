@@ -49,24 +49,6 @@ pub fn median(samples: &[f64]) -> f64 {
     percentile(samples, 50.0)
 }
 
-// A shared host only ever adds time: interference from other tenants slows
-// some repetitions of a run, never speeds them up. Repeated timings are
-// therefore reported at the decile on the quiet side, which tracks the code's
-// own cost and moved far less from run to run than the median on a noisy
-// 2-vCPU host (for example, across six seeds of `squad_approx`, the spread of
-// per-run throughput was 0.09 of the median at the median and 0.04 at the
-// quiet decile).
-
-/// First decile: for times, where lower is better.
-pub fn quiet_low(samples: &[f64]) -> f64 {
-    percentile(samples, 10.0)
-}
-
-/// Ninth decile: for rates, where higher is better.
-pub fn quiet_high(samples: &[f64]) -> f64 {
-    percentile(samples, 90.0)
-}
-
 pub fn mean(samples: &[f64]) -> f64 {
     if samples.is_empty() {
         0.0
