@@ -125,7 +125,9 @@ pub fn analyze(root: &Path, only: Option<&str>) -> io::Result<Analysis> {
 }
 
 /// Collects workspace-relative paths of every `.rs` file under `root`,
-/// skipping build output, vendored dependencies and VCS metadata.
+/// skipping build output, vendored dependencies, VCS metadata and nested
+/// cargo workspaces (a subdirectory whose own `Cargo.toml` declares
+/// `[workspace]` is a separate project with its own rules).
 ///
 /// # Errors
 ///
@@ -146,7 +148,10 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') {
+            if SKIP_DIRS.contains(&name.as_ref())
+                || name.starts_with('.')
+                || declares_workspace(&path)
+            {
                 continue;
             }
             walk(root, &path, out)?;
@@ -164,15 +169,17 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     let mut dir = Some(start.to_path_buf());
     while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if let Ok(text) = fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(d);
-            }
+        if declares_workspace(&d) {
+            return Some(d);
         }
         dir = d.parent().map(Path::to_path_buf);
     }
     None
+}
+
+/// Whether `dir` holds a `Cargo.toml` with a `[workspace]` table.
+fn declares_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|text| text.contains("[workspace]"))
 }
 
 #[cfg(test)]

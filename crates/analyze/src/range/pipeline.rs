@@ -2,7 +2,7 @@
 //! over the interval domain.
 //!
 //! [`prove`] walks the exact operation sequence of
-//! `TypedPipeline::attend_rows` (`crates/core/src/quantized/typed.rs`) —
+//! `TypedPipeline::attend` (`crates/core/src/quantized/typed.rs`) —
 //! quantize, `mul_full`, extend, saturating add, max-subtraction, LUT lookup,
 //! exponent-sum accumulation, `div_weight`, weighted output accumulation,
 //! `round_to` — propagating an interval through every intermediate and

@@ -2,7 +2,7 @@
 //!
 //! The prover's "unsafe" verdicts are validated by *execution*: for every
 //! seeded mis-sized case, [`find_witness`] drives the real `a3-fixed` scalar
-//! datapath (the same `Fixed` operations `TypedPipeline::attend_rows`
+//! datapath (the same `Fixed` operations `TypedPipeline::attend`
 //! performs) on an adversarial input memory and checks the debug saturation
 //! counter recorded a clamp before the final accumulation — the prover said
 //! the shape can saturate early, and here is an input that does.
@@ -86,7 +86,7 @@ pub fn seeded_rejected_cases() -> Vec<MisSizedCase> {
 /// Runs the scalar fixed-point attention datapath for one query over an
 /// `n x d` memory and returns the number of saturation-counter events.
 ///
-/// This mirrors `TypedPipeline::attend_rows` operation for operation with
+/// This mirrors `TypedPipeline::attend` operation for operation with
 /// runtime formats: quantize, `mul_full`, widen into the dot format,
 /// saturating adds, max-subtraction in the shifted format, the two-half
 /// exponent LUT, exponent-sum accumulation, `div_weight`, weighted value

@@ -156,6 +156,40 @@ fn stale_allowlist_entry_fails_only_under_deny_all() {
 }
 
 #[test]
+fn nested_cargo_workspace_is_not_analyzed() {
+    let tree = TempTree::new("nested-workspace");
+    tree.write(
+        "bench/src/lib.rs",
+        "pub fn parse(s: &str) -> Result<u8, ()> {\n    s.parse().map_err(|_| ())\n}\n",
+    );
+    let run = || {
+        bin()
+            .args(["--deny-all", "--root"])
+            .arg(&tree.root)
+            .output()
+            .expect("run a3-analyze")
+    };
+
+    // A member-less `[workspace]` manifest makes `bench/` its own project.
+    tree.write(
+        "bench/Cargo.toml",
+        "[package]\nname = \"bench\"\n\n[workspace]\n",
+    );
+    let nested = run();
+    let text = stdout(&nested);
+    assert!(
+        nested.status.success() && text.contains("0 finding(s)"),
+        "{text}"
+    );
+
+    // The same file in an ordinary package directory is linted.
+    tree.write("bench/Cargo.toml", "[package]\nname = \"bench\"\n");
+    let member = run();
+    assert_eq!(member.status.code(), Some(1));
+    assert!(stdout(&member).contains("result-errors-documented"));
+}
+
+#[test]
 fn single_lint_selection_runs_only_that_lint() {
     let tree = TempTree::new("single-lint");
     tree.write(

@@ -2,7 +2,7 @@
 //! runs of the three A3 configurations.
 
 use a3_bench::skewed_memory;
-use a3_sim::{A3Config, EnergyModel, PipelineModel};
+use a3_sim::{A3Config, EnergyModel, MemoryCache, PipelineModel};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
@@ -22,7 +22,13 @@ fn bench_energy(c: &mut Criterion) {
         ("aggressive", A3Config::paper_aggressive()),
     ] {
         let model = PipelineModel::new(config);
-        let report = model.simulate_queries(&keys, &values, &queries);
+        let report = model.run_batch_with(
+            model.backend().as_ref(),
+            &mut MemoryCache::new(1),
+            &keys,
+            &values,
+            &queries,
+        );
         let energy = EnergyModel::new(config);
         group.bench_with_input(BenchmarkId::new("breakdown", name), &name, |b, _| {
             b.iter(|| {

@@ -4,7 +4,7 @@
 //! `a3-repro fig14`.
 
 use a3_bench::{skewed_memory, WORKLOAD_SIZES};
-use a3_sim::{A3Config, PipelineModel};
+use a3_sim::{A3Config, MemoryCache, PipelineModel};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
@@ -24,9 +24,12 @@ fn bench_pipeline(c: &mut Criterion) {
             ("aggressive", A3Config::paper_aggressive()),
         ] {
             let model = PipelineModel::new(config);
+            let backend = model.backend();
             group.bench_with_input(BenchmarkId::new(config_name, workload), &n, |b, _| {
                 b.iter(|| {
-                    model.simulate_queries(
+                    model.run_batch_with(
+                        backend.as_ref(),
+                        &mut MemoryCache::new(1),
                         black_box(&keys),
                         black_box(&values),
                         black_box(&queries),

@@ -27,8 +27,6 @@ pub use config::{ApproxConfig, MSpec, ThresholdSpec};
 pub use post_scoring::{post_scoring_select, static_top_k};
 pub use preprocess::{preprocess_count, SortedKeyColumns};
 
-use rayon::prelude::*;
-
 use crate::attention::{stable_softmax, weighted_sum, AttentionResult};
 use crate::{AttentionError, Matrix};
 
@@ -112,54 +110,6 @@ impl ApproximateAttention {
         keys.validate_attention(values, query)?;
         let sorted = SortedKeyColumns::preprocess(keys);
         self.attend_prepared(&sorted, keys, values, query)
-    }
-
-    /// Performs approximate attention for a batch of queries sharing one key/value
-    /// memory, parallelised across queries.
-    ///
-    /// The `O(nd log n)` key-matrix preprocessing (the per-column sort of Figure 7) is
-    /// query-independent, so it runs **once** and is shared by every query — exactly
-    /// the amortisation the paper describes for self-attention and multi-query serving
-    /// (Section IV-C). Each query then runs the same computation as
-    /// [`ApproximateAttention::attend`], so the outputs are bit-identical to calling
-    /// `attend` once per query, in query order; only the wall-clock time differs.
-    ///
-    /// An empty batch returns an empty vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (in query order) shape error if any query is inconsistent
-    /// with the memory.
-    ///
-    /// ```
-    /// use a3_core::{Matrix, approx::{ApproxConfig, ApproximateAttention}};
-    /// let keys = Matrix::from_rows(vec![vec![1.0, 0.0], vec![-1.0, 0.5], vec![0.9, 0.1]]).unwrap();
-    /// let values = keys.clone();
-    /// let approx = ApproximateAttention::new(ApproxConfig::conservative());
-    /// let queries = vec![vec![1.0, 0.0], vec![0.2, -0.7]];
-    /// let batch = approx.attend_batch(&keys, &values, &queries).unwrap();
-    /// assert_eq!(batch.len(), 2);
-    /// for (q, out) in queries.iter().zip(&batch) {
-    ///     assert_eq!(out, &approx.attend(&keys, &values, q).unwrap());
-    /// }
-    /// let empty: &[Vec<f32>] = &[];
-    /// assert!(approx.attend_batch(&keys, &values, empty).unwrap().is_empty());
-    /// ```
-    pub fn attend_batch<Q: AsRef<[f32]> + Sync>(
-        &self,
-        keys: &Matrix,
-        values: &Matrix,
-        queries: &[Q],
-    ) -> Result<Vec<ApproxAttentionOutput>, AttentionError> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let sorted = SortedKeyColumns::preprocess(keys);
-        let results: Vec<Result<ApproxAttentionOutput, AttentionError>> = queries
-            .par_iter()
-            .map(|q| self.attend_prepared(&sorted, keys, values, q.as_ref()))
-            .collect();
-        results.into_iter().collect()
     }
 
     /// Performs approximate attention against a key matrix whose per-column sort was
@@ -350,53 +300,6 @@ mod tests {
         assert!(approx
             .attend_prepared(&sorted, &keys, &values, &query)
             .is_err());
-    }
-
-    #[test]
-    fn attend_batch_is_bit_identical_to_sequential_attend() {
-        let (keys, values, _) = skewed_case(48, 16);
-        let queries: Vec<Vec<f32>> = (0..9)
-            .map(|q| {
-                (0..16)
-                    .map(|j| 0.5 - 0.07 * ((q * 3 + j) % 7) as f32)
-                    .collect()
-            })
-            .collect();
-        for config in [
-            ApproxConfig::none(),
-            ApproxConfig::conservative(),
-            ApproxConfig::aggressive(),
-        ] {
-            let approx = ApproximateAttention::new(config);
-            let batch = approx.attend_batch(&keys, &values, &queries).unwrap();
-            assert_eq!(batch.len(), queries.len());
-            for (query, out) in queries.iter().zip(&batch) {
-                let sequential = approx.attend(&keys, &values, query).unwrap();
-                // Exact equality, not tolerance: the batch path must perform the same
-                // arithmetic as the sequential path.
-                assert_eq!(out, &sequential);
-            }
-        }
-    }
-
-    #[test]
-    fn attend_batch_empty_batch_returns_empty() {
-        let (keys, values, _) = skewed_case(8, 4);
-        let approx = ApproximateAttention::new(ApproxConfig::conservative());
-        let empty: &[Vec<f32>] = &[];
-        let out = approx.attend_batch(&keys, &values, empty).unwrap();
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn attend_batch_reports_first_shape_error() {
-        let (keys, values, query) = skewed_case(8, 4);
-        let bad = vec![0.0f32; 3];
-        let queries = vec![query, bad];
-        let err = ApproximateAttention::new(ApproxConfig::conservative())
-            .attend_batch(&keys, &values, &queries)
-            .unwrap_err();
-        assert!(matches!(err, AttentionError::DimensionMismatch { .. }));
     }
 
     #[test]

@@ -10,8 +10,6 @@ mod softmax;
 pub use self_attention::{self_attention, MultiHeadSelfAttention, Projection, SelfAttentionOutput};
 pub use softmax::{softmax, softmax_in_place, stable_softmax};
 
-use rayon::prelude::*;
-
 use crate::{AttentionError, Matrix};
 
 /// Full result of an attention operation, exposing the intermediate similarity scores
@@ -132,107 +130,6 @@ pub fn attention_with_scores(
     })
 }
 
-/// Exact attention for a batch of queries sharing one key/value memory, parallelised
-/// across queries.
-///
-/// Each query is computed exactly as [`attention_with_scores`] would compute it — the
-/// results are bit-identical to a sequential loop, in query order — but the queries are
-/// distributed over worker threads, which is the software analogue of the paper's
-/// multi-unit scale-out (Section V-D): attention operations against a shared memory are
-/// embarrassingly parallel.
-///
-/// An empty batch returns an empty vector.
-///
-/// Queries are accepted as anything that borrows a row slice (`Vec<f32>`, `&[f32]`,
-/// ...), so callers holding a query matrix can pass borrowed rows without copying a
-/// single element.
-///
-/// # Errors
-///
-/// Returns the first (in query order) shape error if any query is inconsistent with
-/// the memory.
-///
-/// ```
-/// use a3_core::{Matrix, attention::{attention_batch, attention_with_scores}};
-/// let keys = Matrix::from_rows(vec![vec![0.9, 0.1], vec![-0.4, 0.6]]).unwrap();
-/// let values = keys.clone();
-/// let queries = vec![vec![1.0, 0.3], vec![-0.2, 0.8]];
-/// let batch = attention_batch(&keys, &values, &queries).unwrap();
-/// assert_eq!(batch.len(), 2);
-/// for (q, r) in queries.iter().zip(&batch) {
-///     assert_eq!(r, &attention_with_scores(&keys, &values, q).unwrap());
-/// }
-/// // Zero-copy: borrowed row slices work too.
-/// let rows: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-/// assert_eq!(attention_batch(&keys, &values, &rows).unwrap(), batch);
-/// ```
-pub fn attention_batch<Q: AsRef<[f32]> + Sync>(
-    keys: &Matrix,
-    values: &Matrix,
-    queries: &[Q],
-) -> Result<Vec<AttentionResult>, AttentionError> {
-    let results: Vec<Result<AttentionResult, AttentionError>> = queries
-        .par_iter()
-        .map(|q| attention_with_scores(keys, values, q.as_ref()))
-        .collect();
-    results.into_iter().collect()
-}
-
-/// Attention restricted to a subset of rows: rows not listed in `rows` are treated as if
-/// their softmax weight were exactly zero. This is the mathematical operation the
-/// approximate A3 pipeline performs after candidate selection and post-scoring
-/// selection.
-///
-/// The returned [`AttentionResult`] has `scores` and `weights` of length `keys.rows()`
-/// with zeros in the positions of excluded rows, so it can be compared directly against
-/// the exact result.
-///
-/// # Errors
-///
-/// Returns an error if the shapes are inconsistent, if `rows` is empty, or if any index
-/// is out of bounds.
-pub fn attention_over_rows(
-    keys: &Matrix,
-    values: &Matrix,
-    query: &[f32],
-    rows: &[usize],
-) -> Result<AttentionResult, AttentionError> {
-    keys.validate_attention(values, query)?;
-    if rows.is_empty() {
-        return Err(AttentionError::InvalidParameter {
-            name: "rows",
-            constraint: "at least one row must be selected",
-        });
-    }
-    if rows.iter().any(|&r| r >= keys.rows()) {
-        return Err(AttentionError::InvalidParameter {
-            name: "rows",
-            constraint: "row indices must be within the key matrix",
-        });
-    }
-    let n = keys.rows();
-    let mut scores = vec![0.0f32; n];
-    let selected_scores: Vec<f32> = rows
-        .iter()
-        .map(|&r| {
-            let s = keys.row_dot(r, query);
-            scores[r] = s;
-            s
-        })
-        .collect();
-    let selected_weights = stable_softmax(&selected_scores);
-    let mut weights = vec![0.0f32; n];
-    for (&r, &w) in rows.iter().zip(&selected_weights) {
-        weights[r] = w;
-    }
-    let output = weighted_sum(values, &weights)?;
-    Ok(AttentionResult {
-        scores,
-        weights,
-        output,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,31 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn attention_over_all_rows_matches_exact() {
-        let (key, value, query) = figure6_example();
-        let exact = attention_with_scores(&key, &value, &query).unwrap();
-        let subset = attention_over_rows(&key, &value, &query, &[0, 1, 2, 3]).unwrap();
-        for (a, b) in exact.output.iter().zip(&subset.output) {
-            assert!((a - b).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn attention_over_single_row_returns_that_value_row() {
-        let (key, value, query) = figure6_example();
-        let result = attention_over_rows(&key, &value, &query, &[3]).unwrap();
-        assert_eq!(result.output, value.row(3).to_vec());
-        assert_eq!(result.weights[3], 1.0);
-    }
-
-    #[test]
-    fn attention_over_rows_rejects_empty_or_out_of_bounds() {
-        let (key, value, query) = figure6_example();
-        assert!(attention_over_rows(&key, &value, &query, &[]).is_err());
-        assert!(attention_over_rows(&key, &value, &query, &[9]).is_err());
-    }
-
-    #[test]
     fn shape_validation_propagates() {
         let (key, value, _) = figure6_example();
         assert!(matches!(
@@ -334,36 +206,6 @@ mod tests {
         let top = result.top_k(2);
         assert_eq!(top[0], 2);
         assert_eq!(top[1], 3);
-    }
-
-    #[test]
-    fn attention_batch_is_bit_identical_to_sequential() {
-        let (key, value, query) = figure6_example();
-        let mut flipped = query.clone();
-        flipped.iter_mut().for_each(|x| *x = -*x);
-        let queries = vec![query, flipped, vec![0.0, 1.0, 0.0]];
-        let batch = attention_batch(&key, &value, &queries).unwrap();
-        assert_eq!(batch.len(), 3);
-        for (q, r) in queries.iter().zip(&batch) {
-            assert_eq!(r, &attention_with_scores(&key, &value, q).unwrap());
-        }
-    }
-
-    #[test]
-    fn attention_batch_empty_batch_returns_empty() {
-        let (key, value, _) = figure6_example();
-        let empty: &[Vec<f32>] = &[];
-        assert!(attention_batch(&key, &value, empty).unwrap().is_empty());
-    }
-
-    #[test]
-    fn attention_batch_propagates_shape_errors() {
-        let (key, value, query) = figure6_example();
-        let queries = vec![query, vec![1.0, 2.0]];
-        assert!(matches!(
-            attention_batch(&key, &value, &queries),
-            Err(AttentionError::DimensionMismatch { .. })
-        ));
     }
 
     #[test]

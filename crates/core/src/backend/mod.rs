@@ -63,7 +63,7 @@ use rayon::prelude::*;
 
 use crate::approx::{ApproxConfig, ApproximateAttention, SortedKeyColumns};
 use crate::attention::{attention_with_scores, AttentionResult};
-use crate::quantized::{QuantizedAttention, QuantizedMemory};
+use crate::quantized::QuantizedMemory;
 use crate::{AttentionError, Matrix};
 use a3_fixed::QFormat;
 
@@ -740,7 +740,11 @@ impl ComputeBackend for ExactBackend {
         queries: &Matrix,
     ) -> Result<Vec<AttentionResult>, AttentionError> {
         let rows: Vec<&[f32]> = queries.iter_rows().collect();
-        crate::attention::attention_batch(keys, values, &rows)
+        let results: Vec<Result<AttentionResult, AttentionError>> = rows
+            .par_iter()
+            .map(|q| attention_with_scores(keys, values, q))
+            .collect();
+        results.into_iter().collect()
     }
 }
 
@@ -969,14 +973,32 @@ impl QuantizedBackend {
         self.input_format
     }
 
+    /// Quantizes a memory on this backend's datapath (scalar-pinned or not).
+    fn quantize(&self, keys: &Matrix, values: &Matrix) -> Result<QuantizedMemory, AttentionError> {
+        if self.force_scalar {
+            QuantizedMemory::prepare_scalar(self.input_format, keys, values)
+        } else {
+            QuantizedMemory::prepare(self.input_format, keys, values)
+        }
+    }
+
+    /// The quantized state of `memory`, provided it was quantized in this
+    /// backend's input format.
     fn quantized<'m>(
         &self,
         memory: &'m PreparedMemory,
     ) -> Result<&'m QuantizedMemory, AttentionError> {
-        memory.quantized().ok_or(AttentionError::BackendMismatch {
+        let quantized = memory.quantized().ok_or(AttentionError::BackendMismatch {
             expected: "quantized",
             actual: memory.state().label(),
-        })
+        })?;
+        if quantized.input_format() != self.input_format {
+            return Err(AttentionError::InvalidParameter {
+                name: "memory",
+                constraint: "memory was prepared with a different input format",
+            });
+        }
+        Ok(quantized)
     }
 
     /// Whether `memory`'s prepared state is one this backend configuration
@@ -1005,11 +1027,7 @@ impl ComputeBackend for QuantizedBackend {
     }
 
     fn prepare(&self, keys: &Matrix, values: &Matrix) -> Result<PreparedMemory, AttentionError> {
-        let quantized = if self.force_scalar {
-            QuantizedMemory::prepare_scalar(self.input_format, keys, values)?
-        } else {
-            QuantizedMemory::prepare(self.input_format, keys, values)?
-        };
+        let quantized = self.quantize(keys, values)?;
         let ops = quantized.preprocess_ops();
         PreparedMemory::new(
             keys,
@@ -1082,8 +1100,7 @@ impl ComputeBackend for QuantizedBackend {
         query: &[f32],
     ) -> Result<AttentionResult, AttentionError> {
         memory.validate_query(query)?;
-        let quantized = self.quantized(memory)?;
-        QuantizedAttention::new(self.input_format).attend_memory(quantized, query)
+        self.quantized(memory)?.attend(query)
     }
 
     fn attend(
@@ -1094,22 +1111,14 @@ impl ComputeBackend for QuantizedBackend {
     ) -> Result<AttentionResult, AttentionError> {
         // One-shot: quantize on the fly without cloning the float matrices into a
         // PreparedMemory (bit-identical to the prepared path).
-        if self.force_scalar {
-            keys.validate_attention(values, query)?;
-            let memory = QuantizedMemory::prepare_scalar(self.input_format, keys, values)?;
-            QuantizedAttention::new(self.input_format).attend_memory(&memory, query)
-        } else {
-            QuantizedAttention::new(self.input_format).attend(keys, values, query)
-        }
+        keys.validate_attention(values, query)?;
+        self.quantize(keys, values)?.attend(query)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{
-        ApproximateKernel, AttentionKernel, ExactKernel, QuantizedKernel, SimdKernel,
-    };
 
     fn case(n: usize, d: usize) -> (Matrix, Matrix, Vec<f32>) {
         let rows: Vec<Vec<f32>> = (0..n)
@@ -1164,30 +1173,36 @@ mod tests {
                 .attend_batch_prepared(&memory, &[])
                 .unwrap()
                 .is_empty());
+            let short = [0.0f32; 3];
+            assert!(matches!(
+                backend.attend_batch_prepared(&memory, &[queries[0], &short]),
+                Err(AttentionError::DimensionMismatch { .. })
+            ));
         }
     }
 
     #[test]
-    fn backends_match_their_kernel_adapters() {
+    fn one_shot_batch_equals_per_query_attend() {
         let (keys, values, query) = case(16, 8);
-        let pairs: Vec<(Box<dyn ComputeBackend>, Box<dyn AttentionKernel>)> = vec![
-            (Box::new(ExactBackend), Box::new(ExactKernel)),
-            (Box::new(SimdBackend::new()), Box::new(SimdKernel::new())),
-            (
-                Box::new(ApproximateBackend::conservative()),
-                Box::new(ApproximateKernel::conservative()),
-            ),
-            (
-                Box::new(QuantizedBackend::paper()),
-                Box::new(QuantizedKernel::paper()),
-            ),
-        ];
-        for (backend, kernel) in &pairs {
-            let a = backend.attend(&keys, &values, &query).unwrap();
-            let b = kernel.attend(&keys, &values, &query).unwrap();
-            assert_eq!(a, b, "{}", backend.name());
-            assert_eq!(backend.name(), kernel.name());
+        let flipped: Vec<f32> = query.iter().map(|x| -x).collect();
+        let queries = Matrix::from_rows(vec![query, flipped]).unwrap();
+        for backend in backends() {
+            let batch = backend.attend_batch(&keys, &values, &queries).unwrap();
+            assert_eq!(batch.len(), 2, "{}", backend.name());
+            for (q, out) in queries.iter_rows().zip(&batch) {
+                let single = backend.attend(&keys, &values, q).unwrap();
+                assert_eq!(out, &single, "{}", backend.name());
+            }
         }
+    }
+
+    #[test]
+    fn names_are_descriptive() {
+        assert_eq!(ExactBackend.name(), "exact");
+        let simd = SimdBackend::new();
+        assert_eq!(simd.name(), format!("simd({})", simd.level()));
+        assert!(ApproximateBackend::aggressive().name().contains("0.125n"));
+        assert!(QuantizedBackend::paper().name().contains("Q4.4"));
     }
 
     #[test]
@@ -1222,6 +1237,14 @@ mod tests {
                 actual: "exact",
             }
         );
+        // A memory quantized under another input format is rejected too.
+        let q42_memory = QuantizedBackend::new(QFormat::new(4, 2))
+            .prepare(&keys, &values)
+            .unwrap();
+        assert!(matches!(
+            QuantizedBackend::paper().attend_prepared(&q42_memory, &query),
+            Err(AttentionError::InvalidParameter { name: "memory", .. })
+        ));
     }
 
     #[test]

@@ -53,7 +53,8 @@
 //! vector path automatically on AVX2 hosts, and every consumer of
 //! [`QuantizedMemory`](crate::quantized::QuantizedMemory) — single queries,
 //! `attend_batch_prepared`, the sharded log-sum-exp merge and the serving
-//! scheduler's flush path — inherits it through `attend_memory_rows`.
+//! scheduler's flush path — inherits it through
+//! [`QuantizedMemory::attend`](crate::quantized::QuantizedMemory::attend).
 
 use std::fmt;
 
@@ -171,13 +172,12 @@ impl QuantizedSimdPipeline {
         })
     }
 
-    /// Runs the vector pipeline for one query over the selected rows.
+    /// Runs the vector pipeline for one query over every row.
     ///
-    /// Caller contract (upheld by `QuantizedAttention::attend_memory_rows`,
-    /// the only route here): `query.len() == d` and every row index is `< n`.
-    pub(crate) fn attend_rows(&self, query: &[f32], rows: &[usize]) -> AttentionResult {
+    /// Caller contract (upheld by `QuantizedMemory::attend`, the only route
+    /// here): `query.len() == d`.
+    pub(crate) fn attend(&self, query: &[f32]) -> AttentionResult {
         debug_assert_eq!(query.len(), self.d);
-        debug_assert!(rows.iter().all(|&r| r < self.n));
         // Quantize the query once. `Fixed::quantize` is bit-identical to
         // `Q::quantize` (asserted in a3-fixed), and the eligibility gate
         // (input total bits <= 15) guarantees every raw fits an i16 lane.
@@ -185,7 +185,7 @@ impl QuantizedSimdPipeline {
             .iter()
             .map(|&x| Fixed::quantize(f64::from(x), self.input_format).raw() as i16)
             .collect();
-        x86::attend(self, &q, rows)
+        x86::attend(self, &q)
     }
 
     /// Appends already-quantized rows (raws in the input format, row-major
@@ -302,34 +302,34 @@ mod x86 {
     /// `i32` lanes per 256-bit vector (modules 2 and 3).
     const LANES_32: usize = 8;
 
-    /// One query through the vector pipeline over validated row indices.
+    /// One query through the vector pipeline over every row.
     ///
-    /// Caller contract (enforced by `QuantizedSimdPipeline::attend_rows`):
-    /// `q.len() == d` and every index in `rows` is `< n`.
-    pub(super) fn attend(p: &QuantizedSimdPipeline, q: &[i16], rows: &[usize]) -> AttentionResult {
+    /// Caller contract (enforced by `QuantizedSimdPipeline::attend`):
+    /// `q.len() == d`.
+    pub(super) fn attend(p: &QuantizedSimdPipeline, q: &[i16]) -> AttentionResult {
         // SAFETY: a `QuantizedSimdPipeline` only exists when its `prepare`
         // saw `SimdLevel::detect() == Avx2`, so the CPU supports `avx2`; this
         // function is only reached through such a pipeline.
-        unsafe { attend_avx2(p, q, rows) }
+        unsafe { attend_avx2(p, q) }
     }
 
     // SAFETY: callers must ensure the CPU supports `avx2` (the
     // `#[target_feature]` contract) and the `attend` caller contract above;
-    // the only caller is `attend`. All row reads are at `r * d` offsets with
-    // `r < n` inside the `n * d` operand buffers; result writes go through
-    // raw pointers into freshly allocated vectors at validated offsets.
+    // the only caller is `attend`. The operand buffers hold exactly `n * d`
+    // elements (maintained by `prepare`, `append_rows` and `update_row`), so
+    // every row read at offset `r * d` with `r < n` stays inside them.
     #[target_feature(enable = "avx2")]
-    unsafe fn attend_avx2(p: &QuantizedSimdPipeline, q: &[i16], rows: &[usize]) -> AttentionResult {
-        let d = p.d;
+    unsafe fn attend_avx2(p: &QuantizedSimdPipeline, q: &[i16]) -> AttentionResult {
+        let (n, d) = (p.n, p.d);
         let keys = p.keys.as_ptr();
         let qp = q.as_ptr();
 
         // Module 1: exact i32 dot sums, clamped once at the dot format — the
         // scalar pipeline's per-step saturation never fires before the final
         // step (module docs), so a single final clamp is bit-identical.
-        let mut dots: Vec<i32> = Vec::with_capacity(rows.len());
+        let mut dots: Vec<i32> = Vec::with_capacity(n);
         let mut max_dot = p.dot_min;
-        for &r in rows {
+        for r in 0..n {
             let dot = dot_i16(keys.add(r * d), qp, d).clamp(p.dot_min, p.dot_max);
             if dot > max_dot {
                 max_dot = dot;
@@ -338,7 +338,7 @@ mod x86 {
         }
 
         // Module 2: gather-LUT softmax scores plus the exponent sum.
-        let mut scores: Vec<i32> = vec![0; rows.len()];
+        let mut scores: Vec<i32> = vec![0; n];
         let exp_sum = scores_gather(p, &dots, max_dot, &mut scores);
 
         // Module 3: per-row `div_weight` normalisation (n scalar divisions,
@@ -346,10 +346,10 @@ mod x86 {
         // the vectorised weighted accumulation of value rows. Zero-weight
         // rows are skipped — their terms are exact zeros either way.
         let values = p.values.as_ptr();
-        let mut weights: Vec<i64> = Vec::with_capacity(rows.len());
+        let mut weights: Vec<i64> = Vec::with_capacity(n);
         let mut acc: Vec<i32> = vec![0; d];
         let accp = acc.as_mut_ptr();
-        for (&r, &score) in rows.iter().zip(scores.iter()) {
+        for (r, &score) in scores.iter().enumerate() {
             let w = if exp_sum == 0 {
                 0
             } else {
@@ -361,25 +361,21 @@ mod x86 {
             }
         }
 
-        // Dequantize into the full-length result layout with the same float
-        // operation sequence as the scalar pipelines (raw * 2^-frac in f64,
-        // narrowed to f32).
-        let mut scores_out = vec![0.0f32; p.n];
-        let mut weights_out = vec![0.0f32; p.n];
-        let sp = scores_out.as_mut_ptr();
-        let wp = weights_out.as_mut_ptr();
-        for ((&r, &dot), &w) in rows.iter().zip(dots.iter()).zip(weights.iter()) {
-            *sp.add(r) = (f64::from(dot) * p.dot_res) as f32;
-            *wp.add(r) = (w as f64 * p.weight_res) as f32;
-        }
-        let output = acc
-            .iter()
-            .map(|&x| (f64::from(x) * p.out_res) as f32)
-            .collect();
+        // Dequantize with the same float operation sequence as the scalar
+        // pipelines (raw * 2^-frac in f64, narrowed to f32).
         AttentionResult {
-            scores: scores_out,
-            weights: weights_out,
-            output,
+            scores: dots
+                .iter()
+                .map(|&x| (f64::from(x) * p.dot_res) as f32)
+                .collect(),
+            weights: weights
+                .iter()
+                .map(|&x| (x as f64 * p.weight_res) as f32)
+                .collect(),
+            output: acc
+                .iter()
+                .map(|&x| (f64::from(x) * p.out_res) as f32)
+                .collect(),
         }
     }
 
@@ -540,8 +536,9 @@ mod tests {
     use super::*;
     use crate::backend::simd::test_support::ENV_LOCK;
     use crate::backend::simd::FORCE_SCALAR_ENV;
-    use crate::quantized::{QuantizedAttention, QuantizedMemory};
+    use crate::quantized::QuantizedMemory;
     use crate::Matrix;
+    use a3_fixed::paper_input_format;
 
     fn case(n: usize, d: usize, seed: u64) -> (Matrix, Matrix, Vec<f32>) {
         let value = |i: usize, j: usize, salt: u64| -> f32 {
@@ -576,7 +573,6 @@ mod tests {
             eprintln!("skipping: host has no AVX2");
             return;
         }
-        let qa = QuantizedAttention::paper();
         for &(n, d) in &[
             (2usize, 2usize),
             (3, 5),
@@ -587,24 +583,18 @@ mod tests {
             (320, 64),
         ] {
             let (keys, values, query) = case(n, d, 7);
-            let auto = qa.prepare(&keys, &values).unwrap();
+            let auto = QuantizedMemory::prepare(paper_input_format(), &keys, &values).unwrap();
             let scalar =
-                QuantizedMemory::prepare_scalar(qa.input_format(), &keys, &values).unwrap();
+                QuantizedMemory::prepare_scalar(paper_input_format(), &keys, &values).unwrap();
             assert!(
                 auto.is_vectorized(),
                 "({n}, {d}) should take the vector path"
             );
             assert!(!scalar.is_vectorized());
             assert_eq!(
-                qa.attend_memory(&auto, &query).unwrap(),
-                qa.attend_memory(&scalar, &query).unwrap(),
-                "({n}, {d}) full attend"
-            );
-            let rows: Vec<usize> = (0..n).step_by(2).collect();
-            assert_eq!(
-                qa.attend_memory_rows(&auto, &query, &rows).unwrap(),
-                qa.attend_memory_rows(&scalar, &query, &rows).unwrap(),
-                "({n}, {d}) subset attend"
+                auto.attend(&query).unwrap(),
+                scalar.attend(&query).unwrap(),
+                "({n}, {d})"
             );
         }
     }
@@ -617,17 +607,16 @@ mod tests {
         let previous = std::env::var_os(FORCE_SCALAR_ENV);
         std::env::set_var(FORCE_SCALAR_ENV, "1");
         let (keys, values, query) = case(12, 8, 3);
-        let qa = QuantizedAttention::paper();
-        let forced = qa.prepare(&keys, &values).unwrap();
-        let forced_result = qa.attend_memory(&forced, &query).unwrap();
+        let forced = QuantizedMemory::prepare(paper_input_format(), &keys, &values).unwrap();
+        let forced_result = forced.attend(&query).unwrap();
         match &previous {
             Some(v) => std::env::set_var(FORCE_SCALAR_ENV, v),
             None => std::env::remove_var(FORCE_SCALAR_ENV),
         }
         assert!(!forced.is_vectorized());
         // And the scalar result matches whatever the unforced path produces.
-        let auto = qa.prepare(&keys, &values).unwrap();
-        assert_eq!(qa.attend_memory(&auto, &query).unwrap(), forced_result);
+        let auto = QuantizedMemory::prepare(paper_input_format(), &keys, &values).unwrap();
+        assert_eq!(auto.attend(&query).unwrap(), forced_result);
     }
 
     #[test]

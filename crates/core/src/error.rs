@@ -3,9 +3,9 @@
 //! Every fallible path in this crate funnels into one of two enums:
 //!
 //! * [`AttentionError`] — shape, parameter, backend and fixed-point failures raised
-//!   while computing a single attention operation. The kernel adapters, the compute
-//!   backends and the quantized pipeline all speak this type; fixed-point arithmetic
-//!   errors from [`a3_fixed`] convert into it via `From<FixedError>`.
+//!   while computing a single attention operation. The compute backends and the
+//!   quantized pipeline both speak this type; fixed-point arithmetic errors from
+//!   [`a3_fixed`] convert into it via `From<FixedError>`.
 //! * [`ServeError`] — failures of the request-oriented serving front-end
 //!   ([`crate::serve`]): unknown sessions, invalid scheduling parameters, plus any
 //!   [`AttentionError`] raised while executing a batch (via `From<AttentionError>`).

@@ -65,7 +65,6 @@ pub mod approx;
 pub mod attention;
 pub mod backend;
 mod error;
-pub mod kernel;
 mod matrix;
 pub mod quantized;
 pub mod serve;

@@ -1,6 +1,6 @@
 //! Bit-accurate fixed-point model of the base A3 pipeline (paper Sections III-A/III-B).
 //!
-//! [`QuantizedAttention`] performs exactly the arithmetic the three hardware modules
+//! [`QuantizedMemory`] performs exactly the arithmetic the three hardware modules
 //! perform: inputs are quantized to `Q(i.f)`, element products keep `2i/2f` bits, dot
 //! products widen by `log2(d)` integer bits, the exponent is evaluated through the
 //! two-half lookup table, scores and weights are `Q0.2f` fractions, and the output
@@ -11,9 +11,9 @@
 //! [`QuantizedMemory::prepare`] quantizes the key/value matrices, materializes the
 //! exponent lookup tables and derives the per-stage formats (the state the accelerator
 //! keeps in its on-chip SRAMs, loaded once per memory), and
-//! [`QuantizedAttention::attend_memory`] runs the pure fixed-point per-query pipeline
-//! against that prepared state. The one-shot [`QuantizedAttention::attend`] chains the
-//! two and is bit-identical.
+//! [`QuantizedMemory::attend`] runs the pure fixed-point per-query pipeline against
+//! that prepared state. [`QuantizedBackend`](crate::backend::QuantizedBackend) serves
+//! both phases through the [`ComputeBackend`](crate::backend::ComputeBackend) API.
 //!
 //! All format checking happens at prepare time and at the attend call boundary.
 //! The per-query pipeline itself never consults a format tag: deployed shapes run a
@@ -237,6 +237,31 @@ impl QuantizedMemory {
         (2 * self.n * self.d) as u64 + lo + hi
     }
 
+    /// Runs the per-query fixed-point pipeline over the whole memory and returns
+    /// the scores, weights and output dequantized to `f32`.
+    ///
+    /// All validation happens here at the call boundary; the pipeline itself
+    /// (typed or dynamic) runs without any per-operation format checks.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AttentionError::DimensionMismatch`] if the query dimension does
+    /// not match the memory.
+    pub fn attend(&self, query: &[f32]) -> Result<AttentionResult, AttentionError> {
+        if query.len() != self.d {
+            return Err(AttentionError::DimensionMismatch {
+                expected: self.d,
+                actual: query.len(),
+            });
+        }
+        Ok(match &self.pipeline {
+            PreparedPipeline::Typed(typed) => typed.attend(query),
+            PreparedPipeline::Dynamic(dynamic) => {
+                dynamic.attend(&self.formats, &self.exp_lut, query)
+            }
+        })
+    }
+
     /// Incrementally quantizes and appends rows in place — the streaming fast
     /// path that quantizes only the `delta` new rows (`O(delta * d)` work)
     /// instead of re-preparing the whole memory.
@@ -438,12 +463,11 @@ impl DynamicPipeline {
     /// the typed pipeline stage for stage (same rounding, same saturation
     /// points), with all format bookkeeping pre-resolved — no format tags exist
     /// on this path, so no format-mismatch check can execute.
-    fn attend_rows(
+    fn attend(
         &self,
         formats: &PipelineFormats,
         exp_lut: &ExpLut,
         query: &[f32],
-        rows: &[usize],
     ) -> AttentionResult {
         let n = formats.n();
         let d = formats.d();
@@ -458,9 +482,9 @@ impl DynamicPipeline {
         // Module 1: dot products and the running maximum. Element products are
         // full-precision; each accumulation step saturates at the dot-product
         // format, matching the hardware accumulator register width.
-        let mut dot_products: Vec<i64> = Vec::with_capacity(rows.len());
+        let mut dot_products: Vec<i64> = Vec::with_capacity(n);
         let mut max_dot = self.dot_min;
-        for &r in rows {
+        for r in 0..n {
             let mut dot = 0i64;
             for (k, qv) in self.key_row(r, d).iter().zip(&q_raw) {
                 dot = (dot + k * qv).clamp(self.dot_min, self.dot_max);
@@ -475,7 +499,7 @@ impl DynamicPipeline {
         // exponent sum. The subtraction result is non-positive by construction
         // and the shifted format has one extra integer bit, so the clamp only
         // mirrors the saturating subtraction of the checked path.
-        let mut scores: Vec<i64> = Vec::with_capacity(rows.len());
+        let mut scores: Vec<i64> = Vec::with_capacity(n);
         let mut exp_sum = 0i64;
         for &dot in &dot_products {
             let shifted = (dot - max_dot).clamp(self.shifted_min, self.shifted_max);
@@ -489,8 +513,8 @@ impl DynamicPipeline {
 
         // Module 3: normalization and the weighted sum of value rows.
         let mut output_acc: Vec<i64> = vec![0; d];
-        let mut weights: Vec<i64> = Vec::with_capacity(rows.len());
-        for (&r, &score) in rows.iter().zip(&scores) {
+        let mut weights: Vec<i64> = Vec::with_capacity(n);
+        for (r, &score) in scores.iter().enumerate() {
             // weight = score / expsum, still a Q0.2f fraction.
             let w = if exp_sum == 0 {
                 0
@@ -506,196 +530,17 @@ impl DynamicPipeline {
             }
         }
 
-        // Dequantize into the full-length result layout.
-        let dot_res = formats.dot_product().resolution();
-        let weight_res = formats.weight().resolution();
-        let out_res = formats.output().resolution();
-        let mut scores_out = vec![0.0f32; n];
-        let mut weights_out = vec![0.0f32; n];
-        for ((&r, &dot), &w) in rows.iter().zip(&dot_products).zip(&weights) {
-            if let Some(slot) = scores_out.get_mut(r) {
-                *slot = (dot as f64 * dot_res) as f32;
-            }
-            if let Some(slot) = weights_out.get_mut(r) {
-                *slot = (w as f64 * weight_res) as f32;
-            }
-        }
-        let output = output_acc
-            .iter()
-            .map(|&x| (x as f64 * out_res) as f32)
-            .collect();
+        // Dequantize.
+        let dequantize = |raws: &[i64], resolution: f64| -> Vec<f32> {
+            raws.iter()
+                .map(|&x| (x as f64 * resolution) as f32)
+                .collect()
+        };
         AttentionResult {
-            scores: scores_out,
-            weights: weights_out,
-            output,
+            scores: dequantize(&dot_products, formats.dot_product().resolution()),
+            weights: dequantize(&weights, formats.weight().resolution()),
+            output: dequantize(&output_acc, formats.output().resolution()),
         }
-    }
-}
-
-/// Fixed-point model of the base (non-approximate) A3 attention pipeline.
-///
-/// ```
-/// use a3_core::{Matrix, quantized::QuantizedAttention};
-/// use a3_fixed::paper_input_format;
-///
-/// let keys = Matrix::from_rows(vec![vec![0.5, -0.25], vec![1.0, 0.75]]).unwrap();
-/// let values = Matrix::from_rows(vec![vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap();
-/// let qa = QuantizedAttention::new(paper_input_format());
-/// let result = qa.attend(&keys, &values, &[1.0, 0.5]).unwrap();
-/// assert_eq!(result.output.len(), 2);
-///
-/// // Two-phase serving: prepare once, attend many times — bit-identical.
-/// let memory = qa.prepare(&keys, &values).unwrap();
-/// let served = qa.attend_memory(&memory, &[1.0, 0.5]).unwrap();
-/// assert_eq!(served, result);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuantizedAttention {
-    input_format: QFormat,
-}
-
-impl QuantizedAttention {
-    /// Creates a quantized pipeline model with the given input format.
-    pub fn new(input_format: QFormat) -> Self {
-        Self { input_format }
-    }
-
-    /// Creates the paper's configuration (`Q4.4` inputs).
-    pub fn paper() -> Self {
-        Self::new(a3_fixed::paper_input_format())
-    }
-
-    /// The input quantization format.
-    pub fn input_format(&self) -> QFormat {
-        self.input_format
-    }
-
-    /// The per-stage formats this model will use for an `n x d` problem.
-    pub fn formats(&self, n: usize, d: usize) -> PipelineFormats {
-        PipelineFormats::new(self.input_format, n, d)
-    }
-
-    /// Quantizes a key/value memory for this model's input format (the
-    /// query-independent half of the pipeline).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the memory is empty or the key/value shapes disagree.
-    pub fn prepare(
-        &self,
-        keys: &Matrix,
-        values: &Matrix,
-    ) -> Result<QuantizedMemory, AttentionError> {
-        QuantizedMemory::prepare(self.input_format, keys, values)
-    }
-
-    /// Runs the fixed-point pipeline over the whole memory and returns scores, weights
-    /// and the output in `f32` (dequantized). Quantizes the memory on the fly; for
-    /// multi-query serving prefer [`QuantizedAttention::prepare`] +
-    /// [`QuantizedAttention::attend_memory`], which are bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the key/value/query shapes are inconsistent.
-    pub fn attend(
-        &self,
-        keys: &Matrix,
-        values: &Matrix,
-        query: &[f32],
-    ) -> Result<AttentionResult, AttentionError> {
-        keys.validate_attention(values, query)?;
-        let memory = self.prepare(keys, values)?;
-        self.attend_memory(&memory, query)
-    }
-
-    /// Runs the fixed-point pipeline over a subset of rows (the candidate set produced
-    /// by the approximation stages). Rows not listed get score and weight zero.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if shapes are inconsistent, `rows` is empty, or an index is out
-    /// of bounds.
-    pub fn attend_rows(
-        &self,
-        keys: &Matrix,
-        values: &Matrix,
-        query: &[f32],
-        rows: &[usize],
-    ) -> Result<AttentionResult, AttentionError> {
-        keys.validate_attention(values, query)?;
-        let memory = self.prepare(keys, values)?;
-        self.attend_memory_rows(&memory, query, rows)
-    }
-
-    /// Runs the per-query fixed-point pipeline against a prepared memory, over the
-    /// whole memory.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the query dimension does not match the memory or the
-    /// memory was prepared with a different input format.
-    pub fn attend_memory(
-        &self,
-        memory: &QuantizedMemory,
-        query: &[f32],
-    ) -> Result<AttentionResult, AttentionError> {
-        let rows: Vec<usize> = (0..memory.n()).collect();
-        self.attend_memory_rows(memory, query, &rows)
-    }
-
-    /// Runs the per-query fixed-point pipeline against a prepared memory, over a
-    /// subset of rows. Rows not listed get score and weight zero.
-    ///
-    /// All validation happens here at the call boundary; the pipeline itself
-    /// (typed or dynamic) runs without any per-operation format checks.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the query dimension does not match the memory, the memory
-    /// was prepared with a different input format, `rows` is empty, or an index is out
-    /// of bounds.
-    pub fn attend_memory_rows(
-        &self,
-        memory: &QuantizedMemory,
-        query: &[f32],
-        rows: &[usize],
-    ) -> Result<AttentionResult, AttentionError> {
-        if memory.input_format() != self.input_format {
-            return Err(AttentionError::InvalidParameter {
-                name: "memory",
-                constraint: "memory was prepared with a different input format",
-            });
-        }
-        if query.len() != memory.d() {
-            return Err(AttentionError::DimensionMismatch {
-                expected: memory.d(),
-                actual: query.len(),
-            });
-        }
-        if rows.is_empty() {
-            return Err(AttentionError::InvalidParameter {
-                name: "rows",
-                constraint: "at least one row must be selected",
-            });
-        }
-        if rows.iter().any(|&r| r >= memory.n()) {
-            return Err(AttentionError::InvalidParameter {
-                name: "rows",
-                constraint: "row indices must be within the key matrix",
-            });
-        }
-        match &memory.pipeline {
-            PreparedPipeline::Typed(typed) => Ok(typed.attend_rows(query, rows)),
-            PreparedPipeline::Dynamic(dynamic) => {
-                Ok(dynamic.attend_rows(&memory.formats, &memory.exp_lut, query, rows))
-            }
-        }
-    }
-}
-
-impl Default for QuantizedAttention {
-    fn default() -> Self {
-        Self::paper()
     }
 }
 
@@ -703,6 +548,7 @@ impl Default for QuantizedAttention {
 mod tests {
     use super::*;
     use crate::attention::attention_with_scores;
+    use a3_fixed::paper_input_format;
 
     fn case(n: usize, d: usize) -> (Matrix, Matrix, Vec<f32>) {
         let rows: Vec<Vec<f32>> = (0..n)
@@ -718,13 +564,19 @@ mod tests {
         (keys, values, query)
     }
 
+    /// Prepares `keys`/`values` in `format` and attends one query.
+    fn attend(format: QFormat, keys: &Matrix, values: &Matrix, query: &[f32]) -> AttentionResult {
+        QuantizedMemory::prepare(format, keys, values)
+            .unwrap()
+            .attend(query)
+            .unwrap()
+    }
+
     #[test]
     fn close_to_float_attention_with_paper_precision() {
         let (keys, values, query) = case(24, 16);
         let exact = attention_with_scores(&keys, &values, &query).unwrap();
-        let quant = QuantizedAttention::paper()
-            .attend(&keys, &values, &query)
-            .unwrap();
+        let quant = attend(paper_input_format(), &keys, &values, &query);
         for (a, b) in exact.output.iter().zip(&quant.output) {
             assert!((a - b).abs() < 0.15, "{a} vs {b}");
         }
@@ -741,38 +593,18 @@ mod tests {
     }
 
     #[test]
-    fn prepared_memory_is_bit_identical_to_one_shot() {
-        let (keys, values, query) = case(20, 8);
-        let qa = QuantizedAttention::paper();
-        let memory = qa.prepare(&keys, &values).unwrap();
-        let one_shot = qa.attend(&keys, &values, &query).unwrap();
-        let served = qa.attend_memory(&memory, &query).unwrap();
-        assert_eq!(one_shot, served);
-        let subset_one_shot = qa.attend_rows(&keys, &values, &query, &[1, 4, 7]).unwrap();
-        let subset_served = qa.attend_memory_rows(&memory, &query, &[1, 4, 7]).unwrap();
-        assert_eq!(subset_one_shot, subset_served);
-    }
-
-    #[test]
     fn typed_and_dynamic_paths_are_bit_identical() {
         for (n, d) in [(2, 2), (5, 3), (10, 8), (20, 8), (24, 16), (31, 32)] {
             let (keys, values, query) = case(n, d);
-            let qa = QuantizedAttention::paper();
-            let typed = qa.prepare(&keys, &values).unwrap();
+            let typed = QuantizedMemory::prepare(paper_input_format(), &keys, &values).unwrap();
             assert!(typed.is_typed(), "({n}, {d}) should dispatch typed");
             let dynamic =
-                QuantizedMemory::prepare_dynamic(qa.input_format(), &keys, &values).unwrap();
+                QuantizedMemory::prepare_dynamic(paper_input_format(), &keys, &values).unwrap();
             assert!(!dynamic.is_typed());
             assert_eq!(
-                qa.attend_memory(&typed, &query).unwrap(),
-                qa.attend_memory(&dynamic, &query).unwrap(),
-                "({n}, {d}) full attend"
-            );
-            let rows: Vec<usize> = (0..n).step_by(2).collect();
-            assert_eq!(
-                qa.attend_memory_rows(&typed, &query, &rows).unwrap(),
-                qa.attend_memory_rows(&dynamic, &query, &rows).unwrap(),
-                "({n}, {d}) subset attend"
+                typed.attend(&query).unwrap(),
+                dynamic.attend(&query).unwrap(),
+                "({n}, {d})"
             );
         }
     }
@@ -783,19 +615,7 @@ mod tests {
         let (keys, values, query) = case(8, 4);
         let memory = QuantizedMemory::prepare(QFormat::new(5, 3), &keys, &values).unwrap();
         assert!(!memory.is_typed());
-        let result = QuantizedAttention::new(QFormat::new(5, 3))
-            .attend_memory(&memory, &query)
-            .unwrap();
-        assert_eq!(result.output.len(), 4);
-    }
-
-    #[test]
-    fn mismatched_input_format_rejected() {
-        let (keys, values, query) = case(8, 4);
-        let memory = QuantizedMemory::prepare(QFormat::new(4, 2), &keys, &values).unwrap();
-        assert!(QuantizedAttention::paper()
-            .attend_memory(&memory, &query)
-            .is_err());
+        assert_eq!(memory.attend(&query).unwrap().output.len(), 4);
     }
 
     #[test]
@@ -810,11 +630,19 @@ mod tests {
     #[test]
     fn prepared_memory_reports_shape_and_work() {
         let (keys, values, _) = case(10, 8);
-        let memory = QuantizedAttention::paper().prepare(&keys, &values).unwrap();
+        let memory = QuantizedMemory::prepare(paper_input_format(), &keys, &values).unwrap();
         assert_eq!(memory.n(), 10);
         assert_eq!(memory.d(), 8);
-        assert_eq!(memory.input_format(), a3_fixed::paper_input_format());
+        assert_eq!((memory.formats().n(), memory.formats().d()), (10, 8));
+        assert_eq!(memory.input_format(), paper_input_format());
         assert!(memory.preprocess_ops() >= 2 * 10 * 8);
+        assert_eq!(
+            memory.attend(&[0.0; 3]).unwrap_err(),
+            AttentionError::DimensionMismatch {
+                expected: 8,
+                actual: 3,
+            }
+        );
     }
 
     #[test]
@@ -822,9 +650,7 @@ mod tests {
         let (keys, values, query) = case(20, 8);
         let exact = attention_with_scores(&keys, &values, &query).unwrap();
         let err = |fmt: QFormat| -> f32 {
-            let quant = QuantizedAttention::new(fmt)
-                .attend(&keys, &values, &query)
-                .unwrap();
+            let quant = attend(fmt, &keys, &values, &query);
             exact
                 .output
                 .iter()
@@ -840,39 +666,8 @@ mod tests {
     #[test]
     fn weights_approximately_sum_to_one() {
         let (keys, values, query) = case(16, 8);
-        let quant = QuantizedAttention::paper()
-            .attend(&keys, &values, &query)
-            .unwrap();
+        let quant = attend(paper_input_format(), &keys, &values, &query);
         let sum: f32 = quant.weights.iter().sum();
         assert!((sum - 1.0).abs() < 0.1, "weight sum {sum}");
-    }
-
-    #[test]
-    fn attend_rows_subset_zeroes_excluded_rows() {
-        let (keys, values, query) = case(10, 8);
-        let quant = QuantizedAttention::paper()
-            .attend_rows(&keys, &values, &query, &[1, 4, 7])
-            .unwrap();
-        for r in [0usize, 2, 3, 5, 6, 8, 9] {
-            assert_eq!(quant.weights[r], 0.0);
-            assert_eq!(quant.scores[r], 0.0);
-        }
-    }
-
-    #[test]
-    fn rejects_empty_or_out_of_bounds_rows() {
-        let (keys, values, query) = case(6, 4);
-        let qa = QuantizedAttention::paper();
-        assert!(qa.attend_rows(&keys, &values, &query, &[]).is_err());
-        assert!(qa.attend_rows(&keys, &values, &query, &[99]).is_err());
-    }
-
-    #[test]
-    fn formats_accessor_matches_problem_size() {
-        let qa = QuantizedAttention::paper();
-        let f = qa.formats(320, 64);
-        assert_eq!(f.n(), 320);
-        assert_eq!(f.d(), 64);
-        assert_eq!(qa.input_format(), a3_fixed::paper_input_format());
     }
 }

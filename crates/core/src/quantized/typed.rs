@@ -27,12 +27,12 @@ use crate::Matrix;
 /// Object-safe face of a monomorphized pipeline instantiation.
 ///
 /// All shape and format checking happens at prepare time and at the
-/// `attend_memory_rows` boundary; implementations run the per-query datapath
-/// with no runtime format checks at all.
+/// `QuantizedMemory::attend` boundary; implementations run the per-query
+/// datapath with no runtime format checks at all.
 pub(crate) trait TypedQuantizedPipeline: Send + Sync + fmt::Debug {
-    /// Runs the fixed-point pipeline for one query over the selected rows
-    /// (all indices already validated to be in range).
-    fn attend_rows(&self, query: &[f32], rows: &[usize]) -> AttentionResult;
+    /// Runs the fixed-point pipeline for one query (of validated dimension)
+    /// over every row.
+    fn attend(&self, query: &[f32]) -> AttentionResult;
 
     /// Whether prepare-time dispatch selected the AVX2 vector kernels
     /// (`backend::quantized_simd`) for this instantiation.
@@ -242,13 +242,13 @@ impl<
     > TypedQuantizedPipeline
     for TypedPipeline<I, F, PI, PF, DI, DF, XI, XF, SI, SF, EI, EF, OI, OF, WI, WF>
 {
-    fn attend_rows(&self, query: &[f32], rows: &[usize]) -> AttentionResult {
+    fn attend(&self, query: &[f32]) -> AttentionResult {
         // Vector datapath, when prepare-time dispatch selected it. The scalar
         // code below is the bit-identity reference it is property-tested
         // against.
         #[cfg(target_arch = "x86_64")]
         if let Some(vector) = &self.vector {
-            return vector.attend_rows(query, rows);
+            return vector.attend(query);
         }
 
         // Quantize the query once (it is reused by every row).
@@ -257,9 +257,9 @@ impl<
         // Module 1: dot products and the running maximum. The element product
         // and its extension to the accumulator format are compile-time-checked
         // widenings; the per-step saturating add mirrors `Fixed::accumulate`.
-        let mut dot_products: Vec<Q<DI, DF>> = Vec::with_capacity(rows.len());
+        let mut dot_products: Vec<Q<DI, DF>> = Vec::with_capacity(self.n);
         let mut max_dot = Q::<DI, DF>::min();
-        for &r in rows {
+        for r in 0..self.n {
             let mut dot = Q::<DI, DF>::zero();
             for (k, qv) in self.key_row(r).iter().zip(&q) {
                 let product: Q<PI, PF> = k.mul_full(*qv);
@@ -275,7 +275,7 @@ impl<
         // exponent sum. The subtraction result is non-positive by construction
         // and in the lookup table's input format *by type*, so the evaluation
         // is infallible — no FormatMismatch or PositiveExponentInput paths.
-        let mut scores: Vec<Q<SI, SF>> = Vec::with_capacity(rows.len());
+        let mut scores: Vec<Q<SI, SF>> = Vec::with_capacity(self.n);
         let mut exp_sum = Q::<EI, EF>::zero();
         for dot in &dot_products {
             let shifted: Q<XI, XF> = dot.extend().saturating_sub(max_dot.extend());
@@ -286,8 +286,8 @@ impl<
 
         // Module 3: normalization and the weighted sum of value rows.
         let mut output_acc: Vec<Q<OI, OF>> = vec![Q::zero(); self.d];
-        let mut weights: Vec<Q<SI, SF>> = Vec::with_capacity(rows.len());
-        for (&r, score) in rows.iter().zip(&scores) {
+        let mut weights: Vec<Q<SI, SF>> = Vec::with_capacity(self.n);
+        for (r, score) in scores.iter().enumerate() {
             let weight = if exp_sum.is_zero() {
                 Q::zero()
             } else {
@@ -300,22 +300,11 @@ impl<
             }
         }
 
-        // Dequantize into the full-length result layout.
-        let mut scores_out = vec![0.0f32; self.n];
-        let mut weights_out = vec![0.0f32; self.n];
-        for ((&r, dot), weight) in rows.iter().zip(&dot_products).zip(&weights) {
-            if let Some(slot) = scores_out.get_mut(r) {
-                *slot = dot.to_f64() as f32;
-            }
-            if let Some(slot) = weights_out.get_mut(r) {
-                *slot = weight.to_f64() as f32;
-            }
-        }
-        let output = output_acc.iter().map(|x| x.to_f64() as f32).collect();
+        // Dequantize.
         AttentionResult {
-            scores: scores_out,
-            weights: weights_out,
-            output,
+            scores: dot_products.iter().map(|x| x.to_f64() as f32).collect(),
+            weights: weights.iter().map(|x| x.to_f64() as f32).collect(),
+            output: output_acc.iter().map(|x| x.to_f64() as f32).collect(),
         }
     }
 

@@ -1,9 +1,7 @@
 //! Builder-style configuration for registration and server construction.
 //!
-//! The serving layer used to grow one constructor or registration method per
-//! knob (`register_memory` / `register_memory_sharded`, `new` /
-//! `with_cache_capacity`). Tenancy would have doubled that surface again, so
-//! both are collapsed into builders:
+//! Every knob lives on a builder instead of on its own constructor or
+//! registration method:
 //!
 //! * [`MemoryConfig`] describes one memory registration — the key/value
 //!   matrices plus optional sharding and tenant assignment — consumed by
@@ -11,8 +9,6 @@
 //! * [`ServerBuilder`] assembles an [`super::AttentionServer`] from a backend,
 //!   a batch policy, cache sizing/admission, registry sharding and the tenant
 //!   roster, via [`super::AttentionServer::builder`].
-//!
-//! The old entry points survive one release as thin `#[deprecated]` wrappers.
 
 use crate::backend::{CacheAdmission, ComputeBackend, MemoryCache};
 use crate::Matrix;

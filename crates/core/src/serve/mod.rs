@@ -399,28 +399,6 @@ impl AttentionServer {
         ServerBuilder::new(backend)
     }
 
-    /// Creates a server with a default-capacity [`MemoryCache`].
-    #[deprecated(note = "use `AttentionServer::builder(backend).batch_policy(policy).build()`")]
-    pub fn new(backend: Box<dyn ComputeBackend>, policy: BatchPolicy) -> Self {
-        Self::builder(backend).batch_policy(policy).build()
-    }
-
-    /// Creates a server whose preprocessing cache holds at most `cache_capacity`
-    /// prepared memories (0 disables reuse across re-registrations).
-    #[deprecated(
-        note = "use `AttentionServer::builder(backend).batch_policy(policy).cache_capacity(n).build()`"
-    )]
-    pub fn with_cache_capacity(
-        backend: Box<dyn ComputeBackend>,
-        policy: BatchPolicy,
-        cache_capacity: usize,
-    ) -> Self {
-        Self::builder(backend)
-            .batch_policy(policy)
-            .cache_capacity(cache_capacity)
-            .build()
-    }
-
     /// Assembles a server from already-built parts ([`ServerBuilder::build`]'s
     /// back half). The default tenant is registered before the server is handed
     /// out, so it always exists.
@@ -562,36 +540,6 @@ impl AttentionServer {
             reused_preparation,
         });
         Ok(id)
-    }
-
-    /// Runs the backend's query-independent preprocessing over (`keys`, `values`)
-    /// and opens a session serving it, under the default tenant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Attention`] if the key/value shapes are inconsistent.
-    #[deprecated(note = "use `register(MemoryConfig::new(keys, values))`")]
-    pub fn register_memory(
-        &mut self,
-        keys: &Matrix,
-        values: &Matrix,
-    ) -> Result<SessionId, ServeError> {
-        self.register(MemoryConfig::new(keys, values))
-    }
-
-    /// Registration with a row-wise [`ShardPlan`], under the default tenant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Attention`] if the key/value shapes are inconsistent.
-    #[deprecated(note = "use `register(MemoryConfig::new(keys, values).sharded(k))`")]
-    pub fn register_memory_sharded(
-        &mut self,
-        keys: &Matrix,
-        values: &Matrix,
-        plan: ShardPlan,
-    ) -> Result<SessionId, ServeError> {
-        self.register(MemoryConfig::new(keys, values).sharded(plan.shards()))
     }
 
     /// Appends rows to a live session's memory **in place**, through the backend's
@@ -1569,27 +1517,5 @@ mod tests {
             server.tenant_stats(TenantId::from_raw(3)).unwrap(),
             TenantStats::default()
         );
-    }
-
-    /// The pre-builder API surface survives one release as deprecated wrappers;
-    /// this is the single call site exercising it.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_and_registrations_still_serve() {
-        let (keys, values) = memory(0.0, 8, 4);
-        let mut server = AttentionServer::new(Box::new(ExactBackend), BatchPolicy::per_request());
-        let whole = server.register_memory(&keys, &values).unwrap();
-        let sharded = server
-            .register_memory_sharded(&keys, &values, ShardPlan::new(2).unwrap())
-            .unwrap();
-        assert_eq!(server.session(sharded).unwrap().shard_count(), 2);
-        server
-            .submit(Request::new(whole, query(4, 0.0), 0))
-            .unwrap();
-        assert_eq!(server.poll(0).unwrap().len(), 1);
-
-        let capped =
-            AttentionServer::with_cache_capacity(Box::new(ExactBackend), BatchPolicy::default(), 3);
-        assert_eq!(capped.cache().capacity(), 3);
     }
 }

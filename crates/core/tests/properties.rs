@@ -4,12 +4,12 @@ use a3_core::approx::{
     post_scoring_select, preprocess_count, select_candidates, select_candidates_naive,
     ApproxConfig, ApproximateAttention, SortedKeyColumns,
 };
-use a3_core::attention::{attention_batch, attention_with_scores, stable_softmax};
+use a3_core::attention::{attention_with_scores, stable_softmax};
 use a3_core::backend::{
     ApproximateBackend, ComputeBackend, ExactBackend, MemoryCache, QuantizedBackend, ShardPlan,
     ShardedMemory, SimdBackend,
 };
-use a3_core::quantized::{QuantizedAttention, QuantizedMemory};
+use a3_core::quantized::QuantizedMemory;
 use a3_core::serve::{AttentionServer, BatchPolicy, MemoryConfig, Request, Response};
 use a3_core::Matrix;
 use a3_fixed::QFormat;
@@ -285,21 +285,20 @@ proptest! {
         prop_assert!(out.stats.num_candidates <= keys.rows());
     }
 
-    /// The batched front-ends are bit-identical to their sequential counterparts
-    /// (including for the empty batch), for both exact and approximate attention.
+    /// For every backend, the one-shot batch front-end is bit-identical to
+    /// one-shot `attend` per query, in query order (including the empty batch).
     #[test]
     fn batched_front_ends_match_sequential((keys, values, queries) in batch_case()) {
-        let exact_batch = attention_batch(&keys, &values, &queries).unwrap();
-        prop_assert_eq!(exact_batch.len(), queries.len());
-        for (q, r) in queries.iter().zip(&exact_batch) {
-            prop_assert_eq!(r, &attention_with_scores(&keys, &values, q).unwrap());
-        }
-        for config in [ApproxConfig::conservative(), ApproxConfig::aggressive()] {
-            let approx = ApproximateAttention::new(config);
-            let batch = approx.attend_batch(&keys, &values, &queries).unwrap();
+        let query_matrix = if queries.is_empty() {
+            Matrix::zeros(0, keys.dim())
+        } else {
+            Matrix::from_rows(queries.clone()).unwrap()
+        };
+        for backend in all_backends() {
+            let batch = backend.attend_batch(&keys, &values, &query_matrix).unwrap();
             prop_assert_eq!(batch.len(), queries.len());
             for (q, out) in queries.iter().zip(&batch) {
-                prop_assert_eq!(out, &approx.attend(&keys, &values, q).unwrap());
+                prop_assert_eq!(out, &backend.attend(&keys, &values, q).unwrap());
             }
         }
     }
@@ -492,58 +491,37 @@ proptest! {
     }
 
     /// The compile-time-checked typed fixed-point pipeline and the dynamic-format
-    /// fallback are bit-identical on random memories, queries and shapes — full
-    /// attends and candidate-subset attends alike. (Shapes with a deployed typed
-    /// instantiation exercise the typed side against the dynamic side; all other
-    /// shapes fall back to dynamic on both and pass trivially.)
+    /// fallback are bit-identical on random memories, queries and shapes. (Shapes
+    /// with a deployed typed instantiation exercise the typed side against the
+    /// dynamic side; all other shapes fall back to dynamic on both and pass
+    /// trivially.)
     #[test]
     fn typed_and_dynamic_quantized_pipelines_are_bit_identical(
         (keys, values, query) in attention_case(),
-        stride in 1usize..4,
     ) {
-        let model = QuantizedAttention::paper();
-        let fmt = model.input_format();
+        let fmt = a3_fixed::paper_input_format();
         let typed = QuantizedMemory::prepare(fmt, &keys, &values).unwrap();
         let dynamic = QuantizedMemory::prepare_dynamic(fmt, &keys, &values).unwrap();
         prop_assert!(!dynamic.is_typed());
-
-        let a = model.attend_memory(&typed, &query).unwrap();
-        let b = model.attend_memory(&dynamic, &query).unwrap();
-        prop_assert_eq!(&a, &b);
-
-        let rows: Vec<usize> = (0..keys.rows()).step_by(stride).collect();
-        let a = model.attend_memory_rows(&typed, &query, &rows).unwrap();
-        let b = model.attend_memory_rows(&dynamic, &query, &rows).unwrap();
-        prop_assert_eq!(&a, &b);
+        prop_assert_eq!(typed.attend(&query).unwrap(), dynamic.attend(&query).unwrap());
     }
 
     /// The AVX2 vector datapath and the scalar quantized datapath are
-    /// bit-identical on random memories, queries, shapes and input formats —
-    /// full attends and candidate-subset attends alike. The `simd_case` shapes
-    /// include `n = 1` and dimensions that are not a multiple of the 8/16-lane
-    /// widths, so every kernel tail length is exercised. (On non-AVX2 hosts,
-    /// under `A3_FORCE_SCALAR=1`, and for shapes or formats outside the vector
-    /// eligibility gates, both memories run the same scalar code and the
-    /// property holds trivially.)
+    /// bit-identical on random memories, queries, shapes and input formats. The
+    /// `simd_case` shapes include `n = 1` and dimensions that are not a multiple
+    /// of the 8/16-lane widths, so every kernel tail length is exercised. (On
+    /// non-AVX2 hosts, under `A3_FORCE_SCALAR=1`, and for shapes or formats
+    /// outside the vector eligibility gates, both memories run the same scalar
+    /// code and the property holds trivially.)
     #[test]
     fn vector_and_scalar_quantized_datapaths_are_bit_identical(
         (keys, values, query) in simd_case(),
         fmt in quantized_format(),
-        stride in 1usize..4,
     ) {
-        let model = QuantizedAttention::new(fmt);
         let auto = QuantizedMemory::prepare(fmt, &keys, &values).unwrap();
         let scalar = QuantizedMemory::prepare_scalar(fmt, &keys, &values).unwrap();
         prop_assert!(!scalar.is_vectorized());
-
-        let a = model.attend_memory(&auto, &query).unwrap();
-        let b = model.attend_memory(&scalar, &query).unwrap();
-        prop_assert_eq!(&a, &b);
-
-        let rows: Vec<usize> = (0..keys.rows()).step_by(stride).collect();
-        let a = model.attend_memory_rows(&auto, &query, &rows).unwrap();
-        let b = model.attend_memory_rows(&scalar, &query, &rows).unwrap();
-        prop_assert_eq!(&a, &b);
+        prop_assert_eq!(auto.attend(&query).unwrap(), scalar.attend(&query).unwrap());
     }
 
     /// The sharded log-sum-exp merge built on vector-datapath partials is

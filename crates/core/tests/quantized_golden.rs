@@ -1,0 +1,137 @@
+//! Golden output bits of the quantized datapaths.
+//!
+//! The differential tests elsewhere compare the typed, dynamic and AVX2
+//! quantized kernels with each other, so a change that moved all three the
+//! same way would pass them. This suite pins the absolute output: an FNV-1a
+//! hash over the `f32` bit patterns of the scores, weights and output of every
+//! query, on fixed seeded memories, for
+//!
+//! - [`QuantizedBackend::paper`] (typed pipeline, AVX2 kernels where the host
+//!   has them),
+//! - [`QuantizedBackend::paper_scalar`] (typed pipeline, scalar datapath),
+//! - a [`QuantizedMemory::prepare_dynamic`] memory (raw-integer fallback),
+//! - and the undeployed `Q5.3` input format (dynamic by dispatch).
+//!
+//! The first three are bit-identical by contract, so they share one golden
+//! value per shape. The shapes cover a deployed paper-scale memory (300 x 64,
+//! full 16/8-lane vectors), a deployed non-lane-multiple memory (29 x 13) and
+//! an undeployed non-lane-multiple memory (37 x 13).
+
+use a3_core::attention::AttentionResult;
+use a3_core::backend::{ComputeBackend, PreparedMemory, PreparedState, QuantizedBackend};
+use a3_core::quantized::QuantizedMemory;
+use a3_core::Matrix;
+use a3_fixed::QFormat;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Queries attended per memory.
+const QUERIES: usize = 4;
+
+/// `(n, d, seed, golden hash of the Q4.4 datapaths, golden hash of Q5.3)`.
+const GOLDEN: &[(usize, usize, u64, u64, u64)] = &[
+    (300, 64, 11, 0x0797_1277_607d_f1be, 0x7bc4_3411_d887_4d3e),
+    (29, 13, 12, 0x7291_b3b8_8dad_aedf, 0xc096_fecd_64f8_53ad),
+    (37, 13, 13, 0xc932_32c0_b6cf_f816, 0xef26_7faa_50bd_060d),
+];
+
+/// Deterministic splitmix64 stream mapped to `f32` in `[-2, 2)`.
+struct Stream(u64);
+
+impl Stream {
+    fn next_f32(&mut self) -> f32 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        ((z >> 40) as f32 / (1u64 << 24) as f32) * 4.0 - 2.0
+    }
+
+    fn matrix(&mut self, n: usize, d: usize) -> Matrix {
+        let rows = (0..n)
+            .map(|_| (0..d).map(|_| self.next_f32()).collect())
+            .collect();
+        Matrix::from_rows(rows).unwrap()
+    }
+}
+
+/// A seeded memory and its queries.
+fn case(n: usize, d: usize, seed: u64) -> (Matrix, Matrix, Vec<Vec<f32>>) {
+    let mut stream = Stream(seed);
+    let keys = stream.matrix(n, d);
+    let values = stream.matrix(n, d);
+    let queries = (0..QUERIES)
+        .map(|_| (0..d).map(|_| stream.next_f32()).collect())
+        .collect();
+    (keys, values, queries)
+}
+
+/// FNV-1a over the bit patterns of every result's scores, weights and output.
+fn hash_results(results: &[AttentionResult]) -> u64 {
+    let mut hash = FNV_OFFSET;
+    for result in results {
+        for x in result
+            .scores
+            .iter()
+            .chain(&result.weights)
+            .chain(&result.output)
+        {
+            for byte in x.to_bits().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(FNV_PRIME);
+            }
+        }
+    }
+    hash
+}
+
+#[test]
+fn quantized_outputs_match_golden_hashes() {
+    let paper = QuantizedBackend::paper();
+    let scalar = QuantizedBackend::paper_scalar();
+    let q53 = QuantizedBackend::new(QFormat::new(5, 3));
+    let mut mismatches = Vec::new();
+    for &(n, d, seed, paper_golden, q53_golden) in GOLDEN {
+        let (keys, values, queries) = case(n, d, seed);
+        let dynamic =
+            QuantizedMemory::prepare_dynamic(paper.input_format(), &keys, &values).unwrap();
+        assert!(!dynamic.is_typed());
+        let dynamic = PreparedState::Quantized(Box::new(dynamic));
+        let runs = [
+            ("paper", &paper, paper.prepare(&keys, &values), paper_golden),
+            (
+                "paper_scalar",
+                &scalar,
+                scalar.prepare(&keys, &values),
+                paper_golden,
+            ),
+            (
+                "dynamic",
+                &paper,
+                PreparedMemory::new(&keys, &values, 0, dynamic),
+                paper_golden,
+            ),
+            ("Q5.3", &q53, q53.prepare(&keys, &values), q53_golden),
+        ];
+        for (datapath, backend, memory, golden) in runs {
+            let memory = memory.unwrap();
+            let results: Vec<AttentionResult> = queries
+                .iter()
+                .map(|q| backend.attend_prepared(&memory, q).unwrap())
+                .collect();
+            let hash = hash_results(&results);
+            if hash != golden {
+                mismatches.push(format!(
+                    "{datapath} at {n}x{d} (seed {seed}): {hash:#018x}, golden {golden:#018x}"
+                ));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "quantized output bits drifted:\n{}",
+        mismatches.join("\n")
+    );
+}

@@ -298,7 +298,13 @@ mod tests {
         let keys = Matrix::from_rows(rows).unwrap();
         let values = keys.clone();
         let queries: Vec<Vec<f32>> = (0..16).map(|q| vec![0.4 + 0.001 * q as f32; 64]).collect();
-        model.simulate_queries(&keys, &values, &queries)
+        model.run_batch_with(
+            model.backend().as_ref(),
+            &mut a3_core::backend::MemoryCache::new(1),
+            &keys,
+            &values,
+            &queries,
+        )
     }
 
     #[test]

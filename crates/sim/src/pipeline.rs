@@ -11,7 +11,7 @@
 //! post-scoring selection the latency is `M + C + K + K + α` cycles, and the throughput
 //! is limited by the candidate-selection module (≈ `M` cycles per query).
 //!
-//! Rather than hard-coding `C` and `K`, [`PipelineModel::simulate_queries`] runs the
+//! Rather than hard-coding `C` and `K`, [`PipelineModel::run_batch_with`] runs the
 //! actual algorithms from [`a3_core`] on the provided key/value/query data and uses the
 //! resulting per-query counts, so the performance results inherit the data-dependent
 //! behaviour the paper measures.
@@ -363,66 +363,14 @@ impl PipelineModel {
         self.profile_cost(keys.rows(), profile)
     }
 
-    /// Simulates a batch of queries that share one key/value memory (the key matrix is
-    /// preprocessed once, as in self-attention) and aggregates the results.
-    ///
-    /// Equivalent to [`PipelineModel::run_batch`], kept under its historical name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the problem does not fit the synthesized configuration or `queries` is
-    /// empty.
-    pub fn simulate_queries(
-        &self,
-        keys: &Matrix,
-        values: &Matrix,
-        queries: &[Vec<f32>],
-    ) -> SimReport {
-        self.run_batch(keys, values, queries)
-    }
-
-    /// Runs the configured pipeline over a batch of queries sharing one key/value
-    /// memory and reports aggregate latency and throughput.
-    ///
-    /// Serving goes through the configuration's [`ComputeBackend`] with a fresh
-    /// (cold) preprocessing cache, so the report always charges one preprocessing
-    /// pass in [`SimReport::preprocessing_cycles`] and records one cache miss. Use
-    /// [`PipelineModel::run_batch_cached`] with a persistent [`MemoryCache`] to model
-    /// repeated batches against the same memory, where every batch after the first
-    /// pays zero preprocessing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the problem does not fit the synthesized configuration or `queries` is
-    /// empty.
-    pub fn run_batch(&self, keys: &Matrix, values: &Matrix, queries: &[Vec<f32>]) -> SimReport {
-        let mut cache = MemoryCache::new(1);
-        self.run_batch_cached(&mut cache, keys, values, queries)
-    }
-
-    /// Runs the configured pipeline over a batch of queries, reusing `cache` for the
-    /// backend's per-memory preprocessing: the first batch against a memory misses
-    /// (its preprocessing cycles are charged to that batch's report), every later
-    /// batch against the same memory hits and pays zero preprocessing — no key sort,
-    /// no re-quantization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the problem does not fit the synthesized configuration or `queries` is
-    /// empty.
-    pub fn run_batch_cached(
-        &self,
-        cache: &mut MemoryCache,
-        keys: &Matrix,
-        values: &Matrix,
-        queries: &[Vec<f32>],
-    ) -> SimReport {
-        let backend = self.backend();
-        self.run_batch_with(backend.as_ref(), cache, keys, values, queries)
-    }
-
     /// Runs a *pre-formed* batch through an explicit [`ComputeBackend`] — exact,
     /// approximate or quantized — with `cache` providing the prepared memory.
+    /// Pass [`PipelineModel::backend`] to simulate the configured datapath.
+    ///
+    /// The first batch against a memory misses the cache and its preprocessing
+    /// cycles are charged to that batch's [`SimReport::preprocessing_cycles`];
+    /// every later batch against the same memory hits and pays zero
+    /// preprocessing. A fresh `MemoryCache::new(1)` per call models a cold batch.
     ///
     /// This is a thin adapter over the shared batch-cost core
     /// ([`PipelineModel::batch_costs`]) that also powers the request-oriented
@@ -649,6 +597,22 @@ mod tests {
         (keys, values, queries)
     }
 
+    /// One cold batch through the model's configured backend.
+    fn cold_batch(
+        m: &PipelineModel,
+        keys: &Matrix,
+        values: &Matrix,
+        queries: &[Vec<f32>],
+    ) -> SimReport {
+        m.run_batch_with(
+            m.backend().as_ref(),
+            &mut MemoryCache::new(1),
+            keys,
+            values,
+            queries,
+        )
+    }
+
     #[test]
     fn base_latency_and_throughput_match_paper_formulas() {
         let m = PipelineModel::new(A3Config::paper_base());
@@ -678,9 +642,9 @@ mod tests {
         let cons = PipelineModel::new(A3Config::paper_conservative());
         let aggr = PipelineModel::new(A3Config::paper_aggressive());
         let (keys, values, queries) = skewed_memory(320, 64);
-        let rb = base.simulate_queries(&keys, &values, &queries);
-        let rc = cons.simulate_queries(&keys, &values, &queries);
-        let ra = aggr.simulate_queries(&keys, &values, &queries);
+        let rb = cold_batch(&base, &keys, &values, &queries);
+        let rc = cold_batch(&cons, &keys, &values, &queries);
+        let ra = cold_batch(&aggr, &keys, &values, &queries);
         assert!(rc.throughput_ops_per_s > rb.throughput_ops_per_s);
         assert!(ra.throughput_ops_per_s > rc.throughput_ops_per_s);
         assert!(rc.avg_latency_cycles < rb.avg_latency_cycles);
@@ -750,8 +714,8 @@ mod tests {
             A3Config::paper_base().with_approx(ApproxConfig::with_m_and_t(0.75, 10.0)),
         );
         let (keys, values, queries) = skewed_memory(320, 64);
-        let rf = fast.simulate_queries(&keys, &values, &queries);
-        let rs = slow.simulate_queries(&keys, &values, &queries);
+        let rf = cold_batch(&fast, &keys, &values, &queries);
+        let rs = cold_batch(&slow, &keys, &values, &queries);
         assert!(rf.avg_throughput_cycles < rs.avg_throughput_cycles);
     }
 
@@ -763,7 +727,7 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_matches_per_query_simulation() {
+    fn cold_batch_matches_per_query_simulation() {
         for config in [
             A3Config::paper_base(),
             A3Config::paper_conservative(),
@@ -771,7 +735,7 @@ mod tests {
         ] {
             let m = PipelineModel::new(config);
             let (keys, values, queries) = skewed_memory(120, 64);
-            let mut batch = m.run_batch(&keys, &values, &queries);
+            let mut batch = cold_batch(&m, &keys, &values, &queries);
             let costs: Vec<QueryCost> = queries
                 .iter()
                 .map(|q| m.run_query(&keys, &values, q))
@@ -791,15 +755,16 @@ mod tests {
     fn warm_cache_batch_performs_zero_key_sorts_and_pays_zero_preprocessing() {
         let m = PipelineModel::new(A3Config::paper_conservative());
         let (keys, values, queries) = skewed_memory(120, 64);
-        let mut cache = a3_core::backend::MemoryCache::new(4);
-        let cold = m.run_batch_cached(&mut cache, &keys, &values, &queries);
+        let backend = m.backend();
+        let mut cache = MemoryCache::new(4);
+        let cold = m.run_batch_with(backend.as_ref(), &mut cache, &keys, &values, &queries);
         assert_eq!((cold.cache_hits, cold.cache_misses), (0, 1));
         assert!(cold.preprocessing_cycles > 0);
         assert!(cold.end_to_end_cycles() > cold.total_cycles);
 
         // Second batch against the same memory: the key sort must not run at all.
         let sorts_before = a3_core::approx::preprocess_count();
-        let warm = m.run_batch_cached(&mut cache, &keys, &values, &queries);
+        let warm = m.run_batch_with(backend.as_ref(), &mut cache, &keys, &values, &queries);
         assert_eq!(
             a3_core::approx::preprocess_count(),
             sorts_before,
@@ -812,7 +777,7 @@ mod tests {
         // Mutating the memory invalidates the cached preprocessing.
         let mut mutated = keys.clone();
         mutated.row_mut(0)[0] += 1.0;
-        let miss = m.run_batch_cached(&mut cache, &mutated, &values, &queries);
+        let miss = m.run_batch_with(backend.as_ref(), &mut cache, &mutated, &values, &queries);
         assert_eq!((miss.cache_hits, miss.cache_misses), (0, 1));
         assert!(miss.preprocessing_cycles > 0);
     }
@@ -912,19 +877,15 @@ mod tests {
             grown_keys.append_rows(&new_keys).unwrap();
             let mut grown_values = values.clone();
             grown_values.append_rows(&new_values).unwrap();
-            let warm = m.run_batch_cached(&mut cache, &grown_keys, &grown_values, &step_queries);
+            let warm = m.run_batch_with(
+                m.backend().as_ref(),
+                &mut cache,
+                &grown_keys,
+                &grown_values,
+                &step_queries,
+            );
             assert_eq!((warm.cache_hits, warm.cache_misses), (1, 0));
             assert_eq!(warm.preprocessing_cycles, 0);
         }
-    }
-
-    #[test]
-    fn simulate_queries_is_run_batch() {
-        let m = PipelineModel::new(A3Config::paper_conservative());
-        let (keys, values, queries) = skewed_memory(64, 64);
-        assert_eq!(
-            m.simulate_queries(&keys, &values, &queries),
-            m.run_batch(&keys, &values, &queries)
-        );
     }
 }

@@ -11,10 +11,11 @@
 
 use std::time::Instant;
 
-use a3::core::approx::{ApproxConfig, ApproximateAttention};
-use a3::core::attention::attention_batch;
-use a3::core::backend::{ApproximateBackend, ComputeBackend, QuantizedBackend, SimdBackend};
+use a3::core::backend::{
+    ApproximateBackend, ComputeBackend, ExactBackend, QuantizedBackend, SimdBackend,
+};
 use a3::core::serve::{AttentionServer, BatchPolicy, MemoryConfig, Request};
+use a3::core::Matrix;
 use a3::sim::{A3Config, MemoryCache, PipelineModel};
 use a3::workloads::kvmemn2n::KvMemN2N;
 use a3::workloads::Workload;
@@ -33,8 +34,11 @@ fn main() {
     );
 
     // Exact batched attention (parallel across queries).
+    let query_matrix = Matrix::from_rows(queries.clone()).expect("non-empty batch");
     let start = Instant::now();
-    let exact = attention_batch(&memory.keys, &memory.values, &queries).expect("valid shapes");
+    let exact = ExactBackend
+        .attend_batch(&memory.keys, &memory.values, &query_matrix)
+        .expect("valid shapes");
     println!(
         "exact batch      : {} outputs in {:?}",
         exact.len(),
@@ -47,11 +51,7 @@ fn main() {
     let simd = SimdBackend::new();
     let start = Instant::now();
     let simd_batch = simd
-        .attend_batch(
-            &memory.keys,
-            &memory.values,
-            &a3::core::Matrix::from_rows(queries.clone()).expect("non-empty batch"),
-        )
+        .attend_batch(&memory.keys, &memory.values, &query_matrix)
         .expect("valid shapes");
     println!(
         "simd batch       : {} outputs in {:?} (dispatch: {})",
@@ -113,10 +113,10 @@ fn main() {
     );
 
     // Approximate batched attention: one preprocessing pass for the whole batch.
-    let approx = ApproximateAttention::new(ApproxConfig::conservative());
+    let approx = ApproximateBackend::conservative();
     let start = Instant::now();
     let batch = approx
-        .attend_batch(&memory.keys, &memory.values, &queries)
+        .attend_batch(&memory.keys, &memory.values, &query_matrix)
         .expect("valid shapes");
     println!(
         "approx batch     : {} outputs in {:?}",
@@ -144,9 +144,18 @@ fn main() {
         ("aggressive", A3Config::paper_aggressive()),
     ] {
         let model = PipelineModel::new(config);
+        let backend = model.backend();
         let mut cache = MemoryCache::new(4);
-        let cold = model.run_batch_cached(&mut cache, &memory.keys, &memory.values, &queries);
-        let warm = model.run_batch_cached(&mut cache, &memory.keys, &memory.values, &queries);
+        let mut run = || {
+            model.run_batch_with(
+                backend.as_ref(),
+                &mut cache,
+                &memory.keys,
+                &memory.values,
+                &queries,
+            )
+        };
+        let (cold, warm) = (run(), run());
         assert_eq!((warm.cache_hits, warm.cache_misses), (1, 0));
         println!(
             "{name:>12}: cold batch {} cycles ({} preprocessing), warm batch {} cycles, \

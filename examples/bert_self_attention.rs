@@ -6,7 +6,7 @@
 
 use a3::baselines::{Device, TitanV, XeonGold6128};
 use a3::core::backend::{ApproximateBackend, ComputeBackend, ExactBackend};
-use a3::sim::{A3Config, MultiUnit, PipelineModel};
+use a3::sim::{A3Config, MemoryCache, MultiUnit, PipelineModel};
 use a3::workloads::bert::BertLite;
 use a3::workloads::squad::SquadGenerator;
 use a3::workloads::Workload;
@@ -61,7 +61,13 @@ fn main() {
         ("Approx. A3 (aggressive)", A3Config::paper_aggressive()),
     ] {
         let pipeline = PipelineModel::new(config);
-        let report = pipeline.simulate_queries(&case.keys, &case.values, &queries);
+        let report = pipeline.run_batch_with(
+            pipeline.backend().as_ref(),
+            &mut MemoryCache::new(1),
+            &case.keys,
+            &case.values,
+            &queries,
+        );
         println!(
             "{name:<26}: {:>12.0} ops/s (single unit)",
             report.throughput_ops_per_s

@@ -13,21 +13,23 @@
 //! # Quick start
 //!
 //! ```
-//! use a3::core::{Matrix, approx::{ApproxConfig, ApproximateAttention}};
-//! use a3::sim::{A3Config, PipelineModel};
+//! use a3::core::backend::{ApproximateBackend, ComputeBackend};
+//! use a3::core::Matrix;
+//! use a3::sim::{A3Config, MemoryCache, PipelineModel};
 //!
-//! // Approximate attention over a small memory...
+//! // Approximate attention over a small memory: preprocess it once, then attend.
 //! let keys = Matrix::from_rows(vec![vec![0.9, 0.1], vec![-0.4, 0.6], vec![0.8, 0.2]]).unwrap();
 //! let values = keys.clone();
-//! let out = ApproximateAttention::new(ApproxConfig::conservative())
-//!     .attend(&keys, &values, &[1.0, 0.3])
-//!     .unwrap();
+//! let backend = ApproximateBackend::conservative();
+//! let memory = backend.prepare(&keys, &values).unwrap();
+//! let out = backend.attend_prepared(&memory, &[1.0, 0.3]).unwrap();
 //!
-//! // ...and the cycle cost of that operation on the accelerator.
+//! // ...and the cycle cost of a batch of such queries on the accelerator.
 //! let model = PipelineModel::new(A3Config::paper_conservative());
-//! let cost = model.run_query(&keys, &values, &[1.0, 0.3]);
-//! assert!(cost.latency_cycles > 0);
-//! assert!(!out.selected.is_empty());
+//! let queries = vec![vec![1.0, 0.3]];
+//! let report = model.run_batch_with(&backend, &mut MemoryCache::new(1), &keys, &values, &queries);
+//! assert!(report.total_cycles > 0);
+//! assert_eq!(out.output.len(), 2);
 //! ```
 
 #![deny(missing_docs)]

@@ -5,7 +5,8 @@ use a3::core::attention::attention_with_scores;
 use a3::core::backend::{
     ApproximateBackend, ComputeBackend, ExactBackend, QuantizedBackend, SimdBackend,
 };
-use a3::sim::{A3Config, EnergyModel, MultiUnit, PipelineModel};
+use a3::core::Matrix;
+use a3::sim::{A3Config, EnergyModel, MemoryCache, MultiUnit, PipelineModel};
 use a3::workloads::bert::BertLite;
 use a3::workloads::kvmemn2n::KvMemN2N;
 use a3::workloads::memn2n::MemN2N;
@@ -151,7 +152,13 @@ fn simulator_end_to_end_speedup_and_energy_ordering() {
         A3Config::paper_aggressive(),
     ] {
         let model = PipelineModel::new(config);
-        let report = model.simulate_queries(&case.keys, &case.values, &queries);
+        let report = model.run_batch_with(
+            model.backend().as_ref(),
+            &mut MemoryCache::new(1),
+            &case.keys,
+            &case.values,
+            &queries,
+        );
         let energy = EnergyModel::new(config);
         let per_op_j = 1.0 / energy.ops_per_joule(&report);
         assert!(
@@ -194,9 +201,10 @@ fn batched_front_end_matches_sequential_across_workloads() {
                 case.query.iter().map(|x| x * scale).collect()
             })
             .collect();
-        let approx = ApproximateAttention::new(ApproxConfig::conservative());
+        let approx = ApproximateBackend::conservative();
+        let query_matrix = Matrix::from_rows(queries.clone()).unwrap();
         let batch = approx
-            .attend_batch(&case.keys, &case.values, &queries)
+            .attend_batch(&case.keys, &case.values, &query_matrix)
             .unwrap();
         assert_eq!(batch.len(), queries.len(), "{}", w.name());
         for (query, out) in queries.iter().zip(&batch) {
@@ -204,19 +212,30 @@ fn batched_front_end_matches_sequential_across_workloads() {
             assert_eq!(out, &sequential, "{}", w.name());
         }
         // Empty batches are legal and empty.
-        let empty: &[Vec<f32>] = &[];
+        let memory = approx.prepare(&case.keys, &case.values).unwrap();
         assert!(approx
-            .attend_batch(&case.keys, &case.values, empty)
+            .attend_batch_prepared(&memory, &[])
             .unwrap()
             .is_empty());
-        // Simulator batch report: one preprocessing pass, same aggregate numbers.
+        // Simulator batch report: one preprocessing pass, and otherwise exactly the
+        // aggregate of the per-query costs.
         let model = PipelineModel::new(A3Config::paper_conservative());
-        let report = model.run_batch(&case.keys, &case.values, &queries);
-        assert_eq!(report.queries, queries.len());
-        assert_eq!(
-            report,
-            model.simulate_queries(&case.keys, &case.values, &queries)
+        let mut report = model.run_batch_with(
+            &approx,
+            &mut MemoryCache::new(1),
+            &case.keys,
+            &case.values,
+            &queries,
         );
+        assert_eq!(report.queries, queries.len());
+        assert_eq!(report.cache_misses, 1, "{}", w.name());
+        report.cache_misses = 0;
+        report.preprocessing_cycles = 0;
+        let costs: Vec<_> = queries
+            .iter()
+            .map(|q| model.run_query(&case.keys, &case.values, q))
+            .collect();
+        assert_eq!(report, model.aggregate(&costs), "{}", w.name());
     }
 }
 
