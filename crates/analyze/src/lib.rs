@@ -9,10 +9,10 @@
 //! `crates/analyze/allowlists/` ([`allowlist`]).
 //!
 //! Beyond the lints, the [`range`] subsystem proves — by abstract
-//! interpretation over the real `a3-fixed` formats — that every deployed
-//! quantized pipeline shape is free of early saturation and lane overflow,
-//! and pins the proof in a committed certificate whose drift is a finding
-//! like any other ([`range::certificate`]).
+//! interpretation over the real `a3-fixed` formats — that every quantized
+//! pipeline shape the SIMD gates admit is free of early saturation and lane
+//! overflow, and pins the proof in a committed certificate whose drift is a
+//! finding like any other ([`range::certificate`]).
 //!
 //! The companion binary (`cargo run -p a3-analyze -- --deny-all`) gates CI.
 
@@ -22,6 +22,7 @@ pub mod range;
 pub mod selftest;
 pub mod source;
 
+use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -162,6 +163,24 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// Escapes `value` for use inside a JSON string literal (quotes, backslashes
+/// and control characters); shared by the `--json` output and the range-proof
+/// certificate.
+pub fn json_escape(value: &str) -> String {
+    let mut out = String::with_capacity(value.len());
+    for ch in value.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Finds the workspace root: walks up from `start` to the first directory whose

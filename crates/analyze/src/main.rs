@@ -24,7 +24,7 @@ use std::process::ExitCode;
 
 use a3_analyze::lints::{Finding, LINTS};
 use a3_analyze::range::certificate;
-use a3_analyze::{analyze, find_workspace_root, range, selftest};
+use a3_analyze::{analyze, find_workspace_root, json_escape, range, selftest};
 
 struct Options {
     deny_all: bool,
@@ -53,7 +53,7 @@ fn usage() {
          --list                 list the lint rules and exit\n\
          --self-test            verify every lint and the range prover fire on seeded violations\n\
          --root <dir>           workspace root (default: discovered from the current dir)\n\
-         range-proof            prove every deployed pipeline shape and verify the certificate\n\
+         range-proof            prove the gate-admitted pipeline shapes and verify the certificate\n\
          --update-certificate   (with range-proof) rewrite the committed certificate"
     );
 }
@@ -102,21 +102,6 @@ fn parse_args() -> Result<Options, String> {
         return Err("--update-certificate only applies to the range-proof command".to_owned());
     }
     Ok(opts)
-}
-
-fn json_escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for ch in value.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn finding_hint(finding: &Finding) -> &'static str {
@@ -187,12 +172,12 @@ fn print_github_annotations(analysis: &a3_analyze::Analysis) {
 }
 
 fn run_range_proof(root: &Path, update: bool) -> Result<ExitCode, String> {
-    let report = certificate::report(root).map_err(|e| format!("range proof failed: {e}"))?;
+    let report = certificate::report();
     println!(
-        "range-proof: {} deployed shapes, {} obligations each; grid sweep {} shapes, \
+        "range-proof: paper shape {} ({} obligations); grid sweep {} shapes, \
          {} simd-eligible, {} scalar-proved",
-        report.deployed.len(),
-        report.deployed.first().map_or(0, |p| p.obligations.len()),
+        report.paper.shape,
+        report.paper.obligations.len(),
         report.sweep.checked,
         report.sweep.simd_eligible,
         report.sweep.scalar_proved
@@ -231,7 +216,7 @@ fn run_range_proof(root: &Path, update: bool) -> Result<ExitCode, String> {
         }
     }
     if problems.is_empty() {
-        println!("range-proof OK: every deployed shape proves; gate table verified both ways");
+        println!("range-proof OK: every gate-admitted shape proves; gate table verified both ways");
         Ok(ExitCode::SUCCESS)
     } else {
         Ok(ExitCode::FAILURE)

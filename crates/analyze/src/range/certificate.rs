@@ -1,37 +1,44 @@
 //! The committed, machine-readable range-proof certificate.
 //!
-//! `crates/analyze/certificates/range-proof.json` pins the prover's verdict
-//! for every deployed shape (all obligations with their derived intervals),
-//! the verified gate table, and the grid sweep summary. [`check`] re-proves
-//! everything from the current sources and byte-compares against the
-//! committed file, so *any* drift — a new `typed_pipelines!` tuple, a changed
-//! gate, a changed transfer function — fails `a3-analyze --deny-all` until
-//! `a3-analyze range-proof --update-certificate` is re-run and the refreshed
-//! certificate is reviewed and committed.
+//! `crates/analyze/certificates/range-proof.json` pins the prover's verdict:
+//! the verified gate table, the sweep over the proved grid (every shape the
+//! SIMD datapath may run), and every obligation with its derived interval for
+//! the paper shape `Q4.4/ld6/ln9`, so an edit to a transfer function shows up
+//! in the certificate diff. [`check`] re-proves everything and
+//! byte-compares against the committed file, so *any* drift — a changed
+//! gate, a changed grid, a changed transfer function — fails `a3-analyze
+//! --deny-all` until `a3-analyze range-proof --update-certificate` is re-run
+//! and the refreshed certificate is reviewed and committed.
 //!
 //! The renderer is deterministic by construction: obligation order is the
-//! op-graph order, shape order is the `typed_pipelines!` source order, and no
-//! timestamps or environment data are embedded, so the certificate is
-//! byte-reproducible on every host.
+//! op-graph order, grid order is fixed, and no timestamps or environment data
+//! are embedded, so the certificate is byte-reproducible on every host.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
 
+use a3_fixed::PipelineFormats;
+
+use crate::json_escape;
 use crate::lints::Finding;
 
-use super::pipeline::{self, CrossCheck, ShapeProof};
-use super::shapes;
+use super::pipeline::{self, CrossCheck, Shape, ShapeProof};
 
 /// Repository-relative path of the committed certificate.
 pub const CERTIFICATE_PATH: &str = "crates/analyze/certificates/range-proof.json";
 
+/// Repository-relative path of the source the certificate certifies: the
+/// lane gates and the proved grid bounds. Its presence marks a tree as this
+/// workspace, whose certificate [`check`] must verify.
+const GATES_SOURCE_PATH: &str = "crates/fixed/src/pipeline_formats.rs";
+
 /// Everything the certificate certifies, re-proved from the current sources.
 pub struct RangeReport {
-    /// One proof per deployed `typed_pipelines!` shape, in source order.
-    pub deployed: Vec<ShapeProof>,
-    /// The exhaustive gate-vs-prover sweep over the admissible grid.
+    /// The full proof of the paper shape `Q4.4/ld6/ln9`.
+    pub paper: ShapeProof,
+    /// The exhaustive gate-vs-prover sweep over the proved grid.
     pub sweep: CrossCheck,
     /// Failures from cross-checking the deployed gate table against the
     /// prover's required gates (empty means verified).
@@ -40,17 +47,15 @@ pub struct RangeReport {
 
 impl RangeReport {
     /// Human-readable problems that must fail CI regardless of certificate
-    /// freshness: unproved deployed shapes, gate-table mismatches, soundness
+    /// freshness: an unproved paper shape, gate-table mismatches, soundness
     /// holes. (Completeness gaps are reported in the certificate, not fatal.)
     pub fn problems(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        for proof in &self.deployed {
-            if let Some(failed) = proof.counterexample() {
-                problems.push(format!(
-                    "deployed shape {} fails obligation `{}`",
-                    proof.shape, failed.name
-                ));
-            }
+        if let Some(failed) = self.paper.counterexample() {
+            problems.push(format!(
+                "paper shape {} fails obligation `{}`",
+                self.paper.shape, failed.name
+            ));
         }
         for failure in &self.gate_failures {
             problems.push(format!("gate table: {failure}"));
@@ -62,38 +67,13 @@ impl RangeReport {
     }
 }
 
-/// Re-proves the deployed shapes and sweeps the grid for the workspace at
-/// `root`.
-///
-/// # Errors
-///
-/// Returns an error when the `typed_pipelines!` invocation cannot be read or
-/// parsed.
-pub fn report(root: &Path) -> io::Result<RangeReport> {
-    let deployed = shapes::deployed_shapes(root)?
-        .iter()
-        .map(pipeline::prove)
-        .collect();
-    Ok(RangeReport {
-        deployed,
+/// Re-proves the paper shape, verifies the gate table and sweeps the grid.
+pub fn report() -> RangeReport {
+    RangeReport {
+        paper: pipeline::prove(&Shape::new(4, 4, 6, 9)),
         sweep: pipeline::cross_check(pipeline::deployed_gates),
         gate_failures: pipeline::verify_gates(pipeline::deployed_gates),
-    })
-}
-
-fn json_string(out: &mut String, value: &str) {
-    out.push('"');
-    for ch in value.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
-    out.push('"');
 }
 
 fn json_string_array(out: &mut String, indent: &str, values: &[String]) {
@@ -108,8 +88,7 @@ fn json_string_array(out: &mut String, indent: &str, values: &[String]) {
         }
         out.push('\n');
         out.push_str(indent);
-        out.push_str("  ");
-        json_string(out, value);
+        let _ = write!(out, "  \"{}\"", json_escape(value));
     }
     out.push('\n');
     out.push_str(indent);
@@ -119,7 +98,7 @@ fn json_string_array(out: &mut String, indent: &str, values: &[String]) {
 /// Renders a report into the canonical certificate text.
 ///
 /// Interval bounds are emitted as plain JSON numbers; every bound the
-/// deployed shapes and the admissible grid can produce is below `2^53`, so
+/// paper shape and the proved grid can produce is below `2^53`, so
 /// the numbers are exact in any JSON reader. Container bounds are emitted as
 /// their descriptions, not as numbers, for the same reason in reverse
 /// (`i64::MAX` is not exactly representable in an `f64`-based reader).
@@ -128,14 +107,13 @@ pub fn render_report(report: &RangeReport) -> String {
     out.push_str("{\n");
     out.push_str("  \"certificate\": \"a3 range proof\",\n");
     out.push_str("  \"version\": 1,\n");
-    let _ = writeln!(out, "  \"source\": \"{}\",", shapes::TYPED_PIPELINES_PATH);
+    let _ = writeln!(out, "  \"source\": \"{GATES_SOURCE_PATH}\",");
 
     // The verified gate table (shape-independent metadata from the paper
     // shape; `gate_failures` below certifies it matches the prover on every
     // grid shape).
     out.push_str("  \"gates\": [\n");
-    let paper = pipeline::Shape::new(4, 4, 6, 9);
-    let gates = pipeline::deployed_gates(&paper);
+    let gates = pipeline::deployed_gates(&report.paper.shape);
     for (i, gate) in gates.iter().enumerate() {
         let _ = write!(
             out,
@@ -152,7 +130,14 @@ pub fn render_report(report: &RangeReport) -> String {
     // The sweep summary.
     let sweep = &report.sweep;
     out.push_str("  \"sweep\": {\n");
-    out.push_str("    \"grid\": \"int_bits 0..=8, frac_bits 1..=8, ld 0..=6, ln 0..=9\",\n");
+    let _ = writeln!(
+        out,
+        "    \"grid\": \"int_bits {:?}, frac_bits {:?}, ld {:?}, ln {:?}\",",
+        PipelineFormats::GRID_INT_BITS,
+        PipelineFormats::GRID_FRAC_BITS,
+        PipelineFormats::GRID_LD,
+        PipelineFormats::GRID_LN
+    );
     let _ = writeln!(out, "    \"checked\": {},", sweep.checked);
     let _ = writeln!(out, "    \"simd_eligible\": {},", sweep.simd_eligible);
     let _ = writeln!(out, "    \"scalar_proved\": {},", sweep.scalar_proved);
@@ -164,52 +149,36 @@ pub fn render_report(report: &RangeReport) -> String {
     out.push('\n');
     out.push_str("  },\n");
 
-    // Per-shape proofs.
-    out.push_str("  \"deployed\": [\n");
-    for (si, proof) in report.deployed.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"shape\": \"{}\",", proof.shape);
-        let _ = writeln!(out, "      \"n_max\": {},", proof.n_max);
-        let _ = writeln!(out, "      \"d_max\": {},", proof.d_max);
-        let _ = writeln!(out, "      \"proved\": {},", proof.all_proved());
-        out.push_str("      \"obligations\": [\n");
-        for (oi, ob) in proof.obligations.iter().enumerate() {
-            let _ = write!(
-                out,
-                "        {{\"name\": \"{}\", \"scope\": \"{}\", \"lo\": {}, \"hi\": {}, \
-                 \"required\": \"{}\", \"proved\": {}}}",
-                ob.name,
-                ob.scope.name(),
-                ob.derived.lo(),
-                ob.derived.hi(),
-                ob.required_desc,
-                ob.proved()
-            );
-            out.push_str(if oi + 1 < proof.obligations.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("      ]\n");
-        out.push_str(if si + 1 < report.deployed.len() {
-            "    },\n"
+    // The paper shape's full proof.
+    let proof = &report.paper;
+    out.push_str("  \"paper_shape\": {\n");
+    let _ = writeln!(out, "    \"shape\": \"{}\",", proof.shape);
+    let _ = writeln!(out, "    \"n_max\": {},", proof.n_max);
+    let _ = writeln!(out, "    \"d_max\": {},", proof.d_max);
+    let _ = writeln!(out, "    \"proved\": {},", proof.all_proved());
+    out.push_str("    \"obligations\": [\n");
+    for (oi, ob) in proof.obligations.iter().enumerate() {
+        let _ = write!(
+            out,
+            "      {{\"name\": \"{}\", \"scope\": \"{}\", \"lo\": {}, \"hi\": {}, \
+             \"required\": \"{}\", \"proved\": {}}}",
+            ob.name,
+            ob.scope.name(),
+            ob.derived.lo(),
+            ob.derived.hi(),
+            ob.required_desc,
+            ob.proved()
+        );
+        out.push_str(if oi + 1 < proof.obligations.len() {
+            ",\n"
         } else {
-            "    }\n"
+            "\n"
         });
     }
-    out.push_str("  ]\n");
+    out.push_str("    ]\n");
+    out.push_str("  }\n");
     out.push_str("}\n");
     out
-}
-
-/// Renders the canonical certificate for the workspace at `root`.
-///
-/// # Errors
-///
-/// Propagates [`report`] errors.
-pub fn render(root: &Path) -> io::Result<String> {
-    Ok(render_report(&report(root)?))
 }
 
 fn finding(message: String) -> Finding {
@@ -224,19 +193,16 @@ fn finding(message: String) -> Finding {
 
 /// Verifies the committed certificate against a fresh proof run.
 ///
-/// Returns findings for (a) semantic problems — unproved deployed shapes,
+/// Returns findings for (a) semantic problems — an unproved paper shape,
 /// gate-table mismatches, soundness holes — and (b) certificate drift
 /// (missing or byte-different file). Returns nothing when the workspace at
-/// `root` has no `typed_pipelines!` source at all (foreign trees, lint test
-/// fixtures).
+/// `root` has no `crates/fixed/src/pipeline_formats.rs` (the gate source) at
+/// all: foreign trees, lint test fixtures.
 pub fn check(root: &Path) -> Vec<Finding> {
-    if !root.join(shapes::TYPED_PIPELINES_PATH).exists() {
+    if !root.join(GATES_SOURCE_PATH).exists() {
         return Vec::new();
     }
-    let report = match report(root) {
-        Ok(r) => r,
-        Err(e) => return vec![finding(format!("cannot re-prove range certificate: {e}"))],
-    };
+    let report = report();
     let mut findings: Vec<Finding> = report.problems().into_iter().map(finding).collect();
     let expected = render_report(&report);
     match fs::read_to_string(root.join(CERTIFICATE_PATH)) {
@@ -257,9 +223,9 @@ pub fn check(root: &Path) -> Vec<Finding> {
 ///
 /// # Errors
 ///
-/// Propagates proof and filesystem errors.
+/// Propagates filesystem errors.
 pub fn update(root: &Path) -> io::Result<()> {
-    let text = render(root)?;
+    let text = render_report(&report());
     let path = root.join(CERTIFICATE_PATH);
     if let Some(dir) = path.parent() {
         fs::create_dir_all(dir)?;
@@ -292,21 +258,41 @@ mod tests {
 
     #[test]
     fn render_is_deterministic() {
-        let root = repo_root();
-        assert_eq!(render(&root).unwrap(), render(&root).unwrap());
+        assert_eq!(render_report(&report()), render_report(&report()));
     }
 
     #[test]
-    fn check_skips_trees_without_the_pipeline_source() {
+    fn check_skips_trees_without_the_gate_source() {
         let dir = std::env::temp_dir().join("a3-range-cert-skip-test");
         std::fs::create_dir_all(&dir).unwrap();
         assert!(check(&dir).is_empty());
     }
 
     #[test]
-    fn report_problems_are_empty_on_the_real_tree() {
-        let report = report(&repo_root()).unwrap();
+    fn check_reports_a_stale_certificate_next_to_the_gate_source() {
+        let dir = std::env::temp_dir().join(format!("a3-range-cert-stale-{}", std::process::id()));
+        for (path, text) in [
+            (GATES_SOURCE_PATH, "// gates\n"),
+            (CERTIFICATE_PATH, "{}\n"),
+        ] {
+            let file = dir.join(path);
+            std::fs::create_dir_all(file.parent().unwrap()).unwrap();
+            std::fs::write(file, text).unwrap();
+        }
+        let messages: Vec<String> = check(&dir).into_iter().map(|f| f.message).collect();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(
+            messages
+                .iter()
+                .any(|m| m.contains("stale range-proof certificate")),
+            "{messages:?}"
+        );
+    }
+
+    #[test]
+    fn report_problems_are_empty() {
+        let report = report();
         assert_eq!(report.problems(), Vec::<String>::new());
-        assert!(!report.deployed.is_empty());
+        assert_eq!(report.paper.shape.label(), "Q4.4/ld6/ln9");
     }
 }

@@ -1,13 +1,15 @@
-//! The symbolic op-graph of the scalar typed quantized pipeline, interpreted
-//! over the interval domain.
+//! The symbolic op-graph of the scalar quantized pipeline, interpreted over
+//! the interval domain.
 //!
-//! [`prove`] walks the exact operation sequence of
-//! `TypedPipeline::attend` (`crates/core/src/quantized/typed.rs`) —
-//! quantize, `mul_full`, extend, saturating add, max-subtraction, LUT lookup,
-//! exponent-sum accumulation, `div_weight`, weighted output accumulation,
-//! `round_to` — propagating an interval through every intermediate and
-//! recording one [`Obligation`] per container-fit or no-saturation claim the
-//! SIMD bit-identity argument rests on.
+//! [`prove`] walks the exact operation sequence of the scalar datapath
+//! (`DynamicPipeline::attend` in `crates/core/src/quantized/mod.rs`, the
+//! Section III-B arithmetic of `a3_fixed::Fixed`) — quantize, full-precision
+//! product, widening into the dot format, saturating add, max-subtraction,
+//! LUT lookup, exponent-sum accumulation, `div_weight`, weighted output
+//! accumulation, rounding into the output format — propagating an interval
+//! through every intermediate and recording one [`Obligation`] per
+//! container-fit or no-saturation claim the SIMD bit-identity argument rests
+//! on.
 //!
 //! # What "safe" means
 //!
@@ -60,8 +62,8 @@ use super::interval::Interval;
 
 /// A pipeline shape: the input Q-format plus the log2 problem-size bounds the
 /// per-stage formats are derived from (`ld = ceil_log2(d)`,
-/// `ln = ceil_log2(n)`), exactly the four parameters of a `typed_pipelines!`
-/// tuple.
+/// `ln = ceil_log2(n)`) — the four parameters every Section III-B stage
+/// format is a function of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shape {
     /// Input integer bits `i`.
@@ -75,7 +77,7 @@ pub struct Shape {
 }
 
 impl Shape {
-    /// A shape from its four `typed_pipelines!` parameters.
+    /// A shape from its four format-plan parameters.
     pub fn new(int_bits: u32, frac_bits: u32, ld: u32, ln: u32) -> Self {
         Self {
             int_bits,
@@ -131,7 +133,7 @@ impl fmt::Display for Shape {
 /// Which execution path an obligation belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scope {
-    /// The scalar typed pipeline's no-early-saturation claims.
+    /// The scalar pipeline's no-early-saturation claims.
     Scalar,
     /// The AVX2 kernels' lane-width claims.
     Simd,
@@ -550,16 +552,16 @@ pub fn deployed_gates(shape: &Shape) -> Vec<LaneGate> {
     shape.formats().lane_gates().to_vec()
 }
 
-/// The exhaustive admissible format grid the sweep covers: every input format
-/// up to `Q8.8` (at least one fraction bit, as quantization without fractions
-/// is not a shape the datapath deploys) crossed with `ld <= 6` (`d <= 64`,
-/// the paper's embedding bound) and `ln <= 9` (`n <= 512`).
+/// The exhaustive proved grid the sweep covers, read from the bounds
+/// [`PipelineFormats::lanes_eligible`] also enforces at dispatch: every input
+/// format `Q0.1`–`Q8.8` crossed with `ld <= 6` (`d <= 64`, the paper's
+/// embedding bound) and `ln <= 9` (`n <= 512`).
 pub fn admissible_grid() -> Vec<Shape> {
     let mut shapes = Vec::new();
-    for int_bits in 0..=8 {
-        for frac_bits in 1..=8 {
-            for ld in 0..=6 {
-                for ln in 0..=9 {
+    for int_bits in PipelineFormats::GRID_INT_BITS {
+        for frac_bits in PipelineFormats::GRID_FRAC_BITS {
+            for ld in PipelineFormats::GRID_LD {
+                for ln in PipelineFormats::GRID_LN {
                     shapes.push(Shape::new(int_bits, frac_bits, ld, ln));
                 }
             }

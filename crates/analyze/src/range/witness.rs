@@ -2,10 +2,11 @@
 //!
 //! The prover's "unsafe" verdicts are validated by *execution*: for every
 //! seeded mis-sized case, [`find_witness`] drives the real `a3-fixed` scalar
-//! datapath (the same `Fixed` operations `TypedPipeline::attend`
-//! performs) on an adversarial input memory and checks the debug saturation
-//! counter recorded a clamp before the final accumulation — the prover said
-//! the shape can saturate early, and here is an input that does.
+//! datapath (the `Fixed` operations whose raw-integer arithmetic `a3-core`'s
+//! scalar quantized pipeline performs) on an adversarial input memory and
+//! checks the debug saturation counter recorded a clamp before the final
+//! accumulation — the prover said the shape can saturate early, and here is
+//! an input that does.
 //!
 //! Two memory constructions cover the two saturation families:
 //!
@@ -86,8 +87,8 @@ pub fn seeded_rejected_cases() -> Vec<MisSizedCase> {
 /// Runs the scalar fixed-point attention datapath for one query over an
 /// `n x d` memory and returns the number of saturation-counter events.
 ///
-/// This mirrors `TypedPipeline::attend` operation for operation with
-/// runtime formats: quantize, `mul_full`, widen into the dot format,
+/// This mirrors `a3-core`'s scalar quantized pipeline operation for
+/// operation with runtime formats: quantize, `mul_full`, widen into the dot format,
 /// saturating adds, max-subtraction in the shifted format, the two-half
 /// exponent LUT, exponent-sum accumulation, `div_weight`, weighted value
 /// accumulation through `round_to`. Quantization clamps (inputs outside the
@@ -126,7 +127,7 @@ pub fn drive_pipeline(
 
     // Module 1: dot products. The product raw is reinterpreted in the dot
     // format (same fraction, wider integer side) through a saturating store,
-    // exactly like the typed pipeline's extend-then-add step.
+    // exactly like the scalar pipeline's clamped dot accumulation.
     let mut dots: Vec<Fixed> = Vec::with_capacity(n);
     for row in qk.chunks_exact(d) {
         let mut dot = Fixed::zero(dot_f);

@@ -1,10 +1,10 @@
 //! Vector-vs-scalar quantized serving: the speedup the integer AVX2 kernels
 //! (`a3_core::backend::quantized_simd`) deliver on the paper's own datapath.
 //!
-//! After the typed refactor the quantized pipeline's formats are narrow enough
-//! for int16/int32 lanes, and the vectorised datapath — madd dot products,
-//! gather-LUT softmax, broadcast-multiply value accumulation — is bit-identical
-//! to the scalar typed pipeline. This bench measures both on the 320-row /
+//! The quantized pipeline's stage formats are narrow enough for int16/int32
+//! lanes, and the vectorised datapath — madd dot products, gather-LUT
+//! softmax, broadcast-multiply value accumulation — is bit-identical to the
+//! scalar raw-integer pipeline. This bench measures both on the 320-row /
 //! d = 64 memory (the paper's maximum instance size) and **asserts** that the
 //! vector path beats the scalar quantized path by at least 2x on AVX2 hosts —
 //! the acceptance bar for the quantized kernels, mirroring `simd_speedup`'s

@@ -926,15 +926,17 @@ impl ComputeBackend for ApproximateBackend {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuantizedBackend {
     input_format: QFormat,
-    /// Pin the typed pipeline to its scalar datapath even when the AVX2
-    /// vector kernels (`backend::quantized_simd`) are available.
+    /// Prepare memories on the scalar datapath even when the AVX2 vector
+    /// kernels (`backend::quantized_simd`) are available.
     force_scalar: bool,
 }
 
 impl QuantizedBackend {
     /// Creates a quantized backend with the given input format. On AVX2
-    /// hosts, deployed shapes take the vectorised integer datapath
-    /// automatically (bit-identical to the scalar pipelines).
+    /// hosts, memories whose format plan passes
+    /// [`PipelineFormats::lanes_eligible`](a3_fixed::PipelineFormats::lanes_eligible)
+    /// take the vectorised integer datapath automatically (bit-identical to
+    /// the scalar one).
     pub fn new(input_format: QFormat) -> Self {
         Self {
             input_format,

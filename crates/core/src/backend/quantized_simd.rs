@@ -3,9 +3,9 @@
 //! exponent and weighting modules, paper Sections III-A/III-B).
 //!
 //! [`SimdBackend`](super::SimdBackend) vectorises the *float* datapath; this
-//! module vectorises the *quantized* one, exploiting the narrow typed formats
-//! that `a3_fixed::Q` pins at compile time. The three hot loops run on integer
-//! lanes:
+//! module vectorises the *quantized* one, exploiting how narrow the Section
+//! III-B stage formats are for small input formats. The three hot loops run on
+//! integer lanes:
 //!
 //! 1. **QK dot products** — quantized keys and queries live in `i16` lanes and
 //!    `_mm256_madd_epi16` performs the widening int16→int32 multiply-accumulate,
@@ -21,8 +21,8 @@
 //! # Bit-identity contract
 //!
 //! Unlike the float SIMD backend (which tolerates reduction-order drift), this
-//! datapath is **bit-identical** to the scalar typed and dynamic quantized
-//! pipelines. Integer addition is associative, and for the formats this module
+//! datapath is **bit-identical** to the scalar quantized pipeline. Integer
+//! addition is associative, and for the formats this module
 //! accepts (`formats_eligible`) the scalar pipeline's per-step saturation
 //! provably never fires before the final accumulation step:
 //!
@@ -41,19 +41,21 @@
 //! floor division with its zero-denominator case and weight clamp, and the
 //! final dot saturation — are replicated operation for operation. The property
 //! suite in `crates/core/tests/properties.rs` pins the bit-identity on random
-//! shapes and formats, including `n = 1` and non-lane-multiple `d`.
+//! shapes and formats, including `n = 1` and non-lane-multiple `d`, and
+//! `crates/core/tests/quantized_golden.rs` pins the absolute output bits.
 //!
 //! # Dispatch
 //!
 //! As with [`SimdLevel::detect`], the decision is made **once at prepare
 //! time**: [`QuantizedSimdPipeline::prepare`] returns `None` unless runtime
 //! detection selects AVX2 (the `A3_FORCE_SCALAR` override is honoured) *and*
-//! every lane-width gate holds; the typed scalar pipeline then keeps running,
-//! bit-identical by construction. Deployed `typed_pipelines!` shapes take the
-//! vector path automatically on AVX2 hosts, and every consumer of
-//! [`QuantizedMemory`](crate::quantized::QuantizedMemory) — single queries,
-//! `attend_batch_prepared`, the sharded log-sum-exp merge and the serving
-//! scheduler's flush path — inherits it through
+//! the format plan passes [`PipelineFormats::lanes_eligible`] — inside the
+//! grid the `a3-analyze` range prover certifies, every lane-width gate
+//! holding — *and* the exponent tables are materialized; the memory then
+//! carries the scalar pipeline instead, bit-identical by construction. Every
+//! consumer of [`QuantizedMemory`](crate::quantized::QuantizedMemory) — single
+//! queries, `attend_batch_prepared`, the sharded log-sum-exp merge and the
+//! serving scheduler's flush path — inherits the choice through
 //! [`QuantizedMemory::attend`](crate::quantized::QuantizedMemory::attend).
 
 use std::fmt;
@@ -101,17 +103,17 @@ pub struct QuantizedSimdPipeline {
 }
 
 impl QuantizedSimdPipeline {
-    /// Builds the vector pipeline from already-quantized raw operands when
-    /// (a) runtime dispatch selects AVX2 and (b) the format plan passes every
-    /// lane-width gate; `None` otherwise, and the caller stays on the scalar
-    /// pipeline. `keys` and `values` are row-major `n x d` raws in the input
-    /// format; `tables` are the materialized two-half exponent tables for the
-    /// shifted-dot format.
+    /// Quantizes the operands straight into lane layouts when (a) runtime
+    /// dispatch selects AVX2 and (b) the format plan is eligible
+    /// ([`formats_eligible`]); `None` otherwise, and the caller uses the
+    /// scalar pipeline. `keys` and `values` are row-major `n x d`; `tables`
+    /// are the materialized two-half exponent tables for the shifted-dot
+    /// format.
     pub(crate) fn prepare(
         formats: &PipelineFormats,
         tables: &ExpLutTables,
-        keys: &[i64],
-        values: &[i64],
+        keys: &[f32],
+        values: &[f32],
     ) -> Option<Self> {
         if SimdLevel::detect() != SimdLevel::Avx2 {
             return None;
@@ -148,11 +150,12 @@ impl QuantizedSimdPipeline {
         }
         debug_assert_eq!(keys.len(), formats.n() * formats.d());
         debug_assert_eq!(values.len(), formats.n() * formats.d());
+        let input = formats.input();
         let dot = formats.dot_product();
         let weight = formats.weight();
         Some(Self {
-            keys: narrow_lanes_i16(keys)?,
-            values: narrow_lanes_i32(values)?,
+            keys: quantize_i16(keys, input)?,
+            values: quantize_i32(values, input)?,
             lut_upper,
             lut_lower,
             lower_bits,
@@ -163,7 +166,7 @@ impl QuantizedSimdPipeline {
             weight_min: weight.min_raw(),
             weight_max: weight.max_raw(),
             exp_sum_frac: formats.exp_sum().frac_bits(),
-            input_format: formats.input(),
+            input_format: input,
             dot_res: dot.resolution(),
             weight_res: weight.resolution(),
             out_res: formats.output().resolution(),
@@ -178,27 +181,29 @@ impl QuantizedSimdPipeline {
     /// here): `query.len() == d`.
     pub(crate) fn attend(&self, query: &[f32]) -> AttentionResult {
         debug_assert_eq!(query.len(), self.d);
-        // Quantize the query once. `Fixed::quantize` is bit-identical to
-        // `Q::quantize` (asserted in a3-fixed), and the eligibility gate
-        // (input total bits <= 15) guarantees every raw fits an i16 lane.
-        let q: Vec<i16> = query
-            .iter()
-            .map(|&x| Fixed::quantize(f64::from(x), self.input_format).raw() as i16)
+        // Quantize the query once, exactly as the scalar pipeline does; the
+        // eligibility gate (input total bits <= 15) guarantees every raw fits
+        // an i16 lane.
+        let q: Vec<i16> = Fixed::quantize_slice(query, self.input_format)
+            .map(|raw| raw as i16)
             .collect();
         x86::attend(self, &q)
     }
 
-    /// Appends already-quantized rows (raws in the input format, row-major
-    /// `delta x d` each) in place. Valid only while the caller's format plan
-    /// is unchanged — every bound in this struct depends on the formats and
-    /// `d`, never on `n` beyond the count itself — which
-    /// `QuantizedMemory::append_rows` guarantees via its `ceil_log2(n)` gate.
-    /// Returns `false` (leaving `self` untouched) if any raw exceeds its lane
-    /// width, in which case the caller must fall back to a full re-prepare.
-    pub(crate) fn append_rows(&mut self, keys: &[i64], values: &[i64]) -> bool {
+    /// Quantizes and appends rows (row-major `delta x d` each) in place.
+    /// Valid only while the caller's format plan is unchanged — every bound in
+    /// this struct depends on the formats and `d`, never on `n` beyond the
+    /// count itself — which `QuantizedMemory::append_rows` guarantees via its
+    /// `ceil_log2(n)` gate. Returns `false` (leaving `self` untouched) if any
+    /// raw exceeds its lane width, in which case the caller must fall back to
+    /// a full re-prepare.
+    pub(crate) fn append_rows(&mut self, keys: &[f32], values: &[f32]) -> bool {
         debug_assert_eq!(keys.len(), values.len());
         debug_assert_eq!(keys.len() % self.d.max(1), 0);
-        let (Some(k), Some(v)) = (narrow_lanes_i16(keys), narrow_lanes_i32(values)) else {
+        let (Some(k), Some(v)) = (
+            quantize_i16(keys, self.input_format),
+            quantize_i32(values, self.input_format),
+        ) else {
             return false;
         };
         self.keys.extend_from_slice(&k);
@@ -207,13 +212,16 @@ impl QuantizedSimdPipeline {
         true
     }
 
-    /// Overwrites row `row` with already-quantized raws in place (same
-    /// validity contract as [`Self::append_rows`]). Returns `false` without
-    /// mutating on an out-of-bounds row or a lane-width overflow.
-    pub(crate) fn update_row(&mut self, row: usize, key: &[i64], value: &[i64]) -> bool {
+    /// Re-quantizes row `row` in place (same validity contract as
+    /// [`Self::append_rows`]). Returns `false` without mutating on an
+    /// out-of-bounds row or a lane-width overflow.
+    pub(crate) fn update_row(&mut self, row: usize, key: &[f32], value: &[f32]) -> bool {
         debug_assert_eq!(key.len(), self.d);
         debug_assert_eq!(value.len(), self.d);
-        let (Some(k), Some(v)) = (narrow_lanes_i16(key), narrow_lanes_i32(value)) else {
+        let (Some(k), Some(v)) = (
+            quantize_i16(key, self.input_format),
+            quantize_i32(value, self.input_format),
+        ) else {
             return false;
         };
         let range = row * self.d..(row + 1) * self.d;
@@ -239,13 +247,15 @@ impl fmt::Debug for QuantizedSimdPipeline {
 
 /// The format-plan and lane-width gates under which the kernels' overflow and
 /// no-early-saturation proofs (module docs) hold. Shapes or formats outside
-/// this set stay on the scalar pipelines (which are bit-identical anyway, so
+/// this set stay on the scalar pipeline (which is bit-identical anyway, so
 /// the gate costs correctness nothing).
 ///
-/// The four lane-width inequalities live in exactly one place —
+/// The grid bounds and the four lane-width inequalities live in exactly one
+/// place — [`PipelineFormats::lanes_eligible`] and
 /// [`PipelineFormats::lane_gates`], whose doc table documents each gate — and
-/// are shared verbatim with the `a3-analyze` range prover, which machine-checks
-/// that every gate implies its interval-arithmetic overflow obligation.
+/// are shared verbatim with the `a3-analyze` range prover, which sweeps that
+/// grid and machine-checks that every gate implies its interval-arithmetic
+/// overflow obligation.
 fn formats_eligible(formats: &PipelineFormats) -> bool {
     let input = formats.input();
     let (i, f) = (input.int_bits(), input.frac_bits());
@@ -269,14 +279,19 @@ fn narrow_entries(entries: &[i64]) -> Option<Vec<i32>> {
     entries.iter().map(|&e| i32::try_from(e).ok()).collect()
 }
 
-/// Narrows quantized operand raws to `i16` key/query lanes.
-fn narrow_lanes_i16(raws: &[i64]) -> Option<Vec<i16>> {
-    raws.iter().map(|&r| i16::try_from(r).ok()).collect()
+/// Quantizes operands into `i16` key lanes; `None` if a raw exceeds the lane
+/// (impossible once gate 1 holds, but checked rather than assumed).
+fn quantize_i16(values: &[f32], input: QFormat) -> Option<Vec<i16>> {
+    Fixed::quantize_slice(values, input)
+        .map(|raw| i16::try_from(raw).ok())
+        .collect()
 }
 
-/// Narrows quantized operand raws to `i32` value lanes.
-fn narrow_lanes_i32(raws: &[i64]) -> Option<Vec<i32>> {
-    raws.iter().map(|&r| i32::try_from(r).ok()).collect()
+/// Quantizes operands into `i32` value lanes; `None` if a raw exceeds the lane.
+fn quantize_i32(values: &[f32], input: QFormat) -> Option<Vec<i32>> {
+    Fixed::quantize_slice(values, input)
+        .map(|raw| i32::try_from(raw).ok())
+        .collect()
 }
 
 /// The AVX2 integer kernels. Everything here is reached only through a
@@ -566,35 +581,43 @@ mod tests {
     }
 
     #[test]
-    fn vector_path_is_bit_identical_to_scalar_on_deployed_shapes() {
-        // Shapes straddling the 8/16-lane widths, n = 1, and the paper size.
+    fn vector_path_is_bit_identical_to_scalar_on_in_grid_shapes() {
+        // Shapes straddling the 8/16-lane widths, n = 1, the paper size, the
+        // grid's n = 512 edge, and formats other than the paper's.
         let _guard = ENV_LOCK.lock().unwrap();
         if SimdLevel::detect() != SimdLevel::Avx2 {
             eprintln!("skipping: host has no AVX2");
             return;
         }
-        for &(n, d) in &[
-            (2usize, 2usize),
-            (3, 5),
-            (7, 8),
-            (9, 16),
-            (17, 31),
-            (31, 32),
-            (320, 64),
+        let q44 = paper_input_format();
+        for &(n, d, format) in &[
+            (1usize, 3usize, q44),
+            (2, 2, q44),
+            (3, 5, q44),
+            (7, 8, q44),
+            (9, 16, q44),
+            (17, 31, q44),
+            (31, 32, q44),
+            (37, 13, q44),
+            (20, 64, q44),
+            (320, 64, q44),
+            (512, 64, q44),
+            (37, 13, QFormat::new(5, 3)),
+            (300, 64, QFormat::new(5, 3)),
+            (40, 24, QFormat::new(0, 8)),
         ] {
             let (keys, values, query) = case(n, d, 7);
-            let auto = QuantizedMemory::prepare(paper_input_format(), &keys, &values).unwrap();
-            let scalar =
-                QuantizedMemory::prepare_scalar(paper_input_format(), &keys, &values).unwrap();
+            let auto = QuantizedMemory::prepare(format, &keys, &values).unwrap();
+            let scalar = QuantizedMemory::prepare_scalar(format, &keys, &values).unwrap();
             assert!(
                 auto.is_vectorized(),
-                "({n}, {d}) should take the vector path"
+                "{format} ({n}, {d}) should take the vector path"
             );
             assert!(!scalar.is_vectorized());
             assert_eq!(
                 auto.attend(&query).unwrap(),
                 scalar.attend(&query).unwrap(),
-                "({n}, {d})"
+                "{format} ({n}, {d})"
             );
         }
     }
@@ -626,11 +649,19 @@ mod tests {
         // Q8.8 raws do not fit i16 lanes (total bits 16 > 15).
         let wide = QuantizedMemory::prepare(QFormat::new(8, 8), &keys, &values).unwrap();
         assert!(!wide.is_vectorized());
+        // Q9.1 passes every lane gate but lies outside the proved grid.
+        let outside = QuantizedMemory::prepare(QFormat::new(9, 1), &keys, &values).unwrap();
+        assert!(!outside.is_vectorized());
         // Q4.6 at paper scale: the shifted format (27 bits) is too wide to
         // materialize tables, so there is nothing to gather against.
         let (keys, values, _) = case(320, 64, 2);
         let lazy = QuantizedMemory::prepare(QFormat::new(4, 6), &keys, &values).unwrap();
         assert!(!lazy.is_vectorized());
+        // Q4.4 at n = 513 (ln = 10) passes every lane gate but lies outside
+        // the proved grid.
+        let (keys, values, _) = case(513, 64, 4);
+        let tall = QuantizedMemory::prepare(paper_input_format(), &keys, &values).unwrap();
+        assert!(!tall.is_vectorized());
     }
 
     #[test]

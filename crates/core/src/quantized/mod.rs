@@ -16,23 +16,22 @@
 //! both phases through the [`ComputeBackend`](crate::backend::ComputeBackend) API.
 //!
 //! All format checking happens at prepare time and at the attend call boundary.
-//! The per-query pipeline itself never consults a format tag: deployed shapes run a
-//! monomorphized [typed](self::typed) instantiation whose stage formats are const
-//! generics (a wrong format is a compile error), and every other shape runs a
-//! raw-integer loop whose shifts and clamp bounds were all resolved at prepare time.
-//! The two paths are bit-identical, which the differential tests below and the
-//! property suite in `crates/core/tests/properties.rs` assert on random memories.
-
-mod typed;
-
-use std::sync::Arc;
+//! A prepared memory carries exactly one per-query datapath, chosen at prepare
+//! time: the AVX2 integer kernels (`backend::quantized_simd`) when the host has
+//! AVX2 and the format plan passes [`PipelineFormats::lanes_eligible`] (inside
+//! the range prover's certified grid, every lane-width gate holding), and the
+//! raw-integer scalar loop below otherwise. Neither consults a format tag per
+//! element: every shift and clamp bound is resolved from the [`PipelineFormats`]
+//! at prepare time. The two datapaths are bit-identical, which the golden
+//! hashes in `crates/core/tests/quantized_golden.rs` and the property suite in
+//! `crates/core/tests/properties.rs` assert.
 
 use a3_fixed::{ExpLut, ExpLutTables, Fixed, PipelineFormats, QFormat};
 
 use crate::attention::AttentionResult;
+#[cfg(target_arch = "x86_64")]
+use crate::backend::quantized_simd::QuantizedSimdPipeline;
 use crate::{AttentionError, Matrix};
-
-use typed::TypedQuantizedPipeline;
 
 /// A key/value memory quantized for the fixed-point base pipeline: the per-stage
 /// formats, the exponent lookup tables, and the key/value matrices already converted
@@ -42,28 +41,25 @@ use typed::TypedQuantizedPipeline;
 /// software analogue of the accelerator's quantized key/value SRAM contents.
 #[derive(Debug, Clone)]
 pub struct QuantizedMemory {
-    input_format: QFormat,
     formats: PipelineFormats,
     exp_lut: ExpLut,
-    pipeline: PreparedPipeline,
-    n: usize,
-    d: usize,
+    datapath: Datapath,
 }
 
-/// Which per-query execution strategy a prepared memory carries.
+/// The one per-query datapath a prepared memory carries.
 #[derive(Debug, Clone)]
-enum PreparedPipeline {
-    /// A monomorphized instantiation with all stage formats in the type.
-    Typed(Arc<dyn TypedQuantizedPipeline>),
-    /// The raw-integer fallback for shapes outside the deployed typed set.
-    Dynamic(DynamicPipeline),
+enum Datapath {
+    /// The AVX2 integer kernels, when prepare-time dispatch selected them.
+    #[cfg(target_arch = "x86_64")]
+    Vector(QuantizedSimdPipeline),
+    /// The raw-integer scalar pipeline.
+    Scalar(DynamicPipeline),
 }
 
-/// The dynamic-format execution plan: raw quantized operands plus every shift
-/// amount and saturation bound the per-query loop needs, all resolved from the
+/// The scalar execution plan: raw quantized operands plus every shift amount
+/// and saturation bound the per-query loop needs, all resolved from the
 /// [`PipelineFormats`] once at prepare time. The attend loop works purely on
-/// `i64` values — it performs the same operations as the typed pipeline but
-/// never constructs, compares or validates a format tag.
+/// `i64` values and never constructs, compares or validates a format tag.
 #[derive(Clone)]
 struct DynamicPipeline {
     keys_q: Vec<i64>,
@@ -97,9 +93,8 @@ impl std::fmt::Debug for DynamicPipeline {
 
 impl QuantizedMemory {
     /// Quantizes a key/value memory and derives the pipeline formats and exponent
-    /// lookup tables for its `n x d` shape. Shapes with a deployed typed
-    /// instantiation get the compile-time-checked pipeline; everything else gets
-    /// the bit-identical dynamic fallback.
+    /// lookup tables for its `n x d` shape, on the AVX2 vector datapath when
+    /// dispatch selects it and on the bit-identical scalar datapath otherwise.
     ///
     /// # Errors
     ///
@@ -109,13 +104,13 @@ impl QuantizedMemory {
         keys: &Matrix,
         values: &Matrix,
     ) -> Result<Self, AttentionError> {
-        Self::prepare_inner(input_format, keys, values, true, true)
+        Self::prepare_inner(input_format, keys, values, true)
     }
 
-    /// Like [`QuantizedMemory::prepare`], but keeps the typed pipeline on its
-    /// scalar datapath even when the AVX2 vector kernels are available. The
-    /// two datapaths are bit-identical; this constructor exists so
-    /// differential tests and benchmarks can measure both.
+    /// Like [`QuantizedMemory::prepare`], but always selects the scalar
+    /// datapath even when the AVX2 vector kernels are available. The two
+    /// datapaths are bit-identical; this constructor exists so differential
+    /// tests and benchmarks can measure both.
     ///
     /// # Errors
     ///
@@ -125,30 +120,13 @@ impl QuantizedMemory {
         keys: &Matrix,
         values: &Matrix,
     ) -> Result<Self, AttentionError> {
-        Self::prepare_inner(input_format, keys, values, true, false)
-    }
-
-    /// Like [`QuantizedMemory::prepare`], but always selects the dynamic-format
-    /// fallback even when a typed instantiation exists. The two paths are
-    /// bit-identical; this constructor exists so differential tests and
-    /// benchmarks can exercise both.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the memory is empty or the key/value shapes disagree.
-    pub fn prepare_dynamic(
-        input_format: QFormat,
-        keys: &Matrix,
-        values: &Matrix,
-    ) -> Result<Self, AttentionError> {
-        Self::prepare_inner(input_format, keys, values, false, false)
+        Self::prepare_inner(input_format, keys, values, false)
     }
 
     fn prepare_inner(
         input_format: QFormat,
         keys: &Matrix,
         values: &Matrix,
-        allow_typed: bool,
         allow_vector: bool,
     ) -> Result<Self, AttentionError> {
         if keys.is_empty() {
@@ -166,34 +144,19 @@ impl QuantizedMemory {
                 actual: values.dim(),
             });
         }
-        let n = keys.rows();
-        let d = keys.dim();
-        let formats = PipelineFormats::new(input_format, n, d);
+        let formats = PipelineFormats::new(input_format, keys.rows(), keys.dim());
         let exp_lut = ExpLut::two_half(formats.shifted_dot_product(), formats.score());
-        let pipeline = if allow_typed {
-            typed::build_typed_pipeline(input_format, n, d, keys, values, allow_vector)
-        } else {
-            None
-        };
-        let pipeline = match pipeline {
-            Some(typed) => PreparedPipeline::Typed(typed),
-            None => PreparedPipeline::Dynamic(DynamicPipeline::prepare(
-                &formats, &exp_lut, keys, values,
-            )),
-        };
+        let datapath = Datapath::select(&formats, &exp_lut, keys, values, allow_vector);
         Ok(Self {
-            input_format,
             formats,
             exp_lut,
-            pipeline,
-            n,
-            d,
+            datapath,
         })
     }
 
     /// The input quantization format this memory was prepared with.
     pub fn input_format(&self) -> QFormat {
-        self.input_format
+        self.formats.input()
     }
 
     /// The per-stage pipeline formats for this memory's shape.
@@ -203,30 +166,24 @@ impl QuantizedMemory {
 
     /// Number of memory rows (`n`).
     pub fn n(&self) -> usize {
-        self.n
+        self.formats.n()
     }
 
     /// Embedding dimension (`d`).
     pub fn d(&self) -> usize {
-        self.d
+        self.formats.d()
     }
 
-    /// Whether this memory carries a monomorphized typed pipeline (true for
-    /// deployed shapes) or the dynamic-format fallback.
-    pub fn is_typed(&self) -> bool {
-        matches!(self.pipeline, PreparedPipeline::Typed(_))
-    }
-
-    /// Whether the typed pipeline dispatched to the AVX2 vector kernels at
-    /// prepare time (`quantized_simd`). False on non-AVX2 hosts, under the
-    /// `A3_FORCE_SCALAR` override, for [`QuantizedMemory::prepare_scalar`] /
-    /// [`QuantizedMemory::prepare_dynamic`] memories, and for shapes outside
-    /// the vector eligibility gates; all of those run the bit-identical
-    /// scalar datapath.
+    /// Whether prepare-time dispatch selected the AVX2 vector kernels
+    /// (`quantized_simd`). False on non-AVX2 hosts, under the
+    /// `A3_FORCE_SCALAR` override, for [`QuantizedMemory::prepare_scalar`]
+    /// memories, and for format plans [`PipelineFormats::lanes_eligible`]
+    /// rejects; all of those run the bit-identical scalar datapath.
     pub fn is_vectorized(&self) -> bool {
-        match &self.pipeline {
-            PreparedPipeline::Typed(typed) => typed.is_vectorized(),
-            PreparedPipeline::Dynamic(_) => false,
+        match self.datapath {
+            #[cfg(target_arch = "x86_64")]
+            Datapath::Vector(_) => true,
+            Datapath::Scalar(_) => false,
         }
     }
 
@@ -234,31 +191,30 @@ impl QuantizedMemory {
     /// per key and value element plus the exponent-table fill.
     pub fn preprocess_ops(&self) -> u64 {
         let (lo, hi) = self.exp_lut.table_entries();
-        (2 * self.n * self.d) as u64 + lo + hi
+        (2 * self.n() * self.d()) as u64 + lo + hi
     }
 
     /// Runs the per-query fixed-point pipeline over the whole memory and returns
     /// the scores, weights and output dequantized to `f32`.
     ///
-    /// All validation happens here at the call boundary; the pipeline itself
-    /// (typed or dynamic) runs without any per-operation format checks.
+    /// All validation happens here at the call boundary; the datapath itself
+    /// (vector or scalar) runs without any per-operation format checks.
     ///
     /// # Errors
     ///
     /// Returns [`AttentionError::DimensionMismatch`] if the query dimension does
     /// not match the memory.
     pub fn attend(&self, query: &[f32]) -> Result<AttentionResult, AttentionError> {
-        if query.len() != self.d {
+        if query.len() != self.d() {
             return Err(AttentionError::DimensionMismatch {
-                expected: self.d,
+                expected: self.d(),
                 actual: query.len(),
             });
         }
-        Ok(match &self.pipeline {
-            PreparedPipeline::Typed(typed) => typed.attend(query),
-            PreparedPipeline::Dynamic(dynamic) => {
-                dynamic.attend(&self.formats, &self.exp_lut, query)
-            }
+        Ok(match &self.datapath {
+            #[cfg(target_arch = "x86_64")]
+            Datapath::Vector(vector) => vector.attend(query),
+            Datapath::Scalar(scalar) => scalar.attend(&self.formats, &self.exp_lut, query),
         })
     }
 
@@ -273,7 +229,9 @@ impl QuantizedMemory {
     /// `ceil_log2(n)`, so inside a boundary the existing prepared state is
     /// exactly what a fresh prepare would build, and at a boundary the caller
     /// must re-prepare from scratch so the format plan (and with it the
-    /// range-proof saturation certificate) stays honest.
+    /// datapath choice and the range-proof saturation certificate) stays
+    /// honest. Also `Ok(None)` if the vector datapath declines to narrow the
+    /// new raws into its lanes.
     ///
     /// # Errors
     ///
@@ -284,6 +242,7 @@ impl QuantizedMemory {
         new_keys: &Matrix,
         new_values: &Matrix,
     ) -> Result<Option<u64>, AttentionError> {
+        let d = self.d();
         if new_keys.rows() != new_values.rows() {
             return Err(AttentionError::RowCountMismatch {
                 keys: new_keys.rows(),
@@ -291,9 +250,9 @@ impl QuantizedMemory {
             });
         }
         for dim in [new_keys.dim(), new_values.dim()] {
-            if dim != self.d {
+            if dim != d {
                 return Err(AttentionError::DimensionMismatch {
-                    expected: self.d,
+                    expected: d,
                     actual: dim,
                 });
             }
@@ -302,39 +261,33 @@ impl QuantizedMemory {
         if delta == 0 {
             return Ok(Some(0));
         }
-        let new_n = self.n + delta;
-        if a3_fixed::ceil_log2(new_n) != a3_fixed::ceil_log2(self.n) {
+        let new_n = self.n() + delta;
+        if a3_fixed::ceil_log2(new_n) != a3_fixed::ceil_log2(self.n()) {
             return Ok(None);
         }
-        match &mut self.pipeline {
-            PreparedPipeline::Typed(arc) => {
-                // Copy-on-write: prepared memories are shared behind `Arc`s by
-                // the cache and serving layers, so deep-clone when shared.
-                if Arc::get_mut(arc).is_none() {
-                    let fresh = arc.cloned();
-                    *arc = fresh;
-                }
-                let Some(pipeline) = Arc::get_mut(arc) else {
-                    return Ok(None);
-                };
-                if !pipeline.append_rows(new_keys, new_values) {
-                    return Ok(None);
-                }
+        let input = self.input_format();
+        let appended = match &mut self.datapath {
+            #[cfg(target_arch = "x86_64")]
+            Datapath::Vector(vector) => {
+                vector.append_rows(new_keys.as_slice(), new_values.as_slice())
             }
-            PreparedPipeline::Dynamic(dynamic) => {
-                dynamic.append_rows(self.input_format, new_keys, new_values);
+            Datapath::Scalar(scalar) => {
+                scalar.append_rows(input, new_keys, new_values);
+                true
             }
+        };
+        if !appended {
+            return Ok(None);
         }
-        self.n = new_n;
-        self.formats = PipelineFormats::new(self.input_format, new_n, self.d);
-        Ok(Some((2 * delta * self.d) as u64))
+        self.formats = PipelineFormats::new(input, new_n, d);
+        Ok(Some((2 * delta * d) as u64))
     }
 
     /// Re-quantizes one row in place (`O(d)` work). The row count — and with
     /// it every stage format — is unchanged, so unlike
     /// [`QuantizedMemory::append_rows`] there is no format-boundary case;
     /// `Ok(None)` (fall back to full re-prepare) occurs only if the in-place
-    /// pipeline mutation declines.
+    /// datapath mutation declines.
     ///
     /// # Errors
     ///
@@ -346,40 +299,55 @@ impl QuantizedMemory {
         key: &[f32],
         value: &[f32],
     ) -> Result<Option<u64>, AttentionError> {
-        if row >= self.n {
+        let d = self.d();
+        if row >= self.n() {
             return Err(AttentionError::InvalidParameter {
                 name: "row",
                 constraint: "row index must be within the memory",
             });
         }
         for len in [key.len(), value.len()] {
-            if len != self.d {
+            if len != d {
                 return Err(AttentionError::DimensionMismatch {
-                    expected: self.d,
+                    expected: d,
                     actual: len,
                 });
             }
         }
-        match &mut self.pipeline {
-            PreparedPipeline::Typed(arc) => {
-                if Arc::get_mut(arc).is_none() {
-                    let fresh = arc.cloned();
-                    *arc = fresh;
-                }
-                let Some(pipeline) = Arc::get_mut(arc) else {
-                    return Ok(None);
-                };
-                if !pipeline.update_row(row, key, value) {
-                    return Ok(None);
-                }
-            }
-            PreparedPipeline::Dynamic(dynamic) => {
-                if !dynamic.update_row(self.input_format, row, key, value) {
-                    return Ok(None);
-                }
+        let input = self.input_format();
+        let updated = match &mut self.datapath {
+            #[cfg(target_arch = "x86_64")]
+            Datapath::Vector(vector) => vector.update_row(row, key, value),
+            Datapath::Scalar(scalar) => scalar.update_row(input, row, key, value),
+        };
+        Ok(updated.then_some((2 * d) as u64))
+    }
+}
+
+impl Datapath {
+    /// Builds the vector datapath when `allow_vector` is set and its
+    /// prepare-time dispatch accepts the host, the format plan and the
+    /// materialized exponent tables; the scalar datapath otherwise.
+    fn select(
+        formats: &PipelineFormats,
+        exp_lut: &ExpLut,
+        keys: &Matrix,
+        values: &Matrix,
+        allow_vector: bool,
+    ) -> Self {
+        let tables = exp_lut.materialize();
+        #[cfg(target_arch = "x86_64")]
+        if allow_vector {
+            let vector = tables.as_ref().and_then(|tables| {
+                QuantizedSimdPipeline::prepare(formats, tables, keys.as_slice(), values.as_slice())
+            });
+            if let Some(vector) = vector {
+                return Self::Vector(vector);
             }
         }
-        Ok(Some((2 * self.d) as u64))
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = allow_vector;
+        Self::Scalar(DynamicPipeline::prepare(formats, tables, keys, values))
     }
 }
 
@@ -388,26 +356,20 @@ impl DynamicPipeline {
     /// per-query loop needs from the derived stage formats.
     fn prepare(
         formats: &PipelineFormats,
-        exp_lut: &ExpLut,
+        tables: Option<ExpLutTables>,
         keys: &Matrix,
         values: &Matrix,
     ) -> Self {
         let input = formats.input();
-        let quantize_all = |m: &Matrix| -> Vec<i64> {
-            m.as_slice()
-                .iter()
-                .map(|&x| Fixed::quantize(f64::from(x), input).raw())
-                .collect()
-        };
         let dot = formats.dot_product();
         let shifted = formats.shifted_dot_product();
         let exp_sum = formats.exp_sum();
         let weight = formats.weight();
         let output = formats.output();
         Self {
-            keys_q: quantize_all(keys),
-            values_q: quantize_all(values),
-            tables: exp_lut.materialize(),
+            keys_q: Fixed::quantize_slice(keys.as_slice(), input).collect(),
+            values_q: Fixed::quantize_slice(values.as_slice(), input).collect(),
+            tables,
             dot_min: dot.min_raw(),
             dot_max: dot.max_raw(),
             shifted_min: shifted.min_raw(),
@@ -426,9 +388,10 @@ impl DynamicPipeline {
     /// shift amounts and clamp bounds in this struct derive from the stage
     /// formats, which the caller's `ceil_log2(n)` gate keeps unchanged.
     fn append_rows(&mut self, input: QFormat, keys: &Matrix, values: &Matrix) {
-        let quantize = |x: &f32| Fixed::quantize(f64::from(*x), input).raw();
-        self.keys_q.extend(keys.as_slice().iter().map(quantize));
-        self.values_q.extend(values.as_slice().iter().map(quantize));
+        self.keys_q
+            .extend(Fixed::quantize_slice(keys.as_slice(), input));
+        self.values_q
+            .extend(Fixed::quantize_slice(values.as_slice(), input));
     }
 
     /// Re-quantizes one already-validated row in place; `false` (untouched)
@@ -442,11 +405,11 @@ impl DynamicPipeline {
         ) else {
             return false;
         };
-        for (slot, x) in ks.iter_mut().zip(key) {
-            *slot = Fixed::quantize(f64::from(*x), input).raw();
+        for (slot, raw) in ks.iter_mut().zip(Fixed::quantize_slice(key, input)) {
+            *slot = raw;
         }
-        for (slot, x) in vs.iter_mut().zip(value) {
-            *slot = Fixed::quantize(f64::from(*x), input).raw();
+        for (slot, raw) in vs.iter_mut().zip(Fixed::quantize_slice(value, input)) {
+            *slot = raw;
         }
         true
     }
@@ -459,10 +422,10 @@ impl DynamicPipeline {
         &self.values_q[r * d..(r + 1) * d]
     }
 
-    /// The raw-integer per-query pipeline. Performs the identical arithmetic to
-    /// the typed pipeline stage for stage (same rounding, same saturation
-    /// points), with all format bookkeeping pre-resolved — no format tags exist
-    /// on this path, so no format-mismatch check can execute.
+    /// The raw-integer per-query pipeline: the Section III-B arithmetic stage
+    /// for stage (same rounding, same saturation points as `Fixed`), with all
+    /// format bookkeeping pre-resolved — no format tags exist on this path, so
+    /// no format-mismatch check can execute.
     fn attend(
         &self,
         formats: &PipelineFormats,
@@ -473,11 +436,7 @@ impl DynamicPipeline {
         let d = formats.d();
 
         // Quantize the query once (it is reused by every row).
-        let input = formats.input();
-        let q_raw: Vec<i64> = query
-            .iter()
-            .map(|&x| Fixed::quantize(f64::from(x), input).raw())
-            .collect();
+        let q_raw: Vec<i64> = Fixed::quantize_slice(query, formats.input()).collect();
 
         // Module 1: dot products and the running maximum. Element products are
         // full-precision; each accumulation step saturates at the dot-product
@@ -498,7 +457,7 @@ impl DynamicPipeline {
         // Module 2: exponent computation with max subtraction, plus the
         // exponent sum. The subtraction result is non-positive by construction
         // and the shifted format has one extra integer bit, so the clamp only
-        // mirrors the saturating subtraction of the checked path.
+        // mirrors `Fixed::saturating_sub`.
         let mut scores: Vec<i64> = Vec::with_capacity(n);
         let mut exp_sum = 0i64;
         for &dot in &dot_products {
@@ -590,32 +549,6 @@ mod tests {
             .unwrap()
             .0;
         assert_eq!(exact_top, quant_top);
-    }
-
-    #[test]
-    fn typed_and_dynamic_paths_are_bit_identical() {
-        for (n, d) in [(2, 2), (5, 3), (10, 8), (20, 8), (24, 16), (31, 32)] {
-            let (keys, values, query) = case(n, d);
-            let typed = QuantizedMemory::prepare(paper_input_format(), &keys, &values).unwrap();
-            assert!(typed.is_typed(), "({n}, {d}) should dispatch typed");
-            let dynamic =
-                QuantizedMemory::prepare_dynamic(paper_input_format(), &keys, &values).unwrap();
-            assert!(!dynamic.is_typed());
-            assert_eq!(
-                typed.attend(&query).unwrap(),
-                dynamic.attend(&query).unwrap(),
-                "({n}, {d})"
-            );
-        }
-    }
-
-    #[test]
-    fn undeployed_shapes_use_dynamic_fallback() {
-        // Q5.3 has no deployed typed instantiation.
-        let (keys, values, query) = case(8, 4);
-        let memory = QuantizedMemory::prepare(QFormat::new(5, 3), &keys, &values).unwrap();
-        assert!(!memory.is_typed());
-        assert_eq!(memory.attend(&query).unwrap().output.len(), 4);
     }
 
     #[test]

@@ -30,8 +30,10 @@ fn all_backends() -> Vec<Box<dyn ComputeBackend>> {
 }
 
 /// Input formats for the quantized vector-vs-scalar differential tests: the
-/// paper's `Q4.4`, the quantization-study formats, and one undeployed format
-/// (always dynamic/scalar, where the property holds trivially).
+/// paper's `Q4.4`, the quantization-study formats, and `Q5.3`. On AVX2 hosts
+/// each runs the vector datapath on most `simd_case` shapes; `d > 64` (outside
+/// the proved grid) and `Q4.6` at `d > 32` (exponent tables too wide to
+/// materialize) stay scalar, where the property holds trivially.
 fn quantized_format() -> impl Strategy<Value = QFormat> {
     (0usize..4).prop_map(|i| match i {
         0 => QFormat::new(4, 4),
@@ -488,22 +490,6 @@ proptest! {
         }
         let sum: f32 = merged.weights.iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-4);
-    }
-
-    /// The compile-time-checked typed fixed-point pipeline and the dynamic-format
-    /// fallback are bit-identical on random memories, queries and shapes. (Shapes
-    /// with a deployed typed instantiation exercise the typed side against the
-    /// dynamic side; all other shapes fall back to dynamic on both and pass
-    /// trivially.)
-    #[test]
-    fn typed_and_dynamic_quantized_pipelines_are_bit_identical(
-        (keys, values, query) in attention_case(),
-    ) {
-        let fmt = a3_fixed::paper_input_format();
-        let typed = QuantizedMemory::prepare(fmt, &keys, &values).unwrap();
-        let dynamic = QuantizedMemory::prepare_dynamic(fmt, &keys, &values).unwrap();
-        prop_assert!(!dynamic.is_typed());
-        prop_assert_eq!(typed.attend(&query).unwrap(), dynamic.attend(&query).unwrap());
     }
 
     /// The AVX2 vector datapath and the scalar quantized datapath are

@@ -1,24 +1,24 @@
 //! Golden output bits of the quantized datapaths.
 //!
-//! The differential tests elsewhere compare the typed, dynamic and AVX2
-//! quantized kernels with each other, so a change that moved all three the
-//! same way would pass them. This suite pins the absolute output: an FNV-1a
-//! hash over the `f32` bit patterns of the scores, weights and output of every
-//! query, on fixed seeded memories, for
+//! The differential tests elsewhere compare the AVX2 and scalar quantized
+//! datapaths with each other, so a change that moved both the same way would
+//! pass them. This suite pins the absolute output: an FNV-1a hash over the
+//! `f32` bit patterns of the scores, weights and output of every query, on
+//! fixed seeded memories, for
 //!
-//! - [`QuantizedBackend::paper`] (typed pipeline, AVX2 kernels where the host
-//!   has them),
-//! - [`QuantizedBackend::paper_scalar`] (typed pipeline, scalar datapath),
-//! - a [`QuantizedMemory::prepare_dynamic`] memory (raw-integer fallback),
-//! - and the undeployed `Q5.3` input format (dynamic by dispatch).
+//! - [`QuantizedBackend::paper`] (AVX2 kernels where the host has them and the
+//!   format plan is eligible),
+//! - [`QuantizedBackend::paper_scalar`] (the raw-integer scalar datapath),
+//! - and the `Q5.3` input format (dispatched like `paper`).
 //!
-//! The first three are bit-identical by contract, so they share one golden
-//! value per shape. The shapes cover a deployed paper-scale memory (300 x 64,
-//! full 16/8-lane vectors), a deployed non-lane-multiple memory (29 x 13) and
-//! an undeployed non-lane-multiple memory (37 x 13).
+//! The first two are bit-identical by contract, so they share one golden
+//! value per shape. The shapes cover a paper-scale memory (300 x 64, full
+//! 16/8-lane vectors), two non-lane-multiple memories (29 x 13, 37 x 13), a
+//! short paper-width memory (20 x 64) and one whose `n = 600` lies outside the
+//! range prover's grid (`ceil_log2(n) = 10`), so it runs scalar everywhere.
 
 use a3_core::attention::AttentionResult;
-use a3_core::backend::{ComputeBackend, PreparedMemory, PreparedState, QuantizedBackend};
+use a3_core::backend::{ComputeBackend, QuantizedBackend, SimdLevel};
 use a3_core::quantized::QuantizedMemory;
 use a3_core::Matrix;
 use a3_fixed::QFormat;
@@ -34,6 +34,8 @@ const GOLDEN: &[(usize, usize, u64, u64, u64)] = &[
     (300, 64, 11, 0x0797_1277_607d_f1be, 0x7bc4_3411_d887_4d3e),
     (29, 13, 12, 0x7291_b3b8_8dad_aedf, 0xc096_fecd_64f8_53ad),
     (37, 13, 13, 0xc932_32c0_b6cf_f816, 0xef26_7faa_50bd_060d),
+    (20, 64, 14, 0x226a_6ed3_4c61_9f89, 0xbbea_caa5_c88d_fe12),
+    (600, 64, 15, 0x8e62_9dcf_0dcf_d6cd, 0x6007_ff6c_6c87_6f41),
 ];
 
 /// Deterministic splitmix64 stream mapped to `f32` in `[-2, 2)`.
@@ -95,22 +97,12 @@ fn quantized_outputs_match_golden_hashes() {
     let mut mismatches = Vec::new();
     for &(n, d, seed, paper_golden, q53_golden) in GOLDEN {
         let (keys, values, queries) = case(n, d, seed);
-        let dynamic =
-            QuantizedMemory::prepare_dynamic(paper.input_format(), &keys, &values).unwrap();
-        assert!(!dynamic.is_typed());
-        let dynamic = PreparedState::Quantized(Box::new(dynamic));
         let runs = [
             ("paper", &paper, paper.prepare(&keys, &values), paper_golden),
             (
                 "paper_scalar",
                 &scalar,
                 scalar.prepare(&keys, &values),
-                paper_golden,
-            ),
-            (
-                "dynamic",
-                &paper,
-                PreparedMemory::new(&keys, &values, 0, dynamic),
                 paper_golden,
             ),
             ("Q5.3", &q53, q53.prepare(&keys, &values), q53_golden),
@@ -134,4 +126,27 @@ fn quantized_outputs_match_golden_hashes() {
         "quantized output bits drifted:\n{}",
         mismatches.join("\n")
     );
+}
+
+/// On an AVX2 host without `A3_FORCE_SCALAR`, every golden memory inside the
+/// range prover's grid runs the vector datapath and the `n = 600` one (outside
+/// the grid, though its lane gates hold) runs scalar.
+#[test]
+fn vector_dispatch_covers_exactly_the_in_grid_golden_memories() {
+    if SimdLevel::detect() != SimdLevel::Avx2 {
+        eprintln!("skipping: no AVX2 dispatch on this host");
+        return;
+    }
+    for &(n, d, seed, _, _) in GOLDEN {
+        let (keys, values, _) = case(n, d, seed);
+        for format in [QFormat::new(4, 4), QFormat::new(5, 3)] {
+            let memory = QuantizedMemory::prepare(format, &keys, &values).unwrap();
+            assert_eq!(
+                memory.is_vectorized(),
+                n <= 512,
+                "{format} at {n}x{d}: vectorized = {}",
+                memory.is_vectorized()
+            );
+        }
+    }
 }

@@ -587,6 +587,42 @@ mod tests {
     }
 
     #[test]
+    fn table_accessors_reconstruct_eval() {
+        // The lane-friendly accessors must expose exactly the state
+        // `eval_nonpos_raw` consumes: recomputing the two-lookup evaluation
+        // from them matches the canonical path bit for bit.
+        let input = QFormat::new(8, 6);
+        let tables = ExpLut::two_half(input, QFormat::new(0, 6))
+            .materialize()
+            .expect("Q8.6 input materializes");
+        let total = 14u32;
+        assert_eq!(tables.lower_bits(), total / 2);
+        assert_eq!(
+            tables.upper_entries().len(),
+            (1usize << (total - tables.lower_bits())) + 1
+        );
+        assert_eq!(tables.lower_entries().len(), 1usize << tables.lower_bits());
+        assert_eq!(tables.out_max_raw(), QFormat::new(0, 6).max_raw());
+        for raw in (input.min_raw()..=0).step_by(97) {
+            let magnitude = raw.unsigned_abs();
+            let mask = (1u64 << tables.lower_bits()) - 1;
+            let lo = tables.lower_entries()[(magnitude & mask) as usize];
+            let hi = tables.upper_entries()[(magnitude >> tables.lower_bits()) as usize];
+            let product = hi * lo;
+            let rounded = if tables.round_shift() == 0 {
+                product
+            } else {
+                (product + (1i64 << (tables.round_shift() - 1))) >> tables.round_shift()
+            };
+            assert_eq!(
+                rounded.min(tables.out_max_raw()),
+                tables.eval_nonpos_raw(raw),
+                "raw {raw}"
+            );
+        }
+    }
+
+    #[test]
     fn materialize_refuses_non_two_half_and_huge_inputs() {
         let single = ExpLut::single(QFormat::new(8, 8), QFormat::new(0, 8));
         assert!(single.materialize().is_none());

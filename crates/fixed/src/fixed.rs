@@ -54,16 +54,26 @@ impl Fixed {
     /// Quantizes a floating-point value to the given format using round-to-nearest and
     /// saturation, which matches the behaviour of the quantizer in front of the A3 SRAM.
     pub fn quantize(value: f64, format: QFormat) -> Self {
-        let scaled = (value * cast::pow2(cast::bits_as_exp(format.frac_bits()))).round();
-        let raw = if scaled.is_nan() {
-            0
-        } else {
-            cast::clamped_f64_to_raw(scaled.clamp(
-                cast::raw_to_f64(format.min_raw()),
-                cast::raw_to_f64(format.max_raw()),
-            ))
-        };
-        Self { raw, format }
+        Self {
+            raw: Quantizer::new(format).raw(value),
+            format,
+        }
+    }
+
+    /// Quantizes every element of `values` to `format`, yielding the raw scaled
+    /// integers in order. Each raw is exactly
+    /// `Fixed::quantize(f64::from(x), format).raw()`; the scale factor and the
+    /// clamp bounds are computed once for the whole slice instead of per element.
+    ///
+    /// ```
+    /// use a3_fixed::{Fixed, QFormat};
+    /// let values = [0.7, -100.0, f32::NAN];
+    /// let raws: Vec<i64> = Fixed::quantize_slice(&values, QFormat::new(4, 4)).collect();
+    /// assert_eq!(raws, vec![11, -256, 0]); // rounded, saturated, NaN to zero
+    /// ```
+    pub fn quantize_slice(values: &[f32], format: QFormat) -> impl Iterator<Item = i64> + '_ {
+        let quantizer = Quantizer::new(format);
+        values.iter().map(move |&x| quantizer.raw(f64::from(x)))
     }
 
     /// Quantizes a floating-point value, returning an error instead of saturating when
@@ -96,11 +106,11 @@ impl Fixed {
     /// Constructs a fixed-point value from a raw scaled integer, clamping it into the
     /// representable range of `format` instead of panicking.
     ///
-    /// Unlike [`Q::from_raw_saturating`](crate::Q::from_raw_saturating) this records a
-    /// saturation event (see the `satcount` module) when the clamp engages: it exists
-    /// for the range prover's differential witness harness, which mirrors the typed
-    /// pipeline's unclamped widening (`Q::extend` is a pure shift whose result may
-    /// transiently exceed the target container) followed by a saturating step.
+    /// Records a saturation event (see the `satcount` module) when the clamp engages:
+    /// it exists for the range prover's differential witness harness, which mirrors
+    /// the scalar pipeline's unclamped widening of an element product into the
+    /// dot-product format (a value that may exceed the target container) followed
+    /// by a saturating step.
     pub fn saturating_from_raw(raw: i64, format: QFormat) -> Self {
         let clamped = raw.clamp(format.min_raw(), format.max_raw());
         crate::satcount::note_clamp(clamped != raw);
@@ -313,6 +323,35 @@ impl PartialOrd for Fixed {
             self.raw.partial_cmp(&other.raw)
         } else {
             self.to_f64().partial_cmp(&other.to_f64())
+        }
+    }
+}
+
+/// The quantizer in front of the A3 SRAM for one format: the scale factor
+/// `2^f` and the raw clamp bounds, resolved once.
+#[derive(Clone, Copy)]
+struct Quantizer {
+    scale: f64,
+    min_raw: f64,
+    max_raw: f64,
+}
+
+impl Quantizer {
+    fn new(format: QFormat) -> Self {
+        Self {
+            scale: cast::pow2(cast::bits_as_exp(format.frac_bits())),
+            min_raw: cast::raw_to_f64(format.min_raw()),
+            max_raw: cast::raw_to_f64(format.max_raw()),
+        }
+    }
+
+    /// Round-to-nearest, saturating at the format bounds; NaN maps to zero.
+    fn raw(self, value: f64) -> i64 {
+        let scaled = (value * self.scale).round();
+        if scaled.is_nan() {
+            0
+        } else {
+            cast::clamped_f64_to_raw(scaled.clamp(self.min_raw, self.max_raw))
         }
     }
 }

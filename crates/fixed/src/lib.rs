@@ -45,7 +45,6 @@ mod fixed;
 mod pipeline_formats;
 mod qformat;
 mod satcount;
-mod typed;
 
 pub use error::FixedError;
 pub use exp_lut::{ExpLut, ExpLutConfig, ExpLutKind, ExpLutReport, ExpLutTables};
@@ -53,7 +52,6 @@ pub use fixed::Fixed;
 pub use pipeline_formats::{LaneGate, PipelineFormats};
 pub use qformat::{ceil_log2, QFormat};
 pub use satcount::{reset_saturation_count, saturation_count, saturation_counting_enabled};
-pub use typed::{TypedExpLut, Q};
 
 /// Number of integer bits used for all paper evaluations (Section VI-D).
 pub const PAPER_INT_BITS: u32 = 4;

@@ -1,5 +1,7 @@
 //! Per-pipeline-stage fixed-point formats (paper Section III-B).
 
+use std::ops::RangeInclusive;
+
 use serde::{Deserialize, Serialize};
 
 use crate::cast;
@@ -150,6 +152,23 @@ impl PipelineFormats {
         self.d
     }
 
+    /// Input integer bits `i` of the proved grid: the finite set of format
+    /// plans (`GRID_INT_BITS` x [`GRID_FRAC_BITS`](Self::GRID_FRAC_BITS) x
+    /// [`GRID_LD`](Self::GRID_LD) x [`GRID_LN`](Self::GRID_LN)) that the
+    /// `a3-analyze` range prover sweeps exhaustively and pins in its
+    /// certificate. [`PipelineFormats::lanes_eligible`] admits only plans
+    /// inside it, so the vector datapath never runs a plan the certificate
+    /// does not cover.
+    pub const GRID_INT_BITS: RangeInclusive<u32> = 0..=8;
+    /// Input fraction bits `f` of the proved grid (a format without fraction
+    /// bits is not one the datapath deploys).
+    pub const GRID_FRAC_BITS: RangeInclusive<u32> = 1..=8;
+    /// `ld = ceil_log2(d)` of the proved grid: `d <= 64`, the paper's
+    /// embedding bound.
+    pub const GRID_LD: RangeInclusive<u32> = 0..=6;
+    /// `ln = ceil_log2(n)` of the proved grid: `n <= 512`.
+    pub const GRID_LN: RangeInclusive<u32> = 0..=9;
+
     /// The four lane-width gate inequalities that decide whether this format
     /// plan is eligible for the integer SIMD datapath. **This is the single
     /// authoritative statement of the gates**: the AVX2 backend's
@@ -210,11 +229,16 @@ impl PipelineFormats {
         ]
     }
 
-    /// Whether every [`PipelineFormats::lane_gates`] inequality holds and the
-    /// input format is at least one bit wide (a zero-bit input has no lanes to
-    /// vectorize). This is the format-plan half of the SIMD eligibility check.
+    /// Whether this plan lies inside the proved grid and every
+    /// [`PipelineFormats::lane_gates`] inequality holds (the grid's `f >= 1`
+    /// also rules out a zero-bit input, which has no lanes to vectorize). This
+    /// is the format-plan half of the SIMD eligibility check.
     pub fn lanes_eligible(&self) -> bool {
-        self.input.total_bits() >= 1 && self.lane_gates().iter().all(LaneGate::holds)
+        Self::GRID_INT_BITS.contains(&self.input.int_bits())
+            && Self::GRID_FRAC_BITS.contains(&self.input.frac_bits())
+            && Self::GRID_LD.contains(&ceil_log2(self.d))
+            && Self::GRID_LN.contains(&ceil_log2(self.n))
+            && self.lane_gates().iter().all(LaneGate::holds)
     }
 
     /// Total number of register bits needed for the dot-product outcome register file
@@ -304,5 +328,15 @@ mod tests {
         let empty = PipelineFormats::new(QFormat::new(0, 0), 2, 2);
         assert!(empty.lane_gates().iter().all(LaneGate::holds));
         assert!(!empty.lanes_eligible());
+        // Q4.4 at n = 600 (ln = 10) passes every gate but lies outside the
+        // proved grid, as does Q9.1 (i = 9).
+        for outside in [
+            PipelineFormats::new(QFormat::new(4, 4), 600, 64),
+            PipelineFormats::new(QFormat::new(9, 1), 8, 8),
+        ] {
+            assert!(outside.lane_gates().iter().all(LaneGate::holds));
+            assert!(!outside.lanes_eligible());
+        }
+        assert!(PipelineFormats::new(QFormat::new(4, 4), 512, 64).lanes_eligible());
     }
 }

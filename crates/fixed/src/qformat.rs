@@ -155,8 +155,8 @@ impl Default for QFormat {
 /// Ceiling of `log2(count)` for `count >= 1`; `0` for `count <= 1`.
 ///
 /// This is the bit-growth rule Section III-B applies to accumulations; it is
-/// exported so the typed-pipeline dispatch in `a3-core` can key instantiations
-/// on the same quantity that [`QFormat::accumulate_format`] uses.
+/// exported so `a3-core`'s incremental-append gate can detect a format change
+/// with the same quantity that [`QFormat::accumulate_format`] uses.
 pub fn ceil_log2(count: usize) -> u32 {
     if count <= 1 {
         0

@@ -1,6 +1,6 @@
 //! Property-based tests for the fixed-point substrate.
 
-use a3_fixed::{ExpLut, Fixed, PipelineFormats, QFormat, TypedExpLut, Q};
+use a3_fixed::{ExpLut, Fixed, PipelineFormats, QFormat};
 use proptest::prelude::*;
 
 fn reasonable_format() -> impl Strategy<Value = QFormat> {
@@ -98,81 +98,26 @@ proptest! {
         prop_assert!(a.output().int_bits() <= b.output().int_bits());
     }
 
-    // ---- typed Q<INT, FRAC> ↔ dynamic Fixed ↔ f64 round trips ----
-
-    /// `Q::quantize` is bit-identical to `Fixed::quantize` in the same format,
-    /// including values far outside the format's range (both saturate the same
-    /// way) and NaN (both map to zero).
+    /// The slice quantizer is bit-identical to per-element `Fixed::quantize`,
+    /// including values far outside the format's range (both saturate the
+    /// same way), ±inf (saturated) and NaN (mapped to zero).
     #[test]
-    fn typed_quantize_matches_dynamic(value in -600.0f64..600.0) {
-        let typed = Q::<4, 4>::quantize(value);
-        let dynamic = Fixed::quantize(value, QFormat::new(4, 4));
-        prop_assert_eq!(typed.raw(), dynamic.raw());
-        prop_assert_eq!(typed.to_f64(), dynamic.to_f64());
-    }
-
-    /// `Q` → `Fixed` → `Q` is the identity, and the `Fixed` leg carries the
-    /// same raw value and format throughout.
-    #[test]
-    fn typed_fixed_round_trip_is_identity(value in -20.0f64..20.0) {
-        let q = Q::<4, 6>::quantize(value);
-        let via = q.to_fixed();
-        prop_assert_eq!(via.format(), Q::<4, 6>::format());
-        prop_assert_eq!(via.raw(), q.raw());
-        let back = Q::<4, 6>::from_fixed(via).expect("same format must round-trip");
-        prop_assert_eq!(back, q);
-    }
-
-    /// `Q` → `f64` → `Q` is the identity: every representable value survives a
-    /// trip through floating point (the format fits comfortably inside f64's
-    /// 53-bit mantissa).
-    #[test]
-    fn typed_f64_round_trip_is_identity(raw in -4096i64..4096) {
-        let q = Q::<7, 5>::from_raw(raw);
-        prop_assert_eq!(Q::<7, 5>::quantize(q.to_f64()), q);
-    }
-
-    /// `from_fixed` accepts exactly the values whose format matches; a mismatch
-    /// is rejected rather than silently reinterpreted.
-    #[test]
-    fn typed_from_fixed_rejects_format_mismatch(value in -7.0f64..7.0, fmt in reasonable_format()) {
-        let fixed = Fixed::quantize(value, fmt);
-        let converted = Q::<3, 3>::from_fixed(fixed);
-        if fmt == QFormat::new(3, 3) {
-            prop_assert_eq!(converted.expect("matching format").raw(), fixed.raw());
-        } else {
-            prop_assert!(converted.is_err());
-        }
-    }
-
-    /// Typed saturating arithmetic agrees with the dynamic equivalents on the
-    /// same raw values.
-    #[test]
-    fn typed_saturating_ops_match_dynamic(a in -33.0f64..33.0, b in -33.0f64..33.0) {
-        let (qa, qb) = (Q::<5, 3>::quantize(a), Q::<5, 3>::quantize(b));
-        let (fa, fb) = (qa.to_fixed(), qb.to_fixed());
-        prop_assert_eq!(qa.saturating_add(qb).raw(), fa.saturating_add(fb).raw());
-        prop_assert_eq!(qa.saturating_sub(qb).raw(), fa.saturating_sub(fb).raw());
-    }
-
-    /// The typed widening multiply matches `Fixed::mul_full` bit-for-bit, with
-    /// the product format enforced at compile time instead of derived at run time.
-    #[test]
-    fn typed_mul_full_matches_dynamic(a in -7.9f64..7.9, b in -7.9f64..7.9) {
-        let (qa, qb) = (Q::<4, 4>::quantize(a), Q::<4, 4>::quantize(b));
-        let product: Q<8, 8> = qa.mul_full(qb);
-        let dynamic = qa.to_fixed().mul_full(qb.to_fixed());
-        prop_assert_eq!(product.raw(), dynamic.raw());
-        prop_assert_eq!(dynamic.format(), Q::<8, 8>::format());
-    }
-
-    /// The typed two-half exponent LUT is bit-identical to the dynamic LUT it
-    /// wraps, for every non-positive input in the shifted-dot format.
-    #[test]
-    fn typed_exp_lut_matches_dynamic(x in -40.0f64..0.0) {
-        let typed: TypedExpLut<9, 4, 0, 8> = TypedExpLut::paper();
-        let dynamic = ExpLut::two_half(QFormat::new(9, 4), QFormat::new(0, 8));
-        let input = Q::<9, 4>::quantize(x);
-        prop_assert_eq!(typed.eval(input).raw(), dynamic.eval_nonpos_raw(input.raw()));
+    fn quantize_slice_matches_per_element_quantize(
+        values in prop::collection::vec(
+            (0u8..12, -600.0f32..600.0).prop_map(|(kind, x)| match kind {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                3 => f32::MAX,
+                _ => x,
+            }),
+            0..48,
+        ),
+        fmt in (0u32..=8, 0u32..=8).prop_map(|(i, f)| QFormat::new(i, f)),
+    ) {
+        let raws: Vec<i64> = Fixed::quantize_slice(&values, fmt).collect();
+        let expected: Vec<i64> =
+            values.iter().map(|&x| Fixed::quantize(f64::from(x), fmt).raw()).collect();
+        prop_assert_eq!(raws, expected);
     }
 }

@@ -66,7 +66,7 @@ fn main() {
     }
 
     // The quantized fixed-point datapath, in both implementations: the scalar
-    // typed pipeline and the runtime-dispatched integer AVX2 kernels
+    // raw-integer pipeline and the runtime-dispatched integer AVX2 kernels
     // (`backend::quantized_simd`). Together with the exact and simd runs above,
     // the demo now compares all four datapaths on the same batch. Unlike the
     // f32 SIMD comparison (within 1e-5), the two quantized paths must be
