@@ -421,13 +421,12 @@ mod tests {
 
     #[test]
     fn hotpath_covers_the_tenancy_modules() {
-        // The multi-tenant serving layer (token-bucket admission, sharded
-        // session registry, builder config) is on the submit/flush hot path and
-        // must stay panic-free like the rest of `serve/`.
+        // The multi-tenant serving layer (token-bucket admission, builder
+        // config) is on the submit/flush hot path and must stay panic-free like
+        // the rest of `serve/`.
         let bad = "pub fn admit() {\n    let t = buckets.get(&id).unwrap();\n}\n";
         for file in [
             "crates/core/src/serve/tenant.rs",
-            "crates/core/src/serve/registry.rs",
             "crates/core/src/serve/config.rs",
             "crates/core/src/serve/scheduler.rs",
         ] {

@@ -5,9 +5,9 @@
 //! submitted and polled to completion under different batching policies. The
 //! per-request policy (window 0, `max_batch` 1) flushes every request at its own
 //! arrival; wider windows let the scheduler form real batches, which amortize the
-//! per-batch dispatch and fan the queries across worker threads. Sessions are
-//! registered once outside the timing loop, so every policy serves from a warm
-//! prepared memory — the measured gap is purely the batching win.
+//! per-batch dispatch. Sessions are registered once outside the timing loop, so
+//! every policy serves from a warm prepared memory — the measured gap is purely
+//! the batching win.
 //!
 //! The setup also replays the same trace through the cycle-accurate `ServerSim`
 //! and asserts that warm-cache dynamic batching beats per-request serving in

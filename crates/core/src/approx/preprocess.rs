@@ -23,9 +23,8 @@ thread_local! {
 /// Instrumentation for the preprocessing cache: a warm
 /// [`MemoryCache`](crate::backend::MemoryCache) batch must leave this counter
 /// untouched (zero key sorts), which the cache tests assert directly. The counter is
-/// thread-local — every serving entry point runs the sort on the calling thread
-/// before fanning queries out to workers — so concurrently running tests cannot
-/// disturb each other's readings.
+/// thread-local — every serving entry point runs on the calling thread — so
+/// concurrently running tests cannot disturb each other's readings.
 pub fn preprocess_count() -> u64 {
     PREPROCESS_COUNT.with(Cell::get)
 }

@@ -188,9 +188,9 @@ impl MemoryCache {
     /// resident.
     ///
     /// This is the first half of an **in-place cache update**: a streaming caller
-    /// takes the entry out, mutates the prepared memory incrementally (so
-    /// [`Arc::make_mut`] sees a unique reference and does not deep-clone), and
-    /// re-inserts it under the memory's new fingerprint via
+    /// takes the entry out and drops it, mutates the prepared memory
+    /// incrementally (so [`Arc::make_mut`] sees a unique reference and does not
+    /// deep-clone), and re-inserts it under the memory's new fingerprint via
     /// [`MemoryCache::insert_updated`]. Neither half moves the hit/miss counters:
     /// an append is a cache *update*, not a lookup.
     pub fn take(&mut self, backend_name: &str, fingerprint: u64) -> Option<Arc<PreparedMemory>> {
@@ -230,6 +230,34 @@ impl MemoryCache {
                 priority: self.inflation.saturating_add(cost),
             },
         );
+    }
+
+    /// Mutates a prepared memory through `mutate` and moves its cache entry, if
+    /// resident, from `old_fingerprint` to `new_fingerprint` (an update; no
+    /// lookup counter moves).
+    ///
+    /// The cache's handle is dropped before [`Arc::make_mut`], so a memory no
+    /// other session shares is mutated where it lives; a shared one is copied
+    /// first and the other holders keep the old contents. On error the entry
+    /// stays removed, so the cache never serves a half-mutated memory.
+    pub(crate) fn mutate_in_place<T>(
+        &mut self,
+        backend_name: &str,
+        memory: &mut Arc<PreparedMemory>,
+        (old_fingerprint, new_fingerprint): (u64, u64),
+        mutate: impl FnOnce(&mut PreparedMemory) -> Result<T, AttentionError>,
+    ) -> Result<T, AttentionError> {
+        let resident = self.take(backend_name, old_fingerprint).is_some();
+        let out = mutate(Arc::make_mut(memory))?;
+        debug_assert_eq!(
+            new_fingerprint,
+            memory_fingerprint(memory.keys(), memory.values()),
+            "delta fingerprint must match a from-scratch fingerprint"
+        );
+        if resident {
+            self.insert_updated(backend_name, new_fingerprint, Arc::clone(memory));
+        }
+        Ok(out)
     }
 
     /// Evicts one entry under the configured [`CacheAdmission`] policy. Both

@@ -59,8 +59,6 @@ pub use shard::{
 };
 pub use simd::{SimdBackend, SimdLevel};
 
-use rayon::prelude::*;
-
 use crate::approx::{ApproxConfig, ApproximateAttention, SortedKeyColumns};
 use crate::attention::{attention_with_scores, AttentionResult};
 use crate::quantized::QuantizedMemory;
@@ -469,8 +467,8 @@ pub struct WorkProfile {
 /// A datapath that can serve attention operations, split into a per-memory
 /// preprocessing phase and a per-query compute phase.
 ///
-/// The trait is object-safe (`&dyn ComputeBackend`) and `Send + Sync` so one backend
-/// instance can serve concurrent batches.
+/// The trait is object-safe (`&dyn ComputeBackend`) and `Send`, so a server can be
+/// moved to the thread that drives it. Every call runs on its caller's thread.
 ///
 /// # Contract
 ///
@@ -478,7 +476,7 @@ pub struct WorkProfile {
 /// [`ComputeBackend::prepare`] must be **bit-identical** to the one-shot
 /// [`ComputeBackend::attend`], and [`ComputeBackend::attend_batch_prepared`] must be
 /// bit-identical to calling `attend_prepared` once per query, in query order.
-pub trait ComputeBackend: Send + Sync {
+pub trait ComputeBackend: Send {
     /// Short human-readable name used in reports and as part of the cache key (e.g.
     /// `"exact"`, `"approx(M=0.5n,T=5%)"`). Backends with different configurations
     /// must report different names.
@@ -557,10 +555,10 @@ pub trait ComputeBackend: Send + Sync {
         query: &[f32],
     ) -> Result<AttentionResult, AttentionError>;
 
-    /// Computes attention for every query row against one prepared memory,
-    /// parallelised across queries. Results are in query order and bit-identical to a
-    /// sequential loop over [`ComputeBackend::attend_prepared`]; an empty batch
-    /// returns an empty vector.
+    /// Computes attention for every query row against one prepared memory, one
+    /// query after another on the caller's thread. Results are in query order and
+    /// bit-identical to a loop over [`ComputeBackend::attend_prepared`]; an empty
+    /// batch returns an empty vector.
     ///
     /// # Errors
     ///
@@ -571,16 +569,15 @@ pub trait ComputeBackend: Send + Sync {
         memory: &PreparedMemory,
         queries: &[&[f32]],
     ) -> Result<Vec<AttentionResult>, AttentionError> {
-        let results: Vec<Result<AttentionResult, AttentionError>> = queries
-            .par_iter()
+        queries
+            .iter()
             .map(|q| self.attend_prepared(memory, q))
-            .collect();
-        results.into_iter().collect()
+            .collect()
     }
 
     /// Computes attention of `query` over a row-sharded memory: every shard produces
-    /// a partial result in parallel (on hardware, one shard per unit) and a cross-shard
-    /// merge combines them.
+    /// a partial result (on hardware, one shard per unit) and a cross-shard merge
+    /// combines them.
     ///
     /// The default implementation performs the numerically stable log-sum-exp merge of
     /// per-shard partial softmax outputs ([`merge_partial_softmax`]), which is correct
@@ -611,8 +608,8 @@ pub trait ComputeBackend: Send + Sync {
         Ok(merge_partial_softmax(memory, &partials?))
     }
 
-    /// Computes sharded attention for every query, parallelised across queries.
-    /// Results are in query order and bit-identical to a sequential loop over
+    /// Computes sharded attention for every query, one query after another on the
+    /// caller's thread. Results are in query order and bit-identical to a loop over
     /// [`ComputeBackend::attend_sharded`]; an empty batch returns an empty vector.
     ///
     /// # Errors
@@ -624,11 +621,10 @@ pub trait ComputeBackend: Send + Sync {
         memory: &ShardedMemory,
         queries: &[&[f32]],
     ) -> Result<Vec<AttentionResult>, AttentionError> {
-        let results: Vec<Result<AttentionResult, AttentionError>> = queries
-            .par_iter()
+        queries
+            .iter()
             .map(|q| self.attend_sharded(memory, q))
-            .collect();
-        results.into_iter().collect()
+            .collect()
     }
 
     /// Reports the data-dependent work one query performs, or `None` when the
@@ -667,7 +663,8 @@ pub trait ComputeBackend: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns the first (in query order) error if any shape is inconsistent.
+    /// Returns an error if the memory is empty, even when `queries` is, and
+    /// otherwise the first (in query order) error if any shape is inconsistent.
     fn attend_batch(
         &self,
         keys: &Matrix,
@@ -731,20 +728,6 @@ impl ComputeBackend for ExactBackend {
         // Preparation is a no-op, so the one-shot path skips building (and cloning
         // the matrices into) a PreparedMemory.
         attention_with_scores(keys, values, query)
-    }
-
-    fn attend_batch(
-        &self,
-        keys: &Matrix,
-        values: &Matrix,
-        queries: &Matrix,
-    ) -> Result<Vec<AttentionResult>, AttentionError> {
-        let rows: Vec<&[f32]> = queries.iter_rows().collect();
-        let results: Vec<Result<AttentionResult, AttentionError>> = rows
-            .par_iter()
-            .map(|q| attention_with_scores(keys, values, q))
-            .collect();
-        results.into_iter().collect()
     }
 }
 

@@ -308,17 +308,15 @@ impl ShardedMemory {
                 constraint: "a sharded memory must hold at least one shard",
             })?;
         let old_fingerprint = last.fingerprint;
-        let old_rows = last.rows();
-        // Remove the cache's handle first so the in-place mutation below sees a
-        // unique Arc and does not deep-clone (and never leaves a stale entry).
-        let taken = cache.take(&backend.name(), old_fingerprint);
-        let stats = backend.append_rows(Arc::make_mut(&mut last.memory), new_keys, new_values)?;
         let new_fingerprint =
-            fingerprint_append(old_fingerprint, old_rows, d, new_keys, new_values);
+            fingerprint_append(old_fingerprint, last.rows(), d, new_keys, new_values);
+        let stats = cache.mutate_in_place(
+            &backend.name(),
+            &mut last.memory,
+            (old_fingerprint, new_fingerprint),
+            |memory| backend.append_rows(memory, new_keys, new_values),
+        )?;
         last.fingerprint = new_fingerprint;
-        if taken.is_some() {
-            cache.insert_updated(&backend.name(), new_fingerprint, Arc::clone(&last.memory));
-        }
         self.n += new_keys.rows();
         let mut mutation = ShardMutationStats {
             incremental_ops: stats.incremental_ops,
@@ -362,16 +360,21 @@ impl ShardedMemory {
                 constraint: "row index must be within the sharded memory",
             })?;
         let old_fingerprint = shard.fingerprint;
-        let old_key = shard.memory.keys().row(local).to_vec();
-        let old_value = shard.memory.values().row(local).to_vec();
-        let taken = cache.take(&backend.name(), old_fingerprint);
-        let stats = backend.update_row(Arc::make_mut(&mut shard.memory), local, key, value)?;
-        let new_fingerprint =
-            fingerprint_update(old_fingerprint, local, &old_key, &old_value, key, value);
+        let new_fingerprint = fingerprint_update(
+            old_fingerprint,
+            local,
+            shard.memory.keys().row(local),
+            shard.memory.values().row(local),
+            key,
+            value,
+        );
+        let stats = cache.mutate_in_place(
+            &backend.name(),
+            &mut shard.memory,
+            (old_fingerprint, new_fingerprint),
+            |memory| backend.update_row(memory, local, key, value),
+        )?;
         shard.fingerprint = new_fingerprint;
-        if taken.is_some() {
-            cache.insert_updated(&backend.name(), new_fingerprint, Arc::clone(&shard.memory));
-        }
         Ok(ShardMutationStats {
             incremental_ops: stats.incremental_ops,
             full_reprepares: u64::from(stats.full_reprepare),

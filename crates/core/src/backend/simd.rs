@@ -44,8 +44,6 @@
 
 use std::fmt;
 
-use rayon::prelude::*;
-
 use crate::attention::{attention_with_scores, AttentionResult};
 use crate::{AttentionError, Matrix};
 
@@ -230,18 +228,6 @@ impl ComputeBackend for SimdBackend {
         self.attend_raw(memory.keys(), memory.values(), query)
     }
 
-    fn attend_batch_prepared(
-        &self,
-        memory: &PreparedMemory,
-        queries: &[&[f32]],
-    ) -> Result<Vec<AttentionResult>, AttentionError> {
-        let results: Vec<Result<AttentionResult, AttentionError>> = queries
-            .par_iter()
-            .map(|q| self.attend_raw(memory.keys(), memory.values(), q))
-            .collect();
-        results.into_iter().collect()
-    }
-
     fn attend(
         &self,
         keys: &Matrix,
@@ -251,20 +237,6 @@ impl ComputeBackend for SimdBackend {
         // Preparation is a no-op, so the one-shot path skips building (and cloning
         // the matrices into) a PreparedMemory.
         self.attend_raw(keys, values, query)
-    }
-
-    fn attend_batch(
-        &self,
-        keys: &Matrix,
-        values: &Matrix,
-        queries: &Matrix,
-    ) -> Result<Vec<AttentionResult>, AttentionError> {
-        let rows: Vec<&[f32]> = queries.iter_rows().collect();
-        let results: Vec<Result<AttentionResult, AttentionError>> = rows
-            .par_iter()
-            .map(|q| self.attend_raw(keys, values, q))
-            .collect();
-        results.into_iter().collect()
     }
 
     // `attend_sharded` intentionally inherits the default log-sum-exp merge of

@@ -7,13 +7,12 @@
 //!   matrices plus optional sharding and tenant assignment — consumed by
 //!   [`super::AttentionServer::register`];
 //! * [`ServerBuilder`] assembles an [`super::AttentionServer`] from a backend,
-//!   a batch policy, cache sizing/admission, registry sharding and the tenant
-//!   roster, via [`super::AttentionServer::builder`].
+//!   a batch policy, cache sizing/admission and the tenant roster, via
+//!   [`super::AttentionServer::builder`].
 
 use crate::backend::{CacheAdmission, ComputeBackend, MemoryCache};
 use crate::Matrix;
 
-use super::registry::DEFAULT_REGISTRY_SHARDS;
 use super::{AttentionServer, BatchPolicy, TenantConfig, TenantId};
 
 /// One memory registration: which matrices to prepare, across how many shards,
@@ -86,7 +85,7 @@ impl<'a> MemoryConfig<'a> {
 }
 
 /// Assembles an [`AttentionServer`]: backend, batch policy, cache capacity and
-/// admission policy, session-registry sharding, and the tenant roster.
+/// admission policy, and the tenant roster.
 ///
 /// The default tenant ([`TenantId::DEFAULT`]) always exists — normal priority,
 /// no rate limit — so single-tenant callers need none of the tenant knobs.
@@ -114,7 +113,6 @@ pub struct ServerBuilder {
     policy: BatchPolicy,
     cache_capacity: usize,
     admission: CacheAdmission,
-    registry_shards: usize,
     tenants: Vec<(TenantId, TenantConfig)>,
 }
 
@@ -125,7 +123,6 @@ impl std::fmt::Debug for ServerBuilder {
             .field("policy", &self.policy)
             .field("cache_capacity", &self.cache_capacity)
             .field("admission", &self.admission)
-            .field("registry_shards", &self.registry_shards)
             .field("tenants", &self.tenants.len())
             .finish()
     }
@@ -138,7 +135,6 @@ impl ServerBuilder {
             policy: BatchPolicy::default(),
             cache_capacity: MemoryCache::default().capacity(),
             admission: CacheAdmission::default(),
-            registry_shards: DEFAULT_REGISTRY_SHARDS,
             tenants: Vec::new(),
         }
     }
@@ -161,12 +157,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Sets the session-registry shard count (rounded up to a power of two).
-    pub fn registry_shards(mut self, shards: usize) -> Self {
-        self.registry_shards = shards;
-        self
-    }
-
     /// Registers a tenant with its priority class and optional rate limit.
     /// Repeating an id keeps the last configuration.
     pub fn tenant(mut self, id: TenantId, config: TenantConfig) -> Self {
@@ -174,15 +164,14 @@ impl ServerBuilder {
         self
     }
 
-    /// Builds the server: cache and registry are constructed to the configured
-    /// shapes, the default tenant is registered first, then every explicit
-    /// tenant in the order given.
+    /// Builds the server: the cache is constructed to the configured shape, the
+    /// default tenant is registered first, then every explicit tenant in the
+    /// order given.
     pub fn build(self) -> AttentionServer {
         let mut server = AttentionServer::from_parts(
             self.backend,
             self.policy,
             MemoryCache::with_admission(self.cache_capacity, self.admission),
-            self.registry_shards,
         );
         for (id, config) in self.tenants {
             server.register_tenant(id, config);
@@ -219,7 +208,6 @@ mod tests {
             .batch_policy(BatchPolicy::per_request())
             .cache_capacity(3)
             .cache_admission(CacheAdmission::CostAware)
-            .registry_shards(4)
             .tenant(
                 TenantId::from_raw(2),
                 TenantConfig::new(Priority::High).with_rate_limit(limit),

@@ -20,8 +20,7 @@
 //!   [`crate::backend::CacheAdmission::CostAware`] expensive popular preparations
 //!   outlive cheap one-offs — and issues an id. The [`SessionHandle`] owns the
 //!   [`PreparedMemory`] for the session's lifetime, like the accelerator's resident
-//!   SRAM copies; handles live in a hash-sharded [`SessionRegistry`] sized for very
-//!   large session counts.
+//!   SRAM copies.
 //! * **Requests** ([`Request`]) are single queries tagged with a session, an arrival
 //!   tick and an optional deadline, accepted by [`AttentionServer::submit`] (after
 //!   the tenant's token bucket admits them) and batched by a [`Scheduler`] — flushing
@@ -32,9 +31,10 @@
 //!   background traffic.
 //!
 //! [`AttentionServer::poll`] executes every due batch through the server's
-//! [`ComputeBackend`] via the prepared batch path. Results are **bit-identical** to
-//! calling [`ComputeBackend::attend_prepared`] once per query: batching, admission
-//! and fairness are pure scheduling decisions, never numerics decisions.
+//! [`ComputeBackend`] via the prepared batch path, on the caller's thread. Results
+//! are **bit-identical** to calling [`ComputeBackend::attend_prepared`] once per
+//! query: batching, admission and fairness are pure scheduling decisions, never
+//! numerics decisions.
 //!
 //! Time is a logical [`Tick`] counter supplied by the caller, which makes every
 //! schedule deterministic and lets `a3-sim`'s discrete-event model replay the same
@@ -61,12 +61,10 @@
 //! ```
 
 mod config;
-mod registry;
 mod scheduler;
 mod tenant;
 
 pub use config::{MemoryConfig, ServerBuilder};
-pub use registry::{SessionRegistry, DEFAULT_REGISTRY_SHARDS};
 pub use scheduler::{BatchPolicy, FlushReason, FormedBatch, QueuedRequest, Scheduler};
 pub use tenant::{Priority, RateLimit, TenantConfig, TenantId, TenantStats, TokenBucket};
 
@@ -162,8 +160,8 @@ impl Request {
 }
 
 /// The prepared state a session serves from: one whole prepared memory (the
-/// unsharded fast path) or a row-sharded memory whose shards execute in parallel and
-/// merge at batch-execution time.
+/// unsharded fast path) or a row-sharded memory whose per-shard partials merge at
+/// batch-execution time.
 #[derive(Debug, Clone)]
 pub enum SessionMemory {
     /// One whole [`PreparedMemory`]; batches run through
@@ -361,16 +359,16 @@ struct TenantRuntime {
     stats: TenantStats,
 }
 
-/// A request-oriented attention server: tenants, registered memories in a
-/// hash-sharded [`SessionRegistry`], a weighted-fair dynamic-batching
-/// [`Scheduler`], and one [`ComputeBackend`] executing the batches it forms.
+/// A request-oriented attention server: tenants, registered memories, a
+/// weighted-fair dynamic-batching [`Scheduler`], and one [`ComputeBackend`]
+/// executing the batches it forms on the caller's thread.
 ///
 /// Construct via [`AttentionServer::builder`]. See the
 /// [module documentation](self) for the full request flow.
 pub struct AttentionServer {
     backend: Box<dyn ComputeBackend>,
     cache: MemoryCache,
-    sessions: SessionRegistry,
+    sessions: BTreeMap<SessionId, SessionHandle>,
     tenants: BTreeMap<TenantId, TenantRuntime>,
     scheduler: Scheduler,
     next_session: u64,
@@ -393,8 +391,8 @@ impl fmt::Debug for AttentionServer {
 
 impl AttentionServer {
     /// Starts building a server around `backend`. All other knobs (batch policy,
-    /// cache capacity and admission, registry sharding, tenants) have defaults —
-    /// see [`ServerBuilder`].
+    /// cache capacity and admission, tenants) have defaults — see
+    /// [`ServerBuilder`].
     pub fn builder(backend: Box<dyn ComputeBackend>) -> ServerBuilder {
         ServerBuilder::new(backend)
     }
@@ -406,12 +404,11 @@ impl AttentionServer {
         backend: Box<dyn ComputeBackend>,
         policy: BatchPolicy,
         cache: MemoryCache,
-        registry_shards: usize,
     ) -> Self {
         let mut server = Self {
             backend,
             cache,
-            sessions: SessionRegistry::new(registry_shards),
+            sessions: BTreeMap::new(),
             tenants: BTreeMap::new(),
             scheduler: Scheduler::new(policy),
             next_session: 0,
@@ -435,11 +432,6 @@ impl AttentionServer {
     /// The preprocessing cache (hit/miss counters included).
     pub fn cache(&self) -> &MemoryCache {
         &self.cache
-    }
-
-    /// The session registry (shard layout included).
-    pub fn registry(&self) -> &SessionRegistry {
-        &self.sessions
     }
 
     /// Lifetime counters.
@@ -532,13 +524,16 @@ impl AttentionServer {
         let id = SessionId(self.next_session);
         self.next_session += 1;
         self.scheduler.assign_session(id, tenant);
-        self.sessions.insert(SessionHandle {
+        self.sessions.insert(
             id,
-            tenant,
-            memory,
-            fingerprint,
-            reused_preparation,
-        });
+            SessionHandle {
+                id,
+                tenant,
+                memory,
+                fingerprint,
+                reused_preparation,
+            },
+        );
         Ok(id)
     }
 
@@ -565,7 +560,7 @@ impl AttentionServer {
     ) -> Result<SessionMutation, ServeError> {
         let handle = self
             .sessions
-            .get_mut(id)
+            .get_mut(&id)
             .ok_or(ServeError::UnknownSession { session: id.raw() })?;
         let old_fingerprint = handle.fingerprint;
         let old_n = handle.memory.n();
@@ -574,24 +569,13 @@ impl AttentionServer {
             crate::backend::fingerprint_append(old_fingerprint, old_n, d, new_keys, new_values);
         let mutation = match &mut handle.memory {
             SessionMemory::Whole(memory) => {
-                // Remove the cache's handle first so `Arc::make_mut` sees a unique
-                // reference and mutates in place instead of deep-cloning.
-                let taken = self.cache.take(&self.backend.name(), old_fingerprint);
-                let stats =
-                    self.backend
-                        .append_rows(Arc::make_mut(memory), new_keys, new_values)?;
-                debug_assert_eq!(
-                    new_fingerprint,
-                    crate::backend::memory_fingerprint(memory.keys(), memory.values()),
-                    "delta fingerprint must match a from-scratch fingerprint"
-                );
-                if taken.is_some() {
-                    self.cache.insert_updated(
-                        &self.backend.name(),
-                        new_fingerprint,
-                        Arc::clone(memory),
-                    );
-                }
+                let backend = self.backend.as_ref();
+                let stats = self.cache.mutate_in_place(
+                    &backend.name(),
+                    memory,
+                    (old_fingerprint, new_fingerprint),
+                    |prepared| backend.append_rows(prepared, new_keys, new_values),
+                )?;
                 SessionMutation {
                     incremental_ops: stats.incremental_ops,
                     full_reprepares: u64::from(stats.full_reprepare),
@@ -637,7 +621,7 @@ impl AttentionServer {
     ) -> Result<SessionMutation, ServeError> {
         let handle = self
             .sessions
-            .get_mut(id)
+            .get_mut(&id)
             .ok_or(ServeError::UnknownSession { session: id.raw() })?;
         if row >= handle.memory.n() {
             return Err(ServeError::Attention(AttentionError::InvalidParameter {
@@ -648,32 +632,21 @@ impl AttentionServer {
         let old_fingerprint = handle.fingerprint;
         let mutation = match &mut handle.memory {
             SessionMemory::Whole(memory) => {
-                let old_key = memory.keys().row(row).to_vec();
-                let old_value = memory.values().row(row).to_vec();
-                let taken = self.cache.take(&self.backend.name(), old_fingerprint);
-                let stats = self
-                    .backend
-                    .update_row(Arc::make_mut(memory), row, key, value)?;
                 let new_fingerprint = crate::backend::fingerprint_update(
                     old_fingerprint,
                     row,
-                    &old_key,
-                    &old_value,
+                    memory.keys().row(row),
+                    memory.values().row(row),
                     key,
                     value,
                 );
-                debug_assert_eq!(
-                    new_fingerprint,
-                    crate::backend::memory_fingerprint(memory.keys(), memory.values()),
-                    "delta fingerprint must match a from-scratch fingerprint"
-                );
-                if taken.is_some() {
-                    self.cache.insert_updated(
-                        &self.backend.name(),
-                        new_fingerprint,
-                        Arc::clone(memory),
-                    );
-                }
+                let backend = self.backend.as_ref();
+                let stats = self.cache.mutate_in_place(
+                    &backend.name(),
+                    memory,
+                    (old_fingerprint, new_fingerprint),
+                    |prepared| backend.update_row(prepared, row, key, value),
+                )?;
                 SessionMutation {
                     incremental_ops: stats.incremental_ops,
                     full_reprepares: u64::from(stats.full_reprepare),
@@ -729,12 +702,12 @@ impl AttentionServer {
 
     /// The handle of a registered session.
     pub fn session(&self, id: SessionId) -> Option<&SessionHandle> {
-        self.sessions.get(id)
+        self.sessions.get(&id)
     }
 
     /// Iterates over every registered session, in id order.
     pub fn sessions(&self) -> impl Iterator<Item = &SessionHandle> {
-        self.sessions.iter()
+        self.sessions.values()
     }
 
     /// Accepts a request into its session's queue and returns the id its response
@@ -752,7 +725,7 @@ impl AttentionServer {
     pub fn submit(&mut self, request: Request) -> Result<RequestId, ServeError> {
         let session = self
             .sessions
-            .get(request.session)
+            .get(&request.session)
             .ok_or(ServeError::UnknownSession {
                 session: request.session.raw(),
             })?;
@@ -844,7 +817,7 @@ impl AttentionServer {
         for batch in batches {
             let session = self
                 .sessions
-                .get(batch.session)
+                .get(&batch.session)
                 .ok_or(ServeError::UnknownSession {
                     session: batch.session.raw(),
                 })?;
@@ -854,8 +827,8 @@ impl AttentionServer {
                 SessionMemory::Whole(memory) => {
                     self.backend.attend_batch_prepared(memory, &queries)?
                 }
-                // Sharded session: the flushed batch fans out across the shards and
-                // the per-shard partials merge, per query.
+                // Sharded session: every query runs on every shard and the
+                // per-shard partials merge.
                 SessionMemory::Sharded(sharded) => {
                     self.backend.attend_batch_sharded(sharded, &queries)?
                 }
@@ -1314,6 +1287,90 @@ mod tests {
         );
     }
 
+    /// Address of every prepared memory serving a session, shard by shard.
+    fn prepared_addresses(server: &AttentionServer, id: SessionId) -> Vec<*const PreparedMemory> {
+        match server.session(id).unwrap().memory() {
+            SessionMemory::Whole(memory) => vec![Arc::as_ptr(memory)],
+            SessionMemory::Sharded(sharded) => sharded
+                .shards()
+                .iter()
+                .map(|shard| shard.memory() as *const _)
+                .collect(),
+        }
+    }
+
+    /// Runs one query against a session and returns its result.
+    fn answer(server: &mut AttentionServer, id: SessionId, q: &[f32]) -> AttentionResult {
+        server.submit(Request::new(id, q.to_vec(), 0)).unwrap();
+        let mut batches = server.flush_all(0).unwrap();
+        batches.remove(0).responses.remove(0).result
+    }
+
+    #[test]
+    fn streaming_mutations_keep_cached_memories_in_place() {
+        for shards in [1, 4] {
+            for backend in all_backends() {
+                let name = format!("{} x{shards}", backend.name());
+                let (keys, values) = memory(0.0, 16, 4);
+                let (extra_keys, extra_values) = memory(0.3, 1, 4);
+                let mut server = server_with(backend, BatchPolicy::default());
+                let session = server
+                    .register(MemoryConfig::new(&keys, &values).sharded(shards))
+                    .unwrap();
+                let before = prepared_addresses(&server, session);
+                // Checked after each mutation: a copy is made while the original
+                // is still alive, so it can never land at the original address.
+                let append = server
+                    .append_to_session(session, &extra_keys, &extra_values)
+                    .unwrap();
+                assert!(!append.rebalanced, "{name}");
+                assert_eq!(prepared_addresses(&server, session), before, "{name}");
+                server
+                    .update_session_row(session, 5, &[0.7; 4], &[0.2; 4])
+                    .unwrap();
+                assert_eq!(prepared_addresses(&server, session), before, "{name}");
+                assert_eq!(server.cache().updates(), 2, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn mutating_a_session_leaves_sessions_sharing_its_preparation_untouched() {
+        for shards in [1, 4] {
+            for backend in all_backends() {
+                let name = format!("{} x{shards}", backend.name());
+                let (keys, values) = memory(0.0, 16, 4);
+                let (extra_keys, extra_values) = memory(0.3, 1, 4);
+                let mut server = server_with(backend, BatchPolicy::default());
+                let config = MemoryConfig::new(&keys, &values).sharded(shards);
+                let mutated = server.register(config).unwrap();
+                let shared = server.register(config).unwrap();
+                assert!(server.session(shared).unwrap().reused_preparation());
+                let before = prepared_addresses(&server, shared);
+                assert_eq!(prepared_addresses(&server, mutated), before, "{name}");
+                let q = query(4, 0.1);
+                let want = answer(&mut server, shared, &q);
+
+                server
+                    .append_to_session(mutated, &extra_keys, &extra_values)
+                    .unwrap();
+                server
+                    .update_session_row(mutated, 5, &[0.7; 4], &[0.2; 4])
+                    .unwrap();
+                let handle = server.session(shared).unwrap();
+                assert_eq!(
+                    handle.fingerprint(),
+                    crate::backend::memory_fingerprint(&keys, &values),
+                    "{name}"
+                );
+                assert_eq!(handle.memory().n(), 16, "{name}");
+                assert_eq!(prepared_addresses(&server, shared), before, "{name}");
+                assert_ne!(prepared_addresses(&server, mutated), before, "{name}");
+                assert_eq!(answer(&mut server, shared, &q), want, "{name}");
+            }
+        }
+    }
+
     #[test]
     fn session_mutations_reject_unknown_sessions_and_bad_shapes() {
         let (keys, values) = memory(0.0, 8, 4);
@@ -1467,23 +1524,15 @@ mod tests {
     }
 
     #[test]
-    fn sessions_iterate_in_id_order_across_registry_shards() {
+    fn sessions_iterate_in_id_order() {
         let (keys, values) = memory(0.0, 8, 4);
-        let mut server = AttentionServer::builder(Box::new(ExactBackend))
-            .registry_shards(4)
-            .build();
+        let mut server = AttentionServer::builder(Box::new(ExactBackend)).build();
         let mut ids = Vec::new();
         for _ in 0..9 {
             ids.push(server.register(MemoryConfig::new(&keys, &values)).unwrap());
         }
-        assert_eq!(server.registry().shard_count(), 4);
-        assert_eq!(server.registry().len(), 9);
         let iterated: Vec<SessionId> = server.sessions().map(SessionHandle::id).collect();
-        assert_eq!(iterated, ids, "iteration must stay in global id order");
-        let spread = (0..4)
-            .filter(|&s| server.registry().shard_len(s) > 0)
-            .count();
-        assert!(spread > 1, "sessions must spread across registry shards");
+        assert_eq!(iterated, ids, "iteration must stay in id order");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Property-based tests for the multi-tenant serving layer: token-bucket
-//! admission, weighted-fair flushing, and the hash-sharded session registry.
+//! admission, weighted-fair flushing, and session lookup.
 
 use std::collections::BTreeMap;
 
 use a3_core::serve::{
-    BatchPolicy, Priority, QueuedRequest, RateLimit, RequestId, Scheduler, SessionId,
-    SessionRegistry, TenantId, TokenBucket,
+    BatchPolicy, Priority, QueuedRequest, RateLimit, RequestId, Scheduler, SessionId, TenantId,
+    TokenBucket,
 };
 use proptest::prelude::*;
 
@@ -127,25 +127,21 @@ proptest! {
         }
     }
 
-    /// The sharded registry is observationally equivalent to a flat `BTreeMap`
-    /// over arbitrary insert/remove/lookup traces: same lookups, same length,
-    /// same id-ordered iteration.
+    /// Session lookup is observationally equivalent to a flat `BTreeMap` over
+    /// arbitrary register/lookup traces: same lookups, same length, same
+    /// id-ordered iteration.
     #[test]
-    fn sharded_registry_matches_a_flat_map(
-        shards in 1usize..33,
+    fn session_lookup_matches_a_flat_map(
         ops in prop::collection::vec((0u64..40, 0u32..10), 1..200),
     ) {
-        // The registry stores full SessionHandles, which are only constructible
-        // through a server; model the equivalence on the id set instead by
-        // driving a server's registry through register + the flat shadow map.
+        // Session handles are only constructible through a server; model the
+        // equivalence on the id set by driving register against a flat shadow map.
         use a3_core::backend::ExactBackend;
         use a3_core::serve::{AttentionServer, MemoryConfig};
         use a3_core::Matrix;
 
         let keys = Matrix::from_rows(vec![vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap();
-        let mut server = AttentionServer::builder(Box::new(ExactBackend))
-            .registry_shards(shards)
-            .build();
+        let mut server = AttentionServer::builder(Box::new(ExactBackend)).build();
         let mut flat: BTreeMap<u64, ()> = BTreeMap::new();
         let mut issued: Vec<SessionId> = Vec::new();
         for (pick, coin) in ops {
@@ -161,15 +157,12 @@ proptest! {
                 prop_assert_eq!(server.session(probe).is_some(), flat.contains_key(&pick));
             }
         }
-        prop_assert_eq!(server.registry().len(), flat.len());
         let iterated: Vec<u64> = server.sessions().map(|h| h.id().raw()).collect();
         let flat_ids: Vec<u64> = flat.keys().copied().collect();
         prop_assert_eq!(iterated, flat_ids);
-        // Every issued id resolves, and its registry shard agrees with shard_of.
+        // Every issued id resolves.
         for id in issued {
             prop_assert!(server.session(id).is_some());
-            let shard = server.registry().shard_of(id);
-            prop_assert!(shard < server.registry().shard_count());
         }
     }
 }
@@ -190,12 +183,4 @@ fn priority_weights_are_monotone() {
     assert!(Priority::High.weight() > Priority::Normal.weight());
     assert!(Priority::Normal.weight() > Priority::Background.weight());
     assert_eq!(Priority::default(), Priority::Normal);
-}
-
-#[test]
-fn registry_default_shape_matches_constant() {
-    use a3_core::serve::DEFAULT_REGISTRY_SHARDS;
-    let registry = SessionRegistry::default();
-    assert_eq!(registry.shard_count(), DEFAULT_REGISTRY_SHARDS);
-    assert!(registry.is_empty());
 }

@@ -7,16 +7,16 @@
 //!
 //! | paper | driver |
 //! |-------|--------|
-//! | Figure 3 (time spent in attention) | [`experiments::fig3`] |
+//! | Figure 3 (time spent in attention) | [`experiments::fig3()`] |
 //! | Figure 11 (candidate selection sweep over `M`) | [`experiments::accuracy::fig11`] |
 //! | Figure 12 (post-scoring sweep over `T`) | [`experiments::accuracy::fig12`] |
 //! | Figure 13 (combined conservative/aggressive schemes) | [`experiments::accuracy::fig13`] |
 //! | Quantization study (Section VI-B) | [`experiments::accuracy::quantization`] |
 //! | Figure 14 (throughput / latency vs CPU & GPU) | [`experiments::performance::fig14`] |
 //! | Figure 15 (energy efficiency and breakdown) | [`experiments::performance::fig15`] |
-//! | Table I (area and power) | [`experiments::table1`] |
+//! | Table I (area and power) | [`experiments::table1()`] |
 //! | Latency/throughput model (Section III-A / V-C) | [`experiments::latency_model`] |
-//! | Design-choice ablations (DESIGN.md §6) | [`experiments::ablation`] |
+//! | Design-choice ablations (DESIGN.md §6) | [`experiments::ablation()`] |
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

@@ -5,8 +5,8 @@
 //! step. This module makes that claim *testable*: in debug builds every
 //! clamping fixed-point operation ([`Fixed::saturating_add`],
 //! [`Fixed::saturating_sub`], [`Fixed::round_to`], [`Fixed::checked_add`],
-//! [`Q::saturating_add`], [`Q::saturating_sub`], [`Q::round_to`]) reports
-//! whether its clamp actually engaged, and a thread-local counter accumulates
+//! [`Fixed::saturating_from_raw`]) reports whether its clamp actually
+//! engaged, and a thread-local counter accumulates
 //! the events. A differential witness harness can then drive the real scalar
 //! pipeline on a concrete input and observe whether saturation occurred.
 //!
@@ -14,7 +14,7 @@
 //!
 //! - [`Fixed::quantize`]: clamping out-of-range *inputs* into the input
 //!   format is input conditioning by design, not datapath overflow.
-//! - `div_weight` (both [`Fixed`] and [`Q`]): the softmax normaliser's clamp
+//! - [`Fixed::div_weight`]: the softmax normaliser's clamp
 //!   of the `score == exp_sum` quotient from `2^f` to `2^f - 1` is
 //!   definitional — the SIMD path replicates it bit-for-bit.
 //! - The exponent LUT's `.min(out_max_raw)` on the rounded table product:
@@ -33,12 +33,9 @@
 //! [`Fixed::saturating_sub`]: crate::Fixed::saturating_sub
 //! [`Fixed::round_to`]: crate::Fixed::round_to
 //! [`Fixed::checked_add`]: crate::Fixed::checked_add
+//! [`Fixed::saturating_from_raw`]: crate::Fixed::saturating_from_raw
 //! [`Fixed::quantize`]: crate::Fixed::quantize
-//! [`Fixed`]: crate::Fixed
-//! [`Q::saturating_add`]: crate::Q::saturating_add
-//! [`Q::saturating_sub`]: crate::Q::saturating_sub
-//! [`Q::round_to`]: crate::Q::round_to
-//! [`Q`]: crate::Q
+//! [`Fixed::div_weight`]: crate::Fixed::div_weight
 
 use core::cell::Cell;
 

@@ -20,7 +20,6 @@ use a3_core::backend::{
     ApproximateBackend, ComputeBackend, MemoryCache, QuantizedBackend, WorkProfile,
 };
 use a3_core::Matrix;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::config::A3Config;
@@ -301,29 +300,26 @@ impl PipelineModel {
 
     /// Per-query costs of one pre-formed batch against a prepared memory: the shared
     /// cost core under [`PipelineModel::run_batch_with`] and the request-driven
-    /// [`crate::server::ServerSim`]. Work profiles are computed in parallel across
-    /// queries; the costs are identical to profiling the queries one at a time.
+    /// [`crate::server::ServerSim`]. Each query is profiled in turn, on the caller's
+    /// thread.
     ///
     /// # Panics
     ///
     /// Panics if any query is inconsistent with the memory.
-    pub(crate) fn batch_costs<Q: AsRef<[f32]> + Sync>(
+    pub(crate) fn batch_costs<Q: AsRef<[f32]>>(
         &self,
         backend: &dyn ComputeBackend,
         memory: &a3_core::backend::PreparedMemory,
         queries: &[Q],
     ) -> Vec<QueryCost> {
-        let profiles: Vec<Option<WorkProfile>> = queries
-            .par_iter()
+        queries
+            .iter()
             .map(|q| {
-                backend
+                let profile = backend
                     .profile(memory, q.as_ref())
-                    .expect("caller-provided shapes must be consistent")
+                    .expect("caller-provided shapes must be consistent");
+                self.profile_cost(memory.n(), profile)
             })
-            .collect();
-        profiles
-            .into_iter()
-            .map(|p| self.profile_cost(memory.n(), p))
             .collect()
     }
 
@@ -372,10 +368,9 @@ impl PipelineModel {
     /// every later batch against the same memory hits and pays zero
     /// preprocessing. A fresh `MemoryCache::new(1)` per call models a cold batch.
     ///
-    /// This is a thin adapter over the shared batch-cost core
-    /// ([`PipelineModel::batch_costs`]) that also powers the request-oriented
-    /// front-end: callers that receive queries one at a time should use
-    /// [`a3_core::serve::AttentionServer`] for execution and
+    /// This is a thin adapter over the batch-cost core that also powers the
+    /// request-oriented front-end: callers that receive queries one at a time
+    /// should use [`a3_core::serve::AttentionServer`] for execution and
     /// [`crate::server::ServerSim`] for cycle modeling, and let the scheduler form
     /// the batches. The per-query cycle costs come from the backend's own
     /// [`ComputeBackend::profile`]: data-dependent `M/C/K` counts for the approximate

@@ -1,6 +1,6 @@
 //! Key-Value-Memory-Network-style model over the synthetic WikiMovies knowledge base.
 //!
-//! Following Miller et al. (the paper's reference [19]), each fact is stored as a
+//! Following Miller et al. (the paper's reference \[19\]), each fact is stored as a
 //! *key* that encodes what the fact is about (`movie ⊕ relation`) and a *value* that
 //! encodes what should be retrieved (the object entity). The question is embedded into
 //! the query, attention retrieves a weighted sum of value embeddings, and answers are

@@ -1,8 +1,8 @@
 //! Batched multi-query serving: many queries against one key/value memory.
 //!
 //! The paper's sorted-key preprocessing (Figure 7) is query-independent, so a serving
-//! front-end can sort the key matrix once and fan a whole batch of queries out across
-//! worker threads. This example builds a KV-MemN2N-style memory, serves a batch of
+//! front-end can sort the key matrix once and serve a whole batch of queries from it.
+//! This example builds a KV-MemN2N-style memory, serves a batch of
 //! queries through the batched front-end, verifies the outputs are bit-identical to
 //! sequential attention, and reports the accelerator-side aggregate latency and
 //! throughput for the base, conservative and aggressive pipelines.
@@ -33,7 +33,7 @@ fn main() {
         queries.len()
     );
 
-    // Exact batched attention (parallel across queries).
+    // Exact batched attention: one prepared memory, every query in turn.
     let query_matrix = Matrix::from_rows(queries.clone()).expect("non-empty batch");
     let start = Instant::now();
     let exact = ExactBackend
