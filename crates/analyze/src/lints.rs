@@ -48,7 +48,7 @@ pub const LINTS: &[LintInfo] = &[
     },
     LintInfo {
         name: "hotpath-no-panic",
-        description: "no unwrap/expect/panic!/slice-indexing on the serving hot path \
+        description: "no unwrap/expect/panic!/assert!/slice-indexing on the serving hot path \
                       (crates/core/src/serve/, crates/core/src/backend/, \
                       crates/core/src/quantized/, crates/fixed/src/)",
         fix_hint: "return a ServeError/AttentionError instead of panicking; replace \
@@ -245,11 +245,20 @@ fn hotpath_no_panic(file: &SourceFile, findings: &mut Vec<Finding>) {
             "`.unwrap_unchecked(...)` on the serving hot path",
         ),
     ];
+    // Matched as whole words, so `debug_assert!` and friends (compiled out of
+    // release builds) stay permitted.
+    const ASSERTS: &[(&str, &str)] = &[
+        ("assert!", "`assert!` on the serving hot path"),
+        ("assert_eq!", "`assert_eq!` on the serving hot path"),
+        ("assert_ne!", "`assert_ne!` on the serving hot path"),
+    ];
     for (i, code) in file.code_lines.iter().enumerate() {
         if file.is_test_line(i) {
             continue;
         }
-        if let Some((_, msg)) = PANICS.iter().find(|(tok, _)| code.contains(tok)) {
+        let panic = PANICS.iter().find(|(tok, _)| code.contains(tok));
+        let assert = || ASSERTS.iter().find(|(tok, _)| contains_word(code, tok));
+        if let Some((_, msg)) = panic.or_else(assert) {
             push(findings, "hotpath-no-panic", file, i, (*msg).to_owned());
             continue;
         }
@@ -452,6 +461,36 @@ mod tests {
             in_test
         )
         .is_empty());
+    }
+
+    #[test]
+    fn seeded_hotpath_asserts_fire_but_debug_asserts_do_not() {
+        for (body, expected) in [
+            ("assert!(x > 0.0);", "`assert!`"),
+            ("assert_eq!(x, 1.0, \"mismatch\");", "`assert_eq!`"),
+            ("std::assert_ne!(x, 0.0);", "`assert_ne!`"),
+        ] {
+            let bad = format!("pub fn serve(x: f32) {{\n    {body}\n}}\n");
+            let findings = lint_source("hotpath-no-panic", "crates/fixed/src/fixed.rs", &bad);
+            assert_eq!(findings.len(), 1, "missed: {body}");
+            assert!(findings[0].message.contains(expected), "{body}");
+        }
+        for clean in [
+            "debug_assert!(x > 0.0);",
+            "debug_assert_eq!(x, 1.0);",
+            "debug_assert_ne!(x, 0.0);",
+            "let asserted = x;",
+        ] {
+            let src = format!("pub fn serve(x: f32) {{\n    {clean}\n}}\n");
+            assert!(
+                lint_source("hotpath-no-panic", "crates/core/src/backend/mod.rs", &src).is_empty(),
+                "false positive on: {clean}"
+            );
+        }
+        let in_test = "#[cfg(test)]\nmod tests {\n    fn t(x: f32) { assert!(x > 0.0); }\n}\n";
+        assert!(
+            lint_source("hotpath-no-panic", "crates/core/src/serve/mod.rs", in_test).is_empty()
+        );
     }
 
     #[test]

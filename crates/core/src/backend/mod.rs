@@ -12,7 +12,8 @@
 //!    its vectorised twin [`SimdBackend`], which runs the same exact arithmetic
 //!    through runtime-dispatched AVX2 kernels), the per-column sorted key matrix for
 //!    [`ApproximateBackend`], and the quantized key/value matrices plus the pipeline
-//!    formats and exponent lookup tables for [`QuantizedBackend`].
+//!    formats for [`QuantizedBackend`] (whose exponent lookup tables are built once
+//!    per format and shared by every memory).
 //! 2. [`ComputeBackend::attend_prepared`] / [`ComputeBackend::attend_batch_prepared`]
 //!    serve queries against the prepared memory. The results are **bit-identical** to
 //!    the one-shot [`ComputeBackend::attend`]; preparation is a pure wall-clock
@@ -72,9 +73,9 @@ pub enum PreparedState {
     Exact,
     /// Per-column sorted key matrix (Figure 7/8) for greedy candidate selection.
     Sorted(SortedKeyColumns),
-    /// Quantized key/value matrices, per-stage formats and exponent LUTs for the
-    /// fixed-point base pipeline (boxed: the prepared pipeline state is much
-    /// larger than the other variants).
+    /// Quantized key/value matrices and per-stage formats for the fixed-point
+    /// base pipeline, with a handle on the shared exponent LUTs (boxed: the
+    /// prepared pipeline state is much larger than the other variants).
     Quantized(Box<QuantizedMemory>),
 }
 
@@ -208,53 +209,87 @@ fn validate_memory(keys: &Matrix, values: &Matrix) -> Result<(), AttentionError>
     Ok(())
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Lane seeds of the fingerprint mix (hexadecimal digits of pi).
+const SEED_A: u64 = 0x243f_6a88_85a3_08d3;
+const SEED_B: u64 = 0x1319_8a2e_0370_7344;
+const SEED_C: u64 = 0xa409_3822_299f_31d0;
+const SEED_D: u64 = 0x082e_fa98_ec4e_6c89;
+/// Odd multipliers of the fingerprint mix (digits of e, and the golden ratio).
+const MUL_A: u64 = 0xb7e1_5162_8aed_2a6b;
+const MUL_B: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// FNV-1a hash of the memory shape (the non-row-local fingerprint component).
-fn shape_hash(rows: usize, dim: usize) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for word in [rows as u64, dim as u64] {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    }
-    hash
+/// The 128-bit product of `a` and `b` folded to 64 bits (high half xor low
+/// half). Unlike a wrapping multiply, where a bit only reaches the bits above
+/// it, every input bit reaches every output bit.
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product as u64) ^ ((product >> 64) as u64)
 }
 
-/// FNV-1a hash of one memory row: its index plus the bit patterns of its key
-/// and value elements.
-fn row_hash(row: usize, key: &[f32], value: &[f32]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
+/// The murmur3 64-bit finalizer: a bijection in which every input bit flips
+/// each output bit with probability close to one half.
+fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// Hash of the memory shape (the non-row-local fingerprint component).
+fn shape_hash(rows: usize, dim: usize) -> u64 {
+    let h = folded_multiply(rows as u64 ^ SEED_A, MUL_A);
+    avalanche(folded_multiply(h ^ dim as u64, MUL_B))
+}
+
+/// Absorbs `xs` into four independent multiply chains, one 64-bit word (two
+/// elements' bit patterns) per chain per step, so the chains' multiplies
+/// overlap. A tail shorter than eight elements enters chain `a` one element
+/// per word.
+fn absorb([mut a, mut b, mut c, mut d]: [u64; 4], xs: &[f32]) -> [u64; 4] {
+    let word = |lo: f32, hi: f32| u64::from(lo.to_bits()) | (u64::from(hi.to_bits()) << 32);
+    let mut chunks = xs.chunks_exact(8);
+    for chunk in &mut chunks {
+        if let [x0, x1, x2, x3, x4, x5, x6, x7] = *chunk {
+            a = folded_multiply(a ^ word(x0, x1), MUL_A);
+            b = folded_multiply(b ^ word(x2, x3), MUL_B);
+            c = folded_multiply(c ^ word(x4, x5), MUL_A);
+            d = folded_multiply(d ^ word(x6, x7), MUL_B);
         }
-    };
-    mix(row as u64);
-    for &x in key {
-        mix(u64::from(x.to_bits()));
     }
-    for &x in value {
-        mix(u64::from(x.to_bits()));
+    for &x in chunks.remainder() {
+        a = folded_multiply(a ^ u64::from(x.to_bits()), MUL_A);
     }
-    hash
+    [a, b, c, d]
+}
+
+/// Hash of one memory row: its index plus the bit patterns of its key and
+/// value elements, mixed a word at a time and finished with a full
+/// avalanche. The row index seeds a chain, so equal rows at different
+/// positions hash apart.
+fn row_hash(row: usize, key: &[f32], value: &[f32]) -> u64 {
+    let seeds = [SEED_A ^ row as u64, SEED_B, SEED_C, SEED_D];
+    let [a, b, c, d] = absorb(absorb(seeds, key), value);
+    let h = folded_multiply(a ^ b, MUL_A);
+    let h = folded_multiply(h ^ c, MUL_B);
+    avalanche(folded_multiply(h ^ d, MUL_A))
 }
 
 /// Fingerprint of a (keys, values) memory: shape plus every element's bit
 /// pattern. Used as the [`MemoryCache`] identity, so a mutated memory (any
 /// element changed) produces a different fingerprint and therefore a cache
-/// miss.
+/// miss. The cache serves a hit on fingerprint equality alone, so every bit of
+/// every element reaches every bit of its row's hash.
 ///
-/// The fingerprint is a **commutative sum of per-row FNV-1a hashes** (each
-/// covering the row index and the row's key/value bits) plus a shape hash.
-/// The structure makes it *deltable*: [`fingerprint_append`] and
-/// [`fingerprint_update`] advance a fingerprint across a streaming mutation in
-/// `O(delta * d)` — touching only the changed rows — and produce exactly the
-/// value this function computes over the mutated matrices, which is what lets
-/// the serving layer turn an append into a cache *update* instead of a miss.
+/// The fingerprint is a **commutative sum of per-row hashes** (each covering
+/// the row index and the row's key/value bits, mixed a 64-bit word at a time
+/// and finished with a full avalanche) plus a shape hash. The structure makes
+/// it *deltable*: [`fingerprint_append`] and [`fingerprint_update`] advance a
+/// fingerprint across a streaming mutation in `O(delta * d)` — touching only
+/// the changed rows — and produce exactly the value this function computes
+/// over the mutated matrices, which is what lets the serving layer turn an
+/// append into a cache *update* instead of a miss. Fingerprints are
+/// in-process cache keys only; nothing persists them.
 pub fn memory_fingerprint(keys: &Matrix, values: &Matrix) -> u64 {
     let mut fp = shape_hash(keys.rows(), keys.dim());
     for (row, (key, value)) in keys.iter_rows().zip(values.iter_rows()).enumerate() {
@@ -903,9 +938,10 @@ impl ComputeBackend for ApproximateBackend {
 
 /// The fixed-point/LUT base-pipeline datapath (paper Sections III-A/III-B), served as
 /// a first-class backend: preparation quantizes the key and value matrices once and
-/// builds the per-stage formats and exponent lookup tables, so per-query work is pure
-/// fixed-point arithmetic — exactly the split the hardware realises with its on-chip
-/// quantized SRAM copies.
+/// derives the per-stage formats, so per-query work is pure fixed-point arithmetic —
+/// exactly the split the hardware realises with its on-chip quantized SRAM copies.
+/// The exponent lookup tables belong to the exponent module, as in the hardware:
+/// each format's tables are built once per process and shared by every memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuantizedBackend {
     input_format: QFormat,
@@ -1198,6 +1234,49 @@ mod tests {
         mutated.row_mut(3)[1] += 0.25;
         assert_ne!(base, memory_fingerprint(&mutated, &values));
         assert_eq!(base, memory_fingerprint(&keys, &values));
+    }
+
+    #[test]
+    fn near_duplicate_memories_fingerprint_apart() {
+        // Keys and values differ, and the probed element is non-zero.
+        let keys =
+            Matrix::from_flat((0..32).map(|i| i as f32 * 0.25 - 3.0).collect(), 8, 4).unwrap();
+        let values =
+            Matrix::from_flat((0..32).map(|i| 2.0 - i as f32 * 0.125).collect(), 8, 4).unwrap();
+        let edited = |edit: &dyn Fn(&mut Matrix)| {
+            let mut k = keys.clone();
+            edit(&mut k);
+            memory_fingerprint(&k, &values)
+        };
+        let swapped_rows = {
+            let (mut k, mut v) = (keys.clone(), values.clone());
+            k.row_mut(2).copy_from_slice(keys.row(5));
+            k.row_mut(5).copy_from_slice(keys.row(2));
+            v.row_mut(2).copy_from_slice(values.row(5));
+            v.row_mut(5).copy_from_slice(values.row(2));
+            memory_fingerprint(&k, &v)
+        };
+        let reshape = |m: &Matrix| Matrix::from_flat(m.as_slice().to_vec(), 4, 8).unwrap();
+        let fingerprints = [
+            ("original", memory_fingerprint(&keys, &values)),
+            ("sign flipped", edited(&|k| k.row_mut(3)[1] = -k.row(3)[1])),
+            ("+0.0", edited(&|k| k.row_mut(4)[2] = 0.0)),
+            ("-0.0", edited(&|k| k.row_mut(4)[2] = -0.0)),
+            ("rows swapped", swapped_rows),
+            (
+                "keys and values swapped",
+                memory_fingerprint(&values, &keys),
+            ),
+            (
+                "reshaped 4x8",
+                memory_fingerprint(&reshape(&keys), &reshape(&values)),
+            ),
+        ];
+        for (i, (name_a, a)) in fingerprints.iter().enumerate() {
+            for (name_b, b) in fingerprints.iter().skip(i + 1) {
+                assert_ne!(a, b, "{name_a} and {name_b} share a fingerprint");
+            }
+        }
     }
 
     #[test]

@@ -57,31 +57,43 @@
 //! queries, `attend_batch_prepared`, the sharded log-sum-exp merge and the
 //! serving scheduler's flush path — inherits the choice through
 //! [`QuantizedMemory::attend`](crate::quantized::QuantizedMemory::attend).
+//!
+//! # Lane quantization
+//!
+//! Keys, values, appended and updated rows and every query are quantized
+//! straight from their `f32` rows into `i16`/`i32` lanes, eight elements per
+//! step, bit-identical to [`Fixed::quantize_slice`](a3_fixed::Fixed::quantize_slice).
+//! See `LaneQuantizer` for the exactness argument.
 
 use std::fmt;
+use std::sync::Arc;
 
-use a3_fixed::{ceil_log2, ExpLutTables, Fixed, PipelineFormats, QFormat};
+use a3_fixed::{ceil_log2, ExpLutTables, PipelineFormats, QFormat};
 
 use super::simd::SimdLevel;
 use crate::attention::AttentionResult;
 
-/// Prepared vector state for one quantized memory: operands re-packed into
-/// lane-width integer layouts plus every shift amount and clamp bound the
-/// kernels need, all resolved once at prepare time.
+/// Prepared vector state for one quantized memory: operands quantized into
+/// lane-width integer layouts, a handle on the shared exponent tables, and
+/// every shift amount and clamp bound the kernels need, all resolved once at
+/// prepare time.
 ///
 /// Constructed only through [`QuantizedSimdPipeline::prepare`], which performs
 /// the runtime AVX2 dispatch and validates the lane-width eligibility gates;
 /// an instance existing is the proof that the kernels' preconditions hold.
 #[derive(Clone)]
 pub struct QuantizedSimdPipeline {
-    /// Quantized key matrix, row-major `n x d`, raws narrowed to `i16` lanes.
+    /// Quantized key matrix, row-major `n x d`, raws in `i16` lanes.
     keys: Vec<i16>,
-    /// Quantized value matrix, row-major `n x d`, raws widened to `i32` lanes.
+    /// Quantized value matrix, row-major `n x d`, raws in `i32` lanes.
     values: Vec<i32>,
-    /// Materialized exponent tables narrowed to `i32` gather lanes; the upper
-    /// table keeps its sentinel entry for the most negative input.
-    lut_upper: Vec<i32>,
-    lut_lower: Vec<i32>,
+    /// The process-wide materialized exponent tables for this memory's
+    /// configuration, gathered from in place. `prepare` pinned their lengths
+    /// to the shifted-dot format; the upper table keeps its sentinel entry
+    /// for the most negative input.
+    tables: Arc<ExpLutTables>,
+    /// The input quantizer in `f32` lanes (its existence proves AVX2).
+    quantizer: LaneQuantizer,
     /// Low-order magnitude bits indexing the lower table.
     lower_bits: u32,
     /// Rounding shift applied to each upper-times-lower entry product.
@@ -108,16 +120,14 @@ impl QuantizedSimdPipeline {
     /// ([`formats_eligible`]); `None` otherwise, and the caller uses the
     /// scalar pipeline. `keys` and `values` are row-major `n x d`; `tables`
     /// are the materialized two-half exponent tables for the shifted-dot
-    /// format.
+    /// format, shared with every other memory of the same configuration.
     pub(crate) fn prepare(
         formats: &PipelineFormats,
-        tables: &ExpLutTables,
+        tables: &Arc<ExpLutTables>,
         keys: &[f32],
         values: &[f32],
     ) -> Option<Self> {
-        if SimdLevel::detect() != SimdLevel::Avx2 {
-            return None;
-        }
+        let quantizer = LaneQuantizer::new(formats.input())?;
         if !formats_eligible(formats) {
             return None;
         }
@@ -134,30 +144,31 @@ impl QuantizedSimdPipeline {
             return None;
         }
         let upper_bits = shifted_total - lower_bits;
-        let lut_upper = narrow_entries(tables.upper_entries())?;
-        let lut_lower = narrow_entries(tables.lower_entries())?;
-        if lut_upper.len() != (1usize << upper_bits) + 1
-            || lut_lower.len() != (1usize << lower_bits)
+        if tables.upper_entries().len() != (1usize << upper_bits) + 1
+            || tables.lower_entries().len() != (1usize << lower_bits)
         {
             return None;
         }
         // Entry products must land inside an i32 lane after the 64-bit
         // rounding shift (always true for materialized formats; checked, not
-        // assumed).
-        let max_product = i64::from(*lut_upper.iter().max()?) * i64::from(*lut_lower.iter().max()?);
+        // assumed). Entries are non-negative, so the two maxima bound it.
+        let max_product = tables.upper_range().1 * tables.lower_range().1;
         if (max_product + (1i64 << (round_shift - 1))) >> round_shift > i64::from(i32::MAX) {
             return None;
         }
         debug_assert_eq!(keys.len(), formats.n() * formats.d());
         debug_assert_eq!(values.len(), formats.n() * formats.d());
-        let input = formats.input();
+        let mut keys_q = vec![0; keys.len()];
+        x86::quantize_i16(&quantizer, keys, &mut keys_q);
+        let mut values_q = vec![0; values.len()];
+        x86::quantize_i32(&quantizer, values, &mut values_q);
         let dot = formats.dot_product();
         let weight = formats.weight();
         Some(Self {
-            keys: quantize_i16(keys, input)?,
-            values: quantize_i32(values, input)?,
-            lut_upper,
-            lut_lower,
+            keys: keys_q,
+            values: values_q,
+            tables: Arc::clone(tables),
+            quantizer,
             lower_bits,
             round_shift,
             score_max: i32::try_from(tables.out_max_raw()).ok()?,
@@ -166,7 +177,7 @@ impl QuantizedSimdPipeline {
             weight_min: weight.min_raw(),
             weight_max: weight.max_raw(),
             exp_sum_frac: formats.exp_sum().frac_bits(),
-            input_format: input,
+            input_format: formats.input(),
             dot_res: dot.resolution(),
             weight_res: weight.resolution(),
             out_res: formats.output().resolution(),
@@ -181,12 +192,9 @@ impl QuantizedSimdPipeline {
     /// here): `query.len() == d`.
     pub(crate) fn attend(&self, query: &[f32]) -> AttentionResult {
         debug_assert_eq!(query.len(), self.d);
-        // Quantize the query once, exactly as the scalar pipeline does; the
-        // eligibility gate (input total bits <= 15) guarantees every raw fits
-        // an i16 lane.
-        let q: Vec<i16> = Fixed::quantize_slice(query, self.input_format)
-            .map(|raw| raw as i16)
-            .collect();
+        // Quantize the query once, exactly as the scalar pipeline does.
+        let mut q = vec![0; self.d];
+        x86::quantize_i16(&self.quantizer, query, &mut q);
         x86::attend(self, &q)
     }
 
@@ -194,44 +202,42 @@ impl QuantizedSimdPipeline {
     /// Valid only while the caller's format plan is unchanged — every bound in
     /// this struct depends on the formats and `d`, never on `n` beyond the
     /// count itself — which `QuantizedMemory::append_rows` guarantees via its
-    /// `ceil_log2(n)` gate. Returns `false` (leaving `self` untouched) if any
-    /// raw exceeds its lane width, in which case the caller must fall back to
-    /// a full re-prepare.
-    pub(crate) fn append_rows(&mut self, keys: &[f32], values: &[f32]) -> bool {
+    /// `ceil_log2(n)` gate.
+    pub(crate) fn append_rows(&mut self, keys: &[f32], values: &[f32]) {
         debug_assert_eq!(keys.len(), values.len());
         debug_assert_eq!(keys.len() % self.d.max(1), 0);
-        let (Some(k), Some(v)) = (
-            quantize_i16(keys, self.input_format),
-            quantize_i32(values, self.input_format),
-        ) else {
-            return false;
-        };
-        self.keys.extend_from_slice(&k);
-        self.values.extend_from_slice(&v);
+        let old = self.keys.len();
+        self.keys.resize(old + keys.len(), 0);
+        self.values.resize(old + values.len(), 0);
+        if let (Some(k), Some(v)) = (self.keys.get_mut(old..), self.values.get_mut(old..)) {
+            x86::quantize_i16(&self.quantizer, keys, k);
+            x86::quantize_i32(&self.quantizer, values, v);
+        }
         self.n += keys.len() / self.d.max(1);
-        true
     }
 
     /// Re-quantizes row `row` in place (same validity contract as
     /// [`Self::append_rows`]). Returns `false` without mutating on an
-    /// out-of-bounds row or a lane-width overflow.
+    /// out-of-bounds row.
     pub(crate) fn update_row(&mut self, row: usize, key: &[f32], value: &[f32]) -> bool {
         debug_assert_eq!(key.len(), self.d);
         debug_assert_eq!(value.len(), self.d);
-        let (Some(k), Some(v)) = (
-            quantize_i16(key, self.input_format),
-            quantize_i32(value, self.input_format),
-        ) else {
-            return false;
-        };
         let range = row * self.d..(row + 1) * self.d;
         let (Some(ks), Some(vs)) = (self.keys.get_mut(range.clone()), self.values.get_mut(range))
         else {
             return false;
         };
-        ks.copy_from_slice(&k);
-        vs.copy_from_slice(&v);
+        x86::quantize_i16(&self.quantizer, key, ks);
+        x86::quantize_i32(&self.quantizer, value, vs);
         true
+    }
+}
+
+#[cfg(test)]
+impl QuantizedSimdPipeline {
+    /// The shared exponent tables the gathers read.
+    pub(crate) fn tables(&self) -> &Arc<ExpLutTables> {
+        &self.tables
     }
 }
 
@@ -242,6 +248,60 @@ impl fmt::Debug for QuantizedSimdPipeline {
             .field("n", &self.n)
             .field("d", &self.d)
             .finish_non_exhaustive()
+    }
+}
+
+/// The input quantizer of [`Fixed::quantize_slice`](a3_fixed::Fixed::quantize_slice)
+/// restated for `f32` lanes: scale by `2^f`, zero NaN, clamp to the format's
+/// raw bounds, round half away from zero. An instance exists only on an AVX2
+/// host (its constructor runs the dispatch) and only for formats whose raws
+/// fit an `i16` lane.
+///
+/// # Exactness
+///
+/// The scalar quantizer widens each element to `f64`. The lanes stay in `f32`
+/// and produce the same raw for every input, because the constructor admits
+/// only formats with `t = i + f <= 15` (lane gate 1):
+///
+/// - the scale `2^f` and both bounds `-2^t` and `2^t - 1` are exact `f32`
+///   values;
+/// - scaling an `f32` by a power of two is exact unless it overflows, so the
+///   lane product equals the `f64` one; an overflow to `±inf` clamps to the
+///   same bound the finite `f64` product clamps to;
+/// - NaN lanes are zeroed before the clamp (the min/max instructions would
+///   pass or drop a NaN depending on operand order) and quantize to 0, as in
+///   the scalar path;
+/// - clamping before rounding is exact, because the bounds are integers and
+///   rounding is monotone;
+/// - a clamped value has `|x| <= 2^15`, so its truncation and the fraction
+///   `x - trunc(x)` are exact, and comparing the fraction against `±0.5`
+///   rounds ties away from zero exactly as `f64::round` does.
+#[derive(Clone, Copy)]
+struct LaneQuantizer {
+    scale: f32,
+    min: f32,
+    max: f32,
+}
+
+impl LaneQuantizer {
+    /// `None` unless runtime dispatch selects AVX2 and every raw of `input`
+    /// fits an `i16` lane. The lane-fit check is one comparison per format:
+    /// after the clamp no raw can leave `[min_raw, max_raw]`, so checking the
+    /// two bounds covers every vector (lane gate 1 implies it; checked rather
+    /// than assumed).
+    fn new(input: QFormat) -> Option<Self> {
+        if SimdLevel::detect() != SimdLevel::Avx2 {
+            return None;
+        }
+        let min = i16::try_from(input.min_raw()).ok()?;
+        let max = i16::try_from(input.max_raw()).ok()?;
+        // `f <= t <= 15`, so the scale fits a u16 exactly.
+        let scale = u16::try_from(1u64 << input.frac_bits()).ok()?;
+        Some(Self {
+            scale: f32::from(scale),
+            min: f32::from(min),
+            max: f32::from(max),
+        })
     }
 }
 
@@ -272,50 +332,147 @@ fn formats_eligible(formats: &PipelineFormats) -> bool {
     plan_matches && formats.lanes_eligible()
 }
 
-/// Narrows raw table entries to `i32` gather lanes; `None` if any entry
-/// exceeds the lane width (impossible for materialized configurations, but
-/// checked rather than assumed).
-fn narrow_entries(entries: &[i64]) -> Option<Vec<i32>> {
-    entries.iter().map(|&e| i32::try_from(e).ok()).collect()
-}
-
-/// Quantizes operands into `i16` key lanes; `None` if a raw exceeds the lane
-/// (impossible once gate 1 holds, but checked rather than assumed).
-fn quantize_i16(values: &[f32], input: QFormat) -> Option<Vec<i16>> {
-    Fixed::quantize_slice(values, input)
-        .map(|raw| i16::try_from(raw).ok())
-        .collect()
-}
-
-/// Quantizes operands into `i32` value lanes; `None` if a raw exceeds the lane.
-fn quantize_i32(values: &[f32], input: QFormat) -> Option<Vec<i32>> {
-    Fixed::quantize_slice(values, input)
-        .map(|raw| i32::try_from(raw).ok())
-        .collect()
-}
-
 /// The AVX2 integer kernels. Everything here is reached only through a
-/// [`QuantizedSimdPipeline`], whose `prepare` verified (via
-/// [`SimdLevel::detect`]) that the running CPU supports `avx2` before an
-/// instance could exist.
+/// [`LaneQuantizer`] or a [`QuantizedSimdPipeline`] (which holds one), whose
+/// constructor verified (via [`SimdLevel::detect`]) that the running CPU
+/// supports `avx2` before an instance could exist.
 #[allow(unsafe_code)]
 mod x86 {
     use std::arch::x86_64::{
-        __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_and_si256, _mm256_castsi256_si128,
-        _mm256_extracti128_si256, _mm256_i32gather_epi32, _mm256_loadu_si256, _mm256_madd_epi16,
-        _mm256_min_epi32, _mm256_mul_epu32, _mm256_mullo_epi32, _mm256_or_si256, _mm256_set1_epi32,
-        _mm256_set1_epi64x, _mm256_setzero_si256, _mm256_slli_epi64, _mm256_srl_epi32,
-        _mm256_srl_epi64, _mm256_srli_epi64, _mm256_storeu_si256, _mm256_sub_epi32, _mm_add_epi32,
-        _mm_cvtsi128_si32, _mm_cvtsi32_si128, _mm_srli_si128,
+        __m256, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_and_ps, _mm256_and_si256,
+        _mm256_castps_si256, _mm256_castsi256_si128, _mm256_cmp_ps, _mm256_cvttps_epi32,
+        _mm256_extracti128_si256, _mm256_i32gather_epi32, _mm256_loadu_ps, _mm256_loadu_si256,
+        _mm256_madd_epi16, _mm256_max_ps, _mm256_min_epi32, _mm256_min_ps, _mm256_mul_epu32,
+        _mm256_mul_ps, _mm256_mullo_epi32, _mm256_or_si256, _mm256_round_ps, _mm256_set1_epi32,
+        _mm256_set1_epi64x, _mm256_set1_ps, _mm256_setzero_si256, _mm256_slli_epi64,
+        _mm256_srl_epi32, _mm256_srl_epi64, _mm256_srli_epi64, _mm256_storeu_si256,
+        _mm256_sub_epi32, _mm256_sub_ps, _mm_add_epi32, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
+        _mm_packs_epi32, _mm_srli_si128, _mm_storeu_si128, _CMP_GE_OQ, _CMP_LE_OQ, _CMP_ORD_Q,
+        _MM_FROUND_NO_EXC, _MM_FROUND_TO_ZERO,
     };
 
-    use super::QuantizedSimdPipeline;
+    use super::{LaneQuantizer, QuantizedSimdPipeline};
     use crate::attention::AttentionResult;
 
     /// `i16` lanes per 256-bit vector (module 1).
     const LANES_16: usize = 16;
-    /// `i32` lanes per 256-bit vector (modules 2 and 3).
+    /// `i32` (and `f32`) lanes per 256-bit vector (quantization, modules 2
+    /// and 3).
     const LANES_32: usize = 8;
+
+    /// Quantizes `src` into the `i16` lanes of `dst`, element for element
+    /// over the shorter of the two.
+    pub(super) fn quantize_i16(q: &LaneQuantizer, src: &[f32], dst: &mut [i16]) {
+        // SAFETY: a `LaneQuantizer` only exists when its constructor saw
+        // `SimdLevel::detect() == Avx2`, so the CPU supports `avx2`.
+        unsafe { quantize_i16_avx2(q, src, dst) }
+    }
+
+    /// Quantizes `src` into the `i32` lanes of `dst`, element for element
+    /// over the shorter of the two.
+    pub(super) fn quantize_i32(q: &LaneQuantizer, src: &[f32], dst: &mut [i32]) {
+        // SAFETY: as for `quantize_i16`: the quantizer's existence proves
+        // `avx2`.
+        unsafe { quantize_i32_avx2(q, src, dst) }
+    }
+
+    /// Eight raws from eight `f32` lanes (see [`LaneQuantizer`] for why each
+    /// equals the scalar quantizer's raw). Every result lies in the
+    /// quantizer's `[min, max]`, hence inside an `i16`: NaN lanes are zeroed
+    /// before the clamp, which `_mm256_min_ps`/`_mm256_max_ps` could otherwise
+    /// let a NaN through, and the truncation of a clamped lane converts
+    /// exactly.
+    // SAFETY: callers must ensure `avx2` is available (the `#[target_feature]`
+    // contract). No memory is accessed — lane arithmetic only.
+    #[target_feature(enable = "avx2")]
+    unsafe fn quantize8(q: &LaneQuantizer, x: __m256) -> __m256i {
+        let scaled = _mm256_mul_ps(x, _mm256_set1_ps(q.scale));
+        // An ordered self-compare is all-ones exactly on the non-NaN lanes,
+        // so the mask turns NaN lanes into +0.0 before the clamp sees them.
+        let scaled = _mm256_and_ps(scaled, _mm256_cmp_ps::<_CMP_ORD_Q>(scaled, scaled));
+        let clamped = _mm256_min_ps(
+            _mm256_max_ps(scaled, _mm256_set1_ps(q.min)),
+            _mm256_set1_ps(q.max),
+        );
+        let truncated = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(clamped);
+        let fraction = _mm256_sub_ps(clamped, truncated);
+        // True compare lanes are all-ones, i.e. -1 as an i32: subtracting the
+        // `>= 0.5` mask adds one, adding the `<= -0.5` mask subtracts one.
+        let up = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_GE_OQ>(fraction, _mm256_set1_ps(0.5)));
+        let down = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LE_OQ>(fraction, _mm256_set1_ps(-0.5)));
+        _mm256_add_epi32(_mm256_sub_epi32(_mm256_cvttps_epi32(truncated), up), down)
+    }
+
+    /// The raws of the last `len < 8` elements at `src`, through the same
+    /// lane arithmetic (the unused lanes quantize zero padding).
+    // SAFETY: callers must ensure `avx2` is available (the `#[target_feature]`
+    // contract) and that `src` points to at least `len <= 8` valid `f32`s;
+    // exactly `len` are copied into a local buffer.
+    #[target_feature(enable = "avx2")]
+    unsafe fn quantize_tail(q: &LaneQuantizer, src: *const f32, len: usize) -> [i32; LANES_32] {
+        debug_assert!(len <= LANES_32);
+        let mut buf = [0.0f32; LANES_32];
+        std::ptr::copy_nonoverlapping(src, buf.as_mut_ptr(), len.min(LANES_32));
+        let mut raws = [0i32; LANES_32];
+        _mm256_storeu_si256(
+            raws.as_mut_ptr().cast(),
+            quantize8(q, _mm256_loadu_ps(buf.as_ptr())),
+        );
+        raws
+    }
+
+    // SAFETY: callers must ensure `avx2` is available (the `#[target_feature]`
+    // contract). Only the first `len = min(src.len(), dst.len())` elements
+    // are touched: vector loads/stores at `i` with `i + LANES_32 <= len`, the
+    // tail at `i + j` with `j < len - i`. The pack and the `as i16` narrowing
+    // are value-preserving because `quantize8` zeroes NaN lanes before its
+    // clamp, so every raw lies in the quantizer's i16-checked `[min, max]`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn quantize_i16_avx2(q: &LaneQuantizer, src: &[f32], dst: &mut [i16]) {
+        let len = src.len().min(dst.len());
+        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+        let mut i = 0;
+        while i + LANES_32 <= len {
+            let raws = quantize8(q, _mm256_loadu_ps(sp.add(i)));
+            // Saturating pack of the two 128-bit halves, in order; every raw
+            // already fits an i16, so nothing saturates.
+            let packed = _mm_packs_epi32(
+                _mm256_castsi256_si128(raws),
+                _mm256_extracti128_si256::<1>(raws),
+            );
+            _mm_storeu_si128(dp.add(i).cast(), packed);
+            i += LANES_32;
+        }
+        let rest = len - i;
+        for (j, &raw) in quantize_tail(q, sp.add(i), rest)
+            .iter()
+            .take(rest)
+            .enumerate()
+        {
+            *dp.add(i + j) = raw as i16;
+        }
+    }
+
+    // SAFETY: as for `quantize_i16_avx2`, with `i32` destination lanes.
+    #[target_feature(enable = "avx2")]
+    unsafe fn quantize_i32_avx2(q: &LaneQuantizer, src: &[f32], dst: &mut [i32]) {
+        let len = src.len().min(dst.len());
+        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+        let mut i = 0;
+        while i + LANES_32 <= len {
+            let raws = quantize8(q, _mm256_loadu_ps(sp.add(i)));
+            _mm256_storeu_si256(dp.add(i).cast(), raws);
+            i += LANES_32;
+        }
+        let rest = len - i;
+        for (j, &raw) in quantize_tail(q, sp.add(i), rest)
+            .iter()
+            .take(rest)
+            .enumerate()
+        {
+            *dp.add(i + j) = raw;
+        }
+    }
 
     /// One query through the vector pipeline over every row.
     ///
@@ -445,8 +602,8 @@ mod x86 {
     // SAFETY: callers must ensure `avx2` is available (the
     // `#[target_feature]` contract) and `scores.len() == dots.len()`. Loads
     // and stores are at `i` with `i + LANES_32 <= len` (vector) or `i < len`
-    // (scalar). Gather indices stay in bounds: `prepare` pinned
-    // `lut_lower.len() == 2^lower_bits` and `lut_upper.len() ==
+    // (scalar). Gather indices stay in bounds: `prepare` pinned the shared
+    // (immutable) tables to `lower.len() == 2^lower_bits` and `upper.len() ==
     // 2^(shifted_total - lower_bits) + 1`, and every magnitude
     // `max_dot - dot <= dot_max - dot_min = 2^shifted_total - 1`, so the
     // masked lower index is `< 2^lower_bits` and the shifted upper index is
@@ -462,8 +619,8 @@ mod x86 {
         let len = dots.len();
         let dp = dots.as_ptr();
         let sp = scores.as_mut_ptr();
-        let upper = p.lut_upper.as_ptr();
-        let lower = p.lut_lower.as_ptr();
+        let upper = p.tables.upper_entries().as_ptr();
+        let lower = p.tables.lower_entries().as_ptr();
 
         let maxv = _mm256_set1_epi32(max_dot);
         let lower_mask = _mm256_set1_epi32(((1u32 << p.lower_bits) - 1) as i32);
@@ -553,7 +710,7 @@ mod tests {
     use crate::backend::simd::FORCE_SCALAR_ENV;
     use crate::quantized::QuantizedMemory;
     use crate::Matrix;
-    use a3_fixed::paper_input_format;
+    use a3_fixed::{paper_input_format, Fixed};
 
     fn case(n: usize, d: usize, seed: u64) -> (Matrix, Matrix, Vec<f32>) {
         let value = |i: usize, j: usize, salt: u64| -> f32 {
@@ -620,6 +777,95 @@ mod tests {
                 "{format} ({n}, {d})"
             );
         }
+    }
+
+    /// Inputs for the lane-quantizer differential test: 2^20 f32 bit patterns
+    /// spread over the whole bit space, the specials, and every exact
+    /// `±0.5`-LSB tie of `format` across its range (plus a margin) with its
+    /// two float neighbours.
+    fn lane_probe_values(format: QFormat) -> Vec<f32> {
+        let mut values: Vec<f32> = (0u32..1 << 20)
+            .map(|i| f32::from_bits(i.wrapping_mul(0x9E37_79B1)))
+            .collect();
+        values.extend([
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7FA0_0001), // signalling NaN
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x007F_FFFF),
+            -f32::from_bits(0x007F_FFFF),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+        ]);
+        let lsb = format.resolution() as f32;
+        let span = 1i32 << format.total_bits();
+        for k in -span - 4..span + 4 {
+            let tie = (k as f32 + 0.5) * lsb;
+            let bits = tie.to_bits();
+            values.extend([tie, f32::from_bits(bits + 1), f32::from_bits(bits - 1)]);
+        }
+        values
+    }
+
+    #[test]
+    fn lane_quantizer_matches_the_scalar_quantizer_on_every_grid_format() {
+        let _guard = ENV_LOCK.lock().unwrap();
+        if SimdLevel::detect() != SimdLevel::Avx2 {
+            eprintln!("skipping: host has no AVX2");
+            return;
+        }
+        for i in PipelineFormats::GRID_INT_BITS {
+            for f in PipelineFormats::GRID_FRAC_BITS {
+                let format = QFormat::new(i, f);
+                let Some(quantizer) = LaneQuantizer::new(format) else {
+                    // Only formats whose raws overflow an i16 lane decline.
+                    assert!(format.total_bits() > 15, "{format} declined");
+                    continue;
+                };
+                let values = lane_probe_values(format);
+                let expected: Vec<i64> = Fixed::quantize_slice(&values, format).collect();
+                let mut narrow = vec![0i16; values.len()];
+                x86::quantize_i16(&quantizer, &values, &mut narrow);
+                let mut wide = vec![0i32; values.len()];
+                x86::quantize_i32(&quantizer, &values, &mut wide);
+                for (k, &want) in expected.iter().enumerate() {
+                    let x = values[k];
+                    assert_eq!(
+                        i64::from(narrow[k]),
+                        want,
+                        "{format} i16 {x:e} ({:#x})",
+                        x.to_bits()
+                    );
+                    assert_eq!(
+                        i64::from(wide[k]),
+                        want,
+                        "{format} i32 {x:e} ({:#x})",
+                        x.to_bits()
+                    );
+                }
+                // Every tail length, at every offset parity.
+                for len in 0..=17 {
+                    let src = &values[values.len() - 3 * len..][..len];
+                    let mut narrow = vec![i16::MAX; len + 1];
+                    x86::quantize_i16(&quantizer, src, &mut narrow[..len]);
+                    let want: Vec<i64> = Fixed::quantize_slice(src, format).collect();
+                    let got: Vec<i64> = narrow[..len].iter().map(|&r| i64::from(r)).collect();
+                    assert_eq!(got, want, "{format} tail {len}");
+                    assert_eq!(
+                        narrow[len],
+                        i16::MAX,
+                        "{format} tail {len} wrote past the end"
+                    );
+                }
+            }
+        }
+        assert!(LaneQuantizer::new(QFormat::new(8, 8)).is_none());
     }
 
     #[test]

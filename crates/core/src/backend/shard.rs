@@ -462,15 +462,17 @@ impl ShardedMemory {
 /// each shard with `cₛ = Zₛ·e^{maxₛ−M}/Z`: `wᵢ′ = wᵢ·cₛ` and `o = Σₛ cₛ·oₛ`. All
 /// reductions run in `f64`, so no shard's scores are ever exponentiated without a
 /// max subtraction.
+///
+/// # Panics
+///
+/// Panics unless `partials` holds exactly one result per shard of `memory`,
+/// in shard order.
 pub fn merge_partial_softmax(
     memory: &ShardedMemory,
     partials: &[AttentionResult],
 ) -> AttentionResult {
-    assert_eq!(
-        memory.shard_count(),
-        partials.len(),
-        "one partial result per shard is required"
-    );
+    let shards = memory.shard_count();
+    assert_eq!(shards, partials.len(), "one partial result per shard");
     // Per-shard statistics the merge unit receives alongside each partial output.
     let stats: Vec<(f64, f64)> = partials
         .iter()

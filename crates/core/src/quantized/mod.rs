@@ -8,12 +8,15 @@
 //! from real silicon is that we do not model clock cycles here — that is `a3-sim`'s job.
 //!
 //! The computation is split into the same two phases the hardware has:
-//! [`QuantizedMemory::prepare`] quantizes the key/value matrices, materializes the
-//! exponent lookup tables and derives the per-stage formats (the state the accelerator
-//! keeps in its on-chip SRAMs, loaded once per memory), and
-//! [`QuantizedMemory::attend`] runs the pure fixed-point per-query pipeline against
-//! that prepared state. [`QuantizedBackend`](crate::backend::QuantizedBackend) serves
-//! both phases through the [`ComputeBackend`](crate::backend::ComputeBackend) API.
+//! [`QuantizedMemory::prepare`] quantizes the key/value matrices and derives the
+//! per-stage formats (the key/value SRAM contents the accelerator loads once per
+//! memory), and [`QuantizedMemory::attend`] runs the pure fixed-point per-query
+//! pipeline against that prepared state. The exponent lookup tables belong to the
+//! exponent module, not to a memory: they depend only on the [`ExpLutConfig`]
+//! (the shifted-dot and score formats), so each configuration is materialized
+//! once per process and every memory prepared with it shares the one copy.
+//! [`QuantizedBackend`](crate::backend::QuantizedBackend) serves both phases
+//! through the [`ComputeBackend`](crate::backend::ComputeBackend) API.
 //!
 //! All format checking happens at prepare time and at the attend call boundary.
 //! A prepared memory carries exactly one per-query datapath, chosen at prepare
@@ -26,7 +29,9 @@
 //! hashes in `crates/core/tests/quantized_golden.rs` and the property suite in
 //! `crates/core/tests/properties.rs` assert.
 
-use a3_fixed::{ExpLut, ExpLutTables, Fixed, PipelineFormats, QFormat};
+use std::sync::{Arc, Mutex, PoisonError};
+
+use a3_fixed::{ExpLut, ExpLutConfig, ExpLutTables, Fixed, PipelineFormats, QFormat};
 
 use crate::attention::AttentionResult;
 #[cfg(target_arch = "x86_64")]
@@ -34,8 +39,8 @@ use crate::backend::quantized_simd::QuantizedSimdPipeline;
 use crate::{AttentionError, Matrix};
 
 /// A key/value memory quantized for the fixed-point base pipeline: the per-stage
-/// formats, the exponent lookup tables, and the key/value matrices already converted
-/// to the input fixed-point format.
+/// formats, a handle on the shared exponent lookup tables, and the key/value
+/// matrices already converted to the input fixed-point format.
 ///
 /// This is the quantized backend's query-independent preprocessing product — the
 /// software analogue of the accelerator's quantized key/value SRAM contents.
@@ -62,11 +67,14 @@ enum Datapath {
 /// `i64` values and never constructs, compares or validates a format tag.
 #[derive(Clone)]
 struct DynamicPipeline {
+    /// Quantized key matrix, row-major `n x d` raws.
     keys_q: Vec<i64>,
+    /// Quantized value matrix, row-major `n x d` raws.
     values_q: Vec<i64>,
-    /// Materialized two-half tables; `None` only for input formats too wide to
-    /// expand, where the (bit-identical) lazy evaluation is used instead.
-    tables: Option<ExpLutTables>,
+    /// The process-wide materialized two-half tables for this memory's
+    /// [`ExpLutConfig`]; `None` only for input formats too wide to expand,
+    /// where the (bit-identical) lazy evaluation is used instead.
+    tables: Option<Arc<ExpLutTables>>,
     dot_min: i64,
     dot_max: i64,
     shifted_min: i64,
@@ -187,8 +195,21 @@ impl QuantizedMemory {
         }
     }
 
-    /// Number of element-level preprocessing operations performed: one quantization
-    /// per key and value element plus the exponent-table fill.
+    /// The shared exponent tables this memory's datapath evaluates against.
+    #[cfg(test)]
+    fn shared_tables(&self) -> Option<&Arc<ExpLutTables>> {
+        match &self.datapath {
+            #[cfg(target_arch = "x86_64")]
+            Datapath::Vector(vector) => Some(vector.tables()),
+            Datapath::Scalar(scalar) => scalar.tables.as_ref(),
+        }
+    }
+
+    /// Number of element-level preprocessing operations the accelerator performs:
+    /// one quantization per key and value element plus the exponent-table fill.
+    /// The host builds each table configuration only once per process, but the
+    /// fill stays charged per memory so the simulator's preprocessing cycles
+    /// keep modelling a unit that loads its tables with every memory.
     pub fn preprocess_ops(&self) -> u64 {
         let (lo, hi) = self.exp_lut.table_entries();
         (2 * self.n() * self.d()) as u64 + lo + hi
@@ -230,8 +251,7 @@ impl QuantizedMemory {
     /// exactly what a fresh prepare would build, and at a boundary the caller
     /// must re-prepare from scratch so the format plan (and with it the
     /// datapath choice and the range-proof saturation certificate) stays
-    /// honest. Also `Ok(None)` if the vector datapath declines to narrow the
-    /// new raws into its lanes.
+    /// honest.
     ///
     /// # Errors
     ///
@@ -266,18 +286,12 @@ impl QuantizedMemory {
             return Ok(None);
         }
         let input = self.input_format();
-        let appended = match &mut self.datapath {
+        match &mut self.datapath {
             #[cfg(target_arch = "x86_64")]
             Datapath::Vector(vector) => {
-                vector.append_rows(new_keys.as_slice(), new_values.as_slice())
+                vector.append_rows(new_keys.as_slice(), new_values.as_slice());
             }
-            Datapath::Scalar(scalar) => {
-                scalar.append_rows(input, new_keys, new_values);
-                true
-            }
-        };
-        if !appended {
-            return Ok(None);
+            Datapath::Scalar(scalar) => scalar.append_rows(input, new_keys, new_values),
         }
         self.formats = PipelineFormats::new(input, new_n, d);
         Ok(Some((2 * delta * d) as u64))
@@ -324,6 +338,27 @@ impl QuantizedMemory {
     }
 }
 
+/// Every exponent-table configuration materialized so far in this process,
+/// with the one shared copy of its tables. A linear scan suffices: there is
+/// one entry per (input format, `ceil_log2(d)`) pair the process has prepared.
+static SHARED_TABLES: Mutex<Vec<(ExpLutConfig, Arc<ExpLutTables>)>> = Mutex::new(Vec::new());
+
+/// The materialized tables for `exp_lut`'s configuration, built on first use
+/// and shared by every memory prepared with that configuration afterwards;
+/// `None` where [`ExpLut::materialize`] declines (the lazy path serves those).
+fn shared_tables(exp_lut: &ExpLut) -> Option<Arc<ExpLutTables>> {
+    let config = *exp_lut.config();
+    // A poisoned lock only means another thread panicked mid-scan or mid-push;
+    // every entry it left is a complete, immutable materialization.
+    let mut memo = SHARED_TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((_, tables)) = memo.iter().find(|(c, _)| *c == config) {
+        return Some(Arc::clone(tables));
+    }
+    let tables = Arc::new(exp_lut.materialize()?);
+    memo.push((config, Arc::clone(&tables)));
+    Some(tables)
+}
+
 impl Datapath {
     /// Builds the vector datapath when `allow_vector` is set and its
     /// prepare-time dispatch accepts the host, the format plan and the
@@ -335,7 +370,7 @@ impl Datapath {
         values: &Matrix,
         allow_vector: bool,
     ) -> Self {
-        let tables = exp_lut.materialize();
+        let tables = shared_tables(exp_lut);
         #[cfg(target_arch = "x86_64")]
         if allow_vector {
             let vector = tables.as_ref().and_then(|tables| {
@@ -356,7 +391,7 @@ impl DynamicPipeline {
     /// per-query loop needs from the derived stage formats.
     fn prepare(
         formats: &PipelineFormats,
-        tables: Option<ExpLutTables>,
+        tables: Option<Arc<ExpLutTables>>,
         keys: &Matrix,
         values: &Matrix,
     ) -> Self {
@@ -594,6 +629,45 @@ mod tests {
         let coarse = err(QFormat::new(4, 2));
         let fine = err(QFormat::new(4, 8));
         assert!(fine <= coarse + 1e-6, "fine {fine} vs coarse {coarse}");
+    }
+
+    #[test]
+    fn memories_of_one_configuration_share_one_table_allocation() {
+        use crate::backend::{ComputeBackend, QuantizedBackend};
+
+        // Same input format and `ceil_log2(d)`, different `n`: one config.
+        let (short_keys, short_values, _) = case(24, 16);
+        let (tall_keys, tall_values, _) = case(300, 16);
+        let (narrow_keys, narrow_values, _) = case(24, 8);
+        let format = paper_input_format();
+        for allow_vector in [true, false] {
+            let prepare = |keys: &Matrix, values: &Matrix| {
+                QuantizedMemory::prepare_inner(format, keys, values, allow_vector).unwrap()
+            };
+            let short = prepare(&short_keys, &short_values);
+            let tall = prepare(&tall_keys, &tall_values);
+            let narrow = prepare(&narrow_keys, &narrow_values);
+            let tables = short.shared_tables().unwrap();
+            assert!(Arc::ptr_eq(tables, tall.shared_tables().unwrap()));
+            assert!(Arc::ptr_eq(tables, short.clone().shared_tables().unwrap()));
+            // A different `ceil_log2(d)` is a different configuration.
+            assert!(!Arc::ptr_eq(tables, narrow.shared_tables().unwrap()));
+        }
+
+        // A copy-on-write clone of a shared prepared memory keeps the tables.
+        let backend = QuantizedBackend::paper();
+        let mut cached = Arc::new(backend.prepare(&short_keys, &short_values).unwrap());
+        let reader = Arc::clone(&cached);
+        let (row_keys, row_values, _) = case(1, 16);
+        let written = Arc::make_mut(&mut cached);
+        backend
+            .append_rows(written, &row_keys, &row_values)
+            .unwrap();
+        let tables = |memory: &crate::backend::PreparedMemory| {
+            Arc::clone(memory.quantized().unwrap().shared_tables().unwrap())
+        };
+        assert!(!Arc::ptr_eq(&cached, &reader));
+        assert!(Arc::ptr_eq(&tables(&cached), &tables(&reader)));
     }
 
     #[test]

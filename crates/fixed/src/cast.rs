@@ -23,10 +23,12 @@ pub(crate) fn raw_to_f64(raw: i64) -> f64 {
     raw as f64
 }
 
-/// A finite, already-rounded and range-clamped `f64` as a raw fixed-point
-/// integer. Callers must have clamped `value` into `[min_raw, max_raw]` of the
-/// target format first; the cast itself is then value-preserving.
-pub(crate) fn clamped_f64_to_raw(value: f64) -> i64 {
+/// An `f64` truncated toward zero to a raw fixed-point integer: exact for
+/// every finite value inside the `i64` range, saturating outside it, and `0`
+/// for NaN (the defined semantics of a float-to-integer `as` cast). One
+/// conversion instruction on x86-64, where `f64::trunc` and `f64::round` are
+/// libm calls on the baseline target.
+pub(crate) fn trunc_f64_to_raw(value: f64) -> i64 {
     value as i64
 }
 
@@ -72,8 +74,17 @@ mod tests {
     #[test]
     fn raw_round_trip_is_exact() {
         for raw in [-(1i64 << 40), -255, -1, 0, 1, 255, (1i64 << 40) - 1] {
-            assert_eq!(clamped_f64_to_raw(raw_to_f64(raw)), raw);
+            assert_eq!(trunc_f64_to_raw(raw_to_f64(raw)), raw);
         }
+    }
+
+    #[test]
+    fn trunc_rounds_toward_zero_and_maps_nan_to_zero() {
+        assert_eq!(trunc_f64_to_raw(2.75), 2);
+        assert_eq!(trunc_f64_to_raw(-2.75), -2);
+        assert_eq!(trunc_f64_to_raw(-0.5), 0);
+        assert_eq!(trunc_f64_to_raw(f64::NAN), 0);
+        assert_eq!(trunc_f64_to_raw(f64::INFINITY), i64::MAX);
     }
 
     #[test]

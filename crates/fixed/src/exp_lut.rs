@@ -253,18 +253,22 @@ impl ExpLut {
         }
         // One sentinel entry past the nominal table: the most negative input
         // (`raw = -2^total`) has magnitude 2^total, whose upper field is 2^upper_bits.
-        let upper: Vec<i64> = (0..=(1usize << self.upper_bits))
-            .map(|index| self.upper_entry_raw(index))
-            .collect();
-        let lower: Vec<i64> = (0..(1usize << self.lower_bits))
-            .map(|index| self.lower_entry_raw(index))
-            .collect();
+        // Every entry lies in `[0, 2^entry_frac]` and the mantissa check above
+        // caps `entry_frac` at 24, so the entries fit `i32` (checked anyway).
+        let upper: Vec<i32> = (0..=(1usize << self.upper_bits))
+            .map(|index| i32::try_from(self.upper_entry_raw(index)).ok())
+            .collect::<Option<_>>()?;
+        let lower: Vec<i32> = (0..(1usize << self.lower_bits))
+            .map(|index| i32::try_from(self.lower_entry_raw(index)).ok())
+            .collect::<Option<_>>()?;
         Some(ExpLutTables {
             lower_bits: self.lower_bits,
             round_shift: 2 * self.entry_format.frac_bits() - self.config.output_format.frac_bits(),
             out_max_raw: self.config.output_format.max_raw(),
             model_upper: 1u64 << self.upper_bits,
             model_lower: 1u64 << self.lower_bits,
+            upper_range: entry_range(&upper),
+            lower_range: entry_range(&lower),
             upper,
             lower,
         })
@@ -336,6 +340,11 @@ impl ExpLut {
 /// one integer multiply, one rounding shift and one clamp — the per-input work of the
 /// hardware's exponent module, bit-identical to [`ExpLut::eval`] on the same
 /// configuration (asserted exhaustively by the crate's tests).
+///
+/// The tables depend only on the [`ExpLutConfig`], never on a memory's rows, so
+/// one materialization can serve every memory prepared with that configuration.
+/// Entries are stored as `i32`, the width both the scalar loop (which widens
+/// each to `i64` before the product) and the vector gathers read.
 #[derive(Debug, Clone)]
 pub struct ExpLutTables {
     lower_bits: u32,
@@ -343,8 +352,10 @@ pub struct ExpLutTables {
     out_max_raw: i64,
     model_upper: u64,
     model_lower: u64,
-    upper: Vec<i64>,
-    lower: Vec<i64>,
+    upper_range: (i64, i64),
+    lower_range: (i64, i64),
+    upper: Vec<i32>,
+    lower: Vec<i32>,
 }
 
 impl ExpLutTables {
@@ -361,8 +372,8 @@ impl ExpLutTables {
         debug_assert!(raw <= 0, "exponent input must be non-positive");
         let magnitude = cast::nonpos_magnitude(raw);
         let lower_mask = (1u64 << self.lower_bits) - 1;
-        let lo = self.lower[cast::table_index(magnitude & lower_mask)];
-        let hi = self.upper[cast::table_index(magnitude >> self.lower_bits)];
+        let lo = i64::from(self.lower[cast::table_index(magnitude & lower_mask)]);
+        let hi = i64::from(self.upper[cast::table_index(magnitude >> self.lower_bits)]);
         let product = hi * lo;
         let rounded = if self.round_shift == 0 {
             product
@@ -394,13 +405,13 @@ impl ExpLutTables {
     /// The raw upper-table entries in index order, including the sentinel entry
     /// for the most negative representable input (lane-friendly: a gather over
     /// `magnitude >> lower_bits` reads exactly this layout).
-    pub fn upper_entries(&self) -> &[i64] {
+    pub fn upper_entries(&self) -> &[i32] {
         &self.upper
     }
 
     /// The raw lower-table entries in index order (lane-friendly: a gather over
     /// `magnitude & (2^lower_bits - 1)` reads exactly this layout).
-    pub fn lower_entries(&self) -> &[i64] {
+    pub fn lower_entries(&self) -> &[i32] {
         &self.lower
     }
 
@@ -411,7 +422,7 @@ impl ExpLutTables {
         (self.model_upper, self.model_lower)
     }
 
-    /// Physical number of i64 entries held in memory by this materialization.
+    /// Physical number of `i32` entries held in memory by this materialization.
     pub fn physical_entries(&self) -> u64 {
         cast::len_as_u64(self.upper.len()) + cast::len_as_u64(self.lower.len())
     }
@@ -420,21 +431,21 @@ impl ExpLutTables {
     /// Range-prover metadata: lets the interval domain bound a table lookup by
     /// the table's actual contents instead of its declared entry format.
     pub fn upper_range(&self) -> (i64, i64) {
-        entry_range(&self.upper)
+        self.upper_range
     }
 
     /// `(min, max)` over the raw lower-table entries.
     pub fn lower_range(&self) -> (i64, i64) {
-        entry_range(&self.lower)
+        self.lower_range
     }
 }
 
 /// `(min, max)` of a non-empty entry table (`(0, 0)` for an empty one, which
 /// materialization never produces).
-fn entry_range(entries: &[i64]) -> (i64, i64) {
+fn entry_range(entries: &[i32]) -> (i64, i64) {
     let min = entries.iter().copied().min().unwrap_or(0);
     let max = entries.iter().copied().max().unwrap_or(0);
-    (min, max)
+    (i64::from(min), i64::from(max))
 }
 
 #[cfg(test)]
@@ -606,8 +617,8 @@ mod tests {
         for raw in (input.min_raw()..=0).step_by(97) {
             let magnitude = raw.unsigned_abs();
             let mask = (1u64 << tables.lower_bits()) - 1;
-            let lo = tables.lower_entries()[(magnitude & mask) as usize];
-            let hi = tables.upper_entries()[(magnitude >> tables.lower_bits()) as usize];
+            let lo = i64::from(tables.lower_entries()[(magnitude & mask) as usize]);
+            let hi = i64::from(tables.upper_entries()[(magnitude >> tables.lower_bits()) as usize]);
             let product = hi * lo;
             let rounded = if tables.round_shift() == 0 {
                 product

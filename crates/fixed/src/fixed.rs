@@ -51,8 +51,9 @@ impl Fixed {
         }
     }
 
-    /// Quantizes a floating-point value to the given format using round-to-nearest and
-    /// saturation, which matches the behaviour of the quantizer in front of the A3 SRAM.
+    /// Quantizes a floating-point value to the given format using round-to-nearest
+    /// (ties away from zero) and saturation, which matches the behaviour of the
+    /// quantizer in front of the A3 SRAM. NaN quantizes to zero.
     pub fn quantize(value: f64, format: QFormat) -> Self {
         Self {
             raw: Quantizer::new(format).raw(value),
@@ -96,10 +97,8 @@ impl Fixed {
     ///
     /// Panics if `raw` is outside the representable raw range of `format`.
     pub fn from_raw(raw: i64, format: QFormat) -> Self {
-        assert!(
-            raw >= format.min_raw() && raw <= format.max_raw(),
-            "raw value {raw} outside the range of {format}"
-        );
+        let in_range = (format.min_raw()..=format.max_raw()).contains(&raw);
+        assert!(in_range, "raw value {raw} outside the range of {format}");
         Self { raw, format }
     }
 
@@ -149,15 +148,11 @@ impl Fixed {
     /// Panics if `target` has fewer fraction bits than the current format or cannot hold
     /// the value.
     pub fn extend_to(&self, target: QFormat) -> Self {
-        assert!(
-            target.frac_bits() >= self.format.frac_bits(),
-            "cannot extend {} to {} (fraction bits would be dropped)",
-            self.format,
-            target
-        );
-        let shift = target.frac_bits() - self.format.frac_bits();
-        let raw = self.raw << shift;
-        Self::from_raw(raw, target)
+        let source = self.format;
+        let Some(shift) = target.frac_bits().checked_sub(source.frac_bits()) else {
+            panic!("cannot extend {source} to {target} (fraction bits would be dropped)");
+        };
+        Self::from_raw(self.raw << shift, target)
     }
 
     /// Rounds this value to a narrower format (round-to-nearest-even on the dropped
@@ -201,10 +196,7 @@ impl Fixed {
     ///
     /// Panics if the formats differ; use [`Fixed::checked_add`] for a fallible variant.
     pub fn saturating_add(&self, rhs: Fixed) -> Fixed {
-        assert_eq!(
-            self.format, rhs.format,
-            "fixed-point format mismatch in addition"
-        );
+        same_format(self.format, rhs.format, "addition");
         let sum = self.raw + rhs.raw;
         let raw = sum.clamp(self.format.min_raw(), self.format.max_raw());
         crate::satcount::note_clamp(raw != sum);
@@ -241,10 +233,7 @@ impl Fixed {
     ///
     /// Panics if the formats differ.
     pub fn saturating_sub(&self, rhs: Fixed) -> Fixed {
-        assert_eq!(
-            self.format, rhs.format,
-            "fixed-point format mismatch in subtraction"
-        );
+        same_format(self.format, rhs.format, "subtraction");
         let diff = self.raw - rhs.raw;
         let raw = diff.clamp(self.format.min_raw(), self.format.max_raw());
         crate::satcount::note_clamp(raw != diff);
@@ -268,11 +257,7 @@ impl Fixed {
         let acc_format = element_format.accumulate_format(count_hint.max(1));
         let mut acc = Fixed::zero(acc_format);
         for v in values {
-            assert_eq!(
-                v.format(),
-                element_format,
-                "accumulate: element format mismatch"
-            );
+            same_format(v.format(), element_format, "accumulation");
             let widened = v.extend_to(acc_format);
             acc = acc.saturating_add(widened);
         }
@@ -311,6 +296,12 @@ impl Fixed {
     }
 }
 
+/// Panics unless an operation's two operand formats agree (the documented
+/// `# Panics` contract of the format-checked arithmetic above).
+fn same_format(lhs: QFormat, rhs: QFormat, operation: &str) {
+    assert_eq!(lhs, rhs, "fixed-point format mismatch in {operation}");
+}
+
 impl fmt::Display for Fixed {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} ({})", self.to_f64(), self.format)
@@ -332,27 +323,48 @@ impl PartialOrd for Fixed {
 #[derive(Clone, Copy)]
 struct Quantizer {
     scale: f64,
-    min_raw: f64,
-    max_raw: f64,
+    min_bound: f64,
+    max_bound: f64,
+    min_raw: i64,
+    max_raw: i64,
 }
 
 impl Quantizer {
     fn new(format: QFormat) -> Self {
         Self {
             scale: cast::pow2(cast::bits_as_exp(format.frac_bits())),
-            min_raw: cast::raw_to_f64(format.min_raw()),
-            max_raw: cast::raw_to_f64(format.max_raw()),
+            min_bound: cast::raw_to_f64(format.min_raw()),
+            max_bound: cast::raw_to_f64(format.max_raw()),
+            min_raw: format.min_raw(),
+            max_raw: format.max_raw(),
         }
     }
 
-    /// Round-to-nearest, saturating at the format bounds; NaN maps to zero.
+    /// Round half away from zero, saturating at the format bounds; NaN maps
+    /// to zero. Bit-identical to `clamp(round(value * 2^f))` wherever the
+    /// bounds are exact in `f64` (total bits <= 53), without the libm call
+    /// `f64::round` compiles to on the x86-64 baseline target:
+    ///
+    /// - clamping first is exact, because the bounds are integers and
+    ///   rounding is monotone;
+    /// - the truncation and the fraction it leaves are exact in `f64`, so
+    ///   the `±0.5` comparisons round ties away from zero as `round` does;
+    /// - NaN passes the float clamp unchanged, truncates to 0 and fails
+    ///   both comparisons;
+    /// - the final integer clamp keeps wider formats, whose `max_raw` rounds
+    ///   up to `2^t` in `f64`, inside their own range.
     fn raw(self, value: f64) -> i64 {
-        let scaled = (value * self.scale).round();
-        if scaled.is_nan() {
-            0
+        let clamped = (value * self.scale).clamp(self.min_bound, self.max_bound);
+        let truncated = cast::trunc_f64_to_raw(clamped);
+        let fraction = clamped - cast::raw_to_f64(truncated);
+        let rounded = if fraction >= 0.5 {
+            truncated + 1
+        } else if fraction <= -0.5 {
+            truncated - 1
         } else {
-            cast::clamped_f64_to_raw(scaled.clamp(self.min_raw, self.max_raw))
-        }
+            truncated
+        };
+        rounded.clamp(self.min_raw, self.max_raw)
     }
 }
 
@@ -384,6 +396,101 @@ mod tests {
     fn quantize_nan_is_zero() {
         let x = Fixed::quantize(f64::NAN, q44());
         assert!(x.is_zero());
+    }
+
+    #[test]
+    fn quantize_saturates_inside_formats_wider_than_the_mantissa() {
+        // `max_raw` of these formats is not exact in f64 and rounds up to
+        // 2^t; the quantizer must still return a raw its format can hold.
+        for format in [
+            QFormat::new(40, 20),
+            QFormat::new(30, 30),
+            QFormat::new(50, 10),
+        ] {
+            let high = Fixed::quantize(1e30, format);
+            assert_eq!(high.raw(), format.max_raw(), "{format}");
+            assert_eq!(Fixed::from_raw(high.raw(), format), high);
+            assert_eq!(
+                Fixed::quantize(f64::INFINITY, format).raw(),
+                format.max_raw()
+            );
+            assert_eq!(Fixed::quantize(-1e30, format).raw(), format.min_raw());
+        }
+    }
+
+    /// The quantizer formula this crate used before it stopped calling libm:
+    /// scale, `f64::round`, clamp, NaN to zero.
+    fn round_oracle(value: f64, format: QFormat) -> i64 {
+        let scaled = (value * cast::pow2(cast::bits_as_exp(format.frac_bits()))).round();
+        if scaled.is_nan() {
+            0
+        } else {
+            scaled.clamp(
+                cast::raw_to_f64(format.min_raw()),
+                cast::raw_to_f64(format.max_raw()),
+            ) as i64
+        }
+    }
+
+    /// Values exercising every branch of the quantizer: a spread of f32 bit
+    /// patterns, the specials, and exact `±0.5`-LSB ties with their float
+    /// neighbours in `format`.
+    fn quantizer_probe_values(format: QFormat) -> Vec<f64> {
+        let mut values: Vec<f64> = (0u32..1 << 20)
+            .map(|i| f64::from(f32::from_bits(i.wrapping_mul(0x9E37_79B1))))
+            .collect();
+        values.extend([
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from(f32::from_bits(1)),
+            -f64::from(f32::from_bits(1)),
+            f64::from(f32::from_bits(0x007F_FFFF)),
+            f64::MAX,
+            f64::MIN,
+        ]);
+        let lsb = format.resolution();
+        let span = 1i64 << format.total_bits().min(12);
+        for k in -span - 2..span + 2 {
+            // A tie is never zero, so its bit pattern's two neighbours are the
+            // floats just above and just below it.
+            let tie = (k as f64 + 0.5) * lsb;
+            let bits = tie.to_bits();
+            values.extend([tie, f64::from_bits(bits + 1), f64::from_bits(bits - 1)]);
+        }
+        let top = format.max_raw() as f64 * lsb;
+        values.extend([top, top + 0.5 * lsb, -top - 1.5 * lsb, -top - 0.5 * lsb]);
+        values
+    }
+
+    #[test]
+    fn quantizer_matches_the_round_based_formula() {
+        for format in [
+            QFormat::new(0, 1),
+            QFormat::new(4, 4),
+            QFormat::new(0, 8),
+            QFormat::new(7, 8),
+            QFormat::new(15, 8),
+            QFormat::new(1, 24),
+            QFormat::new(20, 20),
+            QFormat::new(0, 53),
+            QFormat::new(30, 23),
+            QFormat::new(53, 0),
+        ] {
+            for value in quantizer_probe_values(format) {
+                assert_eq!(
+                    Fixed::quantize(value, format).raw(),
+                    round_oracle(value, format),
+                    "{format} value {value:e} ({:#x})",
+                    value.to_bits()
+                );
+            }
+        }
     }
 
     #[test]
