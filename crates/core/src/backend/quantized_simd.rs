@@ -102,10 +102,10 @@ pub struct QuantizedSimdPipeline {
     score_max: i32,
     dot_min: i32,
     dot_max: i32,
-    weight_min: i64,
-    weight_max: i64,
-    /// Divisor pre-shift of the `div_weight` normalisation step.
-    exp_sum_frac: u32,
+    /// `2^(2f)`, the `div_weight` numerator pre-shift as an `f64` factor.
+    weight_scale: f64,
+    /// Upper weight clamp (`2^(2f) - 1`) as an `f64` lane bound.
+    weight_max: f64,
     input_format: QFormat,
     dot_res: f64,
     weight_res: f64,
@@ -156,6 +156,13 @@ impl QuantizedSimdPipeline {
         if (max_product + (1i64 << (round_shift - 1))) >> round_shift > i64::from(i32::MAX) {
             return None;
         }
+        // The query and the output accumulator live in `MAX_D`-lane stack
+        // buffers (the grid's `ld <= 6` implies it).
+        if formats.d() > MAX_D {
+            return None;
+        }
+        let score_max = i32::try_from(tables.out_max_raw()).ok()?;
+        let (weight_scale, weight_max) = normalisation_bounds(formats, score_max)?;
         debug_assert_eq!(keys.len(), formats.n() * formats.d());
         debug_assert_eq!(values.len(), formats.n() * formats.d());
         let mut keys_q = vec![0; keys.len()];
@@ -163,7 +170,6 @@ impl QuantizedSimdPipeline {
         let mut values_q = vec![0; values.len()];
         x86::quantize_i32(&quantizer, values, &mut values_q);
         let dot = formats.dot_product();
-        let weight = formats.weight();
         Some(Self {
             keys: keys_q,
             values: values_q,
@@ -171,15 +177,14 @@ impl QuantizedSimdPipeline {
             quantizer,
             lower_bits,
             round_shift,
-            score_max: i32::try_from(tables.out_max_raw()).ok()?,
+            score_max,
             dot_min: i32::try_from(dot.min_raw()).ok()?,
             dot_max: i32::try_from(dot.max_raw()).ok()?,
-            weight_min: weight.min_raw(),
-            weight_max: weight.max_raw(),
-            exp_sum_frac: formats.exp_sum().frac_bits(),
+            weight_scale,
+            weight_max,
             input_format: formats.input(),
             dot_res: dot.resolution(),
-            weight_res: weight.resolution(),
+            weight_res: formats.weight().resolution(),
             out_res: formats.output().resolution(),
             n: formats.n(),
             d: formats.d(),
@@ -192,10 +197,7 @@ impl QuantizedSimdPipeline {
     /// here): `query.len() == d`.
     pub(crate) fn attend(&self, query: &[f32]) -> AttentionResult {
         debug_assert_eq!(query.len(), self.d);
-        // Quantize the query once, exactly as the scalar pipeline does.
-        let mut q = vec![0; self.d];
-        x86::quantize_i16(&self.quantizer, query, &mut q);
-        x86::attend(self, &q)
+        x86::attend(self, query)
     }
 
     /// Quantizes and appends rows (row-major `delta x d` each) in place.
@@ -332,6 +334,37 @@ fn formats_eligible(formats: &PipelineFormats) -> bool {
     plan_matches && formats.lanes_eligible()
 }
 
+/// Widest row the kernels accept: the quantized query and the output
+/// accumulator live in stack buffers of this many lanes. The proved grid's
+/// `ld <= 6` admits no wider `d`; `prepare` checks it rather than assuming it.
+const MAX_D: usize = 1 << *PipelineFormats::GRID_LD.end();
+
+/// Module 3's lane constants `(2^(2f), weight_max)` as `f64` values, or
+/// `None` unless floor division in `f64` lanes is exact for this plan. The
+/// checks, one per plan rather than per query:
+///
+/// - the weight format's lower clamp is non-positive, so it never binds on
+///   the non-negative quotient of a score by a positive exponent sum;
+/// - the upper clamp fits an `i32` lane;
+/// - the largest numerator `score_max * 2^(2f)` plus the largest exponent sum
+///   (the exp-sum format's max raw, which no sum reaches) stays below `2^53`,
+///   the bound the module docs' exactness argument needs.
+fn normalisation_bounds(formats: &PipelineFormats, score_max: i32) -> Option<(f64, f64)> {
+    let weight = formats.weight();
+    if weight.min_raw() > 0 {
+        return None;
+    }
+    let weight_max = i32::try_from(weight.max_raw()).ok()?;
+    let scale = 1u64.checked_shl(formats.exp_sum().frac_bits())?;
+    let numerator_max = u64::try_from(score_max).ok()?.checked_mul(scale)?;
+    let sum_max = u64::try_from(formats.exp_sum().max_raw()).ok()?;
+    if numerator_max.checked_add(sum_max)? >= 1 << f64::MANTISSA_DIGITS {
+        return None;
+    }
+    // Both are integers below 2^53, hence exact `f64` values.
+    Some((scale as f64, f64::from(weight_max)))
+}
+
 /// The AVX2 integer kernels. Everything here is reached only through a
 /// [`LaneQuantizer`] or a [`QuantizedSimdPipeline`] (which holds one), whose
 /// constructor verified (via [`SimdLevel::detect`]) that the running CPU
@@ -339,19 +372,23 @@ fn formats_eligible(formats: &PipelineFormats) -> bool {
 #[allow(unsafe_code)]
 mod x86 {
     use std::arch::x86_64::{
-        __m256, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_and_ps, _mm256_and_si256,
-        _mm256_castps_si256, _mm256_castsi256_si128, _mm256_cmp_ps, _mm256_cvttps_epi32,
-        _mm256_extracti128_si256, _mm256_i32gather_epi32, _mm256_loadu_ps, _mm256_loadu_si256,
-        _mm256_madd_epi16, _mm256_max_ps, _mm256_min_epi32, _mm256_min_ps, _mm256_mul_epu32,
-        _mm256_mul_ps, _mm256_mullo_epi32, _mm256_or_si256, _mm256_round_ps, _mm256_set1_epi32,
-        _mm256_set1_epi64x, _mm256_set1_ps, _mm256_setzero_si256, _mm256_slli_epi64,
-        _mm256_srl_epi32, _mm256_srl_epi64, _mm256_srli_epi64, _mm256_storeu_si256,
-        _mm256_sub_epi32, _mm256_sub_ps, _mm_add_epi32, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
-        _mm_packs_epi32, _mm_srli_si128, _mm_storeu_si128, _CMP_GE_OQ, _CMP_LE_OQ, _CMP_ORD_Q,
-        _MM_FROUND_NO_EXC, _MM_FROUND_TO_ZERO,
+        __m128i, __m256, __m256d, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_and_ps,
+        _mm256_and_si256, _mm256_castps_si256, _mm256_castsi256_si128, _mm256_cmp_ps,
+        _mm256_cvtepi32_pd, _mm256_cvtpd_ps, _mm256_cvttpd_epi32, _mm256_cvttps_epi32,
+        _mm256_div_pd, _mm256_extracti128_si256, _mm256_hadd_epi32, _mm256_i32gather_epi32,
+        _mm256_loadu_ps, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_max_epi32, _mm256_max_ps,
+        _mm256_min_epi32, _mm256_min_pd, _mm256_min_ps, _mm256_mul_epu32, _mm256_mul_pd,
+        _mm256_mul_ps, _mm256_mullo_epi32, _mm256_or_si256, _mm256_permute2x128_si256,
+        _mm256_round_ps, _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_set1_pd, _mm256_set1_ps,
+        _mm256_set_m128i, _mm256_setzero_si256, _mm256_slli_epi64, _mm256_srl_epi32,
+        _mm256_srl_epi64, _mm256_srli_epi64, _mm256_storeu_si256, _mm256_sub_epi32, _mm256_sub_ps,
+        _mm256_testz_si256, _mm_add_epi32, _mm_cvtsi128_si32, _mm_cvtsi32_si128, _mm_loadu_si128,
+        _mm_max_epi32, _mm_packs_epi32, _mm_shuffle_epi32, _mm_srli_si128, _mm_storeu_ps,
+        _mm_storeu_si128, _CMP_GE_OQ, _CMP_LE_OQ, _CMP_ORD_Q, _MM_FROUND_NO_EXC,
+        _MM_FROUND_TO_ZERO,
     };
 
-    use super::{LaneQuantizer, QuantizedSimdPipeline};
+    use super::{LaneQuantizer, QuantizedSimdPipeline, MAX_D};
     use crate::attention::AttentionResult;
 
     /// `i16` lanes per 256-bit vector (module 1).
@@ -477,78 +514,143 @@ mod x86 {
     /// One query through the vector pipeline over every row.
     ///
     /// Caller contract (enforced by `QuantizedSimdPipeline::attend`):
-    /// `q.len() == d`.
-    pub(super) fn attend(p: &QuantizedSimdPipeline, q: &[i16]) -> AttentionResult {
+    /// `query.len() == d`.
+    pub(super) fn attend(p: &QuantizedSimdPipeline, query: &[f32]) -> AttentionResult {
         // SAFETY: a `QuantizedSimdPipeline` only exists when its `prepare`
         // saw `SimdLevel::detect() == Avx2`, so the CPU supports `avx2`; this
         // function is only reached through such a pipeline.
-        unsafe { attend_avx2(p, q) }
+        unsafe { attend_avx2(p, query) }
     }
 
     // SAFETY: callers must ensure the CPU supports `avx2` (the
     // `#[target_feature]` contract) and the `attend` caller contract above;
-    // the only caller is `attend`. The operand buffers hold exactly `n * d`
-    // elements (maintained by `prepare`, `append_rows` and `update_row`), so
-    // every row read at offset `r * d` with `r < n` stays inside them.
+    // the only caller is `attend`. `prepare` admitted `d <= MAX_D`, so the
+    // query and accumulator stack buffers hold every column. `work` and the
+    // three result vectors are allocated here with exactly `n` (resp. `d`)
+    // elements, the lengths every kernel below is called with.
     #[target_feature(enable = "avx2")]
-    unsafe fn attend_avx2(p: &QuantizedSimdPipeline, q: &[i16]) -> AttentionResult {
+    unsafe fn attend_avx2(p: &QuantizedSimdPipeline, query: &[f32]) -> AttentionResult {
+        let (n, d) = (p.n, p.d);
+        // Quantize the query once, exactly as the scalar pipeline does; the
+        // lanes past `d` stay zero and are never read.
+        let mut q = [0i16; MAX_D];
+        quantize_i16_avx2(&p.quantizer, query, &mut q);
+        let mut scores = vec![0.0f32; n];
+        let mut weights = vec![0.0f32; n];
+        let mut output = vec![0.0f32; d];
+
+        // One `n`-lane work buffer carries each row through the modules in
+        // place: its clamped dot, then its LUT score, then its weight.
+        let mut work = vec![0i32; n];
+        let max_dot = dots(p, q.as_ptr(), &mut work);
+        dequantize(&work, p.dot_res, &mut scores);
+        let exp_sum = scores_gather(p, &mut work, max_dot);
+        // A zero exponent sum gives every row weight 0 (the scalar
+        // `div_weight` zero-denominator case): the zeroed weights and output
+        // are already the dequantized result.
+        if exp_sum != 0 {
+            normalise(p, &mut work, exp_sum);
+            let mut acc = [0i32; MAX_D];
+            accumulate(p, &work, acc.as_mut_ptr());
+            dequantize(&work, p.weight_res, &mut weights);
+            dequantize(&acc, p.out_res, &mut output);
+        }
+        AttentionResult {
+            scores,
+            weights,
+            output,
+        }
+    }
+
+    /// Module 1: writes every row's dot product with the quantized query,
+    /// clamped once at the dot format, into `dots` (`dots.len() == n`) and
+    /// returns the largest. Eight rows share each query load and reduce
+    /// together ([`hsum8_epi32`]); the `n mod 8` rows past the last full
+    /// block go through [`dot_i16`]. Exact: every partial sum (lane
+    /// accumulators, horizontal adds, the per-row `d mod 16` tail) sums a
+    /// subset of one row's products, so the gate bound `|sum| <= 2^(2t+ld)
+    /// <= 2^30` of the module docs covers it, and the scalar pipeline's
+    /// per-step saturation never fires before the final clamp.
+    // SAFETY: callers must ensure `avx2` is available (the
+    // `#[target_feature]` contract), that `q` points to at least `d` valid
+    // i16 lanes and that `dots.len() == n`. Row `r + k` is read at
+    // `keys + (r + k) * d + i` with `r + k < n` and `i < d`, inside the
+    // `n * d` key buffer; the query at `i < d`; `dots` is written at
+    // `r + k < n` through the pointer of its exclusive borrow.
+    #[target_feature(enable = "avx2")]
+    unsafe fn dots(p: &QuantizedSimdPipeline, q: *const i16, dots: &mut [i32]) -> i32 {
+        debug_assert_eq!(dots.len(), p.n);
         let (n, d) = (p.n, p.d);
         let keys = p.keys.as_ptr();
-        let qp = q.as_ptr();
-
-        // Module 1: exact i32 dot sums, clamped once at the dot format — the
-        // scalar pipeline's per-step saturation never fires before the final
-        // step (module docs), so a single final clamp is bit-identical.
-        let mut dots: Vec<i32> = Vec::with_capacity(n);
-        let mut max_dot = p.dot_min;
-        for r in 0..n {
-            let dot = dot_i16(keys.add(r * d), qp, d).clamp(p.dot_min, p.dot_max);
-            if dot > max_dot {
-                max_dot = dot;
+        let out = dots.as_mut_ptr();
+        let full = d - d % LANES_16;
+        let lo = _mm256_set1_epi32(p.dot_min);
+        let hi = _mm256_set1_epi32(p.dot_max);
+        let mut running = lo;
+        let mut r = 0;
+        while r + LANES_32 <= n {
+            let block = keys.add(r * d);
+            let mut acc = [_mm256_setzero_si256(); LANES_32];
+            let mut i = 0;
+            while i < full {
+                let qv = _mm256_loadu_si256(q.add(i).cast());
+                for (k, a) in acc.iter_mut().enumerate() {
+                    let kv = _mm256_loadu_si256(block.add(k * d + i).cast());
+                    *a = _mm256_add_epi32(*a, _mm256_madd_epi16(kv, qv));
+                }
+                i += LANES_16;
             }
-            dots.push(dot);
-        }
-
-        // Module 2: gather-LUT softmax scores plus the exponent sum.
-        let mut scores: Vec<i32> = vec![0; n];
-        let exp_sum = scores_gather(p, &dots, max_dot, &mut scores);
-
-        // Module 3: per-row `div_weight` normalisation (n scalar divisions,
-        // replicating the zero-denominator case and the weight clamp), then
-        // the vectorised weighted accumulation of value rows. Zero-weight
-        // rows are skipped — their terms are exact zeros either way.
-        let values = p.values.as_ptr();
-        let mut weights: Vec<i64> = Vec::with_capacity(n);
-        let mut acc: Vec<i32> = vec![0; d];
-        let accp = acc.as_mut_ptr();
-        for (r, &score) in scores.iter().enumerate() {
-            let w = if exp_sum == 0 {
-                0
-            } else {
-                ((i64::from(score) << p.exp_sum_frac) / exp_sum).clamp(p.weight_min, p.weight_max)
-            };
-            weights.push(w);
-            if w != 0 {
-                accumulate_row(accp, values.add(r * d), w as i32, d);
+            let mut sums = hsum8_epi32(acc);
+            if full < d {
+                let mut tails = [0i32; LANES_32];
+                for (k, t) in tails.iter_mut().enumerate() {
+                    *t = dot_tail(block.add(k * d), q, full, d);
+                }
+                sums = _mm256_add_epi32(sums, _mm256_loadu_si256(tails.as_ptr().cast()));
             }
+            let clamped = _mm256_min_epi32(_mm256_max_epi32(sums, lo), hi);
+            running = _mm256_max_epi32(running, clamped);
+            _mm256_storeu_si256(out.add(r).cast(), clamped);
+            r += LANES_32;
         }
+        let mut max_dot = hmax_epi32(running);
+        while r < n {
+            let dot = dot_i16(keys.add(r * d), q, d).clamp(p.dot_min, p.dot_max);
+            max_dot = max_dot.max(dot);
+            *out.add(r) = dot;
+            r += 1;
+        }
+        max_dot
+    }
 
-        // Dequantize with the same float operation sequence as the scalar
-        // pipelines (raw * 2^-frac in f64, narrowed to f32).
-        AttentionResult {
-            scores: dots
-                .iter()
-                .map(|&x| (f64::from(x) * p.dot_res) as f32)
-                .collect(),
-            weights: weights
-                .iter()
-                .map(|&x| (x as f64 * p.weight_res) as f32)
-                .collect(),
-            output: acc
-                .iter()
-                .map(|&x| (f64::from(x) * p.out_res) as f32)
-                .collect(),
-        }
+    /// The eight row sums of eight `i32` accumulators, one row per output
+    /// lane in order: six `hadd`s pair up lanes of the same accumulator, two
+    /// 128-bit permutes line up the half-row sums and one add finishes.
+    // SAFETY: callers must ensure `avx2` is available (the
+    // `#[target_feature]` contract). No memory is accessed.
+    #[target_feature(enable = "avx2")]
+    unsafe fn hsum8_epi32(acc: [__m256i; LANES_32]) -> __m256i {
+        let [a0, a1, a2, a3, a4, a5, a6, a7] = acc;
+        // hadd(a, b) = [a0+a1, a2+a3, b0+b1, b2+b3 | a4+a5, a6+a7, b4+b5, b6+b7].
+        let s0123 = _mm256_hadd_epi32(_mm256_hadd_epi32(a0, a1), _mm256_hadd_epi32(a2, a3));
+        let s4567 = _mm256_hadd_epi32(_mm256_hadd_epi32(a4, a5), _mm256_hadd_epi32(a6, a7));
+        // s0123 = [row 0..3 low-half sums | row 0..3 high-half sums], and
+        // likewise for rows 4..7.
+        _mm256_add_epi32(
+            _mm256_permute2x128_si256::<0x20>(s0123, s4567),
+            _mm256_permute2x128_si256::<0x31>(s0123, s4567),
+        )
+    }
+
+    /// Largest of eight `i32` lanes.
+    // SAFETY: callers must ensure `avx2` is available (the `#[target_feature]`
+    // contract). No memory is accessed.
+    #[target_feature(enable = "avx2")]
+    unsafe fn hmax_epi32(v: __m256i) -> i32 {
+        let m = _mm_max_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+        let m = _mm_max_epi32(m, _mm_shuffle_epi32::<0b0100_1110>(m));
+        let m = _mm_max_epi32(m, _mm_shuffle_epi32::<0b1011_0001>(m));
+        _mm_cvtsi128_si32(m)
     }
 
     /// Horizontal sum of eight i32 lanes (exact: integer adds).
@@ -585,40 +687,38 @@ mod x86 {
             acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, bv));
             i += LANES_16;
         }
-        let mut sum = hsum_epi32(acc);
-        while i < d {
+        hsum_epi32(acc) + dot_tail(a, b, i, d)
+    }
+
+    /// The products of elements `from..d` of two i16 rows, summed in order.
+    // SAFETY: callers must ensure `a` and `b` each point to at least `d`
+    // valid i16 elements; single elements are read at `from <= i < d`.
+    unsafe fn dot_tail(a: *const i16, b: *const i16, from: usize, d: usize) -> i32 {
+        let mut sum = 0;
+        for i in from..d {
             sum += i32::from(*a.add(i)) * i32::from(*b.add(i));
-            i += 1;
         }
         sum
     }
 
-    /// Module 2: evaluates the two-half exponent LUT for every dot product
-    /// (eight rows per gather pass) and returns the exponent sum. Writes the
-    /// scores (LUT outputs) into `scores`, which the caller sized to
-    /// `dots.len()`. Bit-identical to `ExpLutTables::eval_nonpos_raw` on
-    /// `dot - max_dot`: same index split, same 64-bit entry product, same
-    /// rounding shift, same output clamp.
+    /// Module 2: evaluates the two-half exponent LUT for every dot product in
+    /// `work` (eight rows per gather pass), overwriting each with its score
+    /// (LUT output), and returns the exponent sum. Bit-identical to
+    /// `ExpLutTables::eval_nonpos_raw` on `dot - max_dot`: same index split,
+    /// same 64-bit entry product, same rounding shift, same output clamp.
     // SAFETY: callers must ensure `avx2` is available (the
-    // `#[target_feature]` contract) and `scores.len() == dots.len()`. Loads
-    // and stores are at `i` with `i + LANES_32 <= len` (vector) or `i < len`
-    // (scalar). Gather indices stay in bounds: `prepare` pinned the shared
-    // (immutable) tables to `lower.len() == 2^lower_bits` and `upper.len() ==
-    // 2^(shifted_total - lower_bits) + 1`, and every magnitude
-    // `max_dot - dot <= dot_max - dot_min = 2^shifted_total - 1`, so the
-    // masked lower index is `< 2^lower_bits` and the shifted upper index is
-    // `<= 2^(shifted_total - lower_bits) - 1`.
+    // `#[target_feature]` contract). Loads and stores go through the pointer
+    // of the exclusive `work` borrow at `i` with `i + LANES_32 <= len`
+    // (vector) or `i < len` (scalar). Gather indices stay in bounds: `prepare`
+    // pinned the shared (immutable) tables to `lower.len() == 2^lower_bits`
+    // and `upper.len() == 2^(shifted_total - lower_bits) + 1`, and every
+    // magnitude `max_dot - dot <= dot_max - dot_min = 2^shifted_total - 1`,
+    // so the masked lower index is `< 2^lower_bits` and the shifted upper
+    // index is `<= 2^(shifted_total - lower_bits) - 1`.
     #[target_feature(enable = "avx2")]
-    unsafe fn scores_gather(
-        p: &QuantizedSimdPipeline,
-        dots: &[i32],
-        max_dot: i32,
-        scores: &mut [i32],
-    ) -> i64 {
-        debug_assert_eq!(dots.len(), scores.len());
-        let len = dots.len();
-        let dp = dots.as_ptr();
-        let sp = scores.as_mut_ptr();
+    unsafe fn scores_gather(p: &QuantizedSimdPipeline, work: &mut [i32], max_dot: i32) -> i64 {
+        let len = work.len();
+        let wp = work.as_mut_ptr();
         let upper = p.tables.upper_entries().as_ptr();
         let lower = p.tables.lower_entries().as_ptr();
 
@@ -632,7 +732,7 @@ mod x86 {
 
         let mut i = 0;
         while i + LANES_32 <= len {
-            let dv = _mm256_loadu_si256(dp.add(i).cast());
+            let dv = _mm256_loadu_si256(wp.add(i).cast());
             // Non-negative magnitude of the (non-positive) shifted dot.
             let mag = _mm256_sub_epi32(maxv, dv);
             let lo_idx = _mm256_and_si256(mag, lower_mask);
@@ -652,7 +752,7 @@ mod x86 {
             // product by i32::MAX) and apply the output clamp.
             let merged = _mm256_or_si256(r_even, _mm256_slli_epi64::<32>(r_odd));
             let score = _mm256_min_epi32(merged, smaxv);
-            _mm256_storeu_si256(sp.add(i).cast(), score);
+            _mm256_storeu_si256(wp.add(i).cast(), score);
             sumv = _mm256_add_epi32(sumv, score);
             i += LANES_32;
         }
@@ -662,15 +762,126 @@ mod x86 {
         let mask = (1u64 << p.lower_bits) - 1;
         let half_s = 1i64 << (p.round_shift - 1);
         while i < len {
-            let mag = (i64::from(max_dot) - i64::from(*dp.add(i))) as u64;
+            let mag = (i64::from(max_dot) - i64::from(*wp.add(i))) as u64;
             let lo = i64::from(*lower.add((mag & mask) as usize));
             let hi = i64::from(*upper.add((mag >> p.lower_bits) as usize));
             let score = ((hi * lo + half_s) >> p.round_shift).min(i64::from(p.score_max));
-            *sp.add(i) = score as i32;
+            *wp.add(i) = score as i32;
             exp_sum += score;
             i += 1;
         }
         exp_sum
+    }
+
+    /// Module 1 both ways, for tests: the blocked dots with their maximum,
+    /// and every row through [`dot_i16`] and the dot clamp.
+    #[cfg(test)]
+    pub(super) fn dots_both_ways(
+        p: &QuantizedSimdPipeline,
+        q: &[i16],
+    ) -> (Vec<i32>, i32, Vec<i32>) {
+        assert!(q.len() >= p.d);
+        let mut blocked = vec![0; p.n];
+        // SAFETY: the pipeline's existence proves `avx2` (see `attend`); `q`
+        // holds at least `d` lanes (asserted) and every row `r < n` lies in
+        // the `n * d` key buffer.
+        unsafe {
+            let max = dots(p, q.as_ptr(), &mut blocked);
+            let rows = (0..p.n)
+                .map(|r| {
+                    dot_i16(p.keys.as_ptr().add(r * p.d), q.as_ptr(), p.d)
+                        .clamp(p.dot_min, p.dot_max)
+                })
+                .collect();
+            (blocked, max, rows)
+        }
+    }
+
+    /// Module 3 normalisation of the scores in `work` into weights, in place:
+    /// `min(floor(score * 2^(2f) / exp_sum), weight_max)` in `f64` lanes,
+    /// which equals the scalar `div_weight` (module docs). A block of eight
+    /// zero scores is already its eight zero weights and is skipped.
+    ///
+    /// Caller contract: `exp_sum > 0`.
+    #[cfg(test)]
+    pub(super) fn normalise_lanes(p: &QuantizedSimdPipeline, work: &mut [i32], exp_sum: i64) {
+        // SAFETY: the pipeline's existence proves `avx2` (see `attend`).
+        unsafe { normalise(p, work, exp_sum) }
+    }
+
+    // SAFETY: callers must ensure `avx2` is available (the
+    // `#[target_feature]` contract). Loads and stores go through the pointer
+    // of the exclusive `work` borrow at `i` with `i + LANES_32 <= len`
+    // (vector) or `i < len` (scalar). Every stored lane is a truncated
+    // quotient in `[0, weight_max]` (clamped before the conversion), so the
+    // `f64 -> i32` conversions are exact.
+    #[target_feature(enable = "avx2")]
+    unsafe fn normalise(p: &QuantizedSimdPipeline, work: &mut [i32], exp_sum: i64) {
+        debug_assert!(exp_sum > 0);
+        let len = work.len();
+        let wp = work.as_mut_ptr();
+        // Below 2^53 (`normalisation_bounds`), so exact.
+        let den = exp_sum as f64;
+        let scale = _mm256_set1_pd(p.weight_scale);
+        let denv = _mm256_set1_pd(den);
+        let wmax = _mm256_set1_pd(p.weight_max);
+        let mut i = 0;
+        while i + LANES_32 <= len {
+            let s = _mm256_loadu_si256(wp.add(i).cast());
+            if _mm256_testz_si256(s, s) == 0 {
+                let lo = quotient4(_mm256_castsi256_si128(s), scale, denv, wmax);
+                let hi = quotient4(_mm256_extracti128_si256::<1>(s), scale, denv, wmax);
+                _mm256_storeu_si256(wp.add(i).cast(), _mm256_set_m128i(hi, lo));
+            }
+            i += LANES_32;
+        }
+        // Scalar tail: the same multiply, divide, clamp and truncation.
+        while i < len {
+            let q = (f64::from(*wp.add(i)) * p.weight_scale / den).min(p.weight_max);
+            *wp.add(i) = q as i32;
+            i += 1;
+        }
+    }
+
+    /// Four weights `min(trunc(score * scale / den), wmax)` from four scores.
+    // SAFETY: callers must ensure `avx2` is available (the `#[target_feature]`
+    // contract). No memory is accessed.
+    #[target_feature(enable = "avx2")]
+    unsafe fn quotient4(scores: __m128i, scale: __m256d, den: __m256d, wmax: __m256d) -> __m128i {
+        let numerator = _mm256_mul_pd(_mm256_cvtepi32_pd(scores), scale);
+        _mm256_cvttpd_epi32(_mm256_min_pd(_mm256_div_pd(numerator, den), wmax))
+    }
+
+    /// Module 3 weighted sum: `acc += w_r * value_r` over the rows with a
+    /// nonzero weight in `weights` (`weights.len() == n`), skipping blocks of
+    /// eight zero weights at once — their terms are exact zeros either way.
+    // SAFETY: callers must ensure `avx2` is available (the
+    // `#[target_feature]` contract), that `weights.len() == n` and that `acc`
+    // points to `d` i32 lanes the caller owns exclusively. Weights are read
+    // at `r < n`, value rows at `values + r * d` inside the `n * d` buffer.
+    #[target_feature(enable = "avx2")]
+    unsafe fn accumulate(p: &QuantizedSimdPipeline, weights: &[i32], acc: *mut i32) {
+        debug_assert_eq!(weights.len(), p.n);
+        let (n, d) = (p.n, p.d);
+        let values = p.values.as_ptr();
+        let wp = weights.as_ptr();
+        let mut r = 0;
+        while r < n {
+            let block = LANES_32.min(n - r);
+            let skip = block == LANES_32 && {
+                let w = _mm256_loadu_si256(wp.add(r).cast());
+                _mm256_testz_si256(w, w) != 0
+            };
+            if !skip {
+                for k in r..r + block {
+                    let w = *wp.add(k);
+                    if w != 0 {
+                        accumulate_row(acc, values.add(k * d), w, d);
+                    }
+                }
+            }
+            r += block;
+        }
     }
 
     /// Module 3 inner loop: `acc[j] += w * row[j]` for `j < d`, eight i32
@@ -699,6 +910,32 @@ mod x86 {
         while j < d {
             *acc.add(j) += w * *row.add(j);
             j += 1;
+        }
+    }
+
+    /// Dequantizes `src` into `dst` element for element over the shorter of
+    /// the two: `(f64::from(x) * res) as f32`, four lanes per step. The lane
+    /// operations are the scalar pipeline's, each correctly rounded under
+    /// the default rounding mode: the exact `i32 -> f64` widening, the `f64`
+    /// product and the round-to-nearest-even `f64 -> f32` narrowing.
+    // SAFETY: callers must ensure `avx2` is available (the
+    // `#[target_feature]` contract). Only the first `len = min(src.len(),
+    // dst.len())` elements are touched: four-lane loads/stores at `i` with
+    // `i + 4 <= len`, the tail at `i < len`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn dequantize(src: &[i32], res: f64, dst: &mut [f32]) {
+        let len = src.len().min(dst.len());
+        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+        let resv = _mm256_set1_pd(res);
+        let mut i = 0;
+        while i + 4 <= len {
+            let x = _mm256_cvtepi32_pd(_mm_loadu_si128(sp.add(i).cast()));
+            _mm_storeu_ps(dp.add(i), _mm256_cvtpd_ps(_mm256_mul_pd(x, resv)));
+            i += 4;
+        }
+        while i < len {
+            *dp.add(i) = (f64::from(*sp.add(i)) * res) as f32;
+            i += 1;
         }
     }
 }
@@ -866,6 +1103,91 @@ mod tests {
             }
         }
         assert!(LaneQuantizer::new(QFormat::new(8, 8)).is_none());
+    }
+
+    /// The vector pipeline for a seeded `n x d` memory, or `None` when the
+    /// host does not dispatch to AVX2.
+    fn pipeline(format: QFormat, keys: &Matrix, values: &Matrix) -> Option<QuantizedSimdPipeline> {
+        let formats = PipelineFormats::new(format, keys.rows(), keys.dim());
+        let lut = a3_fixed::ExpLut::two_half(formats.shifted_dot_product(), formats.score());
+        let tables = Arc::new(lut.materialize().expect("in-grid tables materialize"));
+        QuantizedSimdPipeline::prepare(&formats, &tables, keys.as_slice(), values.as_slice())
+    }
+
+    #[test]
+    fn blocked_dots_equal_per_row_dots_for_every_block_and_column_remainder() {
+        let _guard = ENV_LOCK.lock().unwrap();
+        if SimdLevel::detect() != SimdLevel::Avx2 {
+            eprintln!("skipping: host has no AVX2");
+            return;
+        }
+        let q44 = paper_input_format();
+        let widths: Vec<usize> = (1..=18).chain([31, 32, 33, 47, 48, 49, 63, 64]).collect();
+        for n in 1..=24 {
+            for &d in &widths {
+                let (keys, values, query) = case(n, d, (n * 100 + d) as u64);
+                let p = pipeline(q44, &keys, &values).expect("in-grid shape vectorizes");
+                let mut q = vec![0i16; d];
+                x86::quantize_i16(&p.quantizer, &query, &mut q);
+                let (blocked, max, rows) = x86::dots_both_ways(&p, &q);
+                assert_eq!(blocked, rows, "({n}, {d})");
+                assert_eq!(Some(&max), rows.iter().max(), "({n}, {d})");
+            }
+        }
+        // Every key and query raw at the format minimum: at d = 2^ld each
+        // dot is 2^(2t+ld), one past the dot format's max, so the clamp binds.
+        for (n, d) in [(9, 16), (17, 64), (8, 32)] {
+            let keys = Matrix::from_rows(vec![vec![-1e6; d]; n]).unwrap();
+            let p = pipeline(q44, &keys, &keys).expect("in-grid shape vectorizes");
+            let mut q = vec![0i16; d];
+            x86::quantize_i16(&p.quantizer, &vec![-1e6; d], &mut q);
+            let (blocked, max, rows) = x86::dots_both_ways(&p, &q);
+            assert_eq!(blocked, rows, "saturated ({n}, {d})");
+            assert!(rows.iter().all(|&x| x == p.dot_max) && max == p.dot_max);
+        }
+    }
+
+    #[test]
+    fn lane_division_equals_integer_floor_division() {
+        let _guard = ENV_LOCK.lock().unwrap();
+        if SimdLevel::detect() != SimdLevel::Avx2 {
+            eprintln!("skipping: host has no AVX2");
+            return;
+        }
+        let (keys, values, _) = case(2, 1, 9);
+        for f in PipelineFormats::GRID_FRAC_BITS {
+            let format = QFormat::new(0, f);
+            let p = pipeline(format, &keys, &values).expect("in-grid format vectorizes");
+            let weight = PipelineFormats::new(format, 2, 1).weight();
+            let frac = 2 * f;
+            let score_max = (1i64 << frac) - 1;
+            // The largest exponent sum anywhere in the grid (ln = 9), past
+            // what this 2-row memory can produce: the lanes do not depend on n.
+            let sum_max = (1i64 << (9 + frac)) - 1;
+            let mut sums = vec![1, 2, 3, score_max - 1, score_max, score_max + 1, sum_max];
+            sums.extend((0..9 + frac).flat_map(|k| [(1i64 << k) - 1, 1 << k, (1 << k) + 1]));
+            let mut h = u64::from(f);
+            for _ in 0..16 {
+                h = h
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(0xD6E8_FEB8_6659_FD93);
+                sums.push(1 + (h >> 11) as i64 % sum_max);
+            }
+            // A block of zero scores (skipped) ahead of every score.
+            let scores: Vec<i32> = [0; 8].into_iter().chain(0..=score_max as i32).collect();
+            for &exp_sum in sums.iter().filter(|&&s| s > 0) {
+                // The whole vector and a misaligned suffix: lanes and tail.
+                for from in [0, 1] {
+                    let mut lanes = scores[from..].to_vec();
+                    x86::normalise_lanes(&p, &mut lanes, exp_sum);
+                    for (&s, &w) in scores[from..].iter().zip(&lanes) {
+                        let want = ((i64::from(s) << frac) / exp_sum)
+                            .clamp(weight.min_raw(), weight.max_raw());
+                        assert_eq!(i64::from(w), want, "Q0.{f}: {s} / {exp_sum}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::{AttentionError, Matrix};
 
 use super::{
     fingerprint_append, fingerprint_update, memory_fingerprint, validate_memory, ComputeBackend,
-    MemoryCache, PreparedMemory,
+    MemoryCache, PreparedMemory, SimdBackend,
 };
 
 /// How to split one logical memory across shards (row-wise, contiguous, balanced).
@@ -473,6 +473,9 @@ pub fn merge_partial_softmax(
 ) -> AttentionResult {
     let shards = memory.shard_count();
     assert_eq!(shards, partials.len(), "one partial result per shard");
+    // The lane level is read once per merge: detection consults the
+    // environment, which costs more than one shard's normaliser.
+    let simd = SimdBackend::new();
     // Per-shard statistics the merge unit receives alongside each partial output.
     let stats: Vec<(f64, f64)> = partials
         .iter()
@@ -481,12 +484,7 @@ pub fn merge_partial_softmax(
                 .scores
                 .iter()
                 .fold(f64::NEG_INFINITY, |acc, &s| acc.max(f64::from(s)));
-            let z = p
-                .scores
-                .iter()
-                .map(|&s| (f64::from(s) - max).exp())
-                .sum::<f64>();
-            (max, z)
+            (max, simd.sum_exp_shifted(&p.scores, max))
         })
         .collect();
     let global_max = stats
@@ -770,6 +768,145 @@ mod tests {
             for (a, b) in merged.output.iter().zip(&unsharded.output) {
                 assert!((a - b).abs() < 0.05, "k={k}: {a} vs {b}");
             }
+        }
+    }
+
+    /// The merge with libm `exp` per row, summed in row order: the oracle
+    /// the lane normaliser must track.
+    fn merge_oracle(memory: &ShardedMemory, partials: &[AttentionResult]) -> AttentionResult {
+        let stats: Vec<(f64, f64)> = partials
+            .iter()
+            .map(|p| {
+                let max = p
+                    .scores
+                    .iter()
+                    .fold(f64::NEG_INFINITY, |acc, &s| acc.max(f64::from(s)));
+                let z = p
+                    .scores
+                    .iter()
+                    .map(|&s| (f64::from(s) - max).exp())
+                    .sum::<f64>();
+                (max, z)
+            })
+            .collect();
+        let global_max = stats
+            .iter()
+            .fold(f64::NEG_INFINITY, |acc, &(max, _)| acc.max(max));
+        let denom: f64 = stats
+            .iter()
+            .map(|&(max, z)| z * (max - global_max).exp())
+            .sum();
+        let mut scores = Vec::new();
+        let mut weights = Vec::new();
+        let mut output = vec![0.0f64; memory.d()];
+        for (partial, &(max, z)) in partials.iter().zip(&stats) {
+            let scale = z * (max - global_max).exp() / denom;
+            scores.extend_from_slice(&partial.scores);
+            weights.extend(
+                partial
+                    .weights
+                    .iter()
+                    .map(|&w| (f64::from(w) * scale) as f32),
+            );
+            for (o, &p) in output.iter_mut().zip(&partial.output) {
+                *o += scale * f64::from(p);
+            }
+        }
+        AttentionResult {
+            scores,
+            weights,
+            output: output.into_iter().map(|o| o as f32).collect(),
+        }
+    }
+
+    /// Distance in `f32` units in the last place (signed zeros coincide).
+    fn ulps_f32(a: f32, b: f32) -> u64 {
+        let ordered = |x: f32| {
+            let bits = x.to_bits();
+            let magnitude = i64::from(bits & 0x7FFF_FFFF);
+            if bits >> 31 == 1 {
+                -magnitude
+            } else {
+                magnitude
+            }
+        };
+        ordered(a).abs_diff(ordered(b))
+    }
+
+    /// A 2-column memory whose row `i` scores exactly `scores[i]` against the
+    /// query `[1, 0]`, with seeded values.
+    fn scored_memory(scores: &[f32]) -> (Matrix, Matrix) {
+        let keys = Matrix::from_rows(scores.iter().map(|&s| vec![s, 0.0]).collect()).unwrap();
+        let values = Matrix::from_rows(
+            (0..scores.len())
+                .map(|i| vec![(i as f32 * 0.71).sin(), (i as f32 * 1.3).cos()])
+                .collect(),
+        )
+        .unwrap();
+        (keys, values)
+    }
+
+    #[test]
+    fn merge_tracks_the_libm_oracle_in_its_extreme_cases() {
+        let spread: Vec<f32> = vec![
+            0.0, -1.0, -100.0, -300.0, -700.0, -708.0, -708.5, -709.0, -720.0, -744.0, -745.5,
+            -760.0, -2.0, -3.5, -710.0, -730.0,
+        ];
+        let cases: Vec<(&str, Vec<f32>, usize)> = vec![
+            // Shard maxima 800 apart: the second shard's rescale factor
+            // exp(-800) underflows to 0.
+            (
+                "underflowing rescale",
+                (0..16)
+                    .map(|i| {
+                        if i < 8 {
+                            -(i as f32) * 0.4
+                        } else {
+                            -800.0 - i as f32
+                        }
+                    })
+                    .collect(),
+                2,
+            ),
+            // Both shards spread past 708 below their maxima: terms in the
+            // flushed (subnormal) and underflowed regions.
+            ("score spread past 708", spread, 2),
+            // n = 13 in 7 shards leaves a 1-row last shard.
+            (
+                "1-row shard",
+                (0..13).map(|i| (i as f32 * 0.9).sin() * 4.0).collect(),
+                7,
+            ),
+        ];
+        let query = [1.0, 0.0];
+        for (label, scores, shards) in cases {
+            let (keys, values) = scored_memory(&scores);
+            let plan = ShardPlan::new(shards).unwrap();
+            let memory = ShardedMemory::prepare(&ExactBackend, plan, &keys, &values).unwrap();
+            assert_eq!(memory.shard_count(), shards, "{label}");
+            let partials: Vec<AttentionResult> = memory
+                .shards()
+                .iter()
+                .map(|s| ExactBackend.attend_prepared(s.memory(), &query).unwrap())
+                .collect();
+            let merged = merge_partial_softmax(&memory, &partials);
+            let oracle = merge_oracle(&memory, &partials);
+            assert_eq!(merged.scores, scores, "{label}");
+            for (got, want) in merged
+                .weights
+                .iter()
+                .zip(&oracle.weights)
+                .chain(merged.output.iter().zip(&oracle.output))
+            {
+                assert!(ulps_f32(*got, *want) <= 1, "{label}: {got:e} vs {want:e}");
+            }
+            let sum: f32 = merged.weights.iter().sum();
+            assert!((sum - 1.0).abs() < 1e-4, "{label}: weight sum {sum}");
+            assert_eq!(
+                merged,
+                ExactBackend.attend_sharded(&memory, &query).unwrap(),
+                "{label}"
+            );
         }
     }
 

@@ -161,6 +161,30 @@ impl SimdBackend {
         self.level
     }
 
+    /// `Σ exp(f64(s) − shift)` over `scores`: the per-shard normaliser of the
+    /// log-sum-exp merge ([`merge_partial_softmax`](super::merge_partial_softmax)).
+    ///
+    /// At [`SimdLevel::Avx2`] four `f64` lanes evaluate a Cody–Waite `exp`
+    /// (`x86::exp_f64_lanes`) that is within 1 ulp of libm's `f64::exp` for
+    /// every argument whose result is at least `2^-1022`; smaller results are
+    /// flushed to zero. The lane sums are added pairwise, then the `len mod 4`
+    /// tail elements with libm `exp`. At [`SimdLevel::Scalar`] every element
+    /// goes through libm `exp`, summed in order.
+    ///
+    /// The flush cannot move a merge whose shift is the shard's maximum
+    /// score: that row adds `exp(0) = 1`, and at most `n <= 2^9` flushed
+    /// terms, each below `2^-1022`, sum to far less than half an ulp of a
+    /// total of at least 1.
+    pub(crate) fn sum_exp_shifted(&self, scores: &[f32], shift: f64) -> f64 {
+        match self.level {
+            SimdLevel::Scalar => scores.iter().map(|&s| (f64::from(s) - shift).exp()).sum(),
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => x86::sum_exp_shifted(scores, shift),
+            #[cfg(not(target_arch = "x86_64"))]
+            SimdLevel::Avx2 => scores.iter().map(|&s| (f64::from(s) - shift).exp()).sum(),
+        }
+    }
+
     /// One attention operation through the selected kernel. Shapes are validated
     /// here so the unsafe kernels below only ever see consistent inputs.
     fn attend_raw(
@@ -272,12 +296,17 @@ fn exp_poly_scalar(x: f32) -> f32 {
 #[allow(unsafe_code)]
 mod x86 {
     use std::arch::x86_64::{
-        __m256, _mm256_add_epi32, _mm256_add_ps, _mm256_castps256_ps128, _mm256_castsi256_ps,
-        _mm256_cvttps_epi32, _mm256_div_ps, _mm256_extractf128_ps, _mm256_floor_ps,
-        _mm256_fmadd_ps, _mm256_fnmadd_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps,
-        _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps, _mm256_slli_epi32,
-        _mm256_storeu_ps, _mm256_sub_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_movehl_ps,
-        _mm_shuffle_ps,
+        __m256, __m256d, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_pd, _mm256_add_ps,
+        _mm256_and_pd, _mm256_castpd256_pd128, _mm256_castps256_ps128, _mm256_castsi256_pd,
+        _mm256_castsi256_ps, _mm256_cmp_pd, _mm256_cvtepi32_epi64, _mm256_cvtpd_epi32,
+        _mm256_cvtps_pd, _mm256_cvttps_epi32, _mm256_div_ps, _mm256_extractf128_pd,
+        _mm256_extractf128_ps, _mm256_floor_ps, _mm256_fmadd_pd, _mm256_fmadd_ps, _mm256_fnmadd_pd,
+        _mm256_fnmadd_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_pd,
+        _mm256_mul_ps, _mm256_round_pd, _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_set1_pd,
+        _mm256_set1_ps, _mm256_setzero_pd, _mm256_setzero_ps, _mm256_slli_epi32, _mm256_slli_epi64,
+        _mm256_storeu_ps, _mm256_sub_pd, _mm256_sub_ps, _mm_add_pd, _mm_add_ps, _mm_add_ss,
+        _mm_cvtsd_f64, _mm_cvtss_f32, _mm_loadu_ps, _mm_movehl_ps, _mm_shuffle_ps, _mm_unpackhi_pd,
+        _CMP_NLT_UQ, _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT,
     };
 
     use super::exp_poly_scalar;
@@ -308,6 +337,133 @@ mod x86 {
         1.666_666_5e-1,
         5.000_000_1e-1,
     ];
+
+    /// `f64` lanes per AVX2 vector.
+    const LANES_64: usize = 4;
+    /// The smallest `f64` whose libm `exp` is at least `2^-1022`, i.e.
+    /// `ln(2^-1022)` rounded up. The `f64` lane `exp` flushes every smaller
+    /// argument's (subnormal or zero) result to zero.
+    pub(super) const EXP64_MIN: f64 = -708.396_418_532_264_1;
+    /// Cody–Waite split of `ln 2` for `f64` (fdlibm's `ln2HI`/`ln2LO`): the
+    /// high part has 32 significant bits, so `n * LN2_HI_64` is exact for
+    /// every `|n| <= 2^21`.
+    const LN2_HI_64: f64 = 0.693_147_180_369_123_8;
+    /// Low (correction) part of the `f64` Cody–Waite split.
+    const LN2_LO_64: f64 = 1.908_214_929_270_587_7e-10;
+    /// `1/k!` for `k = 13` down to `0`: the degree-13 Taylor polynomial of
+    /// `exp` on the reduced interval `|r| <= ln(2)/2`, whose truncation
+    /// error `|r|^14/14! < 5e-18` is below 0.05 ulp of the result. Every
+    /// `k!` here is an exact `f64` (`13! < 2^53`), so each quotient is the
+    /// correctly rounded coefficient.
+    const EXP64_TAYLOR: [f64; 14] = [
+        1.0 / 6_227_020_800.0,
+        1.0 / 479_001_600.0,
+        1.0 / 39_916_800.0,
+        1.0 / 3_628_800.0,
+        1.0 / 362_880.0,
+        1.0 / 40_320.0,
+        1.0 / 5_040.0,
+        1.0 / 720.0,
+        1.0 / 120.0,
+        1.0 / 24.0,
+        1.0 / 6.0,
+        0.5,
+        1.0,
+        1.0,
+    ];
+
+    /// `Σ exp(f64(s) − shift)` over `scores` (see
+    /// `SimdBackend::sum_exp_shifted`).
+    ///
+    /// Caller contract: the CPU supports `avx2` and `fma`.
+    pub(super) fn sum_exp_shifted(scores: &[f32], shift: f64) -> f64 {
+        // SAFETY: only reached through `SimdBackend::sum_exp_shifted` at
+        // `SimdLevel::Avx2`, which `SimdBackend::with_level` stores only after
+        // `SimdLevel::available` confirmed `avx2` and `fma` on this CPU.
+        unsafe { sum_exp_shifted_avx2(scores, shift) }
+    }
+
+    // SAFETY: callers must ensure `avx2`/`fma` are available (the
+    // `#[target_feature]` contract). Four-lane loads read `p + i` with
+    // `i + LANES_64 <= len`, inside the borrowed slice; the tail reads single
+    // elements at `i < len`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn sum_exp_shifted_avx2(scores: &[f32], shift: f64) -> f64 {
+        let len = scores.len();
+        let p = scores.as_ptr();
+        let shiftv = _mm256_set1_pd(shift);
+        let mut acc = _mm256_setzero_pd();
+        let mut i = 0;
+        while i + LANES_64 <= len {
+            // Widening f32 -> f64 is exact, and the subtraction is the scalar
+            // path's `f64::from(s) - shift`.
+            let x = _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(p.add(i))), shiftv);
+            acc = _mm256_add_pd(acc, exp_f64_lanes(x));
+            i += LANES_64;
+        }
+        let pair = _mm_add_pd(_mm256_castpd256_pd128(acc), _mm256_extractf128_pd::<1>(acc));
+        let mut sum = _mm_cvtsd_f64(_mm_add_pd(pair, _mm_unpackhi_pd(pair, pair)));
+        while i < len {
+            sum += (f64::from(*p.add(i)) - shift).exp();
+            i += 1;
+        }
+        sum
+    }
+
+    /// The lane `exp` on four arguments, or `None` on a CPU without `avx2`
+    /// and `fma`.
+    #[cfg(test)]
+    pub(super) fn exp_f64_x4(x: [f64; 4]) -> Option<[f64; 4]> {
+        use std::arch::x86_64::{_mm256_loadu_pd, _mm256_storeu_pd};
+        if !super::SimdLevel::Avx2.available() {
+            return None;
+        }
+        let mut out = [0.0; 4];
+        // SAFETY: `available` just confirmed `avx2` and `fma`; both pointers
+        // address four-element arrays.
+        unsafe { _mm256_storeu_pd(out.as_mut_ptr(), exp_f64_lanes(_mm256_loadu_pd(x.as_ptr()))) };
+        Some(out)
+    }
+
+    /// Four-lane `f64` `exp` for arguments `x <= 0`, extending the Cody–Waite
+    /// scheme of [`exp_lanes`] to `f64`:
+    ///
+    /// 1. `n = round(x / ln 2)` and `r = x - n*LN2_HI_64 - n*LN2_LO_64` with
+    ///    two FMAs; the first step is exact, so `|r| <= ln(2)/2` carries one
+    ///    rounding;
+    /// 2. `exp(r)` by the degree-13 Taylor polynomial in Horner form with FMA;
+    /// 3. the product with `2^n`, assembled from its bit pattern: for
+    ///    `x >= EXP64_MIN`, `n >= -1022`, so `2^n` is a normal number and the
+    ///    product is exact scaling.
+    ///
+    /// Lanes with `x < EXP64_MIN` (results below `2^-1022`, including
+    /// `-inf`) return `+0.0`; NaN lanes return NaN. Within 1 ulp of libm's
+    /// `f64::exp` on `[EXP64_MIN, 0]` (tested on a dense sweep).
+    // SAFETY: callers must ensure `avx2`/`fma` are available (the
+    // `#[target_feature]` contract). Pure register arithmetic; no memory access.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn exp_f64_lanes(x: __m256d) -> __m256d {
+        let n = _mm256_round_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
+            _mm256_mul_pd(x, _mm256_set1_pd(std::f64::consts::LOG2_E)),
+        );
+        let r = _mm256_fnmadd_pd(n, _mm256_set1_pd(LN2_HI_64), x);
+        let r = _mm256_fnmadd_pd(n, _mm256_set1_pd(LN2_LO_64), r);
+        let mut y = _mm256_set1_pd(EXP64_TAYLOR[0]);
+        for &c in &EXP64_TAYLOR[1..] {
+            y = _mm256_fmadd_pd(y, r, _mm256_set1_pd(c));
+        }
+        // 2^n from its biased exponent; lanes outside [-1022, 0] hold garbage
+        // here and are masked off below.
+        let biased = _mm256_add_epi64(
+            _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(n)),
+            _mm256_set1_epi64x(1023),
+        );
+        let pow2n = _mm256_castsi256_pd(_mm256_slli_epi64::<52>(biased));
+        // Not-less-than, unordered: true for x >= EXP64_MIN and for NaN, so
+        // NaN propagates and only the flushed lanes are zeroed.
+        let keep = _mm256_cmp_pd::<_CMP_NLT_UQ>(x, _mm256_set1_pd(EXP64_MIN));
+        _mm256_and_pd(_mm256_mul_pd(y, pow2n), keep)
+    }
 
     /// Exact attention over validated shapes, vectorised with AVX2 + FMA.
     ///
@@ -757,6 +913,104 @@ mod tests {
         assert_eq!(SimdLevel::Avx2.label(), "avx2");
         assert!(SimdLevel::Scalar.available());
         assert_eq!(SimdBackend::default(), SimdBackend::new());
+    }
+
+    /// Distance in units in the last place between two non-negative finite
+    /// doubles (their bit patterns are ordered like their values).
+    fn ulps(a: f64, b: f64) -> u64 {
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn f64_lane_exp_is_within_one_ulp_of_libm_down_to_the_flush_bound() {
+        // A dense sweep of [-745.2, 0] with seeded low-order bits, the
+        // signed zeros, the flush boundary and its neighbours, the points
+        // where the reduction's `n` changes, and libm's own underflow edge.
+        let mut args = vec![
+            0.0,
+            -0.0,
+            -f64::MIN_POSITIVE,
+            -1e-300,
+            -745.2,
+            -745.13,
+            -745.14,
+        ];
+        let min = x86::EXP64_MIN;
+        // `min` is negative: a larger bit pattern is one ulp further from 0.
+        for k in 0..64 {
+            args.extend([
+                f64::from_bits(min.to_bits() + k + 1),
+                f64::from_bits(min.to_bits() - k),
+            ]);
+        }
+        for k in 0..=1100 {
+            let centre = -(f64::from(k) + 0.5) * std::f64::consts::LN_2;
+            let bits = centre.to_bits();
+            args.extend([centre, f64::from_bits(bits + 1), f64::from_bits(bits - 1)]);
+        }
+        let steps = 1u64 << 21;
+        let mut h = 0x9E37_79B9_7F4A_7C15u64;
+        for k in 0..=steps {
+            h = (h ^ (h >> 29))
+                .wrapping_mul(0xBF58_476D_1CE4_E5B9)
+                .wrapping_add(k);
+            let x = -745.2 * k as f64 / steps as f64;
+            args.push(f64::from_bits(x.to_bits() ^ (h >> 44)));
+        }
+        let Some(_) = x86::exp_f64_x4([0.0; 4]) else {
+            eprintln!("skipping: host has no AVX2 + FMA");
+            return;
+        };
+        let mut exact = 0usize;
+        for chunk in args.chunks(4) {
+            let mut x = [0.0; 4];
+            x[..chunk.len()].copy_from_slice(chunk);
+            let lanes = x86::exp_f64_x4(x).unwrap();
+            for (&x, &got) in x.iter().zip(&lanes).take(chunk.len()) {
+                let want = x.exp();
+                if x < min {
+                    assert!(want < f64::MIN_POSITIVE, "exp({x:e}) = {want:e} is normal");
+                    assert_eq!(got.to_bits(), 0, "exp({x:e}) must flush to +0");
+                } else {
+                    let d = ulps(got, want);
+                    assert!(
+                        d <= 1,
+                        "exp({x:e}): lanes {got:e} vs libm {want:e} ({d} ulp)"
+                    );
+                    exact += usize::from(d == 0);
+                }
+            }
+        }
+        // The lanes should match libm exactly on most arguments.
+        assert!(
+            exact * 10 > args.len() * 8,
+            "{exact} of {} exact",
+            args.len()
+        );
+        // NaN propagates; -inf flushes.
+        let specials = x86::exp_f64_x4([f64::NAN, f64::NEG_INFINITY, -1000.0, -0.0]).unwrap();
+        assert!(specials[0].is_nan());
+        assert_eq!(specials[1..], [0.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn sum_exp_shifted_matches_libm_sum_at_every_level() {
+        let scores: Vec<f32> = (0..37).map(|i| (i as f32 * 0.37).sin() * 9.0).collect();
+        let max = scores
+            .iter()
+            .fold(f64::NEG_INFINITY, |m, &s| m.max(f64::from(s)));
+        let libm: f64 = scores.iter().map(|&s| (f64::from(s) - max).exp()).sum();
+        assert_eq!(SimdBackend::scalar().sum_exp_shifted(&scores, max), libm);
+        for len in 0..=scores.len() {
+            let part = &scores[..len];
+            let want: f64 = part.iter().map(|&s| (f64::from(s) - max).exp()).sum();
+            let got = SimdBackend::new().sum_exp_shifted(part, max);
+            assert!(
+                (got - want).abs() <= 4.0 * f64::EPSILON * want,
+                "len {len}: {got} vs {want}"
+            );
+        }
     }
 
     #[cfg(target_arch = "x86_64")]
