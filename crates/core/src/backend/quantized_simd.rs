@@ -4,19 +4,36 @@
 //!
 //! [`SimdBackend`](super::SimdBackend) vectorises the *float* datapath; this
 //! module vectorises the *quantized* one, exploiting how narrow the Section
-//! III-B stage formats are for small input formats. The three hot loops run on
-//! integer lanes:
+//! III-B stage formats are for small input formats. One query streams every
+//! row through three modules in lanes, carried by one `n`-element `i32` work
+//! buffer that holds each row's dot, then its score, then its weight:
 //!
-//! 1. **QK dot products** — quantized keys and queries live in `i16` lanes and
-//!    `_mm256_madd_epi16` performs the widening int16→int32 multiply-accumulate,
-//!    sixteen elements per instruction;
+//! 1. **QK dot products** — quantized keys and the query live in `i16` lanes
+//!    and `_mm256_madd_epi16` performs the widening int16→int32
+//!    multiply-accumulate, sixteen elements per instruction. Rows go in
+//!    blocks of eight: each query load feeds eight row accumulators, six
+//!    `_mm256_hadd_epi32` and two `_mm256_permute2x128_si256` reduce them to
+//!    one vector of eight row sums, and that vector is clamped, folded into
+//!    the running maximum and stored at once. The `d mod 16` tail is added
+//!    per row; the `n mod 8` rows past the last block reduce one at a time;
 //! 2. **exp-LUT softmax** — `_mm256_i32gather_epi32` fetches the two-half
 //!    table entries for eight rows at once; the entry product and rounding
 //!    shift are evaluated in 64-bit lanes (`_mm256_mul_epu32` over the
 //!    even/odd halves, blended back into eight 32-bit score lanes);
-//! 3. **weighted value accumulation** — the `Q0.2f` normalisation weight from
-//!    `div_weight` is broadcast once per row and folded into a single
-//!    `_mm256_mullo_epi32` + add per lane over `i32` value rows.
+//! 3. **normalisation and weighted value accumulation** — each `Q0.2f`
+//!    weight `floor(score * 2^(2f) / exp_sum)` is computed by exact floor
+//!    division in four `f64` lanes and clamped at the weight format; a block
+//!    of eight zero scores is skipped whole. Each nonzero weight is broadcast
+//!    once per row and folded into a `_mm256_mullo_epi32` + add per lane over
+//!    `i32` value rows.
+//!
+//! Scores, weights and output are dequantized four lanes at a time with
+//! `_mm256_cvtepi32_pd`, `_mm256_mul_pd` and `_mm256_cvtpd_ps`: the exact
+//! widening, the `f64` product and the round-to-nearest-even narrowing of the
+//! scalar `(f64::from(x) * res) as f32`, each correctly rounded under the
+//! default rounding mode. Inside the grid `d <= 64`, so the quantized query
+//! and the output accumulator live on the stack; an attend allocates only
+//! its three result vectors and the work buffer.
 //!
 //! # Bit-identity contract
 //!
@@ -26,13 +43,27 @@
 //! accepts (`formats_eligible`) the scalar pipeline's per-step saturation
 //! provably never fires before the final accumulation step:
 //!
-//! - *dot products*: every partial sum of at most `d - 1` element products is
-//!   bounded by `(2^ld - 1) * 2^(2t)` (`t` = input total bits), strictly inside
-//!   the `Q(2i+ld).(2f)` dot format, so the scalar per-step clamps are no-ops
-//!   until the last step — equivalent to one exact lane-parallel sum plus a
-//!   single final clamp;
+//! - *dot products*: every partial sum of element products from one row is
+//!   bounded by `d * 2^(2t) <= 2^(2t+ld) <= 2^30` (`t` = input total bits;
+//!   lane gate 2), and every partial sum of at most `d - 1` products by
+//!   `(2^ld - 1) * 2^(2t)`, strictly inside the `Q(2i+ld).(2f)` dot format.
+//!   So the scalar per-step clamps are no-ops until the last step, and any
+//!   summation order — lane accumulators, the eight-row `hadd` tree, whose
+//!   every partial sum covers a subset of one row's products, or the per-row
+//!   tail — equals one exact sum plus a single final clamp;
 //! - *exponent sums*: scores are at most `2^2f - 1` and `n <= 2^ln`, so the
 //!   running sum never reaches the `Q(ln).(2f)` bound;
+//! - *normalisation*: with `N = score * 2^(2f) < 2^(4f) <= 2^32` and
+//!   `0 < D = exp_sum < 2^(ln+2f) <= 2^25` (grid `f <= 8`, `ln <= 9`), both
+//!   operands are exact `f64` values and the lane quotient is `N / D`
+//!   correctly rounded. If `N / D` is an integer, the quotient is exact.
+//!   Otherwise `q < N / D <= q + 1 - 1/D` for `q = floor(N / D)`; rounding to
+//!   nearest can reach `q + 1` only from within half an ulp of it, at most
+//!   `(q + 1) * 2^-53`, but `(q + 1) * D <= N + D < 2^53` puts `N / D` at
+//!   least `1/D > (q + 1) * 2^-53` below. The quotient is non-negative, so
+//!   clamping it at `weight_max` and truncating gives `min(q, weight_max)`,
+//!   the scalar `div_weight` (whose lower clamp never binds). `prepare`
+//!   checks `N_max + D_max < 2^53` for the plan rather than assuming it;
 //! - *output accumulation*: the normalisation weights floor-divide a common
 //!   denominator, so they sum to at most `2^2f`, bounding every partial
 //!   weighted sum strictly inside the `Q(i+ln).(3f)` output format.
@@ -41,13 +72,15 @@
 //! floor division with its zero-denominator case and weight clamp, and the
 //! final dot saturation — are replicated operation for operation. The property
 //! suite in `crates/core/tests/properties.rs` pins the bit-identity on random
-//! shapes and formats, including `n = 1` and non-lane-multiple `d`, and
-//! `crates/core/tests/quantized_golden.rs` pins the absolute output bits.
+//! shapes and formats, including `n = 1` and non-lane-multiple `d`, the unit
+//! tests below pin the blocked dots and the lane division against their
+//! scalar forms, and `crates/core/tests/quantized_golden.rs` pins the
+//! absolute output bits.
 //!
 //! # Dispatch
 //!
 //! As with [`SimdLevel::detect`], the decision is made **once at prepare
-//! time**: [`QuantizedSimdPipeline::prepare`] returns `None` unless runtime
+//! time**: `QuantizedSimdPipeline::prepare` returns `None` unless runtime
 //! detection selects AVX2 (the `A3_FORCE_SCALAR` override is honoured) *and*
 //! the format plan passes [`PipelineFormats::lanes_eligible`] — inside the
 //! grid the `a3-analyze` range prover certifies, every lane-width gate
@@ -78,7 +111,7 @@ use crate::attention::AttentionResult;
 /// every shift amount and clamp bound the kernels need, all resolved once at
 /// prepare time.
 ///
-/// Constructed only through [`QuantizedSimdPipeline::prepare`], which performs
+/// Constructed only through `QuantizedSimdPipeline::prepare`, which performs
 /// the runtime AVX2 dispatch and validates the lane-width eligibility gates;
 /// an instance existing is the proof that the kernels' preconditions hold.
 #[derive(Clone)]
@@ -797,18 +830,19 @@ mod x86 {
         }
     }
 
-    /// Module 3 normalisation of the scores in `work` into weights, in place:
-    /// `min(floor(score * 2^(2f) / exp_sum), weight_max)` in `f64` lanes,
-    /// which equals the scalar `div_weight` (module docs). A block of eight
-    /// zero scores is already its eight zero weights and is skipped.
-    ///
-    /// Caller contract: `exp_sum > 0`.
+    /// [`normalise`] for tests (`exp_sum > 0`).
     #[cfg(test)]
     pub(super) fn normalise_lanes(p: &QuantizedSimdPipeline, work: &mut [i32], exp_sum: i64) {
         // SAFETY: the pipeline's existence proves `avx2` (see `attend`).
         unsafe { normalise(p, work, exp_sum) }
     }
 
+    /// Module 3 normalisation of the scores in `work` into weights, in place:
+    /// `min(floor(score * 2^(2f) / exp_sum), weight_max)` in `f64` lanes,
+    /// which equals the scalar `div_weight` (module docs). A block of eight
+    /// zero scores is already its eight zero weights and is skipped.
+    ///
+    /// Caller contract: `exp_sum > 0`.
     // SAFETY: callers must ensure `avx2` is available (the
     // `#[target_feature]` contract). Loads and stores go through the pointer
     // of the exclusive `work` borrow at `i` with `i + LANES_32 <= len`

@@ -479,13 +479,7 @@ pub fn merge_partial_softmax(
     // Per-shard statistics the merge unit receives alongside each partial output.
     let stats: Vec<(f64, f64)> = partials
         .iter()
-        .map(|p| {
-            let max = p
-                .scores
-                .iter()
-                .fold(f64::NEG_INFINITY, |acc, &s| acc.max(f64::from(s)));
-            (max, simd.sum_exp_shifted(&p.scores, max))
-        })
+        .map(|p| simd.softmax_stats(&p.scores))
         .collect();
     let global_max = stats
         .iter()

@@ -161,27 +161,30 @@ impl SimdBackend {
         self.level
     }
 
-    /// `Σ exp(f64(s) − shift)` over `scores`: the per-shard normaliser of the
-    /// log-sum-exp merge ([`merge_partial_softmax`](super::merge_partial_softmax)).
+    /// The per-shard statistics of the log-sum-exp merge
+    /// ([`merge_partial_softmax`](super::merge_partial_softmax)): the largest
+    /// score as an `f64` (NaN scores ignored, `-inf` when there is none) and
+    /// the normaliser `Σ exp(f64(s) − max)`.
     ///
-    /// At [`SimdLevel::Avx2`] four `f64` lanes evaluate a Cody–Waite `exp`
-    /// (`x86::exp_f64_lanes`) that is within 1 ulp of libm's `f64::exp` for
-    /// every argument whose result is at least `2^-1022`; smaller results are
-    /// flushed to zero. The lane sums are added pairwise, then the `len mod 4`
-    /// tail elements with libm `exp`. At [`SimdLevel::Scalar`] every element
-    /// goes through libm `exp`, summed in order.
+    /// At [`SimdLevel::Scalar`] the maximum is a fold and every term goes
+    /// through libm's `f64::exp`, summed in order. At [`SimdLevel::Avx2`] the
+    /// maximum is taken in eight `f32` lanes (the same value: widening is
+    /// exact and monotone), and four `f64` lanes evaluate a Cody–Waite `exp`
+    /// (`x86::exp_f64_lanes`) that is within 1 ulp of libm's for every
+    /// argument whose result is at least `2^-1022` and flushes smaller
+    /// results to zero. The lane sums are added pairwise, then the `len mod 4`
+    /// tail terms with libm `exp`.
     ///
-    /// The flush cannot move a merge whose shift is the shard's maximum
-    /// score: that row adds `exp(0) = 1`, and at most `n <= 2^9` flushed
-    /// terms, each below `2^-1022`, sum to far less than half an ulp of a
-    /// total of at least 1.
-    pub(crate) fn sum_exp_shifted(&self, scores: &[f32], shift: f64) -> f64 {
+    /// The flush cannot move the normaliser: the maximum's own row adds
+    /// `exp(0) = 1`, and at most `n <= 2^9` flushed terms, each below
+    /// `2^-1022`, sum to far less than half an ulp of a total of at least 1.
+    pub(crate) fn softmax_stats(&self, scores: &[f32]) -> (f64, f64) {
         match self.level {
-            SimdLevel::Scalar => scores.iter().map(|&s| (f64::from(s) - shift).exp()).sum(),
+            SimdLevel::Scalar => softmax_stats_scalar(scores),
             #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 => x86::sum_exp_shifted(scores, shift),
+            SimdLevel::Avx2 => x86::softmax_stats(scores),
             #[cfg(not(target_arch = "x86_64"))]
-            SimdLevel::Avx2 => scores.iter().map(|&s| (f64::from(s) - shift).exp()).sum(),
+            SimdLevel::Avx2 => softmax_stats_scalar(scores),
         }
     }
 
@@ -267,6 +270,17 @@ impl ComputeBackend for SimdBackend {
     // per-shard partial softmax outputs: the SIMD datapath attends every row, so the
     // dense merge is the correct cross-shard combination (property-tested against
     // the unsharded result).
+}
+
+/// [`SimdBackend::softmax_stats`] with a max fold and libm `exp`.
+fn softmax_stats_scalar(scores: &[f32]) -> (f64, f64) {
+    let max = scores
+        .iter()
+        .fold(f64::NEG_INFINITY, |acc, &s| acc.max(f64::from(s)));
+    (
+        max,
+        scores.iter().map(|&s| (f64::from(s) - max).exp()).sum(),
+    )
 }
 
 /// Scalar mirror of the vector kernels' polynomial `exp`, used for the tail
@@ -372,23 +386,56 @@ mod x86 {
         1.0,
     ];
 
-    /// `Σ exp(f64(s) − shift)` over `scores` (see
-    /// `SimdBackend::sum_exp_shifted`).
+    /// [`SimdBackend::softmax_stats`](super::SimdBackend::softmax_stats) in
+    /// lanes.
     ///
     /// Caller contract: the CPU supports `avx2` and `fma`.
-    pub(super) fn sum_exp_shifted(scores: &[f32], shift: f64) -> f64 {
-        // SAFETY: only reached through `SimdBackend::sum_exp_shifted` at
+    pub(super) fn softmax_stats(scores: &[f32]) -> (f64, f64) {
+        // SAFETY: only reached through `SimdBackend::softmax_stats` at
         // `SimdLevel::Avx2`, which `SimdBackend::with_level` stores only after
         // `SimdLevel::available` confirmed `avx2` and `fma` on this CPU.
-        unsafe { sum_exp_shifted_avx2(scores, shift) }
+        unsafe {
+            let max = f64::from(max_f32(scores));
+            (max, sum_exp_shifted(scores, max))
+        }
     }
 
+    /// The largest element, NaN ignored (`-inf` for none): the value of the
+    /// scalar `f64::max` fold. `_mm256_max_ps` returns its second operand
+    /// when either is NaN, so with the running maximum second a NaN element
+    /// leaves it unchanged.
+    // SAFETY: callers must ensure `avx2`/`fma` are available (the
+    // `#[target_feature]` contract). Eight-lane loads read `p + i` with
+    // `i + LANES <= len`, inside the borrowed slice; the tail reads single
+    // elements at `i < len`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn max_f32(scores: &[f32]) -> f32 {
+        let len = scores.len();
+        let p = scores.as_ptr();
+        let mut acc = _mm256_set1_ps(f32::NEG_INFINITY);
+        let mut i = 0;
+        while i + LANES <= len {
+            acc = _mm256_max_ps(_mm256_loadu_ps(p.add(i)), acc);
+            i += LANES;
+        }
+        let mut lanes = [0.0f32; LANES];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+        let mut max = lanes.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
+        while i < len {
+            max = max.max(*p.add(i));
+            i += 1;
+        }
+        max
+    }
+
+    /// `Σ exp(f64(s) − shift)` over `scores`: four-lane [`exp_f64_lanes`]
+    /// sums added pairwise, then the tail terms with libm `exp`.
     // SAFETY: callers must ensure `avx2`/`fma` are available (the
     // `#[target_feature]` contract). Four-lane loads read `p + i` with
     // `i + LANES_64 <= len`, inside the borrowed slice; the tail reads single
     // elements at `i < len`.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn sum_exp_shifted_avx2(scores: &[f32], shift: f64) -> f64 {
+    unsafe fn sum_exp_shifted(scores: &[f32], shift: f64) -> f64 {
         let len = scores.len();
         let p = scores.as_ptr();
         let shiftv = _mm256_set1_pd(shift);
@@ -995,22 +1042,38 @@ mod tests {
     }
 
     #[test]
-    fn sum_exp_shifted_matches_libm_sum_at_every_level() {
-        let scores: Vec<f32> = (0..37).map(|i| (i as f32 * 0.37).sin() * 9.0).collect();
-        let max = scores
-            .iter()
-            .fold(f64::NEG_INFINITY, |m, &s| m.max(f64::from(s)));
-        let libm: f64 = scores.iter().map(|&s| (f64::from(s) - max).exp()).sum();
-        assert_eq!(SimdBackend::scalar().sum_exp_shifted(&scores, max), libm);
+    fn softmax_stats_track_the_libm_fold_at_every_level() {
+        let mut scores: Vec<f32> = (0..37).map(|i| (i as f32 * 0.37).sin() * 9.0).collect();
+        // NaN scores are ignored by the maximum, in lanes and in the tail.
+        scores[5] = f32::NAN;
+        scores[35] = f32::NAN;
         for len in 0..=scores.len() {
             let part = &scores[..len];
-            let want: f64 = part.iter().map(|&s| (f64::from(s) - max).exp()).sum();
-            let got = SimdBackend::new().sum_exp_shifted(part, max);
-            assert!(
-                (got - want).abs() <= 4.0 * f64::EPSILON * want,
-                "len {len}: {got} vs {want}"
-            );
+            let (max, sum) = softmax_stats_scalar(part);
+            let want_max = part
+                .iter()
+                .fold(f64::NEG_INFINITY, |m, &s| m.max(f64::from(s)));
+            assert_eq!(max, want_max);
+            let (lane_max, lane_sum) = SimdBackend::new().softmax_stats(part);
+            assert_eq!(lane_max, max, "len {len}");
+            if len > 5 {
+                assert!(sum.is_nan() && lane_sum.is_nan(), "len {len}");
+            } else {
+                assert!(
+                    (lane_sum - sum).abs() <= 4.0 * f64::EPSILON * sum,
+                    "len {len}"
+                );
+            }
         }
+        let clean: Vec<f32> = scores
+            .iter()
+            .map(|&s| if s.is_nan() { 0.5 } else { s })
+            .collect();
+        let (max, sum) = SimdBackend::scalar().softmax_stats(&clean);
+        let (lane_max, lane_sum) = SimdBackend::new().softmax_stats(&clean);
+        assert_eq!(lane_max, max);
+        assert!((lane_sum - sum).abs() <= 4.0 * f64::EPSILON * sum);
+        assert_eq!(SimdBackend::new().softmax_stats(&[]).0, f64::NEG_INFINITY);
     }
 
     #[cfg(target_arch = "x86_64")]
