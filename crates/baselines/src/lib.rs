@@ -12,7 +12,9 @@
 //!   (fraction of time spent in attention);
 //! * [`device`], [`cpu`], [`gpu`] — analytical roofline-style performance and
 //!   TDP-based energy models of the two baseline devices, used by the Figure 14/15
-//!   comparisons (see `DESIGN.md`, substitution #2).
+//!   comparisons. With neither machine at hand, each is modelled from its published
+//!   peak compute, memory bandwidth and TDP, which the paper also charges the
+//!   baselines (Section VI-D).
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

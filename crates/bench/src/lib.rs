@@ -1,7 +1,8 @@
 //! Shared helpers for the A3 Criterion benchmark harness.
 //!
 //! Each bench target regenerates the measurement behind one of the paper's tables or
-//! figures (see `DESIGN.md` §3 for the full index):
+//! figures (the `a3-eval` crate docs map every figure and table to its experiment
+//! driver):
 //!
 //! | bench target | paper content |
 //! |--------------|---------------|

@@ -55,7 +55,7 @@ pub struct ApproxAttentionOutput {
     pub output: Vec<f32>,
     /// Scores and weights aligned with the full key matrix; rows that were pruned have
     /// score and weight zero. Comparable element-wise with the exact
-    /// [`AttentionResult`](crate::attention::AttentionResult).
+    /// [`AttentionResult`].
     pub result: AttentionResult,
     /// Rows chosen by candidate selection (sorted ascending).
     pub candidates: Vec<usize>,

@@ -463,6 +463,19 @@ impl ShardedMemory {
 /// reductions run in `f64`, so no shard's scores are ever exponentiated without a
 /// max subtraction.
 ///
+/// The per-shard normalisers `Zₛ` dominate the merge's cost (one `exp` per row), so
+/// on AVX2 hosts they run in lanes: `maxₛ` in eight `f32` lanes and each
+/// `exp(f64(sᵢ) − maxₛ)` in four `f64` lanes, by a Cody–Waite reduction and a
+/// degree-13 Taylor polynomial that is within 1 ulp of libm's `f64::exp` for every
+/// argument whose result is at least `2^-1022` (tested on a dense sweep of
+/// `[−745.2, 0]`). Smaller terms are flushed to zero, which cannot move `Zₛ`: it
+/// holds the shard maximum's own `exp(0) = 1`, and at most `2^9` flushed terms below
+/// `2^-1022` stay far below half an ulp of that. The lane sums differ from an
+/// in-order libm sum only at the level of `f64` rounding, far below the `f32`
+/// outputs' precision; golden hashes pin the sharded quantized outputs on both
+/// dispatch levels. The level is read once per call, and `len mod 4` tail rows, the
+/// `K` rescale factors, non-AVX2 hosts and `A3_FORCE_SCALAR=1` use libm `exp`.
+///
 /// # Panics
 ///
 /// Panics unless `partials` holds exactly one result per shard of `memory`,

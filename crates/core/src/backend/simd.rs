@@ -489,7 +489,7 @@ mod x86 {
     // SAFETY: callers must ensure `avx2`/`fma` are available (the
     // `#[target_feature]` contract). Pure register arithmetic; no memory access.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn exp_f64_lanes(x: __m256d) -> __m256d {
+    unsafe fn exp_f64_lanes(x: __m256d) -> __m256d {
         let n = _mm256_round_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
             _mm256_mul_pd(x, _mm256_set1_pd(std::f64::consts::LOG2_E)),
         );

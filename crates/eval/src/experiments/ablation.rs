@@ -1,4 +1,5 @@
-//! Ablation studies for the design choices called out in `DESIGN.md` §6.
+//! Ablation studies for two of the paper's design choices: the two-half exponent
+//! lookup table (Section III-A) and the dynamic post-scoring threshold (Section IV-D).
 
 use a3_core::approx::{post_scoring_select, static_top_k};
 use a3_core::attention::attention_with_scores;

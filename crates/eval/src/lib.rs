@@ -16,7 +16,7 @@
 //! | Figure 15 (energy efficiency and breakdown) | [`experiments::performance::fig15`] |
 //! | Table I (area and power) | [`experiments::table1()`] |
 //! | Latency/throughput model (Section III-A / V-C) | [`experiments::latency_model`] |
-//! | Design-choice ablations (DESIGN.md §6) | [`experiments::ablation()`] |
+//! | Design-choice ablations (exponent-table organisation, dynamic vs static post-scoring cut) | [`experiments::ablation()`] |
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

@@ -9,10 +9,11 @@
 //! [`BertLite`] is a deliberately small stand-in: token + positional embeddings, a
 //! stack of single-projection self-attention layers (each head `d = 64` wide, as in
 //! BERT-base), a residual connection, and a lexical-overlap span-prediction head. It is
-//! not a trained language model — the substitution argument is in `DESIGN.md` — but its
-//! attention operations have the paper's exact shape and its end-task F1 responds to
-//! attention approximation the same way: pruning rows that carry real attention weight
-//! hurts, pruning near-zero rows does not.
+//! not a trained language model, and need not be: A3 approximates only the attention
+//! operation, so a model whose attention has BERT's shape and weight concentration
+//! exercises it the same way. Its attention operations have the paper's exact shape
+//! and its end-task F1 responds to attention approximation the same way: pruning rows
+//! that carry real attention weight hurts, pruning near-zero rows does not.
 
 use a3_core::attention::self_attention;
 use a3_core::backend::ComputeBackend;

@@ -9,11 +9,14 @@
 //! | BERT (base) self-attention | SQuAD v1.1 | 320 | [`squad`], [`bert`] |
 //!
 //! We do not have the pretrained checkpoints or the licensed datasets, so each workload
-//! is replaced by a *synthetic* equivalent (see `DESIGN.md`, substitution #1): a
-//! deterministic generator produces tasks with the same structure (a few relevant
-//! memory rows among many distractors, the paper's `n` and `d`), a light-weight model
-//! embeds them with [`embedding::EmbeddingSpace`], and the model's attention operations
-//! go through the pluggable [`a3_core::backend::ComputeBackend`] serving layer so that
+//! is replaced by a *synthetic* equivalent. A3 changes only the attention operation,
+//! so what its accuracy and performance depend on is the attention workload (its
+//! `n`, its `d` and how the weight concentrates on a few rows), not the trained
+//! weights around it. A deterministic generator produces tasks with the same structure
+//! (a few relevant memory rows among many distractors, the paper's `n` and `d`), a
+//! light-weight model embeds them with [`embedding::EmbeddingSpace`], and the model's
+//! attention operations go through the pluggable
+//! [`a3_core::backend::ComputeBackend`] serving layer so that
 //! the exact, approximate and quantized/LUT datapaths can be compared — which is
 //! exactly the experimental setup of the paper's Section VI-B accuracy study.
 //!
