@@ -8,10 +8,29 @@
 //! [`ExactBackend`](super::ExactBackend) (every row attended, no approximation), with
 //! the three hot loops vectorised using explicit-width x86_64 AVX2 lanes:
 //!
-//! 1. **QK dot products** — eight `f32` lanes per FMA, two accumulators per row;
+//! 1. **QK dot products** — eight `f32` lanes per FMA, two accumulators per row,
+//!    four rows per block sharing each query load;
 //! 2. **softmax reduction** — vectorised max, a polynomial `exp` evaluated eight
 //!    lanes at a time, vectorised sum and normalisation;
-//! 3. **weighted value accumulation** — broadcast weight, FMA into the output lanes.
+//! 3. **weighted value accumulation** — broadcast weight, FMA into up to eight
+//!    register accumulators (a 64-float column block) over all rows.
+//!
+//! # The four-row block
+//!
+//! A row's dot product on its own ends in a serial shuffle-and-add chain
+//! (`hsum`) that no other work overlaps. The AVX2 kernel instead fills four
+//! rows' accumulators from the same query loads, in exactly the single-row
+//! chunking (two accumulators, 16 floats a step, then one 8-float step), and
+//! reduces the four together (`hsum4`): two 128-bit permutes and an add form
+//! each row's low half + high half, two shuffles and an add form lanes 0 + 2
+//! and 1 + 3, and two more shuffles and an add finish. Those are the three adds
+//! `hsum` performs on one row, on the same two operands in the same order, so
+//! every row sum is the same `f32`. Each row's `d mod 8` tail is then added by
+//! scalar `mul_add` in order, as the single-row path does, and the `n mod 4`
+//! rows past the last block take the single-row path. The block therefore
+//! changes the instruction schedule, not one bit of the scores. Likewise, the
+//! weighted sum's column blocks (64, 32 and 8 floats, then scalar) add each
+//! output element's rows in ascending order whatever the block width.
 //!
 //! The instruction set is chosen **once at backend construction** by
 //! [`SimdLevel::detect`]: runtime CPU feature detection picks AVX2 when the host
@@ -316,11 +335,12 @@ mod x86 {
         _mm256_cvtps_pd, _mm256_cvttps_epi32, _mm256_div_ps, _mm256_extractf128_pd,
         _mm256_extractf128_ps, _mm256_floor_ps, _mm256_fmadd_pd, _mm256_fmadd_ps, _mm256_fnmadd_pd,
         _mm256_fnmadd_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_pd,
-        _mm256_mul_ps, _mm256_round_pd, _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_set1_pd,
-        _mm256_set1_ps, _mm256_setzero_pd, _mm256_setzero_ps, _mm256_slli_epi32, _mm256_slli_epi64,
-        _mm256_storeu_ps, _mm256_sub_pd, _mm256_sub_ps, _mm_add_pd, _mm_add_ps, _mm_add_ss,
-        _mm_cvtsd_f64, _mm_cvtss_f32, _mm_loadu_ps, _mm_movehl_ps, _mm_shuffle_ps, _mm_unpackhi_pd,
-        _CMP_NLT_UQ, _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT,
+        _mm256_mul_ps, _mm256_permute2f128_ps, _mm256_round_pd, _mm256_set1_epi32,
+        _mm256_set1_epi64x, _mm256_set1_pd, _mm256_set1_ps, _mm256_setzero_pd, _mm256_setzero_ps,
+        _mm256_shuffle_ps, _mm256_slli_epi32, _mm256_slli_epi64, _mm256_storeu_ps, _mm256_sub_pd,
+        _mm256_sub_ps, _mm_add_pd, _mm_add_ps, _mm_add_ss, _mm_cvtsd_f64, _mm_cvtss_f32,
+        _mm_loadu_ps, _mm_movehl_ps, _mm_shuffle_ps, _mm_unpackhi_pd, _CMP_NLT_UQ,
+        _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT,
     };
 
     use super::exp_poly_scalar;
@@ -329,6 +349,10 @@ mod x86 {
 
     /// Number of `f32` lanes per AVX2 vector.
     const LANES: usize = 8;
+    /// Key rows whose dot products [`dots`] reduces together.
+    const ROWS: usize = 4;
+    /// The output lane of each of [`hsum4`]'s four rows, in row order.
+    const HSUM4_LANES: [usize; ROWS] = [0, 4, 1, 5];
 
     /// Upper input clamp of the polynomial `exp` (just under `ln(f32::MAX)`).
     pub(super) const EXP_HI: f32 = 88.376_26;
@@ -529,23 +553,120 @@ mod x86 {
     // construction. Shapes are validated by `SimdBackend::attend_raw` before entry.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn attend_avx2(keys: &Matrix, values: &Matrix, query: &[f32]) -> AttentionResult {
-        let n = keys.rows();
-        let mut scores = Vec::with_capacity(n);
+        let mut scores = vec![0.0f32; keys.rows()];
         // The max reduction of the stable softmax is fused into the score pass.
-        let mut max = f32::NEG_INFINITY;
-        for i in 0..n {
-            let s = dot(keys.row(i), query);
-            max = max.max(s);
-            scores.push(s);
-        }
-        let mut weights = scores.clone();
-        softmax_in_place(&mut weights, max);
+        let max = dots(keys, query, &mut scores);
+        let weights = softmax(&scores, max);
         let output = weighted_sum(values, &weights);
         AttentionResult {
             scores,
             weights,
             output,
         }
+    }
+
+    /// Writes every key row's dot product with `query` into `scores` and
+    /// returns the largest (a `f32::max` fold in row order).
+    ///
+    /// Four rows share each query load: each row keeps [`dot`]'s two
+    /// accumulators over the same chunks, and [`hsum4`] reduces the four rows
+    /// together with [`hsum`]'s adds. Each row's `d mod 8` tail is then added
+    /// in order with scalar `mul_add`, as [`dot`] does, so every score is
+    /// bit-identical to [`dot`]'s. The `n mod 4` rows past the last block go
+    /// through [`dot`].
+    // SAFETY: callers must ensure `avx2`/`fma` are available (the
+    // `#[target_feature]` contract) and `scores.len() == keys.rows()`, with
+    // `query.len() == keys.dim()` (validated by `SimdBackend::attend_raw`).
+    // Row `r + k` is read at `base + (r + k) * d + i` with `r + k < n` and
+    // `i < d` (eight-lane loads at `i + LANES <= d`), inside the `n * d` key
+    // buffer; the query at offsets below `d`; `scores` is written at
+    // `r + k < n` through the pointer of its exclusive borrow.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn dots(keys: &Matrix, query: &[f32], scores: &mut [f32]) -> f32 {
+        debug_assert_eq!(scores.len(), keys.rows());
+        let (n, d) = (keys.rows(), keys.dim());
+        let base = keys.as_slice().as_ptr();
+        let q = query.as_ptr();
+        let out = scores.as_mut_ptr();
+        let mut max = f32::NEG_INFINITY;
+        let mut r = 0;
+        while r + ROWS <= n {
+            let block = base.add(r * d);
+            let mut acc = [[_mm256_setzero_ps(); 2]; ROWS];
+            let mut i = 0;
+            while i + 2 * LANES <= d {
+                let q0 = _mm256_loadu_ps(q.add(i));
+                let q1 = _mm256_loadu_ps(q.add(i + LANES));
+                for (k, [acc0, acc1]) in acc.iter_mut().enumerate() {
+                    let row = block.add(k * d + i);
+                    *acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(row), q0, *acc0);
+                    *acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(row.add(LANES)), q1, *acc1);
+                }
+                i += 2 * LANES;
+            }
+            if i + LANES <= d {
+                let q0 = _mm256_loadu_ps(q.add(i));
+                for (k, [acc0, _]) in acc.iter_mut().enumerate() {
+                    *acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(block.add(k * d + i)), q0, *acc0);
+                }
+                i += LANES;
+            }
+            let mut lanes = [0.0f32; LANES];
+            _mm256_storeu_ps(
+                lanes.as_mut_ptr(),
+                hsum4(acc.map(|[acc0, acc1]| _mm256_add_ps(acc0, acc1))),
+            );
+            for (k, lane) in HSUM4_LANES.into_iter().enumerate() {
+                let row = block.add(k * d);
+                let mut sum = lanes[lane];
+                for j in i..d {
+                    sum = (*row.add(j)).mul_add(*q.add(j), sum);
+                }
+                *out.add(r + k) = sum;
+                max = max.max(sum);
+            }
+            r += ROWS;
+        }
+        while r < n {
+            let sum = dot(keys.row(r), query);
+            *out.add(r) = sum;
+            max = max.max(sum);
+            r += 1;
+        }
+        max
+    }
+
+    /// The horizontal sums of four rows' lane vectors, each computed with the
+    /// three adds [`hsum`] makes on one vector, on the same two operands in
+    /// the same order: low half + high half, then lanes 0 + 2 and 1 + 3, then
+    /// the two partial sums. Float addition is commutative, so each sum is
+    /// bit-identical to [`hsum`]'s. Rows 0, 1, 2, 3 land in lanes
+    /// [`HSUM4_LANES`] = 0, 4, 1, 5.
+    // SAFETY: callers must ensure `avx2`/`fma` are available (the
+    // `#[target_feature]` contract). No memory is accessed — lane shuffles
+    // and adds only.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn hsum4(rows: [__m256; ROWS]) -> __m256 {
+        let [s0, s1, s2, s3] = rows;
+        // [row 0: lanes j + (j+4) | row 1: lanes j + (j+4)], j = 0..4.
+        let s01 = _mm256_add_ps(
+            _mm256_permute2f128_ps::<0x20>(s0, s1),
+            _mm256_permute2f128_ps::<0x31>(s0, s1),
+        );
+        let s23 = _mm256_add_ps(
+            _mm256_permute2f128_ps::<0x20>(s2, s3),
+            _mm256_permute2f128_ps::<0x31>(s2, s3),
+        );
+        // [row 0: 0+2, 1+3, row 2: 0+2, 1+3 | the same for rows 1 and 3].
+        let pairs = _mm256_add_ps(
+            _mm256_shuffle_ps::<0x44>(s01, s23),
+            _mm256_shuffle_ps::<0xEE>(s01, s23),
+        );
+        // [row 0, row 2, row 0, row 2 | row 1, row 3, row 1, row 3].
+        _mm256_add_ps(
+            _mm256_shuffle_ps::<0x88>(pairs, pairs),
+            _mm256_shuffle_ps::<0xDD>(pairs, pairs),
+        )
     }
 
     /// Horizontal sum of the eight lanes.
@@ -630,39 +751,36 @@ mod x86 {
         _mm256_mul_ps(y, pow2n)
     }
 
-    /// In-place numerically stable softmax over scores whose maximum the caller
-    /// already knows (it falls out of the score pass for free): eight-lane `exp`
-    /// with a running sum, then vectorised normalisation. Tail elements use the
+    /// Numerically stable softmax of scores whose maximum the caller already
+    /// knows (it falls out of the score pass for free): eight-lane `exp` with
+    /// a running sum, then vectorised normalisation. Tail elements use the
     /// scalar mirror of the lane polynomial.
     // SAFETY: callers must ensure `avx2`/`fma` are available (the
-    // `#[target_feature]` contract). All loads/stores go through one raw pointer
-    // derived from the exclusive `&mut [f32]` borrow, at offsets bounded by
-    // `i + LANES <= n` (vector) or `i < n` (scalar), so every access is in
-    // bounds and no aliasing reference exists while the pointer is live.
+    // `#[target_feature]` contract). Loads read `scores` at `i + LANES <= n`
+    // (vector) or `i < n` (scalar); every store and the normalisation's loads
+    // go through one raw pointer derived from the freshly allocated `n`-element
+    // `weights`, at the same bounds, and no other reference to it exists while
+    // the pointer is live.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn softmax_in_place(scores: &mut [f32], max: f32) {
+    unsafe fn softmax(scores: &[f32], max: f32) -> Vec<f32> {
         let n = scores.len();
-        if n == 0 {
-            return;
-        }
-        // All element accesses below go through this one raw pointer — mixing in
-        // `scores[i]` index accesses would create fresh `&mut` reborrows that
-        // invalidate the pointer's provenance between passes (Stacked Borrows).
-        let p = scores.as_mut_ptr();
+        let mut weights = vec![0.0f32; n];
+        let src = scores.as_ptr();
+        let dst = weights.as_mut_ptr();
 
         let vmaxb = _mm256_set1_ps(max);
         let mut vsum = _mm256_setzero_ps();
         let mut i = 0;
         while i + LANES <= n {
-            let e = exp_lanes(_mm256_sub_ps(_mm256_loadu_ps(p.add(i)), vmaxb));
-            _mm256_storeu_ps(p.add(i), e);
+            let e = exp_lanes(_mm256_sub_ps(_mm256_loadu_ps(src.add(i)), vmaxb));
+            _mm256_storeu_ps(dst.add(i), e);
             vsum = _mm256_add_ps(vsum, e);
             i += LANES;
         }
         let mut sum = hsum(vsum);
         while i < n {
-            let e = exp_poly_scalar(*p.add(i) - max);
-            *p.add(i) = e;
+            let e = exp_poly_scalar(*src.add(i) - max);
+            *dst.add(i) = e;
             sum += e;
             i += 1;
         }
@@ -670,82 +788,95 @@ mod x86 {
         let vsumb = _mm256_set1_ps(sum);
         i = 0;
         while i + LANES <= n {
-            _mm256_storeu_ps(p.add(i), _mm256_div_ps(_mm256_loadu_ps(p.add(i)), vsumb));
+            _mm256_storeu_ps(
+                dst.add(i),
+                _mm256_div_ps(_mm256_loadu_ps(dst.add(i)), vsumb),
+            );
             i += LANES;
         }
         while i < n {
-            *p.add(i) /= sum;
+            *dst.add(i) /= sum;
             i += 1;
         }
+        weights
     }
 
     /// Weighted sum of value rows. The loop order is inverted relative to the
-    /// scalar path: the output is processed in 32-float column blocks whose four
-    /// accumulators stay in registers across **all** rows, so the hot loop is pure
-    /// broadcast + FMA with no output loads/stores. Per output element the rows are
-    /// still accumulated in ascending row order (the scalar path's order), and
-    /// zero-weight rows are skipped as the scalar path does.
+    /// scalar path: the output is processed in column blocks of 64, then 32,
+    /// then 8 floats, whose accumulators stay in registers across **all** rows,
+    /// so the hot loop is pure broadcast + FMA with no output loads/stores
+    /// ([`column_block`]); the last `d mod 8` columns are scalar. Per output
+    /// element the rows are still accumulated in ascending row order (the
+    /// scalar path's order), and zero-weight rows are skipped as the scalar
+    /// path does, so the block widths do not change a single bit.
     // SAFETY: callers must ensure `avx2`/`fma` are available (the
-    // `#[target_feature]` contract). Reads are at `data + i*d + j + k*LANES`
-    // with `i < n` and `j + 4*LANES <= d` (resp. `j + LANES <= d`, `j < d`),
-    // all inside the `n*d` value buffer; writes go to `out + j` with the same
-    // block bounds inside the freshly allocated `d`-element output, which is
-    // not otherwise referenced while the pointer is live.
+    // `#[target_feature]` contract) and `weights.len() == values.rows()`.
+    // Every block satisfies `column_block`'s contract: `j + K*LANES <= d`
+    // inside the `n*d` value buffer and the freshly allocated `d`-element
+    // output, which is not otherwise referenced while the pointer is live.
+    // The scalar tail reads `data + i*d + j` with `i < n`, `j < d`.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn weighted_sum(values: &Matrix, weights: &[f32]) -> Vec<f32> {
         let d = values.dim();
-        let n = values.rows();
         let data = values.as_slice().as_ptr();
         let mut output = vec![0.0f32; d];
         let out = output.as_mut_ptr();
         let mut j = 0;
-        // 32-float blocks: four register accumulators over the whole row range.
+        while j + 8 * LANES <= d {
+            column_block::<8>(data, d, weights, j, out);
+            j += 8 * LANES;
+        }
         while j + 4 * LANES <= d {
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
-            let mut acc2 = _mm256_setzero_ps();
-            let mut acc3 = _mm256_setzero_ps();
-            for (i, &w) in weights.iter().enumerate().take(n) {
-                if w == 0.0 {
-                    continue;
-                }
-                let wv = _mm256_set1_ps(w);
-                let r = data.add(i * d + j);
-                acc0 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(r), acc0);
-                acc1 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(r.add(LANES)), acc1);
-                acc2 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(r.add(2 * LANES)), acc2);
-                acc3 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(r.add(3 * LANES)), acc3);
-            }
-            _mm256_storeu_ps(out.add(j), acc0);
-            _mm256_storeu_ps(out.add(j + LANES), acc1);
-            _mm256_storeu_ps(out.add(j + 2 * LANES), acc2);
-            _mm256_storeu_ps(out.add(j + 3 * LANES), acc3);
+            column_block::<4>(data, d, weights, j, out);
             j += 4 * LANES;
         }
-        // Single-vector blocks for the next eight-lane chunks.
         while j + LANES <= d {
-            let mut acc = _mm256_setzero_ps();
-            for (i, &w) in weights.iter().enumerate().take(n) {
-                if w == 0.0 {
-                    continue;
-                }
-                acc = _mm256_fmadd_ps(_mm256_set1_ps(w), _mm256_loadu_ps(data.add(i * d + j)), acc);
-            }
-            _mm256_storeu_ps(out.add(j), acc);
+            column_block::<1>(data, d, weights, j, out);
             j += LANES;
         }
-        // Scalar tail columns.
         while j < d {
             let mut acc = 0.0f32;
-            for (i, &w) in weights.iter().enumerate().take(n) {
+            for (i, &w) in weights.iter().enumerate() {
                 if w != 0.0 {
                     acc = w.mul_add(*data.add(i * d + j), acc);
                 }
             }
-            output[j] = acc;
+            *out.add(j) = acc;
             j += 1;
         }
         output
+    }
+
+    /// Output columns `j .. j + K*LANES` of the weighted sum: `K` register
+    /// accumulators, one broadcast and `K` FMAs per nonzero-weight row, rows
+    /// in ascending order.
+    // SAFETY: callers must ensure `avx2`/`fma` are available (the
+    // `#[target_feature]` contract), that `data` addresses a row-major
+    // `weights.len() x d` buffer and `out` a writable `d`-element one, and
+    // that `j + K*LANES <= d`. Reads are at `data + i*d + j + k*LANES` with
+    // `i < weights.len()`, `k < K`; writes at `out + j + k*LANES`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn column_block<const K: usize>(
+        data: *const f32,
+        d: usize,
+        weights: &[f32],
+        j: usize,
+        out: *mut f32,
+    ) {
+        let mut acc = [_mm256_setzero_ps(); K];
+        for (i, &w) in weights.iter().enumerate() {
+            if w == 0.0 {
+                continue;
+            }
+            let wv = _mm256_set1_ps(w);
+            let row = data.add(i * d + j);
+            for (k, a) in acc.iter_mut().enumerate() {
+                *a = _mm256_fmadd_ps(wv, _mm256_loadu_ps(row.add(k * LANES)), *a);
+            }
+        }
+        for (k, a) in acc.into_iter().enumerate() {
+            _mm256_storeu_ps(out.add(j + k * LANES), a);
+        }
     }
 }
 
