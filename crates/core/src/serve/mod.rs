@@ -96,6 +96,13 @@ impl SessionId {
     pub fn raw(self) -> u64 {
         self.0
     }
+
+    /// The id's index in a server's session table. `try_from`, not `as`: a
+    /// raw id past `usize::MAX` must not wrap onto a live session on a 32-bit
+    /// target.
+    fn slot(self) -> Option<usize> {
+        usize::try_from(self.0).ok()
+    }
 }
 
 impl fmt::Display for SessionId {
@@ -368,10 +375,11 @@ struct TenantRuntime {
 pub struct AttentionServer {
     backend: Box<dyn ComputeBackend>,
     cache: MemoryCache,
-    sessions: BTreeMap<SessionId, SessionHandle>,
+    /// Every registered session, indexed by its raw id: [`Self::register`]
+    /// issues ids densely from 0.
+    sessions: Vec<SessionHandle>,
     tenants: BTreeMap<TenantId, TenantRuntime>,
     scheduler: Scheduler,
-    next_session: u64,
     next_request: u64,
     stats: ServerStats,
 }
@@ -408,10 +416,9 @@ impl AttentionServer {
         let mut server = Self {
             backend,
             cache,
-            sessions: BTreeMap::new(),
+            sessions: Vec::new(),
             tenants: BTreeMap::new(),
             scheduler: Scheduler::new(policy),
-            next_session: 0,
             next_request: 0,
             stats: ServerStats::default(),
         };
@@ -521,19 +528,15 @@ impl AttentionServer {
             )?;
             (SessionMemory::Sharded(Arc::new(sharded)), stats.misses == 0)
         };
-        let id = SessionId(self.next_session);
-        self.next_session += 1;
+        let id = SessionId(self.sessions.len() as u64);
         self.scheduler.assign_session(id, tenant);
-        self.sessions.insert(
+        self.sessions.push(SessionHandle {
             id,
-            SessionHandle {
-                id,
-                tenant,
-                memory,
-                fingerprint,
-                reused_preparation,
-            },
-        );
+            tenant,
+            memory,
+            fingerprint,
+            reused_preparation,
+        });
         Ok(id)
     }
 
@@ -558,9 +561,9 @@ impl AttentionServer {
         new_keys: &Matrix,
         new_values: &Matrix,
     ) -> Result<SessionMutation, ServeError> {
-        let handle = self
-            .sessions
-            .get_mut(&id)
+        let handle = id
+            .slot()
+            .and_then(|slot| self.sessions.get_mut(slot))
             .ok_or(ServeError::UnknownSession { session: id.raw() })?;
         let old_fingerprint = handle.fingerprint;
         let old_n = handle.memory.n();
@@ -619,9 +622,9 @@ impl AttentionServer {
         key: &[f32],
         value: &[f32],
     ) -> Result<SessionMutation, ServeError> {
-        let handle = self
-            .sessions
-            .get_mut(&id)
+        let handle = id
+            .slot()
+            .and_then(|slot| self.sessions.get_mut(slot))
             .ok_or(ServeError::UnknownSession { session: id.raw() })?;
         if row >= handle.memory.n() {
             return Err(ServeError::Attention(AttentionError::InvalidParameter {
@@ -702,12 +705,12 @@ impl AttentionServer {
 
     /// The handle of a registered session.
     pub fn session(&self, id: SessionId) -> Option<&SessionHandle> {
-        self.sessions.get(&id)
+        self.sessions.get(id.slot()?)
     }
 
     /// Iterates over every registered session, in id order.
     pub fn sessions(&self) -> impl Iterator<Item = &SessionHandle> {
-        self.sessions.values()
+        self.sessions.iter()
     }
 
     /// Accepts a request into its session's queue and returns the id its response
@@ -724,8 +727,7 @@ impl AttentionServer {
     ///   rate (the request is dropped at the door, it never queues).
     pub fn submit(&mut self, request: Request) -> Result<RequestId, ServeError> {
         let session = self
-            .sessions
-            .get(&request.session)
+            .session(request.session)
             .ok_or(ServeError::UnknownSession {
                 session: request.session.raw(),
             })?;
@@ -816,8 +818,7 @@ impl AttentionServer {
         let mut completed = Vec::with_capacity(batches.len());
         for batch in batches {
             let session = self
-                .sessions
-                .get(&batch.session)
+                .session(batch.session)
                 .ok_or(ServeError::UnknownSession {
                     session: batch.session.raw(),
                 })?;
@@ -950,6 +951,50 @@ mod tests {
             ))
         ));
         assert_eq!(server.pending(), 0, "rejected requests must not queue");
+    }
+
+    #[test]
+    fn ids_never_issued_resolve_to_no_session() {
+        let (keys, values) = memory(0.0, 8, 4);
+        let mut server = server_with(Box::new(ExactBackend), BatchPolicy::default());
+        let session = server.register(MemoryConfig::new(&keys, &values)).unwrap();
+        assert_eq!(session, SessionId::from_raw(0));
+        for raw in [1, u64::from(u32::MAX) + 1, u64::MAX] {
+            let id = SessionId::from_raw(raw);
+            assert!(server.session(id).is_none(), "{id}");
+            assert!(matches!(
+                server.submit(Request::new(id, vec![0.0; 4], 0)),
+                Err(ServeError::UnknownSession { session }) if session == raw
+            ));
+            assert!(matches!(
+                server.append_to_session(id, &keys, &values),
+                Err(ServeError::UnknownSession { .. })
+            ));
+        }
+        assert_eq!(server.sessions().count(), 1);
+    }
+
+    #[test]
+    fn zero_max_batch_literal_serves_every_request() {
+        // `BatchPolicy`'s fields are public, so a zero `max_batch` can skip
+        // `BatchPolicy::new`; it must not strand requests.
+        let (keys, values) = memory(0.0, 8, 4);
+        let policy = BatchPolicy {
+            max_batch: 0,
+            batch_window: 10,
+        };
+        let mut server = server_with(Box::new(ExactBackend), policy);
+        let session = server.register(MemoryConfig::new(&keys, &values)).unwrap();
+        for i in 0..3 {
+            server
+                .submit(Request::new(session, query(4, 0.1 * i as f32), 0))
+                .unwrap();
+        }
+        assert_eq!(server.policy().max_batch, 1);
+        assert_eq!(server.next_due(), Some(0));
+        let batches = server.flush_all(100).unwrap();
+        assert_eq!(batches.len(), 3);
+        assert_eq!(server.pending(), 0);
     }
 
     #[test]

@@ -26,6 +26,18 @@
 //! for every 1 request of a weight-1 tenant under saturation — priority without
 //! starvation. Sessions never assigned a tenant share the default lane, where the
 //! policy degenerates to the original session-id order.
+//!
+//! # Cost
+//!
+//! One [`Scheduler::pop_due`] call evaluates each non-empty queue's due time
+//! once, grouping the due sessions by lane in session order. Every batch it then
+//! pops costs O(lanes): it picks the lane with the least (virtual time, tenant
+//! id), pops that lane's first due session, and re-evaluates only that session.
+//! Within one call no request arrives and only the popped queue and its lane
+//! change, so this yields exactly the batch sequence of a full rescan per pop.
+//! [`Scheduler::enqueue`] and [`Scheduler::queue_depth`] find a session's queue
+//! and tenant with one map lookup, [`Scheduler::pending`] reads a running count,
+//! and [`Scheduler::next_due`] still scans every queue.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -42,6 +54,8 @@ const VIRTUAL_TIME_SCALE: u64 = 1 << 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Flush a session's queue as soon as it holds this many requests.
+    /// [`BatchPolicy::new`] rejects 0; a policy built with a literal 0 is
+    /// treated as 1 by [`Scheduler::new`].
     pub max_batch: usize,
     /// Flush a session's queue once its oldest request has waited this many ticks,
     /// even if the batch is not full. `0` removes the batching wait: a queue flushes
@@ -173,6 +187,34 @@ impl Lane {
     }
 }
 
+/// One session's queue and the tenant lane it flushes through.
+///
+/// An entry exists while the session has queued requests or an assigned tenant
+/// other than [`TenantId::DEFAULT`]; a drained queue releases its buffer.
+#[derive(Debug, Clone)]
+struct SessionQueue {
+    tenant: TenantId,
+    requests: VecDeque<QueuedRequest>,
+}
+
+impl Default for SessionQueue {
+    fn default() -> Self {
+        Self {
+            tenant: TenantId::DEFAULT,
+            requests: VecDeque::new(),
+        }
+    }
+}
+
+/// The due sessions of one tenant lane, in session-id order, during one
+/// [`Scheduler::pop_due`] or [`Scheduler::pop_all`] call.
+#[derive(Debug)]
+struct DueLane {
+    tenant: TenantId,
+    virtual_time: u64,
+    sessions: VecDeque<(SessionId, DueAt)>,
+}
+
 /// Per-session dynamic-batching queues under one [`BatchPolicy`], flushed in
 /// weighted-fair order across tenant lanes.
 ///
@@ -183,19 +225,24 @@ impl Lane {
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     policy: BatchPolicy,
-    queues: BTreeMap<SessionId, VecDeque<QueuedRequest>>,
-    session_tenants: BTreeMap<SessionId, TenantId>,
+    sessions: BTreeMap<SessionId, SessionQueue>,
     lanes: BTreeMap<TenantId, Lane>,
+    pending: usize,
 }
 
 impl Scheduler {
-    /// Creates an empty scheduler with the given policy.
+    /// Creates an empty scheduler with the given policy. A zero
+    /// [`BatchPolicy::max_batch`] (possible because the fields are public) is
+    /// treated as 1, so every queued request can still flush.
     pub fn new(policy: BatchPolicy) -> Self {
         Self {
-            policy,
-            queues: BTreeMap::new(),
-            session_tenants: BTreeMap::new(),
+            policy: BatchPolicy {
+                max_batch: policy.max_batch.max(1),
+                ..policy
+            },
+            sessions: BTreeMap::new(),
             lanes: BTreeMap::new(),
+            pending: 0,
         }
     }
 
@@ -217,15 +264,14 @@ impl Scheduler {
     /// Routes a session's future requests through `tenant`'s lane. Unassigned
     /// sessions share [`TenantId::DEFAULT`]'s lane.
     pub fn assign_session(&mut self, session: SessionId, tenant: TenantId) {
-        self.session_tenants.insert(session, tenant);
+        self.sessions.entry(session).or_default().tenant = tenant;
     }
 
     /// The tenant lane a session's requests flush through.
     pub fn session_tenant(&self, session: SessionId) -> TenantId {
-        self.session_tenants
+        self.sessions
             .get(&session)
-            .copied()
-            .unwrap_or(TenantId::DEFAULT)
+            .map_or(TenantId::DEFAULT, |queue| queue.tenant)
     }
 
     /// A tenant lane's accumulated virtual time (0 for an untouched lane).
@@ -238,7 +284,16 @@ impl Scheduler {
     /// Adds a request to its session's queue. The caller is responsible for popping
     /// due batches afterwards (a full queue is due immediately).
     pub fn enqueue(&mut self, request: QueuedRequest) {
-        let tenant = self.session_tenant(request.session);
+        let queue = self.sessions.entry(request.session).or_default();
+        let tenant = queue.tenant;
+        queue.requests.push_back(request);
+        self.pending += 1;
+        if let Some(lane) = self.lanes.get_mut(&tenant) {
+            if lane.pending > 0 {
+                lane.pending += 1;
+                return;
+            }
+        }
         // A lane waking from idle catches up to the busiest lanes' virtual time
         // floor: it must not burn accumulated credit monopolizing the unit, only
         // compete fairly from now on.
@@ -252,33 +307,29 @@ impl Scheduler {
             .lanes
             .entry(tenant)
             .or_insert_with(|| Lane::new(super::Priority::Normal.weight()));
-        if lane.pending == 0 {
-            if let Some(floor) = active_floor {
-                lane.virtual_time = lane.virtual_time.max(floor);
-            }
+        if let Some(floor) = active_floor {
+            lane.virtual_time = lane.virtual_time.max(floor);
         }
         lane.pending += 1;
-        self.queues
-            .entry(request.session)
-            .or_default()
-            .push_back(request);
     }
 
     /// Total number of queued requests across all sessions.
     pub fn pending(&self) -> usize {
-        self.queues.values().map(VecDeque::len).sum()
+        self.pending
     }
 
     /// Number of queued requests for one session.
     pub fn queue_depth(&self, session: SessionId) -> usize {
-        self.queues.get(&session).map_or(0, VecDeque::len)
+        self.sessions
+            .get(&session)
+            .map_or(0, |queue| queue.requests.len())
     }
 
     /// When (and why) a queue becomes due. `None` for an empty queue.
     fn due_at(policy: BatchPolicy, queue: &VecDeque<QueuedRequest>) -> Option<DueAt> {
         let oldest = queue.front()?;
         // Due the moment the max_batch-th request arrived.
-        if let Some(filled) = queue.get(policy.max_batch - 1) {
+        if let Some(filled) = queue.get(policy.max_batch.saturating_sub(1)) {
             return Some(DueAt {
                 tick: filled.arrival,
                 reason: FlushReason::Full,
@@ -302,46 +353,28 @@ impl Scheduler {
     /// nothing is queued. Event-driven callers (the discrete-event simulator) advance
     /// their clock to this tick when no earlier arrival exists.
     pub fn next_due(&self) -> Option<Tick> {
-        self.queues
+        self.sessions
             .values()
-            .filter_map(|q| Self::due_at(self.policy, q))
+            .filter_map(|q| Self::due_at(self.policy, &q.requests))
             .map(|d| d.tick)
             .min()
     }
 
-    /// The due session (if any) whose lane has the smallest
-    /// (virtual time, tenant id, session id) key. `filter` decides which queues
-    /// are eligible ([`Scheduler::pop_due`] passes the due-by-now test,
-    /// [`Scheduler::pop_all`] accepts everything).
-    fn select_fair(
-        &self,
-        mut eligible: impl FnMut(&VecDeque<QueuedRequest>) -> Option<DueAt>,
-    ) -> Option<(SessionId, DueAt)> {
-        let mut best: Option<(u64, u64, SessionId, DueAt)> = None;
-        for (&session, queue) in &self.queues {
-            let Some(due) = eligible(queue) else {
-                continue;
-            };
-            let tenant = self.session_tenant(session);
-            let vtime = self.tenant_virtual_time(tenant);
-            let key = (vtime, tenant.raw(), session);
-            if best.map_or(true, |(bv, bt, bs, _)| key < (bv, bt, bs)) {
-                best = Some((vtime, tenant.raw(), session, due));
+    /// Pops one batch (up to `max_batch` requests) from `session`'s queue and
+    /// charges its lane's virtual time.
+    fn pop_batch(&mut self, session: SessionId, due: DueAt) -> Option<FormedBatch> {
+        let queue = self.sessions.get_mut(&session)?;
+        let take = self.policy.max_batch.min(queue.requests.len());
+        let requests: Vec<QueuedRequest> = queue.requests.drain(..take).collect();
+        let tenant = queue.tenant;
+        if queue.requests.is_empty() {
+            if tenant == TenantId::DEFAULT {
+                self.sessions.remove(&session);
+            } else {
+                queue.requests = VecDeque::new();
             }
         }
-        best.map(|(_, _, session, due)| (session, due))
-    }
-
-    /// Pops one batch (up to `take` requests) from `session`'s queue and charges
-    /// its lane's virtual time.
-    fn pop_batch(&mut self, session: SessionId, take: usize, due: DueAt) -> Option<FormedBatch> {
-        let queue = self.queues.get_mut(&session)?;
-        let take = take.min(queue.len());
-        let requests: Vec<QueuedRequest> = queue.drain(..take).collect();
-        if queue.is_empty() {
-            self.queues.remove(&session);
-        }
-        let tenant = self.session_tenant(session);
+        self.pending = self.pending.saturating_sub(requests.len());
         if let Some(lane) = self.lanes.get_mut(&tenant) {
             lane.pending = lane.pending.saturating_sub(requests.len());
             lane.virtual_time = lane.virtual_time.saturating_add(
@@ -356,6 +389,59 @@ impl Scheduler {
         })
     }
 
+    /// Pops batches from every queue `due` accepts until none is left, in
+    /// weighted-fair (lane virtual time, tenant id, session id) order.
+    ///
+    /// `due` runs once per non-empty queue, grouping the accepted sessions by
+    /// lane in session order; after that, `due` only re-runs on the queue just
+    /// popped. That is enough because within one call no request arrives and
+    /// only the popped queue and its lane change: every other queue keeps its
+    /// verdict, and every due session of a lane shares the lane's key, so the
+    /// least (virtual time, tenant id, session id) overall is the first due
+    /// session of the least lane. Each pop therefore costs O(lanes).
+    fn pop_fair(
+        &mut self,
+        due: impl Fn(&VecDeque<QueuedRequest>) -> Option<DueAt>,
+    ) -> Vec<FormedBatch> {
+        let mut lanes: Vec<DueLane> = Vec::new();
+        for (&session, queue) in &self.sessions {
+            let Some(at) = due(&queue.requests) else {
+                continue;
+            };
+            match lanes.iter_mut().find(|lane| lane.tenant == queue.tenant) {
+                Some(lane) => lane.sessions.push_back((session, at)),
+                None => lanes.push(DueLane {
+                    tenant: queue.tenant,
+                    virtual_time: self.tenant_virtual_time(queue.tenant),
+                    sessions: VecDeque::from([(session, at)]),
+                }),
+            }
+        }
+        let mut batches = Vec::new();
+        while let Some(lane) = lanes
+            .iter_mut()
+            .filter(|lane| !lane.sessions.is_empty())
+            .min_by_key(|lane| (lane.virtual_time, lane.tenant.raw()))
+        {
+            let Some(front) = lane.sessions.front_mut() else {
+                break;
+            };
+            let (session, at) = *front;
+            let Some(batch) = self.pop_batch(session, at) else {
+                break;
+            };
+            batches.push(batch);
+            match self.sessions.get(&session).and_then(|q| due(&q.requests)) {
+                Some(next) => front.1 = next,
+                None => {
+                    lane.sessions.pop_front();
+                }
+            }
+            lane.virtual_time = self.tenant_virtual_time(lane.tenant);
+        }
+        batches
+    }
+
     /// Pops every batch that is due at or before `now`, in weighted-fair
     /// (lane virtual time, tenant id, session id) order — one batch per selection,
     /// so tenants interleave by weight instead of draining whole sessions in id
@@ -363,49 +449,19 @@ impl Scheduler {
     /// batches; a deadline- or window-triggered flush takes the whole (partial)
     /// queue.
     pub fn pop_due(&mut self, now: Tick) -> Vec<FormedBatch> {
-        let mut batches = Vec::new();
         let policy = self.policy;
-        loop {
-            let selected = self.select_fair(|queue| match Self::due_at(policy, queue) {
-                Some(due) if due.tick <= now => Some(due),
-                _ => None,
-            });
-            let Some((session, due)) = selected else {
-                break;
-            };
-            let take = match due.reason {
-                FlushReason::Full => policy.max_batch,
-                _ => self.queue_depth(session),
-            };
-            match self.pop_batch(session, take, due) {
-                Some(batch) if !batch.is_empty() => batches.push(batch),
-                _ => break,
-            }
-        }
-        batches
+        self.pop_fair(|queue| Self::due_at(policy, queue).filter(|due| due.tick <= now))
     }
 
     /// Pops everything regardless of due times (reason [`FlushReason::Forced`],
     /// formed at `now`), still in weighted-fair order. An idle scheduler yields an
     /// empty vector — the legal "empty-batch flush".
     pub fn pop_all(&mut self, now: Tick) -> Vec<FormedBatch> {
-        let mut batches = Vec::new();
         let forced = DueAt {
             tick: now,
             reason: FlushReason::Forced,
         };
-        loop {
-            let selected =
-                self.select_fair(|queue| if queue.is_empty() { None } else { Some(forced) });
-            let Some((session, due)) = selected else {
-                break;
-            };
-            match self.pop_batch(session, self.policy.max_batch, due) {
-                Some(batch) if !batch.is_empty() => batches.push(batch),
-                _ => break,
-            }
-        }
-        batches
+        self.pop_fair(|queue| (!queue.is_empty()).then_some(forced))
     }
 }
 
@@ -436,6 +492,31 @@ mod tests {
         ));
         assert_eq!(BatchPolicy::per_request().max_batch, 1);
         assert_eq!(BatchPolicy::default().max_batch, 16);
+    }
+
+    #[test]
+    fn zero_max_batch_literal_flushes_one_request_per_batch() {
+        // The public fields bypass `BatchPolicy::new`; such a policy used to
+        // strand every request (or overflow in `next_due`).
+        let mut s = Scheduler::new(BatchPolicy {
+            max_batch: 0,
+            batch_window: 10,
+        });
+        assert_eq!(s.policy().max_batch, 1);
+        for i in 0..3 {
+            s.enqueue(req(i, 1, i, None));
+        }
+        assert_eq!(s.next_due(), Some(0));
+        let due = s.pop_due(1);
+        assert_eq!(due.len(), 2);
+        assert!(due
+            .iter()
+            .all(|b| b.len() == 1 && b.reason == FlushReason::Full));
+        let forced = s.pop_all(100);
+        assert_eq!(forced.len(), 1);
+        assert_eq!(forced[0].requests[0].id, RequestId::from_raw(2));
+        assert_eq!(s.pending(), 0);
+        assert_eq!(s.next_due(), None);
     }
 
     #[test]
@@ -597,5 +678,273 @@ mod tests {
         let order: Vec<u64> = s.pop_due(100).iter().map(|b| b.session.raw()).collect();
         assert_eq!(order, vec![1, 2, 3]);
         assert_eq!(s.session_tenant(SessionId::from_raw(1)), TenantId::DEFAULT);
+    }
+
+    /// The selection loop [`Scheduler::pop_due`] replaced, kept as the oracle:
+    /// every pop scans every queue for the least (virtual time, tenant id,
+    /// session id) key among the eligible ones.
+    #[derive(Debug, Default)]
+    struct Oracle {
+        max_batch: usize,
+        batch_window: Tick,
+        queues: BTreeMap<SessionId, VecDeque<QueuedRequest>>,
+        session_tenants: BTreeMap<SessionId, TenantId>,
+        lanes: BTreeMap<TenantId, Lane>,
+    }
+
+    impl Oracle {
+        fn policy(&self) -> BatchPolicy {
+            BatchPolicy {
+                max_batch: self.max_batch,
+                batch_window: self.batch_window,
+            }
+        }
+
+        fn set_tenant_weight(&mut self, tenant: TenantId, weight: u64) {
+            self.lanes
+                .entry(tenant)
+                .or_insert_with(|| Lane::new(weight))
+                .weight = weight.max(1);
+        }
+
+        fn session_tenant(&self, session: SessionId) -> TenantId {
+            self.session_tenants
+                .get(&session)
+                .copied()
+                .unwrap_or(TenantId::DEFAULT)
+        }
+
+        fn tenant_virtual_time(&self, tenant: TenantId) -> u64 {
+            self.lanes.get(&tenant).map_or(0, |l| l.virtual_time)
+        }
+
+        fn enqueue(&mut self, request: QueuedRequest) {
+            let tenant = self.session_tenant(request.session);
+            let active_floor = self
+                .lanes
+                .values()
+                .filter(|l| l.pending > 0)
+                .map(|l| l.virtual_time)
+                .min();
+            let lane = self
+                .lanes
+                .entry(tenant)
+                .or_insert_with(|| Lane::new(Priority::Normal.weight()));
+            if lane.pending == 0 {
+                if let Some(floor) = active_floor {
+                    lane.virtual_time = lane.virtual_time.max(floor);
+                }
+            }
+            lane.pending += 1;
+            self.queues
+                .entry(request.session)
+                .or_default()
+                .push_back(request);
+        }
+
+        fn pending(&self) -> usize {
+            self.queues.values().map(VecDeque::len).sum()
+        }
+
+        fn queue_depth(&self, session: SessionId) -> usize {
+            self.queues.get(&session).map_or(0, VecDeque::len)
+        }
+
+        fn next_due(&self) -> Option<Tick> {
+            self.queues
+                .values()
+                .filter_map(|q| Scheduler::due_at(self.policy(), q))
+                .map(|d| d.tick)
+                .min()
+        }
+
+        fn select_fair(
+            &self,
+            mut eligible: impl FnMut(&VecDeque<QueuedRequest>) -> Option<DueAt>,
+        ) -> Option<(SessionId, DueAt)> {
+            let mut best: Option<(u64, u64, SessionId, DueAt)> = None;
+            for (&session, queue) in &self.queues {
+                let Some(due) = eligible(queue) else {
+                    continue;
+                };
+                let tenant = self.session_tenant(session);
+                let vtime = self.tenant_virtual_time(tenant);
+                let key = (vtime, tenant.raw(), session);
+                if best.map_or(true, |(bv, bt, bs, _)| key < (bv, bt, bs)) {
+                    best = Some((vtime, tenant.raw(), session, due));
+                }
+            }
+            best.map(|(_, _, session, due)| (session, due))
+        }
+
+        fn pop_batch(&mut self, session: SessionId, take: usize, due: DueAt) -> FormedBatch {
+            let queue = self.queues.get_mut(&session).unwrap();
+            let take = take.min(queue.len());
+            let requests: Vec<QueuedRequest> = queue.drain(..take).collect();
+            if queue.is_empty() {
+                self.queues.remove(&session);
+            }
+            let tenant = self.session_tenant(session);
+            if let Some(lane) = self.lanes.get_mut(&tenant) {
+                lane.pending = lane.pending.saturating_sub(requests.len());
+                lane.virtual_time = lane.virtual_time.saturating_add(
+                    (requests.len() as u64).saturating_mul(VIRTUAL_TIME_SCALE) / lane.weight,
+                );
+            }
+            FormedBatch {
+                session,
+                formed_at: due.tick,
+                reason: due.reason,
+                requests,
+            }
+        }
+
+        fn pop_due(&mut self, now: Tick) -> Vec<FormedBatch> {
+            let mut batches = Vec::new();
+            let policy = self.policy();
+            while let Some((session, due)) =
+                self.select_fair(|queue| match Scheduler::due_at(policy, queue) {
+                    Some(due) if due.tick <= now => Some(due),
+                    _ => None,
+                })
+            {
+                let take = match due.reason {
+                    FlushReason::Full => policy.max_batch,
+                    _ => self.queue_depth(session),
+                };
+                batches.push(self.pop_batch(session, take, due));
+            }
+            batches
+        }
+
+        fn pop_all(&mut self, now: Tick) -> Vec<FormedBatch> {
+            let mut batches = Vec::new();
+            let forced = DueAt {
+                tick: now,
+                reason: FlushReason::Forced,
+            };
+            while let Some((session, due)) =
+                self.select_fair(|queue| (!queue.is_empty()).then_some(forced))
+            {
+                batches.push(self.pop_batch(session, self.max_batch, due));
+            }
+            batches
+        }
+    }
+
+    /// Splitmix64: the trace generator's seeded stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `lo..=hi`.
+        fn range(&mut self, lo: u64, hi: u64) -> u64 {
+            lo + self.next() % (hi - lo + 1)
+        }
+    }
+
+    /// Seeded traces of interleaved `enqueue`, `pop_due` and `pop_all` calls
+    /// (plus rare tenant re-weightings and session re-assignments) at
+    /// increasing ticks: after every step the scheduler and the oracle agree
+    /// on the batches, `pending`, `next_due`, every queue depth and every
+    /// lane's virtual time.
+    #[test]
+    fn pop_due_matches_the_select_fair_oracle_on_random_traces() {
+        let weights = [
+            Priority::High.weight(),
+            Priority::Normal.weight(),
+            Priority::Background.weight(),
+            3,
+        ];
+        let mut batches_seen = 0;
+        for seed in 0..200 {
+            let mut rng = Rng(seed);
+            let policy = BatchPolicy::new(rng.range(1, 16) as usize, rng.range(0, 1000)).unwrap();
+            let mut s = Scheduler::new(policy);
+            let mut oracle = Oracle {
+                max_batch: policy.max_batch,
+                batch_window: policy.batch_window,
+                ..Oracle::default()
+            };
+            let tenants = rng.range(1, 4);
+            let sessions = rng.range(1, 70);
+            let tenant = |raw: u64| TenantId::from_raw(raw);
+            for t in 0..tenants {
+                let weight = weights[rng.range(0, 3) as usize];
+                s.set_tenant_weight(tenant(t), weight);
+                oracle.set_tenant_weight(tenant(t), weight);
+            }
+            // About a quarter of the sessions are never assigned a tenant.
+            for raw in 0..sessions {
+                if rng.range(0, 3) > 0 {
+                    let t = tenant(rng.range(0, tenants - 1));
+                    s.assign_session(SessionId::from_raw(raw), t);
+                    oracle.session_tenants.insert(SessionId::from_raw(raw), t);
+                }
+            }
+            let mut now: Tick = 0;
+            let mut next_id = 0;
+            for step in 0..600 {
+                let batches = match rng.range(0, 99) {
+                    0..=69 => {
+                        let session = rng.range(0, sessions - 1);
+                        let deadline = (rng.range(0, 3) == 0).then(|| now + rng.range(0, 1500));
+                        let request = req(next_id, session, now, deadline);
+                        next_id += 1;
+                        s.enqueue(request.clone());
+                        oracle.enqueue(request);
+                        Vec::new()
+                    }
+                    70..=89 => {
+                        let got = s.pop_due(now);
+                        assert_eq!(got, oracle.pop_due(now), "seed {seed} step {step}");
+                        got
+                    }
+                    90..=94 => {
+                        let got = s.pop_all(now);
+                        assert_eq!(got, oracle.pop_all(now), "seed {seed} step {step}");
+                        got
+                    }
+                    95..=96 => {
+                        let t = tenant(rng.range(0, tenants));
+                        let weight = rng.range(0, 9);
+                        s.set_tenant_weight(t, weight);
+                        oracle.set_tenant_weight(t, weight);
+                        Vec::new()
+                    }
+                    _ => {
+                        let session = SessionId::from_raw(rng.range(0, sessions - 1));
+                        let t = tenant(rng.range(0, tenants));
+                        s.assign_session(session, t);
+                        oracle.session_tenants.insert(session, t);
+                        Vec::new()
+                    }
+                };
+                batches_seen += batches.len();
+                assert_eq!(s.pending(), oracle.pending(), "seed {seed} step {step}");
+                assert_eq!(s.next_due(), oracle.next_due(), "seed {seed} step {step}");
+                for raw in 0..sessions {
+                    let session = SessionId::from_raw(raw);
+                    assert_eq!(s.queue_depth(session), oracle.queue_depth(session));
+                    assert_eq!(s.session_tenant(session), oracle.session_tenant(session));
+                }
+                for t in 0..=tenants {
+                    assert_eq!(
+                        s.tenant_virtual_time(tenant(t)),
+                        oracle.tenant_virtual_time(tenant(t)),
+                        "seed {seed} step {step}"
+                    );
+                }
+                now += rng.range(0, 300);
+            }
+        }
+        assert!(batches_seen > 10_000, "only {batches_seen} batches");
     }
 }
