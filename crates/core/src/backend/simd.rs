@@ -553,9 +553,8 @@ mod x86 {
     // construction. Shapes are validated by `SimdBackend::attend_raw` before entry.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn attend_avx2(keys: &Matrix, values: &Matrix, query: &[f32]) -> AttentionResult {
-        let mut scores = vec![0.0f32; keys.rows()];
         // The max reduction of the stable softmax is fused into the score pass.
-        let max = dots(keys, query, &mut scores);
+        let (scores, max) = dots(keys, query);
         let weights = softmax(&scores, max);
         let output = weighted_sum(values, &weights);
         AttentionResult {
@@ -565,8 +564,8 @@ mod x86 {
         }
     }
 
-    /// Writes every key row's dot product with `query` into `scores` and
-    /// returns the largest (a `f32::max` fold in row order).
+    /// Every key row's dot product with `query`, and the largest of them (a
+    /// `f32::max` fold in row order).
     ///
     /// Four rows share each query load: each row keeps [`dot`]'s two
     /// accumulators over the same chunks, and [`hsum4`] reduces the four rows
@@ -575,19 +574,20 @@ mod x86 {
     /// bit-identical to [`dot`]'s. The `n mod 4` rows past the last block go
     /// through [`dot`].
     // SAFETY: callers must ensure `avx2`/`fma` are available (the
-    // `#[target_feature]` contract) and `scores.len() == keys.rows()`, with
-    // `query.len() == keys.dim()` (validated by `SimdBackend::attend_raw`).
-    // Row `r + k` is read at `base + (r + k) * d + i` with `r + k < n` and
-    // `i < d` (eight-lane loads at `i + LANES <= d`), inside the `n * d` key
-    // buffer; the query at offsets below `d`; `scores` is written at
-    // `r + k < n` through the pointer of its exclusive borrow.
+    // `#[target_feature]` contract) and `query.len() == keys.dim()`
+    // (validated by `SimdBackend::attend_raw`). Row `r + k` is read at
+    // `base + (r + k) * d + i` with `r + k < n` and `i < d` (eight-lane loads
+    // at `i + LANES <= d`), inside the `n * d` key buffer; the query at
+    // offsets below `d`. The scores are written at `r + k < n` into the
+    // `n`-element capacity of a fresh vector, every element before `set_len`.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn dots(keys: &Matrix, query: &[f32], scores: &mut [f32]) -> f32 {
-        debug_assert_eq!(scores.len(), keys.rows());
+    unsafe fn dots(keys: &Matrix, query: &[f32]) -> (Vec<f32>, f32) {
         let (n, d) = (keys.rows(), keys.dim());
         let base = keys.as_slice().as_ptr();
         let q = query.as_ptr();
-        let out = scores.as_mut_ptr();
+        // Uninitialised (`malloc`, not `calloc`): every element is written below.
+        let mut scores = Vec::with_capacity(n);
+        let out: *mut f32 = scores.as_mut_ptr();
         let mut max = f32::NEG_INFINITY;
         let mut r = 0;
         while r + ROWS <= n {
@@ -633,7 +633,8 @@ mod x86 {
             max = max.max(sum);
             r += 1;
         }
-        max
+        scores.set_len(n);
+        (scores, max)
     }
 
     /// The horizontal sums of four rows' lane vectors, each computed with the
@@ -757,16 +758,16 @@ mod x86 {
     /// scalar mirror of the lane polynomial.
     // SAFETY: callers must ensure `avx2`/`fma` are available (the
     // `#[target_feature]` contract). Loads read `scores` at `i + LANES <= n`
-    // (vector) or `i < n` (scalar); every store and the normalisation's loads
-    // go through one raw pointer derived from the freshly allocated `n`-element
-    // `weights`, at the same bounds, and no other reference to it exists while
-    // the pointer is live.
+    // (vector) or `i < n` (scalar). Every store and the normalisation's loads
+    // go through one raw pointer into the `n`-element capacity of a fresh
+    // vector, at the same bounds; the first pass writes every element before
+    // the second reads it, and `set_len` follows both.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn softmax(scores: &[f32], max: f32) -> Vec<f32> {
         let n = scores.len();
-        let mut weights = vec![0.0f32; n];
+        let mut weights = Vec::with_capacity(n);
         let src = scores.as_ptr();
-        let dst = weights.as_mut_ptr();
+        let dst: *mut f32 = weights.as_mut_ptr();
 
         let vmaxb = _mm256_set1_ps(max);
         let mut vsum = _mm256_setzero_ps();
@@ -798,6 +799,7 @@ mod x86 {
             *dst.add(i) /= sum;
             i += 1;
         }
+        weights.set_len(n);
         weights
     }
 
@@ -812,15 +814,16 @@ mod x86 {
     // SAFETY: callers must ensure `avx2`/`fma` are available (the
     // `#[target_feature]` contract) and `weights.len() == values.rows()`.
     // Every block satisfies `column_block`'s contract: `j + K*LANES <= d`
-    // inside the `n*d` value buffer and the freshly allocated `d`-element
-    // output, which is not otherwise referenced while the pointer is live.
-    // The scalar tail reads `data + i*d + j` with `i < n`, `j < d`.
+    // inside the `n*d` value buffer and the `d`-element capacity of a fresh
+    // output vector, which is not otherwise referenced while the pointer is
+    // live. The scalar tail reads `data + i*d + j` with `i < n`, `j < d`.
+    // The blocks and the tail write every output column before `set_len`.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn weighted_sum(values: &Matrix, weights: &[f32]) -> Vec<f32> {
         let d = values.dim();
         let data = values.as_slice().as_ptr();
-        let mut output = vec![0.0f32; d];
-        let out = output.as_mut_ptr();
+        let mut output = Vec::with_capacity(d);
+        let out: *mut f32 = output.as_mut_ptr();
         let mut j = 0;
         while j + 8 * LANES <= d {
             column_block::<8>(data, d, weights, j, out);
@@ -844,6 +847,7 @@ mod x86 {
             *out.add(j) = acc;
             j += 1;
         }
+        output.set_len(d);
         output
     }
 
