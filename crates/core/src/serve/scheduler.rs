@@ -35,9 +35,10 @@
 //! id), pops that lane's first due session, and re-evaluates only that session.
 //! Within one call no request arrives and only the popped queue and its lane
 //! change, so this yields exactly the batch sequence of a full rescan per pop.
-//! [`Scheduler::enqueue`] and [`Scheduler::queue_depth`] find a session's queue
-//! and tenant with one map lookup, [`Scheduler::pending`] reads a running count,
-//! and [`Scheduler::next_due`] still scans every queue.
+//! A session's queue and tenant share one entry in a table sorted by session id,
+//! so [`Scheduler::enqueue`] and [`Scheduler::queue_depth`] find both with one
+//! binary search. [`Scheduler::pending`] reads a running count, and
+//! [`Scheduler::next_due`] still scans every queue.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -187,46 +188,40 @@ impl Lane {
     }
 }
 
-/// One session's queue and the tenant lane it flushes through.
-///
-/// An entry exists while the session has queued requests or an assigned tenant
-/// other than [`TenantId::DEFAULT`]; a drained queue releases its buffer.
+/// One session's queue and the tenant lane it flushes through. The entry
+/// outlives its requests; a drained queue releases its buffer.
 #[derive(Debug, Clone)]
 struct SessionQueue {
+    id: SessionId,
     tenant: TenantId,
     requests: VecDeque<QueuedRequest>,
 }
 
-impl Default for SessionQueue {
-    fn default() -> Self {
-        Self {
-            tenant: TenantId::DEFAULT,
-            requests: VecDeque::new(),
-        }
-    }
-}
-
-/// The due sessions of one tenant lane, in session-id order, during one
-/// [`Scheduler::pop_due`] or [`Scheduler::pop_all`] call.
+/// The due sessions of one tenant lane during one [`Scheduler::pop_due`] or
+/// [`Scheduler::pop_all`] call: their slots in the scheduler's session table,
+/// in session-id order, and when each became due.
 #[derive(Debug)]
 struct DueLane {
     tenant: TenantId,
     virtual_time: u64,
-    sessions: VecDeque<(SessionId, DueAt)>,
+    sessions: VecDeque<(usize, DueAt)>,
 }
 
 /// Per-session dynamic-batching queues under one [`BatchPolicy`], flushed in
 /// weighted-fair order across tenant lanes.
 ///
-/// Deterministic: queues are keyed by [`SessionId`] in a `BTreeMap`, lanes by
+/// Deterministic: queues are kept in [`SessionId`] order, lanes are keyed by
 /// [`TenantId`], and every pop selects by the total order (lane virtual time,
 /// tenant id, session id) — identical request sequences always produce identical
 /// batch sequences.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     policy: BatchPolicy,
-    sessions: BTreeMap<SessionId, SessionQueue>,
+    /// Every session ever assigned a tenant or sent a request, sorted by id
+    /// (a binary search is several times cheaper than a map lookup here).
+    sessions: Vec<SessionQueue>,
     lanes: BTreeMap<TenantId, Lane>,
+    /// Requests queued across all sessions.
     pending: usize,
 }
 
@@ -240,10 +235,37 @@ impl Scheduler {
                 max_batch: policy.max_batch.max(1),
                 ..policy
             },
-            sessions: BTreeMap::new(),
+            sessions: Vec::new(),
             lanes: BTreeMap::new(),
             pending: 0,
         }
+    }
+
+    /// Where `session`'s entry is (`Ok`) or would be inserted (`Err`).
+    fn slot(&self, session: SessionId) -> Result<usize, usize> {
+        self.sessions
+            .binary_search_by_key(&session, |queue| queue.id)
+    }
+
+    /// `session`'s entry, if it has one.
+    fn queue(&self, session: SessionId) -> Option<&SessionQueue> {
+        self.sessions.get(self.slot(session).ok()?)
+    }
+
+    /// `session`'s entry, created unassigned and empty if it has none.
+    fn queue_mut(&mut self, session: SessionId) -> Option<&mut SessionQueue> {
+        let slot = self.slot(session).unwrap_or_else(|slot| {
+            self.sessions.insert(
+                slot,
+                SessionQueue {
+                    id: session,
+                    tenant: TenantId::DEFAULT,
+                    requests: VecDeque::new(),
+                },
+            );
+            slot
+        });
+        self.sessions.get_mut(slot)
     }
 
     /// The batching policy in force.
@@ -264,13 +286,14 @@ impl Scheduler {
     /// Routes a session's future requests through `tenant`'s lane. Unassigned
     /// sessions share [`TenantId::DEFAULT`]'s lane.
     pub fn assign_session(&mut self, session: SessionId, tenant: TenantId) {
-        self.sessions.entry(session).or_default().tenant = tenant;
+        if let Some(queue) = self.queue_mut(session) {
+            queue.tenant = tenant;
+        }
     }
 
     /// The tenant lane a session's requests flush through.
     pub fn session_tenant(&self, session: SessionId) -> TenantId {
-        self.sessions
-            .get(&session)
+        self.queue(session)
             .map_or(TenantId::DEFAULT, |queue| queue.tenant)
     }
 
@@ -284,7 +307,10 @@ impl Scheduler {
     /// Adds a request to its session's queue. The caller is responsible for popping
     /// due batches afterwards (a full queue is due immediately).
     pub fn enqueue(&mut self, request: QueuedRequest) {
-        let queue = self.sessions.entry(request.session).or_default();
+        // `queue_mut` always finds or creates the entry.
+        let Some(queue) = self.queue_mut(request.session) else {
+            return;
+        };
         let tenant = queue.tenant;
         queue.requests.push_back(request);
         self.pending += 1;
@@ -320,9 +346,7 @@ impl Scheduler {
 
     /// Number of queued requests for one session.
     pub fn queue_depth(&self, session: SessionId) -> usize {
-        self.sessions
-            .get(&session)
-            .map_or(0, |queue| queue.requests.len())
+        self.queue(session).map_or(0, |queue| queue.requests.len())
     }
 
     /// When (and why) a queue becomes due. `None` for an empty queue.
@@ -354,26 +378,22 @@ impl Scheduler {
     /// their clock to this tick when no earlier arrival exists.
     pub fn next_due(&self) -> Option<Tick> {
         self.sessions
-            .values()
+            .iter()
             .filter_map(|q| Self::due_at(self.policy, &q.requests))
             .map(|d| d.tick)
             .min()
     }
 
-    /// Pops one batch (up to `max_batch` requests) from `session`'s queue and
-    /// charges its lane's virtual time.
-    fn pop_batch(&mut self, session: SessionId, due: DueAt) -> Option<FormedBatch> {
-        let queue = self.sessions.get_mut(&session)?;
+    /// Pops one batch (up to `max_batch` requests) from the queue in `slot`
+    /// and charges its lane's virtual time.
+    fn pop_batch(&mut self, slot: usize, due: DueAt) -> Option<FormedBatch> {
+        let queue = self.sessions.get_mut(slot)?;
         let take = self.policy.max_batch.min(queue.requests.len());
         let requests: Vec<QueuedRequest> = queue.requests.drain(..take).collect();
-        let tenant = queue.tenant;
         if queue.requests.is_empty() {
-            if tenant == TenantId::DEFAULT {
-                self.sessions.remove(&session);
-            } else {
-                queue.requests = VecDeque::new();
-            }
+            queue.requests = VecDeque::new();
         }
+        let (session, tenant) = (queue.id, queue.tenant);
         self.pending = self.pending.saturating_sub(requests.len());
         if let Some(lane) = self.lanes.get_mut(&tenant) {
             lane.pending = lane.pending.saturating_sub(requests.len());
@@ -392,9 +412,9 @@ impl Scheduler {
     /// Pops batches from every queue `due` accepts until none is left, in
     /// weighted-fair (lane virtual time, tenant id, session id) order.
     ///
-    /// `due` runs once per non-empty queue, grouping the accepted sessions by
-    /// lane in session order; after that, `due` only re-runs on the queue just
-    /// popped. That is enough because within one call no request arrives and
+    /// `due` runs once per queue, grouping the accepted sessions by lane in
+    /// session order; after that, `due` only re-runs on the queue just popped.
+    /// No entry is added during the call, so the sessions' slots stay put. That is enough because within one call no request arrives and
     /// only the popped queue and its lane change: every other queue keeps its
     /// verdict, and every due session of a lane shares the lane's key, so the
     /// least (virtual time, tenant id, session id) overall is the first due
@@ -404,16 +424,16 @@ impl Scheduler {
         due: impl Fn(&VecDeque<QueuedRequest>) -> Option<DueAt>,
     ) -> Vec<FormedBatch> {
         let mut lanes: Vec<DueLane> = Vec::new();
-        for (&session, queue) in &self.sessions {
+        for (slot, queue) in self.sessions.iter().enumerate() {
             let Some(at) = due(&queue.requests) else {
                 continue;
             };
             match lanes.iter_mut().find(|lane| lane.tenant == queue.tenant) {
-                Some(lane) => lane.sessions.push_back((session, at)),
+                Some(lane) => lane.sessions.push_back((slot, at)),
                 None => lanes.push(DueLane {
                     tenant: queue.tenant,
                     virtual_time: self.tenant_virtual_time(queue.tenant),
-                    sessions: VecDeque::from([(session, at)]),
+                    sessions: VecDeque::from([(slot, at)]),
                 }),
             }
         }
@@ -426,12 +446,12 @@ impl Scheduler {
             let Some(front) = lane.sessions.front_mut() else {
                 break;
             };
-            let (session, at) = *front;
-            let Some(batch) = self.pop_batch(session, at) else {
+            let (slot, at) = *front;
+            let Some(batch) = self.pop_batch(slot, at) else {
                 break;
             };
             batches.push(batch);
-            match self.sessions.get(&session).and_then(|q| due(&q.requests)) {
+            match self.sessions.get(slot).and_then(|q| due(&q.requests)) {
                 Some(next) => front.1 = next,
                 None => {
                     lane.sessions.pop_front();
