@@ -200,7 +200,7 @@ struct SessionQueue {
 /// The due sessions of one tenant lane during one [`Scheduler::pop_due`] or
 /// [`Scheduler::pop_all`] call: their slots in the scheduler's session table,
 /// in session-id order, and when each became due.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct DueLane {
     tenant: TenantId,
     virtual_time: u64,
@@ -223,6 +223,9 @@ pub struct Scheduler {
     lanes: BTreeMap<TenantId, Lane>,
     /// Requests queued across all sessions.
     pending: usize,
+    /// `pop_fair`'s per-lane lists, empty between calls and kept so that a
+    /// poll allocates nothing but its batches.
+    due_lanes: Vec<DueLane>,
 }
 
 impl Scheduler {
@@ -238,6 +241,7 @@ impl Scheduler {
             sessions: Vec::new(),
             lanes: BTreeMap::new(),
             pending: 0,
+            due_lanes: Vec::new(),
         }
     }
 
@@ -423,7 +427,11 @@ impl Scheduler {
         &mut self,
         due: impl Fn(&VecDeque<QueuedRequest>) -> Option<DueAt>,
     ) -> Vec<FormedBatch> {
-        let mut lanes: Vec<DueLane> = Vec::new();
+        let mut lanes = std::mem::take(&mut self.due_lanes);
+        for lane in &mut lanes {
+            lane.sessions.clear();
+            lane.virtual_time = self.tenant_virtual_time(lane.tenant);
+        }
         for (slot, queue) in self.sessions.iter().enumerate() {
             let Some(at) = due(&queue.requests) else {
                 continue;
@@ -459,6 +467,7 @@ impl Scheduler {
             }
             lane.virtual_time = self.tenant_virtual_time(lane.tenant);
         }
+        self.due_lanes = lanes;
         batches
     }
 
