@@ -344,8 +344,8 @@ pub struct IncrementalPrepareStats {
     /// preprocessing cost; the simulator charges the two cases distinctly.
     pub incremental_ops: u64,
     /// Whether the backend fell back to preparing the mutated memory from
-    /// scratch (format-boundary crossing, mismatched prepared state, ...)
-    /// instead of maintaining the prepared state in place.
+    /// scratch (a mismatched prepared state, a backend without incremental
+    /// maintenance, ...) instead of maintaining the prepared state in place.
     pub full_reprepare: bool,
 }
 
@@ -365,9 +365,10 @@ impl IncrementalPrepareStats {
     }
 }
 
-/// Validates an append request against a prepared memory's shape.
-fn validate_append(
-    memory: &PreparedMemory,
+/// Validates an append request against a memory of width `d`: the row
+/// counts agree and both widths equal `d`.
+pub(crate) fn validate_append(
+    d: usize,
     new_keys: &Matrix,
     new_values: &Matrix,
 ) -> Result<(), AttentionError> {
@@ -378,10 +379,27 @@ fn validate_append(
         });
     }
     for dim in [new_keys.dim(), new_values.dim()] {
-        if dim != memory.d() {
+        if dim != d {
             return Err(AttentionError::DimensionMismatch {
-                expected: memory.d(),
+                expected: d,
                 actual: dim,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Validates a row update's key and value against a memory of width `d`.
+pub(crate) fn validate_row_width(
+    d: usize,
+    key: &[f32],
+    value: &[f32],
+) -> Result<(), AttentionError> {
+    for len in [key.len(), value.len()] {
+        if len != d {
+            return Err(AttentionError::DimensionMismatch {
+                expected: d,
+                actual: len,
             });
         }
     }
@@ -401,15 +419,7 @@ fn validate_update(
             constraint: "row index must be within the memory",
         });
     }
-    for len in [key.len(), value.len()] {
-        if len != memory.d() {
-            return Err(AttentionError::DimensionMismatch {
-                expected: memory.d(),
-                actual: len,
-            });
-        }
-    }
-    Ok(())
+    validate_row_width(memory.d(), key, value)
 }
 
 /// Append fallback: concatenate and re-run the backend's full prepare.
@@ -453,7 +463,7 @@ pub(crate) fn append_rows_exact_state<B: ComputeBackend + ?Sized>(
     new_keys: &Matrix,
     new_values: &Matrix,
 ) -> Result<IncrementalPrepareStats, AttentionError> {
-    validate_append(memory, new_keys, new_values)?;
+    validate_append(memory.d(), new_keys, new_values)?;
     if new_keys.is_empty() {
         return Ok(IncrementalPrepareStats::default());
     }
@@ -537,8 +547,8 @@ pub trait ComputeBackend: Send {
     ///
     /// The default implementation rebuilds from scratch (correct for any
     /// backend); the built-in backends override it with true incremental
-    /// maintenance and fall back to the rebuild at format boundaries or on a
-    /// foreign [`PreparedState`].
+    /// maintenance and fall back to the rebuild only on a foreign
+    /// [`PreparedState`].
     ///
     /// # Errors
     ///
@@ -551,7 +561,7 @@ pub trait ComputeBackend: Send {
         new_keys: &Matrix,
         new_values: &Matrix,
     ) -> Result<IncrementalPrepareStats, AttentionError> {
-        validate_append(memory, new_keys, new_values)?;
+        validate_append(memory.d(), new_keys, new_values)?;
         if new_keys.is_empty() {
             return Ok(IncrementalPrepareStats::default());
         }
@@ -618,9 +628,11 @@ pub trait ComputeBackend: Send {
     /// per-shard partial softmax outputs ([`merge_partial_softmax`]), which is correct
     /// for datapaths that attend every row. Backends with data-dependent row selection
     /// override it (the approximate backend unions per-shard candidate sets before
-    /// global post-scoring). With a single shard this delegates to
-    /// [`ComputeBackend::attend_prepared`] and is **bit-identical** to the unsharded
-    /// path.
+    /// global post-scoring). The quantized backend overrides it for speed only: its
+    /// fused query is bit-identical to this default (see
+    /// [`QuantizedBackend`]'s `attend_sharded`). With a single shard this delegates
+    /// to [`ComputeBackend::attend_prepared`] and is **bit-identical** to the
+    /// unsharded path.
     ///
     /// # Errors
     ///
@@ -635,12 +647,7 @@ pub trait ComputeBackend: Send {
         if let (true, Some(only)) = (memory.is_single(), memory.shards().first()) {
             return self.attend_prepared(only.memory(), query);
         }
-        let partials: Result<Vec<AttentionResult>, AttentionError> = memory
-            .shards()
-            .iter()
-            .map(|shard| self.attend_prepared(shard.memory(), query))
-            .collect();
-        Ok(merge_partial_softmax(memory, &partials?))
+        shard::attend_sharded_dense(self, memory, query)
     }
 
     /// Computes sharded attention for every query, one query after another on the
@@ -840,7 +847,7 @@ impl ComputeBackend for ApproximateBackend {
         new_keys: &Matrix,
         new_values: &Matrix,
     ) -> Result<IncrementalPrepareStats, AttentionError> {
-        validate_append(memory, new_keys, new_values)?;
+        validate_append(memory.d(), new_keys, new_values)?;
         if new_keys.is_empty() {
             return Ok(IncrementalPrepareStats::default());
         }
@@ -1058,13 +1065,20 @@ impl ComputeBackend for QuantizedBackend {
         )
     }
 
+    /// Quantizes only the appended rows, at every row count. When `n`
+    /// crosses a power of two, [`QuantizedMemory::append_rows`] re-checks the
+    /// vector datapath's gates for the grown plan, or converts the memory to
+    /// the scalar datapath when the plan leaves them, and the scalar datapath
+    /// re-derives its clamp bounds; nothing is re-prepared. Only a memory
+    /// this backend would not have prepared (another input format, or a
+    /// vector pipeline under a scalar-pinned backend) is rebuilt.
     fn append_rows(
         &self,
         memory: &mut PreparedMemory,
         new_keys: &Matrix,
         new_values: &Matrix,
     ) -> Result<IncrementalPrepareStats, AttentionError> {
-        validate_append(memory, new_keys, new_values)?;
+        validate_append(memory.d(), new_keys, new_values)?;
         if new_keys.is_empty() {
             return Ok(IncrementalPrepareStats::default());
         }
@@ -1074,21 +1088,16 @@ impl ComputeBackend for QuantizedBackend {
         let PreparedState::Quantized(q) = &mut memory.state else {
             return rebuild_append(self, memory, new_keys, new_values);
         };
-        // Row-local re-quantization: only the delta rows are quantized. The
-        // `ceil_log2(n)` gate inside `QuantizedMemory::append_rows` returns
-        // `None` exactly when the grown shape would change the format plan —
-        // full re-prepare then re-derives formats, tables and (with them) the
-        // range-proof saturation obligations from scratch.
-        match q.append_rows(new_keys, new_values)? {
-            Some(ops) => {
-                let preprocess = q.preprocess_ops();
-                memory.keys.append_rows(new_keys)?;
-                memory.values.append_rows(new_values)?;
-                memory.preprocess_ops = preprocess;
-                Ok(IncrementalPrepareStats::incremental(ops))
-            }
-            None => rebuild_append(self, memory, new_keys, new_values),
-        }
+        // Row-local re-quantization: only the delta rows are quantized, at
+        // every row count (`QuantizedMemory::append_rows` re-checks the
+        // gates, or converts to the scalar datapath, when `n` crosses a power
+        // of two).
+        let ops = q.append_rows(new_keys, new_values)?;
+        let preprocess = q.preprocess_ops();
+        memory.keys.append_rows(new_keys)?;
+        memory.values.append_rows(new_values)?;
+        memory.preprocess_ops = preprocess;
+        Ok(IncrementalPrepareStats::incremental(ops))
     }
 
     fn update_row(
@@ -1122,6 +1131,27 @@ impl ComputeBackend for QuantizedBackend {
     ) -> Result<AttentionResult, AttentionError> {
         memory.validate_query(query)?;
         self.quantized(memory)?.attend(query)
+    }
+
+    /// The default per-shard path, fused when every shard carries the AVX2
+    /// pipeline in this backend's input format: the query is quantized once,
+    /// one work buffer serves every shard, and each shard's partial result
+    /// lands straight in the merged buffers (`quantized_simd` module docs).
+    /// Bit-identical to the default, which every other case takes.
+    fn attend_sharded(
+        &self,
+        memory: &ShardedMemory,
+        query: &[f32],
+    ) -> Result<AttentionResult, AttentionError> {
+        memory.validate_query(query)?;
+        if let (true, Some(only)) = (memory.is_single(), memory.shards().first()) {
+            return self.attend_prepared(only.memory(), query);
+        }
+        #[cfg(target_arch = "x86_64")]
+        if let Some(result) = quantized_simd::attend_sharded(memory, self.input_format, query) {
+            return Ok(result);
+        }
+        shard::attend_sharded_dense(self, memory, query)
     }
 
     fn attend(

@@ -23,9 +23,14 @@
 //! 3. **normalisation and weighted value accumulation** — each `Q0.2f`
 //!    weight `floor(score * 2^(2f) / exp_sum)` is computed by exact floor
 //!    division in four `f64` lanes and clamped at the weight format; a block
-//!    of eight zero scores is skipped whole. Each nonzero weight is broadcast
-//!    once per row and folded into a `_mm256_mullo_epi32` + add per lane over
-//!    `i32` value rows.
+//!    of eight zero scores is skipped whole. Values live in `i16` lanes like
+//!    the keys (lane gate 1 bounds every input raw inside `i16`) and are
+//!    widened by `_mm256_cvtepi16_epi32` as they load. The output
+//!    accumulators stay in registers across all rows: one const-generic
+//!    block per count of full eight-lane chunks (`d / 8 <= 8`), with the
+//!    `d mod 8` tail columns in scalars beside them. Each nonzero weight is
+//!    broadcast once per row and folded in by one `_mm256_mullo_epi32` and
+//!    one add per chunk; a block of eight zero weights is skipped whole.
 //!
 //! Scores, weights and output are dequantized four lanes at a time with
 //! `_mm256_cvtepi32_pd`, `_mm256_mul_pd` and `_mm256_cvtpd_ps`: the exact
@@ -34,6 +39,25 @@
 //! default rounding mode. Inside the grid `d <= 64`, so the quantized query
 //! and the output accumulator live on the stack; an attend allocates only
 //! its three result vectors and the work buffer.
+//!
+//! # Fused sharded query
+//!
+//! [`QuantizedBackend`](super::QuantizedBackend)'s `attend_sharded` runs the
+//! three modules once per shard, but does the per-query work once
+//! (`attend_sharded` here) when every shard of a [`ShardedMemory`] carries
+//! this pipeline in the backend's input format. The query is validated and
+//! quantized once. One `i32` work buffer, sized to the largest shard, serves
+//! every shard. Each shard's dequantized scores and weights land straight in
+//! the merged `n`-element vectors, and its output in one `K x d` buffer.
+//! The log-sum-exp merge then runs over those slices through the core that
+//! [`merge_partial_softmax`](super::merge_partial_softmax) also calls, with
+//! its per-shard statistics, fold order and rounding. So the result is
+//! bit-identical to per-shard `attend_prepared` followed by
+//! `merge_partial_softmax`. A fused query makes seven allocations (the two
+//! merged vectors, the output buffer, the work buffer, and the merge's
+//! statistics and outputs), where the per-shard path makes `4K + 6`. Any
+//! other memory, such as one with a shard on the scalar pipeline, takes the
+//! per-shard path, which reports errors in its own order.
 //!
 //! # Bit-identity contract
 //!
@@ -86,16 +110,23 @@
 //! grid the `a3-analyze` range prover certifies, every lane-width gate
 //! holding — *and* the exponent tables are materialized; the memory then
 //! carries the scalar pipeline instead, bit-identical by construction. Every
-//! consumer of [`QuantizedMemory`](crate::quantized::QuantizedMemory) — single
-//! queries, `attend_batch_prepared`, the sharded log-sum-exp merge and the
-//! serving scheduler's flush path — inherits the choice through
-//! [`QuantizedMemory::attend`](crate::quantized::QuantizedMemory::attend).
+//! consumer of [`QuantizedMemory`] — single queries, `attend_batch_prepared`,
+//! the sharded query and the serving scheduler's flush path — inherits the
+//! choice through [`QuantizedMemory::attend`] or the fused sharded query
+//! above.
+//!
+//! A memory that grows by appends keeps its pipeline while the grown plan
+//! passes the gates. Only the gates depend on `n`, so
+//! [`QuantizedMemory::append_rows`] re-checks them
+//! (`QuantizedSimdPipeline::regate`) whenever `ceil_log2(n)` changes, and
+//! converts the memory to the scalar pipeline in place, over its widened
+//! raws, once the plan leaves them.
 //!
 //! # Lane quantization
 //!
 //! Keys, values, appended and updated rows and every query are quantized
-//! straight from their `f32` rows into `i16`/`i32` lanes, eight elements per
-//! step, bit-identical to [`Fixed::quantize_slice`](a3_fixed::Fixed::quantize_slice).
+//! straight from their `f32` rows into `i16` lanes, eight elements per step,
+//! bit-identical to [`Fixed::quantize_slice`](a3_fixed::Fixed::quantize_slice).
 //! See `LaneQuantizer` for the exactness argument.
 
 use std::fmt;
@@ -103,8 +134,11 @@ use std::sync::Arc;
 
 use a3_fixed::{ceil_log2, ExpLutTables, PipelineFormats, QFormat};
 
+use super::shard::{merge_core, rescale_weight};
 use super::simd::SimdLevel;
+use super::{MemoryShard, ShardedMemory};
 use crate::attention::AttentionResult;
+use crate::quantized::QuantizedMemory;
 
 /// Prepared vector state for one quantized memory: operands quantized into
 /// lane-width integer layouts, a handle on the shared exponent tables, and
@@ -118,8 +152,9 @@ use crate::attention::AttentionResult;
 pub struct QuantizedSimdPipeline {
     /// Quantized key matrix, row-major `n x d`, raws in `i16` lanes.
     keys: Vec<i16>,
-    /// Quantized value matrix, row-major `n x d`, raws in `i32` lanes.
-    values: Vec<i32>,
+    /// Quantized value matrix, row-major `n x d`, raws in `i16` lanes like
+    /// the keys (lane gate 1); module 3 widens them to `i32` as it loads them.
+    values: Vec<i16>,
     /// The process-wide materialized exponent tables for this memory's
     /// configuration, gathered from in place. `prepare` pinned their lengths
     /// to the shifted-dot format; the upper table keeps its sentinel entry
@@ -201,7 +236,7 @@ impl QuantizedSimdPipeline {
         let mut keys_q = vec![0; keys.len()];
         x86::quantize_i16(&quantizer, keys, &mut keys_q);
         let mut values_q = vec![0; values.len()];
-        x86::quantize_i32(&quantizer, values, &mut values_q);
+        x86::quantize_i16(&quantizer, values, &mut values_q);
         let dot = formats.dot_product();
         Some(Self {
             keys: keys_q,
@@ -233,11 +268,44 @@ impl QuantizedSimdPipeline {
         x86::attend(self, query)
     }
 
+    /// Re-checks the gates that depend on `n` against `formats`, the plan of
+    /// this memory grown across a `ceil_log2(n)` boundary, and adopts the
+    /// plan's lane constants. Returns `false`, leaving the pipeline
+    /// untouched, when the plan fails [`formats_eligible`] or
+    /// [`normalisation_bounds`]. Every other check in `prepare` (the lane
+    /// quantizer, the tables, the shifts, `d <= MAX_D`) depends only on the
+    /// input format and `d`, so a `true` leaves exactly the pipeline a fresh
+    /// prepare of the grown memory builds.
+    pub(crate) fn regate(&mut self, formats: &PipelineFormats) -> bool {
+        debug_assert_eq!((formats.input(), formats.d()), (self.input_format, self.d));
+        if !formats_eligible(formats) {
+            return false;
+        }
+        let Some((weight_scale, weight_max)) = normalisation_bounds(formats, self.score_max) else {
+            return false;
+        };
+        self.weight_scale = weight_scale;
+        self.weight_max = weight_max;
+        self.out_res = formats.output().resolution();
+        true
+    }
+
+    /// The key and value raws widened to `i64`, as the scalar pipeline holds
+    /// them (the lane quantizer's raws equal the scalar quantizer's).
+    pub(crate) fn widened_raws(&self) -> (Vec<i64>, Vec<i64>) {
+        let widen = |raws: &[i16]| raws.iter().map(|&r| i64::from(r)).collect();
+        (widen(&self.keys), widen(&self.values))
+    }
+
+    /// The shared exponent tables the gathers read.
+    pub(crate) fn tables(&self) -> &Arc<ExpLutTables> {
+        &self.tables
+    }
+
     /// Quantizes and appends rows (row-major `delta x d` each) in place.
-    /// Valid only while the caller's format plan is unchanged — every bound in
-    /// this struct depends on the formats and `d`, never on `n` beyond the
-    /// count itself — which `QuantizedMemory::append_rows` guarantees via its
-    /// `ceil_log2(n)` gate.
+    /// Valid while the gates hold for the grown plan, which
+    /// `QuantizedMemory::append_rows` re-checks ([`Self::regate`]) whenever
+    /// the row count crosses a `ceil_log2(n)` boundary.
     pub(crate) fn append_rows(&mut self, keys: &[f32], values: &[f32]) {
         debug_assert_eq!(keys.len(), values.len());
         debug_assert_eq!(keys.len() % self.d.max(1), 0);
@@ -246,7 +314,7 @@ impl QuantizedSimdPipeline {
         self.values.resize(old + values.len(), 0);
         if let (Some(k), Some(v)) = (self.keys.get_mut(old..), self.values.get_mut(old..)) {
             x86::quantize_i16(&self.quantizer, keys, k);
-            x86::quantize_i32(&self.quantizer, values, v);
+            x86::quantize_i16(&self.quantizer, values, v);
         }
         self.n += keys.len() / self.d.max(1);
     }
@@ -263,17 +331,82 @@ impl QuantizedSimdPipeline {
             return false;
         };
         x86::quantize_i16(&self.quantizer, key, ks);
-        x86::quantize_i32(&self.quantizer, value, vs);
+        x86::quantize_i16(&self.quantizer, value, vs);
         true
     }
 }
 
-#[cfg(test)]
-impl QuantizedSimdPipeline {
-    /// The shared exponent tables the gathers read.
-    pub(crate) fn tables(&self) -> &Arc<ExpLutTables> {
-        &self.tables
+/// The fused sharded query of [`QuantizedBackend`](super::QuantizedBackend)
+/// (module docs), or `None` unless every shard of `memory` carries the vector
+/// datapath in the `input` format and `memory`'s width; the caller then takes
+/// the per-shard path.
+///
+/// Caller contract: `query.len() == memory.d()`.
+pub(crate) fn attend_sharded(
+    memory: &ShardedMemory,
+    input: QFormat,
+    query: &[f32],
+) -> Option<AttentionResult> {
+    let d = memory.d();
+    let shards = memory.shards();
+    let mut largest = 0;
+    for shard in shards {
+        largest = largest.max(shard_pipeline(shard, input, d)?.n);
     }
+    // Every shard quantizes the query with the same lane quantizer: it
+    // depends only on the input format.
+    let first = shard_pipeline(shards.first()?, input, d)?;
+    let q = x86::quantize_query(&first.quantizer, query);
+    let mut scores = vec![0.0f32; memory.n()];
+    let mut weights = vec![0.0f32; memory.n()];
+    let mut outputs = vec![0.0f32; shards.len() * d];
+    let mut work = vec![0i32; largest];
+    for (s, shard) in shards.iter().enumerate() {
+        let p = shard_pipeline(shard, input, d)?;
+        let rows = shard.start()..shard.end();
+        if !x86::attend_rows(
+            p,
+            &q,
+            work.get_mut(..p.n)?,
+            scores.get_mut(rows.clone())?,
+            weights.get_mut(rows)?,
+            outputs.get_mut(s * d..(s + 1) * d)?,
+        ) {
+            return None;
+        }
+    }
+    let partials = shards.iter().enumerate().map(|(s, shard)| {
+        (
+            scores.get(shard.start()..shard.end()).unwrap_or_default(),
+            outputs.get(s * d..(s + 1) * d).unwrap_or_default(),
+        )
+    });
+    let output = merge_core(d, partials, |s, scale| {
+        let rows = shards.get(s).map(|shard| shard.start()..shard.end());
+        for w in rows
+            .and_then(|rows| weights.get_mut(rows))
+            .into_iter()
+            .flatten()
+        {
+            *w = rescale_weight(*w, scale);
+        }
+    });
+    Some(AttentionResult {
+        scores,
+        weights,
+        output,
+    })
+}
+
+/// The vector pipeline of one shard, if it carries one in the `input` format
+/// and width `d`.
+fn shard_pipeline(shard: &MemoryShard, input: QFormat, d: usize) -> Option<&QuantizedSimdPipeline> {
+    shard
+        .memory()
+        .quantized()
+        .filter(|q| q.input_format() == input)
+        .and_then(QuantizedMemory::vector)
+        .filter(|p| p.d == d)
 }
 
 impl fmt::Debug for QuantizedSimdPipeline {
@@ -407,18 +540,18 @@ mod x86 {
     use std::arch::x86_64::{
         __m128i, __m256, __m256d, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_and_ps,
         _mm256_and_si256, _mm256_castps_si256, _mm256_castsi256_si128, _mm256_cmp_ps,
-        _mm256_cvtepi32_pd, _mm256_cvtpd_ps, _mm256_cvttpd_epi32, _mm256_cvttps_epi32,
-        _mm256_div_pd, _mm256_extracti128_si256, _mm256_hadd_epi32, _mm256_i32gather_epi32,
-        _mm256_loadu_ps, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_max_epi32, _mm256_max_ps,
-        _mm256_min_epi32, _mm256_min_pd, _mm256_min_ps, _mm256_mul_epu32, _mm256_mul_pd,
-        _mm256_mul_ps, _mm256_mullo_epi32, _mm256_or_si256, _mm256_permute2x128_si256,
-        _mm256_round_ps, _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_set1_pd, _mm256_set1_ps,
-        _mm256_set_m128i, _mm256_setzero_si256, _mm256_slli_epi64, _mm256_srl_epi32,
-        _mm256_srl_epi64, _mm256_srli_epi64, _mm256_storeu_si256, _mm256_sub_epi32, _mm256_sub_ps,
-        _mm256_testz_si256, _mm_add_epi32, _mm_cvtsi128_si32, _mm_cvtsi32_si128, _mm_loadu_si128,
-        _mm_max_epi32, _mm_packs_epi32, _mm_shuffle_epi32, _mm_srli_si128, _mm_storeu_ps,
-        _mm_storeu_si128, _CMP_GE_OQ, _CMP_LE_OQ, _CMP_ORD_Q, _MM_FROUND_NO_EXC,
-        _MM_FROUND_TO_ZERO,
+        _mm256_cvtepi16_epi32, _mm256_cvtepi32_pd, _mm256_cvtpd_ps, _mm256_cvttpd_epi32,
+        _mm256_cvttps_epi32, _mm256_div_pd, _mm256_extracti128_si256, _mm256_hadd_epi32,
+        _mm256_i32gather_epi32, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_madd_epi16,
+        _mm256_max_epi32, _mm256_max_ps, _mm256_min_epi32, _mm256_min_pd, _mm256_min_ps,
+        _mm256_mul_epu32, _mm256_mul_pd, _mm256_mul_ps, _mm256_mullo_epi32, _mm256_or_si256,
+        _mm256_permute2x128_si256, _mm256_round_ps, _mm256_set1_epi32, _mm256_set1_epi64x,
+        _mm256_set1_pd, _mm256_set1_ps, _mm256_set_m128i, _mm256_setzero_si256, _mm256_slli_epi64,
+        _mm256_srl_epi32, _mm256_srl_epi64, _mm256_srli_epi64, _mm256_storeu_si256,
+        _mm256_sub_epi32, _mm256_sub_ps, _mm256_testz_si256, _mm_add_epi32, _mm_cvtsi128_si32,
+        _mm_cvtsi32_si128, _mm_loadu_si128, _mm_max_epi32, _mm_packs_epi32, _mm_shuffle_epi32,
+        _mm_srli_si128, _mm_storeu_ps, _mm_storeu_si128, _CMP_GE_OQ, _CMP_LE_OQ, _CMP_ORD_Q,
+        _MM_FROUND_NO_EXC, _MM_FROUND_TO_ZERO,
     };
 
     use super::{LaneQuantizer, QuantizedSimdPipeline, MAX_D};
@@ -436,14 +569,6 @@ mod x86 {
         // SAFETY: a `LaneQuantizer` only exists when its constructor saw
         // `SimdLevel::detect() == Avx2`, so the CPU supports `avx2`.
         unsafe { quantize_i16_avx2(q, src, dst) }
-    }
-
-    /// Quantizes `src` into the `i32` lanes of `dst`, element for element
-    /// over the shorter of the two.
-    pub(super) fn quantize_i32(q: &LaneQuantizer, src: &[f32], dst: &mut [i32]) {
-        // SAFETY: as for `quantize_i16`: the quantizer's existence proves
-        // `avx2`.
-        unsafe { quantize_i32_avx2(q, src, dst) }
     }
 
     /// Eight raws from eight `f32` lanes (see [`LaneQuantizer`] for why each
@@ -523,27 +648,6 @@ mod x86 {
         }
     }
 
-    // SAFETY: as for `quantize_i16_avx2`, with `i32` destination lanes.
-    #[target_feature(enable = "avx2")]
-    unsafe fn quantize_i32_avx2(q: &LaneQuantizer, src: &[f32], dst: &mut [i32]) {
-        let len = src.len().min(dst.len());
-        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
-        let mut i = 0;
-        while i + LANES_32 <= len {
-            let raws = quantize8(q, _mm256_loadu_ps(sp.add(i)));
-            _mm256_storeu_si256(dp.add(i).cast(), raws);
-            i += LANES_32;
-        }
-        let rest = len - i;
-        for (j, &raw) in quantize_tail(q, sp.add(i), rest)
-            .iter()
-            .take(rest)
-            .enumerate()
-        {
-            *dp.add(i + j) = raw;
-        }
-    }
-
     /// One query through the vector pipeline over every row.
     ///
     /// Caller contract (enforced by `QuantizedSimdPipeline::attend`):
@@ -557,41 +661,85 @@ mod x86 {
 
     // SAFETY: callers must ensure the CPU supports `avx2` (the
     // `#[target_feature]` contract) and the `attend` caller contract above;
-    // the only caller is `attend`. `prepare` admitted `d <= MAX_D`, so the
-    // query and accumulator stack buffers hold every column. `work` and the
-    // three result vectors are allocated here with exactly `n` (resp. `d`)
-    // elements, the lengths every kernel below is called with.
+    // the only caller is `attend`. `work` and the three result vectors are
+    // allocated here with exactly `n` (resp. `d`) elements, the lengths
+    // `attend_rows_avx2` requires.
     #[target_feature(enable = "avx2")]
     unsafe fn attend_avx2(p: &QuantizedSimdPipeline, query: &[f32]) -> AttentionResult {
         let (n, d) = (p.n, p.d);
-        // Quantize the query once, exactly as the scalar pipeline does; the
-        // lanes past `d` stay zero and are never read.
-        let mut q = [0i16; MAX_D];
-        quantize_i16_avx2(&p.quantizer, query, &mut q);
+        let q = quantize_query(&p.quantizer, query);
         let mut scores = vec![0.0f32; n];
         let mut weights = vec![0.0f32; n];
         let mut output = vec![0.0f32; d];
-
-        // One `n`-lane work buffer carries each row through the modules in
-        // place: its clamped dot, then its LUT score, then its weight.
         let mut work = vec![0i32; n];
-        let max_dot = dots(p, q.as_ptr(), &mut work);
-        dequantize(&work, p.dot_res, &mut scores);
-        let exp_sum = scores_gather(p, &mut work, max_dot);
-        // A zero exponent sum gives every row weight 0 (the scalar
-        // `div_weight` zero-denominator case): the zeroed weights and output
-        // are already the dequantized result.
-        if exp_sum != 0 {
-            normalise(p, &mut work, exp_sum);
-            let mut acc = [0i32; MAX_D];
-            accumulate(p, &work, acc.as_mut_ptr());
-            dequantize(&work, p.weight_res, &mut weights);
-            dequantize(&acc, p.out_res, &mut output);
-        }
+        attend_rows_avx2(p, &q, &mut work, &mut scores, &mut weights, &mut output);
         AttentionResult {
             scores,
             weights,
             output,
+        }
+    }
+
+    /// The quantized query, exactly as the scalar pipeline quantizes it; the
+    /// lanes past `query.len()` stay zero and are never read.
+    pub(super) fn quantize_query(quantizer: &LaneQuantizer, query: &[f32]) -> [i16; MAX_D] {
+        let mut q = [0i16; MAX_D];
+        quantize_i16(quantizer, query, &mut q);
+        q
+    }
+
+    /// One query's three modules over every row of `p`, from the quantized
+    /// query `q` into the dequantized `scores`, `weights` and `output`, with
+    /// `work` as the row carrier. `weights` and `output` must arrive zeroed.
+    /// Returns `false`, touching nothing, unless `work`, `scores` and
+    /// `weights` hold exactly `n` elements and `output` exactly `d`.
+    pub(super) fn attend_rows(
+        p: &QuantizedSimdPipeline,
+        q: &[i16; MAX_D],
+        work: &mut [i32],
+        scores: &mut [f32],
+        weights: &mut [f32],
+        output: &mut [f32],
+    ) -> bool {
+        let n = p.n;
+        if work.len() != n || scores.len() != n || weights.len() != n || output.len() != p.d {
+            return false;
+        }
+        // SAFETY: the pipeline's existence proves `avx2` (see `attend`), and
+        // the lengths `attend_rows_avx2` requires were checked above.
+        unsafe { attend_rows_avx2(p, q, work, scores, weights, output) };
+        true
+    }
+
+    /// [`attend_rows`] without the length checks. One `n`-lane work buffer
+    /// carries each row through the modules in place: its clamped dot, then
+    /// its LUT score, then its weight.
+    // SAFETY: callers must ensure the CPU supports `avx2` (the
+    // `#[target_feature]` contract), that `work`, `scores` and `weights` hold
+    // exactly `n` elements and `output` exactly `d`: the lengths every kernel
+    // below is called with. `prepare` admitted `d <= MAX_D`, so `q` and the
+    // accumulator stack buffer hold every column.
+    #[target_feature(enable = "avx2")]
+    unsafe fn attend_rows_avx2(
+        p: &QuantizedSimdPipeline,
+        q: &[i16; MAX_D],
+        work: &mut [i32],
+        scores: &mut [f32],
+        weights: &mut [f32],
+        output: &mut [f32],
+    ) {
+        let max_dot = dots(p, q.as_ptr(), work);
+        dequantize(work, p.dot_res, scores);
+        let exp_sum = scores_gather(p, work, max_dot);
+        // A zero exponent sum gives every row weight 0 (the scalar
+        // `div_weight` zero-denominator case): the zeroed weights and output
+        // are already the dequantized result.
+        if exp_sum != 0 {
+            normalise(p, work, exp_sum);
+            let mut acc = [0i32; MAX_D];
+            accumulate(p, work, &mut acc);
+            dequantize(work, p.weight_res, weights);
+            dequantize(&acc, p.out_res, output);
         }
     }
 
@@ -886,19 +1034,60 @@ mod x86 {
         _mm256_cvttpd_epi32(_mm256_min_pd(_mm256_div_pd(numerator, den), wmax))
     }
 
-    /// Module 3 weighted sum: `acc += w_r * value_r` over the rows with a
-    /// nonzero weight in `weights` (`weights.len() == n`), skipping blocks of
-    /// eight zero weights at once — their terms are exact zeros either way.
+    /// Module 3 weighted sum: `acc[j] = Σ w_r * value_r[j]` over the rows
+    /// with a nonzero weight in `weights` (`weights.len() == n`), for every
+    /// column `j < d`, through the [`accumulate_block`] of this memory's
+    /// `d / 8` full lane chunks.
     // SAFETY: callers must ensure `avx2` is available (the
-    // `#[target_feature]` contract), that `weights.len() == n` and that `acc`
-    // points to `d` i32 lanes the caller owns exclusively. Weights are read
-    // at `r < n`, value rows at `values + r * d` inside the `n * d` buffer.
+    // `#[target_feature]` contract) and that `weights.len() == n`. `prepare`
+    // admitted `d <= MAX_D`, so `d / 8 <= 8` selects a block whose chunks
+    // and scalar tail cover exactly the `d` columns.
     #[target_feature(enable = "avx2")]
-    unsafe fn accumulate(p: &QuantizedSimdPipeline, weights: &[i32], acc: *mut i32) {
+    unsafe fn accumulate(p: &QuantizedSimdPipeline, weights: &[i32], acc: &mut [i32; MAX_D]) {
         debug_assert_eq!(weights.len(), p.n);
+        let out = acc.as_mut_ptr();
+        match p.d / LANES_32 {
+            0 => accumulate_block::<0>(p, weights, out),
+            1 => accumulate_block::<1>(p, weights, out),
+            2 => accumulate_block::<2>(p, weights, out),
+            3 => accumulate_block::<3>(p, weights, out),
+            4 => accumulate_block::<4>(p, weights, out),
+            5 => accumulate_block::<5>(p, weights, out),
+            6 => accumulate_block::<6>(p, weights, out),
+            7 => accumulate_block::<7>(p, weights, out),
+            _ => accumulate_block::<8>(p, weights, out),
+        }
+    }
+
+    /// Module 3 for a memory with `K = d / 8` full lane chunks: `K`
+    /// accumulators stay in registers across all rows, and each row with a
+    /// nonzero weight costs one broadcast and, per chunk, one load of eight
+    /// `i16` values widened by `_mm256_cvtepi16_epi32`, one
+    /// `_mm256_mullo_epi32` and one add. The `d mod 8` tail columns
+    /// accumulate in scalars beside them. A block of eight zero weights is
+    /// skipped whole: its terms are exact zeros either way. Exact: the
+    /// eligibility gates bound every product by `2^(2f+t) <= 2^30` and every
+    /// partial sum inside the output format (`<= 2^(i+3f) <= 2^31 - 1`), so
+    /// the low-32 products and the lane adds never wrap, and integer sums
+    /// do not depend on their order.
+    // SAFETY: callers must ensure `avx2` is available (the
+    // `#[target_feature]` contract), that `weights.len() == n`, that
+    // `K * 8 <= d < K * 8 + 8` and that `out` points to `d` writable i32
+    // lanes. Weights are read at `r < n`; value row `r` at `values + r * d +
+    // j` with `j < d`: eight-lane loads at `j = k * 8` for `k < K`, single
+    // elements at `K * 8 <= j < d`. `out` is written at `j < d`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn accumulate_block<const K: usize>(
+        p: &QuantizedSimdPipeline,
+        weights: &[i32],
+        out: *mut i32,
+    ) {
         let (n, d) = (p.n, p.d);
+        let full = K * LANES_32;
         let values = p.values.as_ptr();
         let wp = weights.as_ptr();
+        let mut acc = [_mm256_setzero_si256(); K];
+        let mut tail = [0i32; LANES_32];
         let mut r = 0;
         while r < n {
             let block = LANES_32.min(n - r);
@@ -909,41 +1098,28 @@ mod x86 {
             if !skip {
                 for k in r..r + block {
                     let w = *wp.add(k);
-                    if w != 0 {
-                        accumulate_row(acc, values.add(k * d), w, d);
+                    if w == 0 {
+                        continue;
+                    }
+                    let wv = _mm256_set1_epi32(w);
+                    let row = values.add(k * d);
+                    for (c, a) in acc.iter_mut().enumerate() {
+                        let v =
+                            _mm256_cvtepi16_epi32(_mm_loadu_si128(row.add(c * LANES_32).cast()));
+                        *a = _mm256_add_epi32(*a, _mm256_mullo_epi32(wv, v));
+                    }
+                    for (j, t) in (full..d).zip(tail.iter_mut()) {
+                        *t += w * i32::from(*row.add(j));
                     }
                 }
             }
             r += block;
         }
-    }
-
-    /// Module 3 inner loop: `acc[j] += w * row[j]` for `j < d`, eight i32
-    /// lanes at a time. Exact: the eligibility gates bound every product by
-    /// `2^(2f+t) <= 2^30` and every accumulator partial sum inside the output
-    /// format (`<= 2^(i+3f) <= 2^31 - 1`), so `_mm256_mullo_epi32`'s low-32
-    /// result and the lane adds never wrap.
-    // SAFETY: callers must ensure `avx2` is available (the
-    // `#[target_feature]` contract) and that `acc` and `row` each point to at
-    // least `d` valid i32 elements, with `acc` exclusively owned by the
-    // caller. Accesses are at `j` with `j + LANES_32 <= d` (vector) or
-    // `j < d` (scalar).
-    #[target_feature(enable = "avx2")]
-    unsafe fn accumulate_row(acc: *mut i32, row: *const i32, w: i32, d: usize) {
-        let wv = _mm256_set1_epi32(w);
-        let mut j = 0;
-        while j + LANES_32 <= d {
-            let v = _mm256_loadu_si256(row.add(j).cast());
-            let a = _mm256_loadu_si256(acc.add(j).cast::<__m256i>());
-            _mm256_storeu_si256(
-                acc.add(j).cast(),
-                _mm256_add_epi32(a, _mm256_mullo_epi32(wv, v)),
-            );
-            j += LANES_32;
+        for (c, a) in acc.into_iter().enumerate() {
+            _mm256_storeu_si256(out.add(c * LANES_32).cast(), a);
         }
-        while j < d {
-            *acc.add(j) += w * *row.add(j);
-            j += 1;
+        for (j, t) in (full..d).zip(tail) {
+            *out.add(j) = t;
         }
     }
 
@@ -1103,20 +1279,12 @@ mod tests {
                 let expected: Vec<i64> = Fixed::quantize_slice(&values, format).collect();
                 let mut narrow = vec![0i16; values.len()];
                 x86::quantize_i16(&quantizer, &values, &mut narrow);
-                let mut wide = vec![0i32; values.len()];
-                x86::quantize_i32(&quantizer, &values, &mut wide);
                 for (k, &want) in expected.iter().enumerate() {
                     let x = values[k];
                     assert_eq!(
                         i64::from(narrow[k]),
                         want,
                         "{format} i16 {x:e} ({:#x})",
-                        x.to_bits()
-                    );
-                    assert_eq!(
-                        i64::from(wide[k]),
-                        want,
-                        "{format} i32 {x:e} ({:#x})",
                         x.to_bits()
                     );
                 }
@@ -1222,6 +1390,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fused_sharded_query_runs_only_when_every_shard_is_vectorized() {
+        use crate::backend::{
+            merge_partial_softmax, ComputeBackend, QuantizedBackend, ShardPlan, ShardedMemory,
+        };
+        let _guard = ENV_LOCK.lock().unwrap();
+        if SimdLevel::detect() != SimdLevel::Avx2 {
+            eprintln!("skipping: host has no AVX2");
+            return;
+        }
+        let q44 = paper_input_format();
+        let (keys, values, query) = case(70, 24, 3);
+        let plan = ShardPlan::new(3).unwrap();
+        let backend = QuantizedBackend::paper();
+        let memory = ShardedMemory::prepare(&backend, plan, &keys, &values).unwrap();
+        let fused = attend_sharded(&memory, q44, &query).expect("every shard is vectorized");
+        let partials: Vec<AttentionResult> = memory
+            .shards()
+            .iter()
+            .map(|shard| backend.attend_prepared(shard.memory(), &query).unwrap())
+            .collect();
+        assert_eq!(fused, merge_partial_softmax(&memory, &partials));
+        // Another input format, or shards on the scalar datapath: the caller
+        // takes the per-shard path.
+        assert!(attend_sharded(&memory, QFormat::new(4, 2), &query).is_none());
+        let scalar =
+            ShardedMemory::prepare(&QuantizedBackend::paper_scalar(), plan, &keys, &values)
+                .unwrap();
+        assert!(attend_sharded(&scalar, q44, &query).is_none());
     }
 
     #[test]

@@ -37,8 +37,8 @@ use crate::attention::{stable_softmax, AttentionResult};
 use crate::{AttentionError, Matrix};
 
 use super::{
-    fingerprint_append, fingerprint_update, memory_fingerprint, validate_memory, ComputeBackend,
-    MemoryCache, PreparedMemory, SimdBackend,
+    fingerprint_append, fingerprint_update, memory_fingerprint, validate_append, validate_memory,
+    validate_row_width, ComputeBackend, MemoryCache, PreparedMemory, SimdBackend,
 };
 
 /// How to split one logical memory across shards (row-wise, contiguous, balanced).
@@ -300,6 +300,9 @@ impl ShardedMemory {
             return Ok(ShardMutationStats::default());
         }
         let d = self.d;
+        // Shape errors are caught before the tail shard's cache entry is
+        // taken out, so a rejected append leaves the entry resident.
+        validate_append(d, new_keys, new_values)?;
         let last = self
             .shards
             .last_mut()
@@ -352,6 +355,9 @@ impl ShardedMemory {
             name: "row",
             constraint: "row index must be within the sharded memory",
         })?;
+        // Checked before the shard's cache entry is taken out, so a rejected
+        // update leaves the entry resident.
+        validate_row_width(self.d, key, value)?;
         let shard = self
             .shards
             .get_mut(index)
@@ -486,13 +492,46 @@ pub fn merge_partial_softmax(
 ) -> AttentionResult {
     let shards = memory.shard_count();
     assert_eq!(shards, partials.len(), "one partial result per shard");
+    let mut scores = Vec::with_capacity(memory.n());
+    let mut weights = Vec::with_capacity(memory.n());
+    let output = merge_core(
+        memory.d(),
+        partials
+            .iter()
+            .map(|p| (p.scores.as_slice(), p.output.as_slice())),
+        |s, scale| {
+            if let Some(partial) = partials.get(s) {
+                scores.extend_from_slice(&partial.scores);
+                weights.extend(partial.weights.iter().map(|&w| rescale_weight(w, scale)));
+            }
+        },
+    );
+    AttentionResult {
+        scores,
+        weights,
+        output,
+    }
+}
+
+/// The arithmetic of the log-sum-exp merge, shared by [`merge_partial_softmax`]
+/// and the quantized backend's fused sharded query, which keeps its partial
+/// results in slices of merged buffers instead of one [`AttentionResult`] per
+/// shard. `partials` yields each shard's partial scores and partial output, in
+/// shard order; `rescale(s, c_s)` is called once per shard, in order, to
+/// apply [`rescale_weight`] to shard `s`'s locally normalised weights. Returns
+/// the merged output.
+pub(super) fn merge_core<'p>(
+    d: usize,
+    partials: impl Iterator<Item = (&'p [f32], &'p [f32])> + Clone,
+    mut rescale: impl FnMut(usize, f64),
+) -> Vec<f32> {
     // The lane level is read once per merge: detection consults the
     // environment, which costs more than one shard's normaliser.
     let simd = SimdBackend::new();
     // Per-shard statistics the merge unit receives alongside each partial output.
     let stats: Vec<(f64, f64)> = partials
-        .iter()
-        .map(|p| simd.softmax_stats(&p.scores))
+        .clone()
+        .map(|(scores, _)| simd.softmax_stats(scores))
         .collect();
     let global_max = stats
         .iter()
@@ -502,27 +541,36 @@ pub fn merge_partial_softmax(
         .map(|&(max, z)| z * (max - global_max).exp())
         .sum();
 
-    let mut scores = Vec::with_capacity(memory.n());
-    let mut weights = Vec::with_capacity(memory.n());
-    let mut output = vec![0.0f64; memory.d()];
-    for (partial, &(max, z)) in partials.iter().zip(&stats) {
+    let mut output = vec![0.0f64; d];
+    for (s, ((_, partial), &(max, z))) in partials.zip(&stats).enumerate() {
         let scale = z * (max - global_max).exp() / denom;
-        scores.extend_from_slice(&partial.scores);
-        weights.extend(
-            partial
-                .weights
-                .iter()
-                .map(|&w| (f64::from(w) * scale) as f32),
-        );
-        for (o, &p) in output.iter_mut().zip(&partial.output) {
+        rescale(s, scale);
+        for (o, &p) in output.iter_mut().zip(partial) {
             *o += scale * f64::from(p);
         }
     }
-    AttentionResult {
-        scores,
-        weights,
-        output: output.into_iter().map(|o| o as f32).collect(),
-    }
+    output.into_iter().map(|o| o as f32).collect()
+}
+
+/// One locally normalised weight rescaled by its shard's merge factor `c_s`.
+pub(super) fn rescale_weight(w: f32, scale: f64) -> f32 {
+    (f64::from(w) * scale) as f32
+}
+
+/// The per-shard path of [`ComputeBackend::attend_sharded`] for datapaths that
+/// attend every row: each shard's [`ComputeBackend::attend_prepared`] in shard
+/// order (the first error wins), then [`merge_partial_softmax`].
+pub(super) fn attend_sharded_dense<B: ComputeBackend + ?Sized>(
+    backend: &B,
+    memory: &ShardedMemory,
+    query: &[f32],
+) -> Result<AttentionResult, AttentionError> {
+    let partials: Result<Vec<AttentionResult>, AttentionError> = memory
+        .shards()
+        .iter()
+        .map(|shard| backend.attend_prepared(shard.memory(), query))
+        .collect();
+    Ok(merge_partial_softmax(memory, &partials?))
 }
 
 /// Sharded execution of the approximate datapath: per-shard greedy candidate

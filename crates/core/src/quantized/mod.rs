@@ -195,6 +195,15 @@ impl QuantizedMemory {
         }
     }
 
+    /// The AVX2 pipeline, when prepare-time dispatch selected it.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn vector(&self) -> Option<&QuantizedSimdPipeline> {
+        match &self.datapath {
+            Datapath::Vector(vector) => Some(vector),
+            Datapath::Scalar(_) => None,
+        }
+    }
+
     /// The shared exponent tables this memory's datapath evaluates against.
     #[cfg(test)]
     fn shared_tables(&self) -> Option<&Arc<ExpLutTables>> {
@@ -241,17 +250,25 @@ impl QuantizedMemory {
 
     /// Incrementally quantizes and appends rows in place — the streaming fast
     /// path that quantizes only the `delta` new rows (`O(delta * d)` work)
-    /// instead of re-preparing the whole memory.
+    /// instead of re-preparing the whole memory — and returns the
+    /// element-quantization count.
     ///
-    /// Returns `Ok(Some(ops))` with the element-quantization count on
-    /// success. Returns `Ok(None)` — leaving the memory untouched — when the
-    /// grown row count crosses a `ceil_log2(n)` boundary: every stage format,
-    /// clamp bound and exponent table depends on `n` only through
-    /// `ceil_log2(n)`, so inside a boundary the existing prepared state is
-    /// exactly what a fresh prepare would build, and at a boundary the caller
-    /// must re-prepare from scratch so the format plan (and with it the
-    /// datapath choice and the range-proof saturation certificate) stays
-    /// honest.
+    /// The grown memory is exactly what a fresh prepare of the grown matrices
+    /// builds, at every row count. Inside a `ceil_log2(n)` boundary no stage
+    /// format changes. When the grown row count crosses one, only the format
+    /// plan is re-derived: the raws, the exponent tables, the lane constants
+    /// and every resolution do not depend on `n`, so nothing is
+    /// re-quantized. What does depend on `n` is re-checked instead:
+    ///
+    /// - the vector datapath re-checks its lane gates and its normalisation
+    ///   bounds for the new plan. When the plan leaves them (past `n = 512`
+    ///   for the paper format), the memory converts to the scalar datapath in
+    ///   place by widening its raws, the datapath a fresh prepare selects;
+    /// - the scalar datapath re-derives its exponent-sum and output clamp
+    ///   bounds.
+    ///
+    /// Growth never makes a scalar plan eligible for the vector datapath,
+    /// because every gate tightens with `ceil_log2(n)`.
     ///
     /// # Errors
     ///
@@ -261,7 +278,7 @@ impl QuantizedMemory {
         &mut self,
         new_keys: &Matrix,
         new_values: &Matrix,
-    ) -> Result<Option<u64>, AttentionError> {
+    ) -> Result<u64, AttentionError> {
         let d = self.d();
         if new_keys.rows() != new_values.rows() {
             return Err(AttentionError::RowCountMismatch {
@@ -279,13 +296,14 @@ impl QuantizedMemory {
         }
         let delta = new_keys.rows();
         if delta == 0 {
-            return Ok(Some(0));
-        }
-        let new_n = self.n() + delta;
-        if a3_fixed::ceil_log2(new_n) != a3_fixed::ceil_log2(self.n()) {
-            return Ok(None);
+            return Ok(0);
         }
         let input = self.input_format();
+        let new_n = self.n() + delta;
+        let formats = PipelineFormats::new(input, new_n, d);
+        if a3_fixed::ceil_log2(new_n) != a3_fixed::ceil_log2(self.n()) {
+            self.datapath.grow_plan(&formats);
+        }
         match &mut self.datapath {
             #[cfg(target_arch = "x86_64")]
             Datapath::Vector(vector) => {
@@ -293,8 +311,8 @@ impl QuantizedMemory {
             }
             Datapath::Scalar(scalar) => scalar.append_rows(input, new_keys, new_values),
         }
-        self.formats = PipelineFormats::new(input, new_n, d);
-        Ok(Some((2 * delta * d) as u64))
+        self.formats = formats;
+        Ok((2 * delta * d) as u64)
     }
 
     /// Re-quantizes one row in place (`O(d)` work). The row count — and with
@@ -386,6 +404,29 @@ impl Datapath {
     }
 }
 
+impl Datapath {
+    /// Re-derives the `n`-dependent state for `formats`, the plan of a memory
+    /// grown across a `ceil_log2(n)` boundary (see
+    /// [`QuantizedMemory::append_rows`]): the vector pipeline re-checks its
+    /// gates and, when the plan leaves them, becomes the scalar pipeline over
+    /// its widened raws; the scalar pipeline re-derives its clamp bounds.
+    fn grow_plan(&mut self, formats: &PipelineFormats) {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Self::Vector(vector) => {
+                if !vector.regate(formats) {
+                    let (keys_q, values_q) = vector.widened_raws();
+                    let tables = Some(Arc::clone(vector.tables()));
+                    *self = Self::Scalar(DynamicPipeline::from_raws(
+                        formats, tables, keys_q, values_q,
+                    ));
+                }
+            }
+            Self::Scalar(scalar) => scalar.rebound(formats),
+        }
+    }
+}
+
 impl DynamicPipeline {
     /// Quantizes the operands and resolves every shift and saturation bound the
     /// per-query loop needs from the derived stage formats.
@@ -396,14 +437,30 @@ impl DynamicPipeline {
         values: &Matrix,
     ) -> Self {
         let input = formats.input();
+        Self::from_raws(
+            formats,
+            tables,
+            Fixed::quantize_slice(keys.as_slice(), input).collect(),
+            Fixed::quantize_slice(values.as_slice(), input).collect(),
+        )
+    }
+
+    /// Resolves every shift and saturation bound the per-query loop needs
+    /// from the derived stage formats, around already quantized operands.
+    fn from_raws(
+        formats: &PipelineFormats,
+        tables: Option<Arc<ExpLutTables>>,
+        keys_q: Vec<i64>,
+        values_q: Vec<i64>,
+    ) -> Self {
         let dot = formats.dot_product();
         let shifted = formats.shifted_dot_product();
         let exp_sum = formats.exp_sum();
         let weight = formats.weight();
         let output = formats.output();
         Self {
-            keys_q: Fixed::quantize_slice(keys.as_slice(), input).collect(),
-            values_q: Fixed::quantize_slice(values.as_slice(), input).collect(),
+            keys_q,
+            values_q,
             tables,
             dot_min: dot.min_raw(),
             dot_max: dot.max_raw(),
@@ -419,9 +476,22 @@ impl DynamicPipeline {
         }
     }
 
-    /// Appends already-validated rows, quantizing only the new elements. All
-    /// shift amounts and clamp bounds in this struct derive from the stage
-    /// formats, which the caller's `ceil_log2(n)` gate keeps unchanged.
+    /// Re-derives every clamp bound for `formats`, the plan of this memory
+    /// grown across a `ceil_log2(n)` boundary; the raws and the tables do not
+    /// depend on `n`.
+    fn rebound(&mut self, formats: &PipelineFormats) {
+        *self = Self::from_raws(
+            formats,
+            self.tables.take(),
+            std::mem::take(&mut self.keys_q),
+            std::mem::take(&mut self.values_q),
+        );
+    }
+
+    /// Appends already-validated rows, quantizing only the new elements. The
+    /// clamp bounds in this struct must already be the grown plan's, which
+    /// [`QuantizedMemory::append_rows`] re-derives at every `ceil_log2(n)`
+    /// boundary.
     fn append_rows(&mut self, input: QFormat, keys: &Matrix, values: &Matrix) {
         self.keys_q
             .extend(Fixed::quantize_slice(keys.as_slice(), input));

@@ -572,6 +572,10 @@ impl AttentionServer {
             crate::backend::fingerprint_append(old_fingerprint, old_n, d, new_keys, new_values);
         let mutation = match &mut handle.memory {
             SessionMemory::Whole(memory) => {
+                // Shape errors are caught before the cache entry is taken out,
+                // so a rejected append leaves it resident (`ShardedMemory`
+                // checks its own).
+                crate::backend::validate_append(d, new_keys, new_values)?;
                 let backend = self.backend.as_ref();
                 let stats = self.cache.mutate_in_place(
                     &backend.name(),
@@ -632,6 +636,9 @@ impl AttentionServer {
                 constraint: "row index must be within the memory",
             }));
         }
+        // Checked before the cache entry is taken out, so a rejected update
+        // leaves it resident.
+        crate::backend::validate_row_width(handle.memory.d(), key, value)?;
         let old_fingerprint = handle.fingerprint;
         let mutation = match &mut handle.memory {
             SessionMemory::Whole(memory) => {

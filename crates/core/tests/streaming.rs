@@ -269,3 +269,150 @@ fn mutate_reregister_churn_stays_on_the_delta_path() {
         "churn loop should never re-run the full sorted prepare"
     );
 }
+
+/// Regression pin: a rejected append or row update must leave the session's
+/// cache entry resident. The shapes are checked before the entry is taken out
+/// for the in-place mutation, so the next good append is still a cache
+/// *update* and the cache keeps every entry, for whole and sharded sessions.
+#[test]
+fn rejected_mutations_keep_the_sessions_cache_entry() {
+    let (n, d) = (16, 8);
+    let keys = Matrix::from_rows(
+        (0..n)
+            .map(|r| (0..d).map(|c| ((r * d + c) as f32 * 0.3).sin()).collect())
+            .collect(),
+    )
+    .unwrap();
+    let values = Matrix::from_rows(
+        (0..n)
+            .map(|r| (0..d).map(|c| ((r * d + c) as f32 * 0.7).cos()).collect())
+            .collect(),
+    )
+    .unwrap();
+    let good_key = Matrix::from_rows(vec![vec![0.25; d]]).unwrap();
+    let good_value = Matrix::from_rows(vec![vec![-0.5; d]]).unwrap();
+    let narrow = Matrix::from_rows(vec![vec![0.5; d - 1]]).unwrap();
+    for shards in [1, 4] {
+        let mut server = AttentionServer::builder(Box::new(QuantizedBackend::paper()))
+            .batch_policy(BatchPolicy::per_request())
+            .cache_capacity(8)
+            .build();
+        let session = server
+            .register(MemoryConfig::new(&keys, &values).sharded(shards))
+            .unwrap();
+        let entries = server.cache().len();
+        assert_eq!(entries, shards, "one entry per shard");
+
+        let rejected = server.append_to_session(session, &narrow, &narrow);
+        assert!(
+            rejected.is_err(),
+            "{shards} shard(s): narrow append accepted"
+        );
+        let rejected = server.update_session_row(session, 3, &[0.5; 7], &[0.5; 7]);
+        assert!(
+            rejected.is_err(),
+            "{shards} shard(s): narrow update accepted"
+        );
+        assert_eq!(server.cache().len(), entries, "{shards} shard(s)");
+
+        let updates = server.cache().updates();
+        let mutation = server
+            .append_to_session(session, &good_key, &good_value)
+            .unwrap();
+        assert!(!mutation.rebalanced);
+        assert_eq!(
+            server.cache().updates(),
+            updates + 1,
+            "{shards} shard(s): the good append was not a cache update"
+        );
+        assert_eq!(server.cache().len(), entries, "{shards} shard(s)");
+    }
+}
+
+/// `rows` seeded rows of width `d`, values in `[-2, 2)`.
+fn seeded_rows(rows: usize, d: usize, seed: u64) -> Matrix {
+    Matrix::from_flat(
+        (0..rows * d)
+            .map(|i| {
+                let h = (i as u64 ^ seed)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(seed)
+                    .wrapping_mul(0xD6E8_FEB8_6659_FD93);
+                (h >> 40) as f32 / (1u64 << 22) as f32 - 2.0
+            })
+            .collect(),
+        rows,
+        d,
+    )
+    .unwrap()
+}
+
+/// Walks a quantized memory from 1 to 600 rows, across every power-of-two
+/// boundary (512 -> 513, where the paper format leaves the vector datapath's
+/// grid, included), one row at a time and in chunks that jump several
+/// boundaries at once. After every append the memory must attend exactly as
+/// a fresh prepare of the grown matrices does, carry the same datapath and
+/// format plan, and report an incremental append: the vector and the
+/// scalar-pinned backend report the same stats, none of them a re-prepare.
+#[test]
+fn quantized_appends_stay_incremental_across_every_power_of_two() {
+    let walks: [&[usize]; 3] = [&[1], &[1, 2, 5, 13, 40, 100, 250], &[37, 100, 300, 162]];
+    for d in [8, 64] {
+        let keys = seeded_rows(600, d, 11);
+        let values = seeded_rows(600, d, 12);
+        let query: Vec<f32> = seeded_rows(1, d, 13).row(0).to_vec();
+        for chunks in walks {
+            let mut stats = Vec::new();
+            for backend in [QuantizedBackend::paper(), QuantizedBackend::paper_scalar()] {
+                let first = |m: &Matrix, rows: usize| {
+                    Matrix::from_flat(m.as_slice()[..rows * d].to_vec(), rows, d).unwrap()
+                };
+                let mut memory = backend
+                    .prepare(&first(&keys, 1), &first(&values, 1))
+                    .unwrap();
+                let mut walk = Vec::new();
+                let mut n = 1;
+                for &chunk in chunks.iter().cycle() {
+                    if n == 600 {
+                        break;
+                    }
+                    let end = (n + chunk).min(600);
+                    let rows = |m: &Matrix| {
+                        Matrix::from_flat(m.as_slice()[n * d..end * d].to_vec(), end - n, d)
+                            .unwrap()
+                    };
+                    let step = backend
+                        .append_rows(&mut memory, &rows(&keys), &rows(&values))
+                        .unwrap();
+                    assert!(
+                        !step.full_reprepare,
+                        "{} d={d}: {n} -> {end}",
+                        backend.name()
+                    );
+                    walk.push(step);
+                    n = end;
+
+                    let fresh = backend
+                        .prepare(&first(&keys, n), &first(&values, n))
+                        .unwrap();
+                    let (grown, built) = (memory.quantized().unwrap(), fresh.quantized().unwrap());
+                    assert_eq!(grown.is_vectorized(), built.is_vectorized(), "d={d} n={n}");
+                    assert_eq!(grown.formats(), built.formats(), "d={d} n={n}");
+                    assert_eq!(
+                        memory.preprocess_ops(),
+                        fresh.preprocess_ops(),
+                        "d={d} n={n}"
+                    );
+                    assert_eq!(
+                        backend.attend_prepared(&memory, &query).unwrap(),
+                        backend.attend_prepared(&fresh, &query).unwrap(),
+                        "{} d={d} n={n}",
+                        backend.name()
+                    );
+                }
+                stats.push(walk);
+            }
+            assert_eq!(stats[0], stats[1], "d={d} chunks {chunks:?}");
+        }
+    }
+}

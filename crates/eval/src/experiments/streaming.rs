@@ -15,8 +15,10 @@
 //! * **append-rate sweep** — appends arriving in chunks of 1 to 8 rows between
 //!   queries, per backend and starting memory size: amortized
 //!   maintenance cycles per appended token against the rebuild-per-chunk
-//!   baseline, and the fraction of appends that fell back to a full re-prepare
-//!   (the quantized format-boundary fallback).
+//!   baseline, and the appends that fell back to a full re-prepare. Every
+//!   built-in backend reports zero: the quantized backend re-checks its
+//!   format gates (or converts to its scalar datapath) when `n` crosses a
+//!   power of two instead of re-preparing.
 
 use a3_core::backend::{ComputeBackend, MemoryCache};
 use a3_core::Matrix;
