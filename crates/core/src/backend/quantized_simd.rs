@@ -1187,14 +1187,17 @@ mod tests {
     #[test]
     fn vector_path_is_bit_identical_to_scalar_on_in_grid_shapes() {
         // Shapes straddling the 8/16-lane widths, n = 1, the paper size, the
-        // grid's n = 512 edge, and formats other than the paper's.
+        // grid's n = 512 edge, formats other than the paper's, and every
+        // width up to 64, so each module 3 block (0 to 8 full lane chunks
+        // plus 0 to 7 tail columns) meets the scalar pipeline.
         let _guard = ENV_LOCK.lock().unwrap();
         if SimdLevel::detect() != SimdLevel::Avx2 {
             eprintln!("skipping: host has no AVX2");
             return;
         }
         let q44 = paper_input_format();
-        for &(n, d, format) in &[
+        let every_width = (1..=64).map(|d| (19, d, q44));
+        for (n, d, format) in [
             (1usize, 3usize, q44),
             (2, 2, q44),
             (3, 5, q44),
@@ -1209,7 +1212,10 @@ mod tests {
             (37, 13, QFormat::new(5, 3)),
             (300, 64, QFormat::new(5, 3)),
             (40, 24, QFormat::new(0, 8)),
-        ] {
+        ]
+        .into_iter()
+        .chain(every_width)
+        {
             let (keys, values, query) = case(n, d, 7);
             let auto = QuantizedMemory::prepare(format, &keys, &values).unwrap();
             let scalar = QuantizedMemory::prepare_scalar(format, &keys, &values).unwrap();

@@ -36,6 +36,7 @@ use a3_fixed::{ExpLut, ExpLutConfig, ExpLutTables, Fixed, PipelineFormats, QForm
 use crate::attention::AttentionResult;
 #[cfg(target_arch = "x86_64")]
 use crate::backend::quantized_simd::QuantizedSimdPipeline;
+use crate::backend::{validate_append, validate_row_width};
 use crate::{AttentionError, Matrix};
 
 /// A key/value memory quantized for the fixed-point base pipeline: the per-stage
@@ -280,20 +281,7 @@ impl QuantizedMemory {
         new_values: &Matrix,
     ) -> Result<u64, AttentionError> {
         let d = self.d();
-        if new_keys.rows() != new_values.rows() {
-            return Err(AttentionError::RowCountMismatch {
-                keys: new_keys.rows(),
-                values: new_values.rows(),
-            });
-        }
-        for dim in [new_keys.dim(), new_values.dim()] {
-            if dim != d {
-                return Err(AttentionError::DimensionMismatch {
-                    expected: d,
-                    actual: dim,
-                });
-            }
-        }
+        validate_append(d, new_keys, new_values)?;
         let delta = new_keys.rows();
         if delta == 0 {
             return Ok(0);
@@ -338,14 +326,7 @@ impl QuantizedMemory {
                 constraint: "row index must be within the memory",
             });
         }
-        for len in [key.len(), value.len()] {
-            if len != d {
-                return Err(AttentionError::DimensionMismatch {
-                    expected: d,
-                    actual: len,
-                });
-            }
-        }
+        validate_row_width(d, key, value)?;
         let input = self.input_format();
         let updated = match &mut self.datapath {
             #[cfg(target_arch = "x86_64")]
@@ -402,9 +383,7 @@ impl Datapath {
         let _ = allow_vector;
         Self::Scalar(DynamicPipeline::prepare(formats, tables, keys, values))
     }
-}
 
-impl Datapath {
     /// Re-derives the `n`-dependent state for `formats`, the plan of a memory
     /// grown across a `ceil_log2(n)` boundary (see
     /// [`QuantizedMemory::append_rows`]): the vector pipeline re-checks its
