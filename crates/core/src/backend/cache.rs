@@ -18,6 +18,20 @@
 //! eviction removes the minimum-priority entry, and the cache's inflation value
 //! `L` rises to the evicted priority so long-resident entries age out rather than
 //! squatting forever.
+//!
+//! An entry's key is the slot of its backend's name in a per-cache name table
+//! plus the memory's content fingerprint. The table holds each distinct name
+//! once; [`MemoryCache::take`], [`MemoryCache::insert_updated`] and the
+//! in-place mutation behind the serving layer's streaming appends find the slot
+//! by comparing `&str`s, so keeping an entry current allocates nothing once the
+//! name is known.
+//!
+//! The cache holds only preparations some session serves. A streaming append or
+//! row update moves its entry to the mutated memory's fingerprint instead of
+//! leaving the old contents resident, and a sharded memory's rebalance
+//! ([`crate::backend::ShardedMemory::append_rows_cached`]) releases the entries
+//! of the shards it replaces. A session that still holds a released memory
+//! keeps serving it through its own handle; only the cache forgets it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,9 +40,10 @@ use crate::{AttentionError, Matrix};
 
 use super::{memory_fingerprint, ComputeBackend, PreparedMemory};
 
-/// Cache key: the backend's name (different backends — or differently configured
-/// backends — prepare different state) plus the memory's content fingerprint.
-type CacheKey = (String, u64);
+/// Cache key: the slot of the backend's name in [`MemoryCache`]'s name table
+/// (different backends — or differently configured backends — prepare
+/// different state) plus the memory's content fingerprint.
+type CacheKey = (usize, u64);
 
 /// Which entry a full [`MemoryCache`] sacrifices to admit a new preparation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -78,6 +93,9 @@ struct CacheEntry {
 pub struct MemoryCache {
     capacity: usize,
     admission: CacheAdmission,
+    /// Every backend name an entry was keyed by, each once; a key holds its
+    /// name's index.
+    names: Vec<String>,
     entries: HashMap<CacheKey, CacheEntry>,
     clock: u64,
     /// Greedy-dual inflation value: rises to each evicted entry's priority.
@@ -103,6 +121,7 @@ impl MemoryCache {
         Self {
             capacity,
             admission,
+            names: Vec::new(),
             entries: HashMap::new(),
             clock: 0,
             inflation: 0,
@@ -151,10 +170,13 @@ impl MemoryCache {
         values: &Matrix,
         fingerprint: u64,
     ) -> Result<(Arc<PreparedMemory>, bool), AttentionError> {
-        let key = (backend.name(), fingerprint);
+        let name = backend.name();
         self.clock += 1;
         let inflation = self.inflation;
-        if let Some(entry) = self.entries.get_mut(&key) {
+        if let Some(entry) = self
+            .name_slot(&name)
+            .and_then(|slot| self.entries.get_mut(&(slot, fingerprint)))
+        {
             entry.last_used = self.clock;
             entry.frequency = entry.frequency.saturating_add(1);
             entry.priority = inflation.saturating_add(entry.frequency.saturating_mul(entry.cost));
@@ -171,6 +193,7 @@ impl MemoryCache {
             self.evict_one();
         }
         let cost = memory.preprocess_ops().max(1);
+        let key = (self.intern(&name), fingerprint);
         self.entries.insert(
             key,
             CacheEntry {
@@ -193,9 +216,14 @@ impl MemoryCache {
     /// deep-clone), and re-inserts it under the memory's new fingerprint via
     /// [`MemoryCache::insert_updated`]. Neither half moves the hit/miss counters:
     /// an append is a cache *update*, not a lookup.
+    ///
+    /// On its own, `take` releases an entry no session needs the cache to keep,
+    /// such as a shard a rebalance replaced. It allocates nothing and moves no
+    /// counter.
     pub fn take(&mut self, backend_name: &str, fingerprint: u64) -> Option<Arc<PreparedMemory>> {
+        let slot = self.name_slot(backend_name)?;
         self.entries
-            .remove(&(backend_name.to_owned(), fingerprint))
+            .remove(&(slot, fingerprint))
             .map(|entry| entry.memory)
     }
 
@@ -203,7 +231,9 @@ impl MemoryCache {
     /// counting it as an update rather than a miss.
     ///
     /// The entry becomes the most recently used. A pass-through cache
-    /// (capacity 0) still counts the update but stores nothing.
+    /// (capacity 0) still counts the update but stores nothing. Only the
+    /// first entry keyed by a backend name the cache has not seen copies the
+    /// name.
     pub fn insert_updated(
         &mut self,
         backend_name: &str,
@@ -215,7 +245,7 @@ impl MemoryCache {
             return;
         }
         self.clock += 1;
-        let key = (backend_name.to_owned(), fingerprint);
+        let key = (self.intern(backend_name), fingerprint);
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
             self.evict_one();
         }
@@ -239,7 +269,9 @@ impl MemoryCache {
     /// The cache's handle is dropped before [`Arc::make_mut`], so a memory no
     /// other session shares is mutated where it lives; a shared one is copied
     /// first and the other holders keep the old contents. On error the entry
-    /// stays removed, so the cache never serves a half-mutated memory.
+    /// stays removed, so the cache never serves a half-mutated memory. The
+    /// entry's move allocates nothing: `backend_name` is looked up, not
+    /// copied.
     pub(crate) fn mutate_in_place<T>(
         &mut self,
         backend_name: &str,
@@ -260,6 +292,19 @@ impl MemoryCache {
         Ok(out)
     }
 
+    /// The slot of `name` in the name table, if an entry was ever keyed by it.
+    fn name_slot(&self, name: &str) -> Option<usize> {
+        self.names.iter().position(|known| known == name)
+    }
+
+    /// The slot of `name`, adding it to the name table on first use.
+    fn intern(&mut self, name: &str) -> usize {
+        self.name_slot(name).unwrap_or_else(|| {
+            self.names.push(name.to_owned());
+            self.names.len() - 1
+        })
+    }
+
     /// Evicts one entry under the configured [`CacheAdmission`] policy. Both
     /// policies tie-break on `last_used` (unique per touch), so eviction is
     /// deterministic despite the hash map's iteration order.
@@ -269,12 +314,12 @@ impl MemoryCache {
                 .entries
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, e)| (k.clone(), e.priority)),
+                .map(|(&k, e)| (k, e.priority)),
             CacheAdmission::CostAware => self
                 .entries
                 .iter()
                 .min_by_key(|(_, e)| (e.priority, e.last_used))
-                .map(|(k, e)| (k.clone(), e.priority)),
+                .map(|(&k, e)| (k, e.priority)),
         };
         if let Some((key, priority)) = victim {
             self.entries.remove(&key);

@@ -12,6 +12,11 @@
 //!   separately in a [`MemoryCache`] via its own content fingerprint, so mutating one
 //!   shard's rows invalidates only that shard's entry — untouched shards re-prepare
 //!   for free.
+//! * [`ShardedMemory::append_rows_cached`] grows the tail shard in place and, once
+//!   the tail outgrows its share, rebalances: every new shard is built straight from
+//!   the old shards' rows and prepared through the cache, and the entries of the
+//!   shards it replaced are released, so the cache holds only shards some session
+//!   serves.
 //! * [`ComputeBackend::attend_sharded`] runs per-shard partial attention and merges:
 //!   a numerically stable log-sum-exp rescale of per-shard partial softmax outputs for
 //!   the dense datapaths ([`merge_partial_softmax`]), and a per-shard
@@ -30,7 +35,7 @@
 //! the same error a real per-unit quantized pipeline would exhibit.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::approx::{post_scoring_select, select_candidates};
 use crate::attention::{stable_softmax, AttentionResult};
@@ -239,26 +244,14 @@ impl ShardedMemory {
         let mut shards = Vec::new();
         let mut stats = ShardPrepareStats::default();
         for range in plan.ranges(keys.rows()) {
-            let shard_keys = submatrix(keys, &range)?;
-            let shard_values = submatrix(values, &range)?;
-            let fingerprint = memory_fingerprint(&shard_keys, &shard_values);
-            let (memory, hit) = cache.get_or_prepare_with_fingerprint(
+            shards.push(prepare_shard(
                 backend,
-                &shard_keys,
-                &shard_values,
-                fingerprint,
-            )?;
-            if hit {
-                stats.hits += 1;
-            } else {
-                stats.misses += 1;
-                stats.missed_preprocess_ops += memory.preprocess_ops();
-            }
-            shards.push(MemoryShard {
-                start: range.start,
-                fingerprint,
-                memory,
-            });
+                cache,
+                range.start,
+                &submatrix(keys, &range)?,
+                &submatrix(values, &range)?,
+                &mut stats,
+            )?);
         }
         Ok((
             Self {
@@ -282,8 +275,16 @@ impl ShardedMemory {
     /// entry current via a delta fingerprint (a cache *update*, not a miss).
     ///
     /// When the tail shard grows past twice the balanced shard size
-    /// (`2 * ceil(n / plan shards)`), the memory is re-split; untouched shards
-    /// whose row ranges are unchanged by the re-split still hit the cache.
+    /// (`2 * ceil(n / plan shards)`), the memory is re-split into balanced
+    /// shards. Each new shard is copied straight from the old shards' rows and
+    /// prepared through the cache, so a new shard whose rows equal an old
+    /// shard's still hits that entry. Then the entries of the replaced shards
+    /// are released ([`MemoryCache::take`]: no hit, miss or update counted), so
+    /// the cache keeps no shard this memory stopped serving. A rebalancing
+    /// append therefore moves [`MemoryCache::updates`] by one and
+    /// [`MemoryCache::misses`] by the number of shards it prepared. Another
+    /// session sharing a replaced shard keeps serving it through its own
+    /// handle.
     ///
     /// # Errors
     ///
@@ -292,6 +293,19 @@ impl ShardedMemory {
     pub fn append_rows_cached(
         &mut self,
         backend: &dyn ComputeBackend,
+        cache: &mut MemoryCache,
+        new_keys: &Matrix,
+        new_values: &Matrix,
+    ) -> Result<ShardMutationStats, AttentionError> {
+        self.append_rows_named(backend, &backend.name(), cache, new_keys, new_values)
+    }
+
+    /// [`ShardedMemory::append_rows_cached`] for a caller that already holds
+    /// `backend`'s name, so the append formats none.
+    pub(crate) fn append_rows_named(
+        &mut self,
+        backend: &dyn ComputeBackend,
+        backend_name: &str,
         cache: &mut MemoryCache,
         new_keys: &Matrix,
         new_values: &Matrix,
@@ -314,7 +328,7 @@ impl ShardedMemory {
         let new_fingerprint =
             fingerprint_append(old_fingerprint, last.rows(), d, new_keys, new_values);
         let stats = cache.mutate_in_place(
-            &backend.name(),
+            backend_name,
             &mut last.memory,
             (old_fingerprint, new_fingerprint),
             |memory| backend.append_rows(memory, new_keys, new_values),
@@ -328,7 +342,7 @@ impl ShardedMemory {
         };
         let tail_rows = self.shards.last().map_or(0, MemoryShard::rows);
         if tail_rows > 2 * self.n.div_ceil(self.plan.shards()) {
-            self.rebalance(backend, cache)?;
+            self.rebalance(backend, backend_name, cache)?;
             mutation.rebalanced = true;
         }
         Ok(mutation)
@@ -346,6 +360,20 @@ impl ShardedMemory {
     pub fn update_row_cached(
         &mut self,
         backend: &dyn ComputeBackend,
+        cache: &mut MemoryCache,
+        row: usize,
+        key: &[f32],
+        value: &[f32],
+    ) -> Result<ShardMutationStats, AttentionError> {
+        self.update_row_named(backend, &backend.name(), cache, row, key, value)
+    }
+
+    /// [`ShardedMemory::update_row_cached`] for a caller that already holds
+    /// `backend`'s name, so the update formats none.
+    pub(crate) fn update_row_named(
+        &mut self,
+        backend: &dyn ComputeBackend,
+        backend_name: &str,
         cache: &mut MemoryCache,
         row: usize,
         key: &[f32],
@@ -375,7 +403,7 @@ impl ShardedMemory {
             value,
         );
         let stats = cache.mutate_in_place(
-            &backend.name(),
+            backend_name,
             &mut shard.memory,
             (old_fingerprint, new_fingerprint),
             |memory| backend.update_row(memory, local, key, value),
@@ -388,24 +416,67 @@ impl ShardedMemory {
         })
     }
 
-    /// Re-splits the logical memory into balanced shards under the stored plan,
-    /// re-preparing through the cache (shards whose rows are unchanged still hit).
+    /// Re-splits the logical memory into balanced shards under the stored plan.
+    /// Each new shard's rows are copied once, straight from the old shards, and
+    /// prepared through the cache (a shard whose rows are unchanged still hits).
+    /// Once the new layout is in place, the entries of the old shards it does
+    /// not reuse are released. On error the old layout stays.
     fn rebalance(
         &mut self,
         backend: &dyn ComputeBackend,
+        backend_name: &str,
         cache: &mut MemoryCache,
     ) -> Result<(), AttentionError> {
-        let mut keys_flat = Vec::with_capacity(self.n * self.d);
-        let mut values_flat = Vec::with_capacity(self.n * self.d);
-        for shard in &self.shards {
-            keys_flat.extend_from_slice(shard.memory.keys().as_slice());
-            values_flat.extend_from_slice(shard.memory.values().as_slice());
+        let ranges = self.plan.ranges(self.n);
+        let mut shards = Vec::with_capacity(ranges.len());
+        for range in ranges {
+            let (keys, values) = self.gather(&range)?;
+            shards.push(prepare_shard(
+                backend,
+                cache,
+                range.start,
+                &keys,
+                &values,
+                &mut ShardPrepareStats::default(),
+            )?);
         }
-        let keys = Matrix::from_flat(keys_flat, self.n, self.d)?;
-        let values = Matrix::from_flat(values_flat, self.n, self.d)?;
-        let (rebuilt, _) = Self::prepare_cached(backend, self.plan, cache, &keys, &values)?;
-        *self = rebuilt;
+        let replaced = std::mem::replace(&mut self.shards, shards);
+        for old in replaced {
+            if self.shards.iter().all(|s| s.fingerprint != old.fingerprint) {
+                cache.take(backend_name, old.fingerprint);
+            }
+        }
         Ok(())
+    }
+
+    /// Copies the logical rows `range` out of the shards holding them into one
+    /// key and one value matrix.
+    fn gather(&self, range: &Range<usize>) -> Result<(Matrix, Matrix), AttentionError> {
+        let d = self.d;
+        let mut keys = Vec::with_capacity(range.len() * d);
+        let mut values = Vec::with_capacity(range.len() * d);
+        for shard in &self.shards {
+            let rows = range.start.max(shard.start)..range.end.min(shard.end());
+            if rows.is_empty() {
+                continue;
+            }
+            let local = (rows.start - shard.start) * d..(rows.end - shard.start) * d;
+            let (Some(shard_keys), Some(shard_values)) = (
+                shard.memory.keys().as_slice().get(local.clone()),
+                shard.memory.values().as_slice().get(local),
+            ) else {
+                return Err(AttentionError::InvalidParameter {
+                    name: "range",
+                    constraint: "shard row range must lie within the shard",
+                });
+            };
+            keys.extend_from_slice(shard_keys);
+            values.extend_from_slice(shard_values);
+        }
+        Ok((
+            Matrix::from_flat(keys, range.len(), d)?,
+            Matrix::from_flat(values, range.len(), d)?,
+        ))
     }
 
     /// Total number of logical rows (`n`).
@@ -458,6 +529,32 @@ impl ShardedMemory {
     }
 }
 
+/// Prepares one shard's (`keys`, `values`) rows through `cache`, keyed by their
+/// fingerprint, and counts the lookup in `stats`.
+fn prepare_shard(
+    backend: &dyn ComputeBackend,
+    cache: &mut MemoryCache,
+    start: usize,
+    keys: &Matrix,
+    values: &Matrix,
+    stats: &mut ShardPrepareStats,
+) -> Result<MemoryShard, AttentionError> {
+    let fingerprint = memory_fingerprint(keys, values);
+    let (memory, hit) =
+        cache.get_or_prepare_with_fingerprint(backend, keys, values, fingerprint)?;
+    if hit {
+        stats.hits += 1;
+    } else {
+        stats.misses += 1;
+        stats.missed_preprocess_ops += memory.preprocess_ops();
+    }
+    Ok(MemoryShard {
+        start,
+        fingerprint,
+        memory,
+    })
+}
+
 /// Numerically stable log-sum-exp merge of per-shard partial softmax results — the
 /// cross-shard merge stage for datapaths that attend every row (exact, quantized).
 ///
@@ -479,8 +576,9 @@ impl ShardedMemory {
 /// `2^-1022` stay far below half an ulp of that. The lane sums differ from an
 /// in-order libm sum only at the level of `f64` rounding, far below the `f32`
 /// outputs' precision; golden hashes pin the sharded quantized outputs on both
-/// dispatch levels. The level is read once per call, and `len mod 4` tail rows, the
-/// `K` rescale factors, non-AVX2 hosts and `A3_FORCE_SCALAR=1` use libm `exp`.
+/// dispatch levels. The level is detected once per process, on the first merge,
+/// and `len mod 4` tail rows, the `K` rescale factors, non-AVX2 hosts and
+/// `A3_FORCE_SCALAR=1` (set before the process starts) use libm `exp`.
 ///
 /// # Panics
 ///
@@ -525,9 +623,12 @@ pub(super) fn merge_core<'p>(
     partials: impl Iterator<Item = (&'p [f32], &'p [f32])> + Clone,
     mut rescale: impl FnMut(usize, f64),
 ) -> Vec<f32> {
-    // The lane level is read once per merge: detection consults the
-    // environment, which costs more than one shard's normaliser.
-    let simd = SimdBackend::new();
+    // Detection consults the environment, which costs more than one shard's
+    // normaliser, so it runs once per process. One level for every merge also
+    // keeps two merges of the same partials bit-identical if the environment
+    // changes while the process runs.
+    static MERGE_SIMD: OnceLock<SimdBackend> = OnceLock::new();
+    let simd = *MERGE_SIMD.get_or_init(SimdBackend::new);
     // Per-shard statistics the merge unit receives alongside each partial output.
     let stats: Vec<(f64, f64)> = partials
         .clone()

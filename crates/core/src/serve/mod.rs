@@ -220,6 +220,18 @@ impl SessionMemory {
             SessionMemory::Sharded(s) => Some(s),
         }
     }
+
+    /// The key and value of logical row `row`, or `None` past the last row.
+    fn row(&self, row: usize) -> Option<(&[f32], &[f32])> {
+        let (memory, local) = match self {
+            SessionMemory::Whole(m) => (m.as_ref(), row),
+            SessionMemory::Sharded(s) => {
+                let (shard, local) = s.locate(row)?;
+                (s.shards().get(shard)?.memory(), local)
+            }
+        };
+        (local < memory.n()).then(|| (memory.keys().row(local), memory.values().row(local)))
+    }
 }
 
 /// A registered memory: the session id, the owning tenant, plus the backend's
@@ -374,6 +386,8 @@ struct TenantRuntime {
 /// [module documentation](self) for the full request flow.
 pub struct AttentionServer {
     backend: Box<dyn ComputeBackend>,
+    /// `backend.name()`, formatted once: every cached mutation keys by it.
+    backend_name: String,
     cache: MemoryCache,
     /// Every registered session, indexed by its raw id: [`Self::register`]
     /// issues ids densely from 0.
@@ -387,7 +401,7 @@ pub struct AttentionServer {
 impl fmt::Debug for AttentionServer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AttentionServer")
-            .field("backend", &self.backend.name())
+            .field("backend", &self.backend_name)
             .field("policy", &self.scheduler.policy())
             .field("tenants", &self.tenants.len())
             .field("sessions", &self.sessions.len())
@@ -414,6 +428,7 @@ impl AttentionServer {
         cache: MemoryCache,
     ) -> Self {
         let mut server = Self {
+            backend_name: backend.name(),
             backend,
             cache,
             sessions: Vec::new(),
@@ -578,7 +593,7 @@ impl AttentionServer {
                 crate::backend::validate_append(d, new_keys, new_values)?;
                 let backend = self.backend.as_ref();
                 let stats = self.cache.mutate_in_place(
-                    &backend.name(),
+                    &self.backend_name,
                     memory,
                     (old_fingerprint, new_fingerprint),
                     |prepared| backend.append_rows(prepared, new_keys, new_values),
@@ -591,8 +606,9 @@ impl AttentionServer {
                 }
             }
             SessionMemory::Sharded(sharded) => {
-                let stats = Arc::make_mut(sharded).append_rows_cached(
+                let stats = Arc::make_mut(sharded).append_rows_named(
                     self.backend.as_ref(),
+                    &self.backend_name,
                     &mut self.cache,
                     new_keys,
                     new_values,
@@ -630,84 +646,54 @@ impl AttentionServer {
             .slot()
             .and_then(|slot| self.sessions.get_mut(slot))
             .ok_or(ServeError::UnknownSession { session: id.raw() })?;
-        if row >= handle.memory.n() {
-            return Err(ServeError::Attention(AttentionError::InvalidParameter {
+        let (old_key, old_value) = handle.memory.row(row).ok_or(ServeError::Attention(
+            AttentionError::InvalidParameter {
                 name: "row",
                 constraint: "row index must be within the memory",
-            }));
-        }
+            },
+        ))?;
         // Checked before the cache entry is taken out, so a rejected update
         // leaves it resident.
         crate::backend::validate_row_width(handle.memory.d(), key, value)?;
-        let old_fingerprint = handle.fingerprint;
-        let mutation = match &mut handle.memory {
+        // Hashed while the memory still holds the old row, so nothing is copied.
+        let fingerprint = crate::backend::fingerprint_update(
+            handle.fingerprint,
+            row,
+            old_key,
+            old_value,
+            key,
+            value,
+        );
+        let backend = self.backend.as_ref();
+        let (incremental_ops, full_reprepares) = match &mut handle.memory {
             SessionMemory::Whole(memory) => {
-                let new_fingerprint = crate::backend::fingerprint_update(
-                    old_fingerprint,
-                    row,
-                    memory.keys().row(row),
-                    memory.values().row(row),
-                    key,
-                    value,
-                );
-                let backend = self.backend.as_ref();
                 let stats = self.cache.mutate_in_place(
-                    &backend.name(),
+                    &self.backend_name,
                     memory,
-                    (old_fingerprint, new_fingerprint),
+                    (handle.fingerprint, fingerprint),
                     |prepared| backend.update_row(prepared, row, key, value),
                 )?;
-                SessionMutation {
-                    incremental_ops: stats.incremental_ops,
-                    full_reprepares: u64::from(stats.full_reprepare),
-                    rebalanced: false,
-                    fingerprint: new_fingerprint,
-                }
+                (stats.incremental_ops, u64::from(stats.full_reprepare))
             }
             SessionMemory::Sharded(sharded) => {
-                let (s, local) = sharded.locate(row).ok_or(ServeError::Attention(
-                    AttentionError::InvalidParameter {
-                        name: "row",
-                        constraint: "row index must be within the memory",
-                    },
-                ))?;
-                let (old_key, old_value) = {
-                    let shard = sharded.shards().get(s).ok_or(ServeError::Attention(
-                        AttentionError::InvalidParameter {
-                            name: "row",
-                            constraint: "row index must be within the memory",
-                        },
-                    ))?;
-                    (
-                        shard.memory().keys().row(local).to_vec(),
-                        shard.memory().values().row(local).to_vec(),
-                    )
-                };
-                let stats = Arc::make_mut(sharded).update_row_cached(
-                    self.backend.as_ref(),
+                let stats = Arc::make_mut(sharded).update_row_named(
+                    backend,
+                    &self.backend_name,
                     &mut self.cache,
                     row,
                     key,
                     value,
                 )?;
-                let new_fingerprint = crate::backend::fingerprint_update(
-                    old_fingerprint,
-                    row,
-                    &old_key,
-                    &old_value,
-                    key,
-                    value,
-                );
-                SessionMutation {
-                    incremental_ops: stats.incremental_ops,
-                    full_reprepares: stats.full_reprepares,
-                    rebalanced: false,
-                    fingerprint: new_fingerprint,
-                }
+                (stats.incremental_ops, stats.full_reprepares)
             }
         };
-        handle.fingerprint = mutation.fingerprint;
-        Ok(mutation)
+        handle.fingerprint = fingerprint;
+        Ok(SessionMutation {
+            incremental_ops,
+            full_reprepares,
+            rebalanced: false,
+            fingerprint,
+        })
     }
 
     /// The handle of a registered session.

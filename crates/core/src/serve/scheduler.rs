@@ -389,14 +389,15 @@ impl Scheduler {
     }
 
     /// Pops one batch (up to `max_batch` requests) from the queue in `slot`
-    /// and charges its lane's virtual time.
+    /// and charges its lane's virtual time. A batch that takes the whole queue
+    /// takes its buffer too, so a drained queue holds no buffer.
     fn pop_batch(&mut self, slot: usize, due: DueAt) -> Option<FormedBatch> {
         let queue = self.sessions.get_mut(slot)?;
-        let take = self.policy.max_batch.min(queue.requests.len());
-        let requests: Vec<QueuedRequest> = queue.requests.drain(..take).collect();
-        if queue.requests.is_empty() {
-            queue.requests = VecDeque::new();
-        }
+        let requests: Vec<QueuedRequest> = if queue.requests.len() <= self.policy.max_batch {
+            Vec::from(std::mem::take(&mut queue.requests))
+        } else {
+            queue.requests.drain(..self.policy.max_batch).collect()
+        };
         let (session, tenant) = (queue.id, queue.tenant);
         self.pending = self.pending.saturating_sub(requests.len());
         if let Some(lane) = self.lanes.get_mut(&tenant) {

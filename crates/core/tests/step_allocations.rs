@@ -1,0 +1,203 @@
+//! Heap allocations of one warm decode step, the loop of the `decode_stream`
+//! serving benchmark: append the next token row to a live quantized session,
+//! then submit it as a query and poll its response. A counting global
+//! allocator counts per thread, so tests running in parallel do not mix
+//! their counts.
+//!
+//! The sessions are warm and every measured step stays inside the capacity
+//! of every buffer it grows: the first warm-up append moves each buffer past
+//! its first capacity boundary, and the measured appends stay far below the
+//! next one. Any allocation counted here is therefore per-step bookkeeping.
+
+use a3_core::backend::QuantizedBackend;
+use a3_core::serve::{AttentionServer, BatchPolicy, MemoryConfig, Request, SessionId, Tick};
+use a3_core::Matrix;
+
+// Test-only code: the `cfg(test)` item is what marks it as test code for the
+// workspace's unsafe-code rules, which exempt test items.
+#[cfg(test)]
+#[allow(unsafe_code)]
+mod counting {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The system allocator, counting every allocation and reallocation on
+    /// the calling thread.
+    struct Counting;
+
+    fn count() {
+        // A const-initialised `Cell` without a destructor never allocates and
+        // stays accessible while the thread exits.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+
+    // SAFETY: every method forwards to `System` with the caller's arguments,
+    // so `System`'s guarantees carry over; counting touches only a
+    // thread-local integer.
+    unsafe impl GlobalAlloc for Counting {
+        // SAFETY: forwarded to `System` under the caller's contract.
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count();
+            // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+            unsafe { System.alloc(layout) }
+        }
+
+        // SAFETY: forwarded to `System` under the caller's contract.
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            count();
+            // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        // SAFETY: forwarded to `System` under the caller's contract.
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count();
+            // SAFETY: `ptr` came from this allocator, which is `System`.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+
+        // SAFETY: forwarded to `System` under the caller's contract.
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from this allocator, which is `System`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: Counting = Counting;
+
+    /// Runs `f` and returns its output with the number of allocations and
+    /// reallocations it made on this thread.
+    pub fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = ALLOCATIONS.with(Cell::get);
+        let out = f();
+        (out, ALLOCATIONS.with(Cell::get) - before)
+    }
+}
+
+use counting::allocations;
+
+const D: usize = 64;
+/// Rows a session registers with: `decode_stream`'s starting length.
+const ROWS: usize = 256;
+/// Decode steps before the measured ones.
+const WARM_STEPS: usize = 2;
+/// Measured decode steps.
+const STEPS: usize = 4;
+
+/// `rows` seeded rows of width `d`, values in `[-2, 2)`.
+fn seeded_rows(rows: usize, d: usize, seed: u64) -> Matrix {
+    Matrix::from_flat(
+        (0..rows * d)
+            .map(|i| {
+                let h = (i as u64 ^ seed)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(seed)
+                    .wrapping_mul(0xD6E8_FEB8_6659_FD93);
+                (h >> 40) as f32 / (1u64 << 22) as f32 - 2.0
+            })
+            .collect(),
+        rows,
+        d,
+    )
+    .unwrap()
+}
+
+/// Allocations of one decode step's two halves.
+struct StepAllocations {
+    append: u64,
+    serve: u64,
+}
+
+/// Appends `token` to `session` and serves it as a query at `tick`,
+/// counting each half's allocations. The row matrix and the query vector
+/// are built before counting starts: they are the caller's.
+fn decode_step(
+    server: &mut AttentionServer,
+    session: SessionId,
+    token: &[f32],
+    tick: Tick,
+) -> StepAllocations {
+    let row = Matrix::from_flat(token.to_vec(), 1, token.len()).unwrap();
+    let request = Request::new(session, token.to_vec(), tick);
+    let (mutation, append) = allocations(|| server.append_to_session(session, &row, &row).unwrap());
+    assert!(!mutation.rebalanced, "a measured step must not rebalance");
+    let (batches, serve) = allocations(|| {
+        server.submit(request).unwrap();
+        server.poll(tick).unwrap()
+    });
+    assert_eq!(batches.len(), 1);
+    assert_eq!(batches[0].responses.len(), 1);
+    StepAllocations { append, serve }
+}
+
+/// A `shards`-shard session of `ROWS` rows on a per-request server, warmed by
+/// `WARM_STEPS` decode steps, and the tokens of its measured steps.
+fn warm_session(shards: usize) -> (AttentionServer, SessionId, Matrix, bool) {
+    let tokens = seeded_rows(ROWS + WARM_STEPS + STEPS, D, 7);
+    let prefix = Matrix::from_flat(tokens.as_slice()[..ROWS * D].to_vec(), ROWS, D).unwrap();
+    let mut server = AttentionServer::builder(Box::new(QuantizedBackend::paper()))
+        .batch_policy(BatchPolicy::per_request())
+        .build();
+    let session = server
+        .register(MemoryConfig::new(&prefix, &prefix).sharded(shards))
+        .unwrap();
+    for step in 0..WARM_STEPS {
+        decode_step(&mut server, session, tokens.row(ROWS + step), step as Tick);
+    }
+    let memory = server.session(session).unwrap().memory();
+    let vectorized = match (memory.whole(), memory.sharded()) {
+        (Some(whole), _) => whole.quantized().unwrap().is_vectorized(),
+        (None, Some(sharded)) => sharded
+            .shards()
+            .iter()
+            .all(|shard| shard.memory().quantized().unwrap().is_vectorized()),
+        (None, None) => unreachable!("a session is whole or sharded"),
+    };
+    (server, session, tokens, vectorized)
+}
+
+/// A warm append allocates nothing: it moves the session's cache entry
+/// under a backend name the server formatted once, and every buffer it grows
+/// has room. Serving the step allocates the scheduler's batch list, the
+/// batch's own bookkeeping and the attend's results, but not the batch's
+/// request list, which takes over the drained queue's buffer.
+///
+/// On the AVX2 datapath a whole-memory step serves in at most 10 allocations
+/// and a 4-shard step, which runs the fused sharded query, in at most 13.
+/// Under `A3_FORCE_SCALAR=1` the scalar pipeline and the per-shard merge
+/// allocate more per query: at most 14 and 44, the merge reading no
+/// environment variable.
+#[test]
+fn a_warm_decode_step_allocates_only_its_results() {
+    for (shards, vector_budget, scalar_budget) in [(1, 10, 14), (4, 13, 44)] {
+        let (mut server, session, tokens, vectorized) = warm_session(shards);
+        let budget = if vectorized {
+            vector_budget
+        } else {
+            scalar_budget
+        };
+        for step in WARM_STEPS..WARM_STEPS + STEPS {
+            let counted = decode_step(&mut server, session, tokens.row(ROWS + step), step as Tick);
+            assert_eq!(
+                counted.append, 0,
+                "{shards} shard(s), step {step}: append_to_session allocated"
+            );
+            assert!(
+                counted.serve <= budget,
+                "{shards} shard(s), step {step}: submit + poll allocated {} times, \
+                 budget {budget}",
+                counted.serve
+            );
+        }
+        assert_eq!(
+            server.session(session).unwrap().memory().n(),
+            ROWS + WARM_STEPS + STEPS
+        );
+        assert_eq!(server.cache().len(), shards, "one entry per shard");
+    }
+}

@@ -3,12 +3,16 @@
 //! prepare of the final matrices, for whole memories and for every shard
 //! count, with delta fingerprints that match the from-scratch fingerprint.
 
+use std::sync::{Arc, Weak};
+
 use a3_core::approx::{preprocess_count, ApproxConfig};
+use a3_core::attention::AttentionResult;
 use a3_core::backend::{
     fingerprint_append, fingerprint_update, memory_fingerprint, ApproximateBackend, ComputeBackend,
-    ExactBackend, MemoryCache, QuantizedBackend, ShardPlan, ShardedMemory, SimdBackend,
+    ExactBackend, MemoryCache, PreparedMemory, QuantizedBackend, ShardPlan, ShardedMemory,
+    SimdBackend,
 };
-use a3_core::serve::{AttentionServer, BatchPolicy, MemoryConfig};
+use a3_core::serve::{AttentionServer, BatchPolicy, MemoryConfig, Request, SessionId};
 use a3_core::Matrix;
 use proptest::prelude::*;
 
@@ -413,6 +417,115 @@ fn quantized_appends_stay_incremental_across_every_power_of_two() {
                 stats.push(walk);
             }
             assert_eq!(stats[0], stats[1], "d={d} chunks {chunks:?}");
+        }
+    }
+}
+
+/// Runs one query against a server session and returns its result.
+fn answer(server: &mut AttentionServer, session: SessionId, query: &[f32]) -> AttentionResult {
+    server
+        .submit(Request::new(session, query.to_vec(), 0))
+        .unwrap();
+    let mut batches = server.flush_all(0).unwrap();
+    batches.remove(0).responses.remove(0).result
+}
+
+/// A rebalance keeps in the cache only the shards it serves. A 4-shard
+/// session grows one row at a time until an append re-splits it. That
+/// append moves the cache's update count by one (the tail's append) and its
+/// miss count by the four new shards, and releases the four replaced
+/// shards' entries: the cache holds one entry per shard, and nothing keeps
+/// a replaced shard's preparation alive. The session answers exactly like a
+/// fresh sharded prepare of the grown memory. When a second session was
+/// registered on the same memory before the growth, the cache forgets the
+/// shards the two shared too, but the second session keeps them and its
+/// answers.
+#[test]
+fn a_rebalance_releases_the_shards_it_replaced() {
+    let (n, d, shards) = (32, 16, 4);
+    let keys = seeded_rows(n + 64, d, 21);
+    let values = seeded_rows(n + 64, d, 22);
+    let query = seeded_rows(1, d, 23).row(0).to_vec();
+    let first = |m: &Matrix, rows: usize| {
+        Matrix::from_flat(m.as_slice()[..rows * d].to_vec(), rows, d).unwrap()
+    };
+    let (start_keys, start_values) = (first(&keys, n), first(&values, n));
+    let config = MemoryConfig::new(&start_keys, &start_values).sharded(shards);
+    let backends: [fn() -> Box<dyn ComputeBackend>; 2] = [
+        || Box::new(QuantizedBackend::paper()),
+        || Box::new(ExactBackend),
+    ];
+    for backend in backends {
+        for with_shared in [false, true] {
+            let name = format!("{} shared={with_shared}", backend().name());
+            let mut server = AttentionServer::builder(backend())
+                .batch_policy(BatchPolicy::per_request())
+                .build();
+            let grown = server.register(config).unwrap();
+            let shared = with_shared.then(|| {
+                let session = server.register(config).unwrap();
+                (session, answer(&mut server, session, &query))
+            });
+
+            let mut rows = n;
+            loop {
+                assert!(rows < n + 64, "{name}: no append rebalanced");
+                let replaced: Vec<Weak<PreparedMemory>> = server
+                    .session(grown)
+                    .unwrap()
+                    .memory()
+                    .sharded()
+                    .unwrap()
+                    .shards()
+                    .iter()
+                    .map(|shard| Arc::downgrade(&shard.memory_arc()))
+                    .collect();
+                let (updates, misses) = (server.cache().updates(), server.cache().misses());
+                let row = |m: &Matrix| Matrix::from_flat(m.row(rows).to_vec(), 1, d).unwrap();
+                let mutation = server
+                    .append_to_session(grown, &row(&keys), &row(&values))
+                    .unwrap();
+                rows += 1;
+                if !mutation.rebalanced {
+                    continue;
+                }
+                assert_eq!(server.cache().updates(), updates + 1, "{name}");
+                assert_eq!(
+                    server.cache().misses(),
+                    misses + shards as u64,
+                    "{name}: every re-split shard is a new preparation"
+                );
+                assert_eq!(
+                    server.cache().len(),
+                    shards,
+                    "{name}: the cache holds the live shards only"
+                );
+                if shared.is_none() {
+                    assert!(
+                        replaced.iter().all(|shard| shard.upgrade().is_none()),
+                        "{name}: a replaced shard's preparation is still alive"
+                    );
+                }
+                break;
+            }
+
+            let fresh = ShardedMemory::prepare(
+                server.backend(),
+                ShardPlan::new(shards).unwrap(),
+                &first(&keys, rows),
+                &first(&values, rows),
+            )
+            .unwrap();
+            let want = server.backend().attend_sharded(&fresh, &query).unwrap();
+            assert_eq!(answer(&mut server, grown, &query), want, "{name}");
+            if let Some((session, before)) = shared {
+                assert_eq!(server.session(session).unwrap().memory().n(), n, "{name}");
+                assert_eq!(
+                    answer(&mut server, session, &query),
+                    before,
+                    "{name}: the session sharing the replaced shards changed"
+                );
+            }
         }
     }
 }
