@@ -2,10 +2,9 @@
 //!
 //! This is the matrix-vector-multiplication implementation the paper describes as
 //! "today's practice" (Section II-C): compute every dot product, softmax over all of
-//! them, multiply the full value matrix by the weight vector. It is used as the
-//! functional software baseline and as the subject of the `dense_baseline` Criterion
-//! benchmark, and its operation counts are what the CPU/GPU analytical models charge
-//! for.
+//! them, multiply the full value matrix by the weight vector. It is the functional
+//! software baseline, and its operation counts are what the CPU/GPU analytical models
+//! charge for.
 
 use a3_core::attention::{stable_softmax, AttentionResult};
 use a3_core::{AttentionError, Matrix};
@@ -13,9 +12,8 @@ use a3_core::{AttentionError, Matrix};
 /// Dense attention for a single query (one matrix-vector multiplication per step).
 ///
 /// Functionally identical to [`a3_core::attention::attention_with_scores`]; kept as a
-/// separate, deliberately straightforward implementation so the baseline cost measured
-/// by the benchmarks is not accidentally "optimized" by the library's own shortcuts
-/// (e.g. skipping zero weights).
+/// separate, deliberately straightforward implementation so the baseline does not
+/// inherit the library's own shortcuts (e.g. skipping zero weights).
 ///
 /// # Errors
 ///

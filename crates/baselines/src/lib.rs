@@ -5,8 +5,7 @@
 //! (Section VI-C). We cannot measure those machines, so this crate provides:
 //!
 //! * [`dense`] — an actual dense (matrix-vector / batched) attention implementation in
-//!   Rust, used as the functional software baseline and as the Criterion benchmark
-//!   subject;
+//!   Rust, the functional software baseline;
 //! * [`opcount`] — closed-form operation counts for the attention mechanism
 //!   (Section II-B) and for the surrounding model layers, used to reproduce Figure 3
 //!   (fraction of time spent in attention);

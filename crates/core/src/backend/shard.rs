@@ -310,13 +310,14 @@ impl ShardedMemory {
         new_keys: &Matrix,
         new_values: &Matrix,
     ) -> Result<ShardMutationStats, AttentionError> {
-        if new_keys.rows() == 0 && new_values.rows() == 0 {
-            return Ok(ShardMutationStats::default());
-        }
         let d = self.d;
         // Shape errors are caught before the tail shard's cache entry is
-        // taken out, so a rejected append leaves the entry resident.
+        // taken out, so a rejected append leaves the entry resident. Widths
+        // are checked before an empty append returns, as on a whole memory.
         validate_append(d, new_keys, new_values)?;
+        if new_keys.rows() == 0 {
+            return Ok(ShardMutationStats::default());
+        }
         let last = self
             .shards
             .last_mut()

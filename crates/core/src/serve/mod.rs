@@ -563,7 +563,8 @@ impl AttentionServer {
     ///
     /// The mutated session serves exactly what re-registering the concatenated
     /// memory would: bit-identical for the exact and quantized datapaths,
-    /// result-equivalent for the approximate datapath.
+    /// result-equivalent for the approximate datapath. Appending zero rows of
+    /// the session's width changes nothing, the cache included.
     ///
     /// # Errors
     ///
@@ -583,14 +584,22 @@ impl AttentionServer {
         let old_fingerprint = handle.fingerprint;
         let old_n = handle.memory.n();
         let d = handle.memory.d();
+        // Shape errors are caught before a cache entry is taken out, so a
+        // rejected append leaves it resident. An empty append is a no-op on
+        // both session shapes: no cache update, the same prepared memory.
+        crate::backend::validate_append(d, new_keys, new_values)?;
+        if new_keys.rows() == 0 {
+            return Ok(SessionMutation {
+                incremental_ops: 0,
+                full_reprepares: 0,
+                rebalanced: false,
+                fingerprint: old_fingerprint,
+            });
+        }
         let new_fingerprint =
             crate::backend::fingerprint_append(old_fingerprint, old_n, d, new_keys, new_values);
         let mutation = match &mut handle.memory {
             SessionMemory::Whole(memory) => {
-                // Shape errors are caught before the cache entry is taken out,
-                // so a rejected append leaves it resident (`ShardedMemory`
-                // checks its own).
-                crate::backend::validate_append(d, new_keys, new_values)?;
                 let backend = self.backend.as_ref();
                 let stats = self.cache.mutate_in_place(
                     &self.backend_name,
@@ -1372,35 +1381,66 @@ mod tests {
 
     #[test]
     fn session_mutations_reject_unknown_sessions_and_bad_shapes() {
-        let (keys, values) = memory(0.0, 8, 4);
-        let mut server = server_with(Box::new(ExactBackend), BatchPolicy::default());
-        let session = server.register(MemoryConfig::new(&keys, &values)).unwrap();
-        let (extra_keys, extra_values) = memory(0.1, 1, 4);
-        assert!(matches!(
-            server.append_to_session(SessionId::from_raw(99), &extra_keys, &extra_values),
-            Err(ServeError::UnknownSession { session: 99 })
-        ));
-        assert!(matches!(
-            server.update_session_row(SessionId::from_raw(99), 0, &[0.0; 4], &[0.0; 4]),
-            Err(ServeError::UnknownSession { session: 99 })
-        ));
-        // Out-of-range row and mismatched dimensions are attention errors.
-        assert!(server
-            .update_session_row(session, 8, &[0.0; 4], &[0.0; 4])
-            .is_err());
-        assert!(server
-            .update_session_row(session, 0, &[0.0; 3], &[0.0; 4])
-            .is_err());
-        let (bad_keys, _) = memory(0.2, 2, 3);
-        assert!(server
-            .append_to_session(session, &bad_keys, &bad_keys)
-            .is_err());
-        // The failed mutations must not have corrupted the session.
-        assert_eq!(server.session(session).unwrap().memory().n(), 8);
-        assert_eq!(
-            server.session(session).unwrap().fingerprint(),
-            crate::backend::memory_fingerprint(&keys, &values)
-        );
+        for shards in [1, 4] {
+            let (keys, values) = memory(0.0, 8, 4);
+            let mut server = server_with(Box::new(ExactBackend), BatchPolicy::default());
+            let session = server
+                .register(MemoryConfig::new(&keys, &values).sharded(shards))
+                .unwrap();
+            let before = prepared_addresses(&server, session);
+            let (extra_keys, extra_values) = memory(0.1, 1, 4);
+            assert!(matches!(
+                server.append_to_session(SessionId::from_raw(99), &extra_keys, &extra_values),
+                Err(ServeError::UnknownSession { session: 99 })
+            ));
+            assert!(matches!(
+                server.update_session_row(SessionId::from_raw(99), 0, &[0.0; 4], &[0.0; 4]),
+                Err(ServeError::UnknownSession { session: 99 })
+            ));
+            // Out-of-range row and mismatched dimensions are attention errors.
+            assert!(server
+                .update_session_row(session, 8, &[0.0; 4], &[0.0; 4])
+                .is_err());
+            assert!(server
+                .update_session_row(session, 0, &[0.0; 3], &[0.0; 4])
+                .is_err());
+            let (bad_keys, _) = memory(0.2, 2, 3);
+            assert!(server
+                .append_to_session(session, &bad_keys, &bad_keys)
+                .is_err());
+            // An empty append is checked for width like any other, then
+            // changes nothing.
+            let narrow = Matrix::zeros(0, 3);
+            assert!(
+                matches!(
+                    server.append_to_session(session, &narrow, &narrow),
+                    Err(ServeError::Attention(AttentionError::DimensionMismatch {
+                        expected: 4,
+                        actual: 3
+                    }))
+                ),
+                "x{shards}"
+            );
+            let fingerprint = crate::backend::memory_fingerprint(&keys, &values);
+            let empty = Matrix::zeros(0, 4);
+            assert_eq!(
+                server.append_to_session(session, &empty, &empty).unwrap(),
+                SessionMutation {
+                    incremental_ops: 0,
+                    full_reprepares: 0,
+                    rebalanced: false,
+                    fingerprint,
+                },
+                "x{shards}"
+            );
+            // The failed mutations and the empty append left the session as
+            // registered.
+            let handle = server.session(session).unwrap();
+            assert_eq!(handle.memory().n(), 8, "x{shards}");
+            assert_eq!(handle.fingerprint(), fingerprint, "x{shards}");
+            assert_eq!(server.cache().updates(), 0, "x{shards}");
+            assert_eq!(prepared_addresses(&server, session), before, "x{shards}");
+        }
     }
 
     #[test]

@@ -15,19 +15,8 @@ use a3_core::Matrix;
 use a3_fixed::QFormat;
 use proptest::prelude::*;
 
-/// The full backend line-up served through the unified `ComputeBackend` trait.
-fn all_backends() -> Vec<Box<dyn ComputeBackend>> {
-    vec![
-        Box::new(ExactBackend),
-        Box::new(SimdBackend::new()),
-        Box::new(SimdBackend::scalar()),
-        Box::new(ApproximateBackend::new(ApproxConfig::none())),
-        Box::new(ApproximateBackend::conservative()),
-        Box::new(ApproximateBackend::aggressive()),
-        Box::new(QuantizedBackend::paper()),
-        Box::new(QuantizedBackend::paper_scalar()),
-    ]
-}
+mod common;
+use common::all_backends;
 
 /// Input formats for the quantized vector-vs-scalar differential tests: the
 /// paper's `Q4.4`, the quantization-study formats, and `Q5.3`. On AVX2 hosts
@@ -275,16 +264,43 @@ proptest! {
     /// The approximate output error is bounded by the total softmax weight of the rows
     /// it dropped (times the value range), and the selected rows' recomputed weights are
     /// always a valid distribution.
+    ///
+    /// Per output column the error is `(1 - W_S) * (dropped mean - kept mean)`,
+    /// with `W_S` the exact softmax mass on the kept rows, so it cannot exceed the
+    /// dropped mass times the column's value range.
     #[test]
     fn approximate_weights_form_distribution((keys, values, query) in attention_case()) {
-        let out = ApproximateAttention::new(ApproxConfig::conservative())
-            .attend(&keys, &values, &query)
-            .unwrap();
-        let sum: f32 = out.result.weights.iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-3);
-        prop_assert!(out.stats.num_selected <= out.stats.num_candidates
-            || out.stats.num_candidates == 0);
-        prop_assert!(out.stats.num_candidates <= keys.rows());
+        // Exact softmax in f64, over the f32 scores the approximation computes.
+        let scores: Vec<f64> = (0..keys.rows())
+            .map(|i| f64::from(keys.row_dot(i, &query)))
+            .collect();
+        let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let exps: Vec<f64> = scores.iter().map(|s| (s - max).exp()).collect();
+        let total: f64 = exps.iter().sum();
+        let weights: Vec<f64> = exps.iter().map(|e| e / total).collect();
+        for config in [ApproxConfig::conservative(), ApproxConfig::aggressive()] {
+            let out = ApproximateAttention::new(config)
+                .attend(&keys, &values, &query)
+                .unwrap();
+            let sum: f32 = out.result.weights.iter().sum();
+            prop_assert!((sum - 1.0).abs() < 1e-3);
+            prop_assert!(out.stats.num_selected <= out.stats.num_candidates
+                || out.stats.num_candidates == 0);
+            prop_assert!(out.stats.num_candidates <= keys.rows());
+            let omitted = 1.0 - out.selected.iter().map(|&i| weights[i]).sum::<f64>();
+            for (j, &approx) in out.output.iter().enumerate() {
+                let column: Vec<f64> = values.iter_rows().map(|row| f64::from(row[j])).collect();
+                let exact: f64 = weights.iter().zip(&column).map(|(w, v)| w * v).sum();
+                let lo = column.iter().copied().fold(f64::INFINITY, f64::min);
+                let hi = column.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                let bound = omitted * (hi - lo) + 1e-5;
+                let error = (exact - f64::from(approx)).abs();
+                prop_assert!(
+                    error <= bound,
+                    "column {}: error {} exceeds {} (omitted mass {})", j, error, bound, omitted
+                );
+            }
+        }
     }
 
     /// For every backend, the one-shot batch front-end is bit-identical to

@@ -28,8 +28,8 @@ use a3_core::quantized::QuantizedMemory;
 use a3_core::Matrix;
 use a3_fixed::QFormat;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+mod common;
+use common::{hash_results, Stream};
 
 /// Queries attended per memory.
 const QUERIES: usize = 4;
@@ -63,55 +63,13 @@ const SHARDED_GOLDEN: &[(usize, usize, u64, u64)] = &[
     (600, 4, 0x4964_1e05_f2da_3b13, 0x782d_b0a0_cdc6_c17f),
 ];
 
-/// Deterministic splitmix64 stream mapped to `f32` in `[-2, 2)`.
-struct Stream(u64);
-
-impl Stream {
-    fn next_f32(&mut self) -> f32 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        ((z >> 40) as f32 / (1u64 << 24) as f32) * 4.0 - 2.0
-    }
-
-    fn matrix(&mut self, n: usize, d: usize) -> Matrix {
-        let rows = (0..n)
-            .map(|_| (0..d).map(|_| self.next_f32()).collect())
-            .collect();
-        Matrix::from_rows(rows).unwrap()
-    }
-}
-
 /// A seeded memory and its queries.
 fn case(n: usize, d: usize, seed: u64) -> (Matrix, Matrix, Vec<Vec<f32>>) {
     let mut stream = Stream(seed);
-    let keys = stream.matrix(n, d);
-    let values = stream.matrix(n, d);
-    let queries = (0..QUERIES)
-        .map(|_| (0..d).map(|_| stream.next_f32()).collect())
-        .collect();
+    let keys = stream.matrix(n, d, 1.0);
+    let values = stream.matrix(n, d, 1.0);
+    let queries = (0..QUERIES).map(|_| stream.vector(d, 1.0)).collect();
     (keys, values, queries)
-}
-
-/// FNV-1a over the bit patterns of every result's scores, weights and output.
-fn hash_results(results: &[AttentionResult]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for result in results {
-        for x in result
-            .scores
-            .iter()
-            .chain(&result.weights)
-            .chain(&result.output)
-        {
-            for byte in x.to_bits().to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        }
-    }
-    hash
 }
 
 #[test]

@@ -26,8 +26,8 @@ use a3_core::Matrix;
 use a3_workloads::babi::BabiGenerator;
 use a3_workloads::memn2n::MemN2N;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+mod common;
+use common::{hash_results, Stream};
 
 /// Memory row counts of the shape grid.
 const GRID_N: &[usize] = &[
@@ -56,28 +56,6 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("n 200-511", 0x7dbd_f00d_e1de_a74b, 0x5f70_a390_946f_af86),
     ("babi_small", 0xe061_4a7a_2310_a3fd, 0xd845_eb3d_04aa_1664),
 ];
-
-/// Deterministic splitmix64 stream mapped to `f32` in `[-2, 2)`.
-struct Stream(u64);
-
-impl Stream {
-    fn next_f32(&mut self) -> f32 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        ((z >> 40) as f32 / (1u64 << 24) as f32) * 4.0 - 2.0
-    }
-
-    fn vector(&mut self, d: usize, scale: f32) -> Vec<f32> {
-        (0..d).map(|_| self.next_f32() * scale).collect()
-    }
-
-    fn matrix(&mut self, n: usize, d: usize, scale: f32) -> Matrix {
-        Matrix::from_rows((0..n).map(|_| self.vector(d, scale)).collect()).unwrap()
-    }
-}
 
 /// One memory and the queries attended over it.
 struct Case {
@@ -140,25 +118,6 @@ fn cases(workload: &str) -> Vec<Case> {
         "babi_small" => babi_cases(),
         other => panic!("no cases for {other}"),
     }
-}
-
-/// FNV-1a over the bit patterns of every result's scores, weights and output.
-fn hash_results(results: &[AttentionResult]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for result in results {
-        for x in result
-            .scores
-            .iter()
-            .chain(&result.weights)
-            .chain(&result.output)
-        {
-            for byte in x.to_bits().to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        }
-    }
-    hash
 }
 
 /// Every query of every case through `backend`'s prepared path, hashed.

@@ -13,6 +13,9 @@ use a3_core::backend::QuantizedBackend;
 use a3_core::serve::{AttentionServer, BatchPolicy, MemoryConfig, Request, SessionId, Tick};
 use a3_core::Matrix;
 
+mod common;
+use common::seeded_rows;
+
 // Test-only code: the `cfg(test)` item is what marks it as test code for the
 // workspace's unsafe-code rules, which exempt test items.
 #[cfg(test)]
@@ -88,24 +91,6 @@ const ROWS: usize = 256;
 const WARM_STEPS: usize = 2;
 /// Measured decode steps.
 const STEPS: usize = 4;
-
-/// `rows` seeded rows of width `d`, values in `[-2, 2)`.
-fn seeded_rows(rows: usize, d: usize, seed: u64) -> Matrix {
-    Matrix::from_flat(
-        (0..rows * d)
-            .map(|i| {
-                let h = (i as u64 ^ seed)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(seed)
-                    .wrapping_mul(0xD6E8_FEB8_6659_FD93);
-                (h >> 40) as f32 / (1u64 << 22) as f32 - 2.0
-            })
-            .collect(),
-        rows,
-        d,
-    )
-    .unwrap()
-}
 
 /// Allocations of one decode step's two halves.
 struct StepAllocations {

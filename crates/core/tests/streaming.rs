@@ -5,31 +5,18 @@
 
 use std::sync::{Arc, Weak};
 
-use a3_core::approx::{preprocess_count, ApproxConfig};
+use a3_core::approx::preprocess_count;
 use a3_core::attention::AttentionResult;
 use a3_core::backend::{
     fingerprint_append, fingerprint_update, memory_fingerprint, ApproximateBackend, ComputeBackend,
     ExactBackend, MemoryCache, PreparedMemory, QuantizedBackend, ShardPlan, ShardedMemory,
-    SimdBackend,
 };
 use a3_core::serve::{AttentionServer, BatchPolicy, MemoryConfig, Request, SessionId};
 use a3_core::Matrix;
 use proptest::prelude::*;
 
-/// The full backend line-up, including the forced-scalar variants so the
-/// incremental contract is covered with and without the vector kernels.
-fn all_backends() -> Vec<Box<dyn ComputeBackend>> {
-    vec![
-        Box::new(ExactBackend),
-        Box::new(SimdBackend::new()),
-        Box::new(SimdBackend::scalar()),
-        Box::new(ApproximateBackend::new(ApproxConfig::none())),
-        Box::new(ApproximateBackend::conservative()),
-        Box::new(ApproximateBackend::aggressive()),
-        Box::new(QuantizedBackend::paper()),
-        Box::new(QuantizedBackend::paper_scalar()),
-    ]
-}
+mod common;
+use common::{all_backends, seeded_rows};
 
 /// One trace step: `kind` selects append (0) or update (1), `rows` carries the
 /// generated (key, value) row pairs (appends use all of them, updates use the
@@ -331,24 +318,6 @@ fn rejected_mutations_keep_the_sessions_cache_entry() {
         );
         assert_eq!(server.cache().len(), entries, "{shards} shard(s)");
     }
-}
-
-/// `rows` seeded rows of width `d`, values in `[-2, 2)`.
-fn seeded_rows(rows: usize, d: usize, seed: u64) -> Matrix {
-    Matrix::from_flat(
-        (0..rows * d)
-            .map(|i| {
-                let h = (i as u64 ^ seed)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(seed)
-                    .wrapping_mul(0xD6E8_FEB8_6659_FD93);
-                (h >> 40) as f32 / (1u64 << 22) as f32 - 2.0
-            })
-            .collect(),
-        rows,
-        d,
-    )
-    .unwrap()
 }
 
 /// Walks a quantized memory from 1 to 600 rows, across every power-of-two

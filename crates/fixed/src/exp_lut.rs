@@ -64,7 +64,7 @@ impl ExpLutConfig {
     }
 }
 
-/// Accuracy / size report for an exponent lookup table (used by the ablation bench).
+/// Accuracy / size report for an exponent lookup table (used by the ablation experiment).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ExpLutReport {
     /// Total number of table entries that would be stored in SRAM/ROM.

@@ -21,7 +21,7 @@
 //! exactly the experimental setup of the paper's Section VI-B accuracy study.
 //!
 //! Every workload also implements [`workload::Workload`], the interface the evaluation
-//! harness (`a3-eval`) and the benchmark harness (`a3-bench`) consume.
+//! harness (`a3-eval`) consumes.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

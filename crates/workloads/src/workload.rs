@@ -1,5 +1,4 @@
-//! The common interface every workload exposes to the evaluation and benchmark
-//! harnesses.
+//! The common interface every workload exposes to the evaluation harness.
 
 use a3_core::backend::ComputeBackend;
 use a3_core::Matrix;

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Swap the vendored offline dependency stand-ins (vendor/rand, vendor/serde,
-# vendor/rayon, vendor/criterion, vendor/proptest) for the real crates.io releases.
+# vendor/rayon, vendor/proptest) for the real crates.io releases.
 #
 # The workspace vendors API-compatible subsets of these crates because the default
 # build image has no route to crates.io. The vendored surfaces track the real crates,
@@ -22,8 +22,6 @@ src = open(path).read()
 
 # Point the external dependencies at crates.io instead of vendor/.
 replacements = {
-    'criterion = { path = "vendor/criterion" }':
-        'criterion = { version = "0.5", default-features = false }',
     'proptest = { path = "vendor/proptest" }':
         'proptest = { version = "1", default-features = false, features = ["std"] }',
     'rand = { path = "vendor/rand" }': 'rand = "0.8"',
