@@ -4,8 +4,6 @@
 //! NVIDIA Titan V GPU (BERT only), both running attention as dense matrix operations
 //! (Section VI-C). We cannot measure those machines, so this crate provides:
 //!
-//! * [`dense`] — an actual dense (matrix-vector / batched) attention implementation in
-//!   Rust, the functional software baseline;
 //! * [`opcount`] — closed-form operation counts for the attention mechanism
 //!   (Section II-B) and for the surrounding model layers, used to reproduce Figure 3
 //!   (fraction of time spent in attention);
@@ -19,7 +17,6 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod cpu;
-pub mod dense;
 pub mod device;
 pub mod gpu;
 pub mod opcount;

@@ -7,7 +7,7 @@
 mod self_attention;
 mod softmax;
 
-pub use self_attention::{self_attention, MultiHeadSelfAttention, Projection, SelfAttentionOutput};
+pub use self_attention::{self_attention, SelfAttentionOutput};
 pub use softmax::{softmax, softmax_in_place, stable_softmax};
 
 use crate::{AttentionError, Matrix};

@@ -5,19 +5,17 @@
 //! operations over the same key matrix (paper Section IV-C: this is why the key-matrix
 //! preprocessing cost is amortized over `n` queries for BERT).
 
-use serde::{Deserialize, Serialize};
-
 use crate::attention::AttentionResult;
 use crate::backend::ComputeBackend;
 use crate::{AttentionError, Matrix};
 
-/// Result of applying (multi-head) self-attention to a sequence.
+/// Result of applying self-attention to a sequence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelfAttentionOutput {
     /// Output token states, one row per input token.
     pub outputs: Matrix,
-    /// Per-query attention results (scores / weights / output per head concatenated in
-    /// head order). Useful for accuracy analysis of approximation schemes.
+    /// Per-query attention results (scores / weights / output), in query order.
+    /// Useful for accuracy analysis of approximation schemes.
     pub per_query: Vec<AttentionResult>,
 }
 
@@ -44,168 +42,6 @@ pub fn self_attention<B: ComputeBackend + ?Sized>(
     let rows: Vec<Vec<f32>> = per_query.iter().map(|r| r.output.clone()).collect();
     let outputs = Matrix::from_rows(rows)?;
     Ok(SelfAttentionOutput { outputs, per_query })
-}
-
-/// A dense projection matrix (`d_model x d_out`), stored row-major by input dimension.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Projection {
-    weights: Matrix,
-}
-
-impl Projection {
-    /// Creates a projection from an explicit weight matrix with `d_model` rows and
-    /// `d_out` columns.
-    pub fn new(weights: Matrix) -> Self {
-        Self { weights }
-    }
-
-    /// Deterministic pseudo-random projection (xorshift-seeded, scaled by
-    /// `1/sqrt(d_model)` as is standard for attention projections). Used by the
-    /// synthetic BERT-style workload.
-    pub fn random(d_model: usize, d_out: usize, seed: u64) -> Self {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
-        let scale = 1.0 / (d_model as f32).sqrt();
-        let mut data = Vec::with_capacity(d_model * d_out);
-        for _ in 0..d_model * d_out {
-            // xorshift64*
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            let r = (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 40) as f32;
-            // Map to [-1, 1) then scale.
-            let unit = r / (1u64 << 23) as f32 * 2.0 - 1.0;
-            data.push(unit * scale);
-        }
-        Self {
-            weights: Matrix::from_flat(data, d_model, d_out).expect("sized buffer"),
-        }
-    }
-
-    /// Output dimension of the projection.
-    pub fn d_out(&self) -> usize {
-        self.weights.dim()
-    }
-
-    /// Input dimension of the projection.
-    pub fn d_model(&self) -> usize {
-        self.weights.rows()
-    }
-
-    /// Projects one input vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != self.d_model()`.
-    pub fn project(&self, input: &[f32]) -> Vec<f32> {
-        assert_eq!(input.len(), self.d_model(), "projection input dimension");
-        let d_out = self.d_out();
-        let mut out = vec![0.0f32; d_out];
-        for (x, row) in input.iter().zip(self.weights.iter_rows()) {
-            if *x == 0.0 {
-                continue;
-            }
-            for (o, w) in out.iter_mut().zip(row) {
-                *o += x * w;
-            }
-        }
-        out
-    }
-
-    /// Projects every row of a matrix.
-    pub fn project_matrix(&self, input: &Matrix) -> Matrix {
-        let rows: Vec<Vec<f32>> = input.iter_rows().map(|r| self.project(r)).collect();
-        Matrix::from_rows(rows).expect("projection output is non-empty and rectangular")
-    }
-}
-
-/// A multi-head self-attention layer in the style of BERT-base: `h` heads, each with its
-/// own query/key/value projections from the model dimension down to the head dimension
-/// (`d = 64` in the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MultiHeadSelfAttention {
-    heads: Vec<HeadProjections>,
-}
-
-/// Per-head query/key/value projections.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct HeadProjections {
-    query: Projection,
-    key: Projection,
-    value: Projection,
-}
-
-impl MultiHeadSelfAttention {
-    /// Creates a layer with `num_heads` heads projecting from `d_model` to `d_head`,
-    /// with deterministic pseudo-random weights derived from `seed`.
-    pub fn random(num_heads: usize, d_model: usize, d_head: usize, seed: u64) -> Self {
-        let heads = (0..num_heads)
-            .map(|h| {
-                let base = seed.wrapping_add((h as u64).wrapping_mul(0x517C_C1B7_2722_0A95));
-                HeadProjections {
-                    query: Projection::random(d_model, d_head, base ^ 0x1),
-                    key: Projection::random(d_model, d_head, base ^ 0x2),
-                    value: Projection::random(d_model, d_head, base ^ 0x3),
-                }
-            })
-            .collect();
-        Self { heads }
-    }
-
-    /// Number of attention heads.
-    pub fn num_heads(&self) -> usize {
-        self.heads.len()
-    }
-
-    /// Head dimension (`d` in the paper's notation).
-    pub fn d_head(&self) -> usize {
-        self.heads.first().map(|h| h.query.d_out()).unwrap_or(0)
-    }
-
-    /// Applies the layer to a sequence of token states (`n x d_model`), using
-    /// `backend` for every attention operation. The output is
-    /// `n x (num_heads * d_head)` — the concatenation of head outputs, as in the
-    /// Transformer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the backend.
-    pub fn apply<B: ComputeBackend + ?Sized>(
-        &self,
-        backend: &B,
-        tokens: &Matrix,
-    ) -> Result<SelfAttentionOutput, AttentionError> {
-        let n = tokens.rows();
-        let mut concatenated = vec![Vec::with_capacity(self.num_heads() * self.d_head()); n];
-        let mut per_query: Vec<AttentionResult> = Vec::new();
-        for head in &self.heads {
-            let queries = head.query.project_matrix(tokens);
-            let keys = head.key.project_matrix(tokens);
-            let values = head.value.project_matrix(tokens);
-            // Scaled dot-product attention: 1/sqrt(d) scaling applied to the queries.
-            let scale = 1.0 / (self.d_head() as f32).sqrt();
-            let scaled_queries = Matrix::from_rows(
-                queries
-                    .iter_rows()
-                    .map(|r| r.iter().map(|x| x * scale).collect())
-                    .collect(),
-            )?;
-            let head_out = self_attention(backend, &keys, &values, &scaled_queries)?;
-            for (row, out) in concatenated.iter_mut().zip(head_out.outputs.iter_rows()) {
-                row.extend_from_slice(out);
-            }
-            per_query.extend(head_out.per_query);
-        }
-        Ok(SelfAttentionOutput {
-            outputs: Matrix::from_rows(concatenated)?,
-            per_query,
-        })
-    }
-
-    /// Total number of attention operations (queries) one application of this layer
-    /// performs on a sequence of length `n`: `num_heads * n`.
-    pub fn attention_ops(&self, n: usize) -> usize {
-        self.num_heads() * n
-    }
 }
 
 #[cfg(test)]
@@ -238,55 +74,5 @@ mod tests {
         let tokens = token_matrix(6, 8);
         let queries = token_matrix(6, 4);
         assert!(self_attention(&ExactBackend, &tokens, &tokens, &queries).is_err());
-    }
-
-    #[test]
-    fn projection_is_linear() {
-        let p = Projection::random(8, 4, 7);
-        let a = vec![1.0; 8];
-        let b = vec![2.0; 8];
-        let pa = p.project(&a);
-        let pb = p.project(&b);
-        for (x, y) in pa.iter().zip(&pb) {
-            assert!((2.0 * x - y).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn projection_random_is_deterministic() {
-        let p1 = Projection::random(8, 4, 42);
-        let p2 = Projection::random(8, 4, 42);
-        assert_eq!(p1, p2);
-        let p3 = Projection::random(8, 4, 43);
-        assert_ne!(p1, p3);
-    }
-
-    #[test]
-    fn multi_head_output_shape_is_concatenation() {
-        let layer = MultiHeadSelfAttention::random(3, 16, 4, 1);
-        let tokens = token_matrix(5, 16);
-        let out = layer.apply(&ExactBackend, &tokens).unwrap();
-        assert_eq!(out.outputs.rows(), 5);
-        assert_eq!(out.outputs.dim(), 12);
-        assert_eq!(out.per_query.len(), 15); // 3 heads x 5 queries
-        assert_eq!(layer.attention_ops(5), 15);
-    }
-
-    #[test]
-    fn multi_head_accessors() {
-        let layer = MultiHeadSelfAttention::random(12, 768, 64, 0);
-        assert_eq!(layer.num_heads(), 12);
-        assert_eq!(layer.d_head(), 64);
-    }
-
-    #[test]
-    fn per_query_weights_are_normalized() {
-        let layer = MultiHeadSelfAttention::random(2, 8, 4, 9);
-        let tokens = token_matrix(4, 8);
-        let out = layer.apply(&ExactBackend, &tokens).unwrap();
-        for r in &out.per_query {
-            let sum: f32 = r.weights.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-4);
-        }
     }
 }

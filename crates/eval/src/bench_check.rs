@@ -42,6 +42,8 @@ use a3_core::backend::{
 use a3_core::Matrix;
 use a3_sim::{A3Config, MultiUnit, PipelineModel};
 
+use crate::experiments::{batch_queries, memory};
+
 /// Gated metrics may exceed their baseline by this much (percent) before the check
 /// fails.
 pub const DEFAULT_TOLERANCE_PCT: f64 = 15.0;
@@ -148,42 +150,6 @@ impl Effort {
             Effort::Quick => 3,
         }
     }
-}
-
-/// Deterministic skewed memory (same construction as the eval experiments).
-fn memory(n: usize, d: usize, seed: u64) -> (Matrix, Matrix) {
-    let rows: Vec<Vec<f32>> = (0..n)
-        .map(|i| {
-            (0..d)
-                .map(|j| {
-                    let h = (i as u64)
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(j as u64)
-                        .wrapping_add(seed)
-                        .wrapping_mul(0xD6E8_FEB8_6659_FD93);
-                    let noise = ((h >> 40) as f32 / (1u64 << 24) as f32) - 0.5;
-                    if i % 23 == 7 {
-                        0.8 + 0.1 * noise
-                    } else {
-                        -0.15 + 0.2 * noise
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let keys = Matrix::from_rows(rows).expect("non-empty memory");
-    let values = keys.clone();
-    (keys, values)
-}
-
-fn batch_queries(count: usize, d: usize) -> Vec<Vec<f32>> {
-    (0..count)
-        .map(|q| {
-            (0..d)
-                .map(|j| 0.3 + 0.02 * ((q * 5 + j) % 11) as f32)
-                .collect()
-        })
-        .collect()
 }
 
 /// Doubles the iteration count until one timed sample of `op` is long enough to

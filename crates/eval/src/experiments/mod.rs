@@ -22,6 +22,7 @@ pub use sharding::sharding;
 pub use streaming::streaming;
 pub use table1::table1;
 
+use a3_core::Matrix;
 use a3_workloads::bert::BertLite;
 use a3_workloads::kvmemn2n::KvMemN2N;
 use a3_workloads::memn2n::MemN2N;
@@ -41,6 +42,45 @@ pub fn paper_workloads(settings: &EvalSettings) -> Vec<Box<dyn Workload>> {
 /// The workload names in figure order.
 pub fn workload_names() -> Vec<&'static str> {
     WorkloadKind::ALL.iter().map(|k| k.name()).collect()
+}
+
+/// Deterministic skewed memory of `n` rows of width `d`, shared by the sweeps and
+/// the perf gate: a strongly relevant row every 23 (so every shard of a split holds
+/// candidates), the rest weakly negative with hash noise. Values equal keys.
+pub(crate) fn memory(n: usize, d: usize, seed: u64) -> (Matrix, Matrix) {
+    let rows: Vec<Vec<f32>> = (0..n)
+        .map(|i| {
+            (0..d)
+                .map(|j| {
+                    let h = (i as u64)
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        .wrapping_add(j as u64)
+                        .wrapping_add(seed)
+                        .wrapping_mul(0xD6E8_FEB8_6659_FD93);
+                    let noise = ((h >> 40) as f32 / (1u64 << 24) as f32) - 0.5;
+                    if i % 23 == 7 {
+                        0.8 + 0.1 * noise
+                    } else {
+                        -0.15 + 0.2 * noise
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let keys = Matrix::from_rows(rows).expect("non-empty memory");
+    let values = keys.clone();
+    (keys, values)
+}
+
+/// `count` deterministic queries of width `d` for [`memory`].
+pub(crate) fn batch_queries(count: usize, d: usize) -> Vec<Vec<f32>> {
+    (0..count)
+        .map(|q| {
+            (0..d)
+                .map(|j| 0.3 + 0.02 * ((q * 5 + j) % 11) as f32)
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]

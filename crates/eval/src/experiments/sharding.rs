@@ -19,9 +19,9 @@ use a3_core::backend::{
     ApproximateBackend, ComputeBackend, ExactBackend, MemoryCache, QuantizedBackend, ShardPlan,
     ShardedMemory, SimdBackend,
 };
-use a3_core::Matrix;
 use a3_sim::{A3Config, MultiUnit};
 
+use super::{batch_queries, memory};
 use crate::report::{fmt_ratio, Table};
 use crate::settings::EvalSettings;
 
@@ -60,44 +60,6 @@ fn lineup() -> Vec<(&'static str, Box<dyn ComputeBackend>, A3Config)> {
     ]
 }
 
-/// Deterministic skewed memory: a few strongly relevant rows scattered across the
-/// whole row range (so every shard holds candidates), the rest weakly negative with
-/// hash noise.
-fn memory(n: usize, d: usize, seed: u64) -> (Matrix, Matrix) {
-    let rows: Vec<Vec<f32>> = (0..n)
-        .map(|i| {
-            (0..d)
-                .map(|j| {
-                    let h = (i as u64)
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(j as u64)
-                        .wrapping_add(seed)
-                        .wrapping_mul(0xD6E8_FEB8_6659_FD93);
-                    let noise = ((h >> 40) as f32 / (1u64 << 24) as f32) - 0.5;
-                    if i % 23 == 7 {
-                        0.8 + 0.1 * noise
-                    } else {
-                        -0.15 + 0.2 * noise
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let keys = Matrix::from_rows(rows).expect("non-empty memory");
-    let values = keys.clone();
-    (keys, values)
-}
-
-fn queries(count: usize, d: usize) -> Vec<Vec<f32>> {
-    (0..count)
-        .map(|q| {
-            (0..d)
-                .map(|j| 0.3 + 0.02 * ((q * 5 + j) % 11) as f32)
-                .collect()
-        })
-        .collect()
-}
-
 fn max_abs_output_diff(a: &[AttentionResult], b: &[AttentionResult]) -> f32 {
     a.iter()
         .zip(b)
@@ -116,7 +78,7 @@ fn avg_rows_attended(results: &[AttentionResult]) -> f64 {
 /// Runs the sharding sweep: accuracy, cycles/merge overhead, and break-even tables.
 pub fn sharding(settings: &EvalSettings) -> Vec<Table> {
     let query_count = (settings.cases_per_workload * 2).max(4);
-    let qs = queries(query_count, D);
+    let qs = batch_queries(query_count, D);
 
     let mut accuracy = Table::new(
         "Sharding: cross-shard merge accuracy vs the unsharded backend",

@@ -24,6 +24,7 @@ use a3_core::backend::{ComputeBackend, MemoryCache};
 use a3_core::Matrix;
 use a3_sim::{A3Config, PipelineModel};
 
+use super::{batch_queries, memory};
 use crate::report::{fmt_ratio, Table};
 use crate::settings::EvalSettings;
 
@@ -44,42 +45,6 @@ fn lineup() -> Vec<(&'static str, A3Config)> {
         ("Approximate (conservative)", A3Config::paper_conservative()),
         ("Approximate (aggressive)", A3Config::paper_aggressive()),
     ]
-}
-
-/// Deterministic skewed memory (same construction as the other experiments).
-fn memory(n: usize, d: usize, seed: u64) -> (Matrix, Matrix) {
-    let rows: Vec<Vec<f32>> = (0..n)
-        .map(|i| {
-            (0..d)
-                .map(|j| {
-                    let h = (i as u64)
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(j as u64)
-                        .wrapping_add(seed)
-                        .wrapping_mul(0xD6E8_FEB8_6659_FD93);
-                    let noise = ((h >> 40) as f32 / (1u64 << 24) as f32) - 0.5;
-                    if i % 23 == 7 {
-                        0.8 + 0.1 * noise
-                    } else {
-                        -0.15 + 0.2 * noise
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let keys = Matrix::from_rows(rows).expect("non-empty memory");
-    let values = keys.clone();
-    (keys, values)
-}
-
-fn queries(count: usize, d: usize) -> Vec<Vec<f32>> {
-    (0..count)
-        .map(|q| {
-            (0..d)
-                .map(|j| 0.3 + 0.02 * ((q * 5 + j) % 11) as f32)
-                .collect()
-        })
-        .collect()
 }
 
 /// Splits `(keys, values)` generated for `n0 + grown` rows into the starting
@@ -164,7 +129,7 @@ pub fn streaming(settings: &EvalSettings) -> Vec<Table> {
         let backend = model.backend();
         for &n0 in &START_SIZES {
             let (base_keys, base_values, new_keys, new_values) = split(n0, grown, settings.seed);
-            let qs = queries(grown, D);
+            let qs = batch_queries(grown, D);
 
             // -- Decode replay: one appended token per query. -------------------
             let mut cache = MemoryCache::new(4);

@@ -37,7 +37,7 @@ pub mod sram;
 pub use config::A3Config;
 pub use energy::{EnergyBreakdown, EnergyModel, ModuleCharacteristics, TableI};
 pub use multi_unit::{merge_query_cycles, MultiUnit, ShardedSimReport, MERGE_ALPHA, MERGE_LANES};
-pub use pipeline::{ApproxQueryTrace, PipelineModel, QueryCost, SimReport};
+pub use pipeline::{PipelineModel, QueryCost, SimReport};
 pub use server::{
     poisson_arrival_cycles, RequestOutcome, ServerSim, TenantReport, TenantSpec, TraceRequest,
 };

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::A3Config;
 use crate::energy::{EnergyModel, TableI};
-use crate::pipeline::{percentile, ModuleActivity, PipelineModel, QueryCost, SimReport};
+use crate::pipeline::{Drain, ModuleActivity, PipelineModel, QueryCost, SimReport};
 
 /// Vector-lane width of the cross-shard merge unit: partial output elements
 /// rescaled-and-accumulated per cycle (matches the 16-wide scan datapath of the
@@ -164,17 +164,13 @@ impl MultiUnit {
     pub fn independent_queries_drain(&self, costs: &[QueryCost]) -> u64 {
         (0..self.units)
             .map(|unit| {
-                let mut drain = 0u64;
-                let mut first = true;
-                for cost in costs.iter().skip(unit).step_by(self.units) {
-                    drain += if first {
-                        cost.latency_cycles
-                    } else {
-                        cost.throughput_cycles
-                    };
-                    first = false;
-                }
-                drain
+                let share: Vec<QueryCost> = costs
+                    .iter()
+                    .skip(unit)
+                    .step_by(self.units)
+                    .copied()
+                    .collect();
+                Drain::new(&[share], 0).total_cycles()
             })
             .max()
             .unwrap_or(0)
@@ -242,81 +238,25 @@ impl MultiUnit {
             .map(|shard| model.batch_costs(backend, shard.memory(), queries))
             .collect();
 
-        // Event-driven drain: shard `s` emits query `q` at latency (first) or one
-        // initiation interval (later) after its previous emission; the serial merge
-        // unit picks each query up once the slowest shard has emitted it.
-        let mut shard_clock = vec![0u64; shards];
-        let mut merge_free = 0u64;
-        let mut latencies: Vec<u64> = Vec::with_capacity(queries.len());
-        let mut throughput_sum = 0.0f64;
-        let mut activity = ModuleActivity::default();
-        for q in 0..queries.len() {
-            for (clock, costs) in shard_clock.iter_mut().zip(&per_shard_costs) {
-                let cost = &costs[q];
-                *clock += if q == 0 {
-                    cost.latency_cycles
-                } else {
-                    cost.throughput_cycles
-                };
-                activity = activity.add(&cost.activity);
-            }
-            let ready = *shard_clock.iter().max().expect("at least one shard");
-            merge_free = ready.max(merge_free) + mq_cycles;
-            // Per-query pipeline latency: the slowest shard's latency plus the merge.
-            latencies.push(
-                per_shard_costs
-                    .iter()
-                    .map(|costs| costs[q].latency_cycles)
-                    .max()
-                    .expect("at least one shard")
-                    + mq_cycles,
-            );
-            // Steady-state interval: the bottleneck of the slowest shard stage and
-            // the serial merge stage.
-            let stage = per_shard_costs
-                .iter()
-                .map(|costs| costs[q].throughput_cycles)
-                .max()
-                .expect("at least one shard");
-            throughput_sum += stage.max(mq_cycles) as f64;
-        }
-        activity.merge_ops = queries.len() as u64 * merge_query_ops(shards, d);
-        let total_cycles = merge_free;
-        let merge_cycles = queries.len() as u64 * mq_cycles;
-
-        let mut sorted = latencies.clone();
-        sorted.sort_unstable();
-        let avg_latency_cycles =
-            latencies.iter().map(|&l| l as f64).sum::<f64>() / latencies.len() as f64;
-        let avg_throughput_cycles = throughput_sum / queries.len() as f64;
-        let per_shard_cycles = shard_clock;
-        let slowest_shard_cycles = *per_shard_cycles.iter().max().expect("at least one shard");
+        // Every shard unit drains its column in parallel; the serial merge unit takes
+        // each query once the slowest shard has emitted it.
+        let drain = Drain::new(&per_shard_costs, mq_cycles);
+        let queries = queries.len() as u64;
         let report = SimReport {
-            queries: queries.len(),
-            total_cycles,
-            avg_latency_cycles,
-            p50_latency_cycles: percentile(&sorted, 50),
-            p95_latency_cycles: percentile(&sorted, 95),
-            p99_latency_cycles: percentile(&sorted, 99),
-            avg_throughput_cycles,
-            throughput_ops_per_s: self.config.clock_hz / avg_throughput_cycles,
-            avg_latency_s: avg_latency_cycles * self.config.clock_period_s(),
             preprocessing_cycles: model.preprocessing_cycles_for_ops(stats.missed_preprocess_ops),
-            incremental_prepare_cycles: 0,
             cache_hits: stats.hits,
             cache_misses: stats.misses,
-            batches: 1,
-            avg_batch_fill: queries.len() as f64,
-            max_queue_depth: 0,
-            avg_queue_depth: 0.0,
-            deadline_misses: 0,
-            deadline_miss_rate: 0.0,
             shards: shards as u64,
-            merge_cycles,
-            activity,
+            merge_cycles: queries * mq_cycles,
+            activity: ModuleActivity {
+                merge_ops: queries * merge_query_ops(shards, d),
+                ..drain.activity
+            },
+            ..drain.report(&self.config)
         };
+        let slowest_shard_cycles = *drain.unit_cycles.iter().max().expect("at least one shard");
         ShardedSimReport {
-            per_shard_cycles,
+            per_shard_cycles: drain.unit_cycles,
             slowest_shard_cycles,
             report,
         }
@@ -437,12 +377,18 @@ mod tests {
     #[test]
     fn sharding_a_large_memory_beats_a_single_unit_end_to_end() {
         let (keys, values, queries) = skewed_memory(320, 64);
-        for backend in [
-            Box::new(QuantizedBackend::paper()) as Box<dyn ComputeBackend>,
-            Box::new(ApproximateBackend::conservative()),
+        for (backend, config) in [
+            (
+                Box::new(QuantizedBackend::paper()) as Box<dyn ComputeBackend>,
+                A3Config::paper_base(),
+            ),
+            (
+                Box::new(ApproximateBackend::conservative()),
+                A3Config::paper_conservative(),
+            ),
         ] {
             let mut cache = MemoryCache::new(16);
-            let single = MultiUnit::new(1, A3Config::paper_base()).run_sharded_batch(
+            let single = MultiUnit::new(1, config).run_sharded_batch(
                 backend.as_ref(),
                 &mut cache,
                 &keys,
@@ -451,7 +397,7 @@ mod tests {
             );
             for k in [2usize, 4, 8] {
                 let mut cache = MemoryCache::new(16);
-                let sharded = MultiUnit::new(k, A3Config::paper_base()).run_sharded_batch(
+                let sharded = MultiUnit::new(k, config).run_sharded_batch(
                     backend.as_ref(),
                     &mut cache,
                     &keys,
@@ -500,6 +446,21 @@ mod tests {
         let mut cache = MemoryCache::new(2);
         group.run_sharded_batch(
             &QuantizedBackend::paper(),
+            &mut cache,
+            &keys,
+            &values,
+            &queries,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no approximation stage")]
+    fn a_base_group_rejects_approximate_work() {
+        let (keys, values, queries) = skewed_memory(128, 64);
+        let group = MultiUnit::new(2, A3Config::paper_base());
+        let mut cache = MemoryCache::new(4);
+        group.run_sharded_batch(
+            &ApproximateBackend::conservative(),
             &mut cache,
             &keys,
             &values,

@@ -81,20 +81,6 @@ impl ModuleActivity {
     }
 }
 
-/// The data-dependent work counts of one approximate query: the approximation knobs and
-/// what actually survived each stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ApproxQueryTrace {
-    /// Candidate-selection iterations executed (`M`).
-    pub m: usize,
-    /// Candidates passed to the dot-product module (`C`).
-    pub candidates: usize,
-    /// Entries surviving post-scoring selection (`K`).
-    pub selected: usize,
-    /// Number of rows in the memory (`n`), needed for the greedy-score scan cost.
-    pub n: usize,
-}
-
 /// Cycle cost of one query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueryCost {
@@ -176,13 +162,127 @@ impl SimReport {
     pub fn end_to_end_cycles(&self) -> u64 {
         self.total_cycles + self.preprocessing_cycles + self.incremental_prepare_cycles
     }
+
+    /// The report of a list of per-query latencies: the query count, the mean and
+    /// nearest-rank p50/p95/p99 latency in cycles, and the mean in seconds at
+    /// `config`'s clock. Every other field is zero, on one shard; callers fill in
+    /// their own with struct-update syntax. An empty list gives the all-zero report.
+    pub(crate) fn from_latencies(latencies: &[u64], config: &A3Config) -> SimReport {
+        let mut sorted = latencies.to_vec();
+        sorted.sort_unstable();
+        let queries = sorted.len();
+        let percentile = |pct: u64| match queries {
+            0 => 0,
+            _ => sorted[((pct * queries as u64).div_ceil(100) as usize).clamp(1, queries) - 1],
+        };
+        // Whole cycle counts far below 2^53: the sum is exact in any order. An empty
+        // `f64` sum is -0.0, so the empty list is spelled out.
+        let avg_latency_cycles = match queries {
+            0 => 0.0,
+            _ => sorted.iter().map(|&l| l as f64).sum::<f64>() / queries as f64,
+        };
+        SimReport {
+            queries,
+            total_cycles: 0,
+            avg_latency_cycles,
+            p50_latency_cycles: percentile(50),
+            p95_latency_cycles: percentile(95),
+            p99_latency_cycles: percentile(99),
+            avg_throughput_cycles: 0.0,
+            throughput_ops_per_s: 0.0,
+            avg_latency_s: avg_latency_cycles * config.clock_period_s(),
+            preprocessing_cycles: 0,
+            incremental_prepare_cycles: 0,
+            cache_hits: 0,
+            cache_misses: 0,
+            batches: 0,
+            avg_batch_fill: 0.0,
+            max_queue_depth: 0,
+            avg_queue_depth: 0.0,
+            deadline_misses: 0,
+            deadline_miss_rate: 0.0,
+            shards: 1,
+            merge_cycles: 0,
+            activity: ModuleActivity::default(),
+        }
+    }
 }
 
-/// Nearest-rank percentile (`pct` in 0..=100) of an ascending-sorted slice.
-pub(crate) fn percentile(sorted: &[u64], pct: u64) -> u64 {
-    debug_assert!(!sorted.is_empty());
-    let rank = (pct * sorted.len() as u64).div_ceil(100).max(1) as usize;
-    sorted[rank.min(sorted.len()) - 1]
+/// The pipelined drain of one batch over `K` parallel units and a serial merge
+/// stage. Each unit emits the batch's first query after that query's latency and
+/// every later query one initiation interval after the previous one; the merge stage
+/// takes each query once the slowest unit has emitted it. One unit with a zero-cycle
+/// merge drains in `latency(first) + Σ throughput(rest)` cycles.
+pub(crate) struct Drain {
+    /// Per query: cycles from the batch start until it leaves the merge stage.
+    pub(crate) completions: Vec<u64>,
+    /// Per query: pipeline latency, the slowest unit's plus the merge.
+    pub(crate) latencies: Vec<u64>,
+    /// Per query: initiation interval, the slowest unit's or the merge's, whichever
+    /// is longer.
+    pub(crate) intervals: Vec<u64>,
+    /// Each unit's own drain, in unit order.
+    pub(crate) unit_cycles: Vec<u64>,
+    /// Summed module activity of every unit.
+    pub(crate) activity: ModuleActivity,
+}
+
+impl Drain {
+    /// Drains `units`, one per-query cost column per unit (all of one length), with
+    /// `merge_cycles` of serial merge per query (0 when nothing is merged).
+    pub(crate) fn new<C: AsRef<[QueryCost]>>(units: &[C], merge_cycles: u64) -> Drain {
+        let queries = units.first().map_or(0, |costs| costs.as_ref().len());
+        let mut drain = Drain {
+            completions: Vec::with_capacity(queries),
+            latencies: Vec::with_capacity(queries),
+            intervals: Vec::with_capacity(queries),
+            unit_cycles: vec![0; units.len()],
+            activity: ModuleActivity::default(),
+        };
+        let mut merge_free = 0u64;
+        for q in 0..queries {
+            let (mut ready, mut latency, mut interval) = (0u64, 0u64, merge_cycles);
+            for (clock, costs) in drain.unit_cycles.iter_mut().zip(units) {
+                let cost = &costs.as_ref()[q];
+                *clock += if q == 0 {
+                    cost.latency_cycles
+                } else {
+                    cost.throughput_cycles
+                };
+                ready = ready.max(*clock);
+                latency = latency.max(cost.latency_cycles);
+                interval = interval.max(cost.throughput_cycles);
+                drain.activity = drain.activity.add(&cost.activity);
+            }
+            merge_free = ready.max(merge_free) + merge_cycles;
+            drain.completions.push(merge_free);
+            drain.latencies.push(latency + merge_cycles);
+            drain.intervals.push(interval);
+        }
+        drain
+    }
+
+    /// Cycles until the last query leaves the merge stage (0 for an empty batch).
+    pub(crate) fn total_cycles(&self) -> u64 {
+        self.completions.last().copied().unwrap_or(0)
+    }
+
+    /// The report of this drain as one pre-formed batch: the latency statistics,
+    /// the drain total, the mean interval and the summed activity. Preprocessing,
+    /// cache and shard fields stay for the caller.
+    pub(crate) fn report(&self, config: &A3Config) -> SimReport {
+        let queries = self.latencies.len() as f64;
+        let avg_throughput_cycles = self.intervals.iter().map(|&c| c as f64).sum::<f64>() / queries;
+        SimReport {
+            total_cycles: self.total_cycles(),
+            avg_throughput_cycles,
+            throughput_ops_per_s: config.clock_hz / avg_throughput_cycles,
+            batches: 1,
+            avg_batch_fill: queries,
+            activity: self.activity,
+            ..SimReport::from_latencies(&self.latencies, config)
+        }
+    }
 }
 
 /// Cycle-level model of one A3 unit.
@@ -213,19 +313,19 @@ impl PipelineModel {
     }
 
     /// Approximate-pipeline latency: `M + C + K + K + α` cycles (Section V-C).
-    pub fn approx_latency_cycles(&self, trace: &ApproxQueryTrace) -> u64 {
-        trace.m as u64 + trace.candidates as u64 + 2 * trace.selected as u64 + APPROX_PIPELINE_ALPHA
+    pub fn approx_latency_cycles(&self, work: &WorkProfile) -> u64 {
+        work.m as u64 + work.candidates as u64 + 2 * work.selected as u64 + APPROX_PIPELINE_ALPHA
     }
 
     /// Approximate-pipeline steady-state cycles per query. The candidate-selection
     /// module (`M` iterations plus the 16-wide greedy-score scan) is the bottleneck in
     /// the paper's configurations; the max() keeps the model honest for configurations
     /// where `C` or `K` exceed `M`.
-    pub fn approx_throughput_cycles(&self, trace: &ApproxQueryTrace) -> u64 {
-        let scan = (trace.n as u64).div_ceil(self.config.scan_width as u64);
-        let candidate = trace.m as u64 + scan;
-        let dot = trace.candidates as u64;
-        let tail = trace.selected as u64;
+    pub fn approx_throughput_cycles(&self, work: &WorkProfile) -> u64 {
+        let scan = (work.n as u64).div_ceil(self.config.scan_width as u64);
+        let candidate = work.m as u64 + scan;
+        let dot = work.candidates as u64;
+        let tail = work.selected as u64;
         candidate.max(dot).max(tail) + BASE_MODULE_OVERHEAD
     }
 
@@ -249,24 +349,24 @@ impl PipelineModel {
         }
     }
 
-    /// Cost of one approximate query with the given data-dependent trace.
-    pub fn approx_query_cost(&self, trace: &ApproxQueryTrace) -> QueryCost {
-        let scan = (trace.n as u64).div_ceil(self.config.scan_width as u64);
-        let post_scoring = (trace.candidates as u64).div_ceil(self.config.scan_width as u64);
+    /// Cost of one approximate query with the given data-dependent work counts.
+    pub fn approx_query_cost(&self, work: &WorkProfile) -> QueryCost {
+        let scan = (work.n as u64).div_ceil(self.config.scan_width as u64);
+        let post_scoring = (work.candidates as u64).div_ceil(self.config.scan_width as u64);
         QueryCost {
-            latency_cycles: self.approx_latency_cycles(trace),
-            throughput_cycles: self.approx_throughput_cycles(trace),
+            latency_cycles: self.approx_latency_cycles(work),
+            throughput_cycles: self.approx_throughput_cycles(work),
             activity: ModuleActivity {
-                candidate_cycles: trace.m as u64 + scan,
-                dot_product_rows: trace.candidates as u64,
-                exponent_rows: trace.selected as u64,
+                candidate_cycles: work.m as u64 + scan,
+                dot_product_rows: work.candidates as u64,
+                exponent_rows: work.selected as u64,
                 post_scoring_cycles: post_scoring,
-                output_rows: trace.selected as u64,
-                key_sram_reads: trace.candidates as u64,
-                value_sram_reads: trace.selected as u64,
+                output_rows: work.selected as u64,
+                key_sram_reads: work.candidates as u64,
+                value_sram_reads: work.selected as u64,
                 // Two sorted-key reads per iteration (max and min pointer) plus the
                 // 2d-element buffer initialization.
-                sorted_key_reads: 2 * trace.m as u64 + 2 * self.config.d as u64,
+                sorted_key_reads: 2 * work.m as u64 + 2 * self.config.d as u64,
                 merge_ops: 0,
             },
         }
@@ -325,14 +425,22 @@ impl PipelineModel {
 
     /// Per-query cost from a backend work profile (`None` means the query-independent
     /// base pipeline).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the backend reports approximate work but the configuration enables
+    /// no approximation stage: a base unit has no candidate-selection module to run
+    /// it on.
     fn profile_cost(&self, n: usize, profile: Option<WorkProfile>) -> QueryCost {
         match profile {
-            Some(p) => self.approx_query_cost(&ApproxQueryTrace {
-                m: p.m,
-                candidates: p.candidates,
-                selected: p.selected,
-                n: p.n,
-            }),
+            Some(work) => {
+                assert!(
+                    self.config.is_approximate(),
+                    "the backend reports approximate work but the accelerator was \
+                     configured with no approximation stage (set A3Config::approx)"
+                );
+                self.approx_query_cost(&work)
+            }
             None => self.base_query_cost(n),
         }
     }
@@ -510,44 +618,7 @@ impl PipelineModel {
     /// entry points fill them in).
     pub fn aggregate(&self, costs: &[QueryCost]) -> SimReport {
         assert!(!costs.is_empty(), "at least one query cost is required");
-        let total_cycles: u64 =
-            costs[0].latency_cycles + costs[1..].iter().map(|c| c.throughput_cycles).sum::<u64>();
-        let avg_latency_cycles =
-            costs.iter().map(|c| c.latency_cycles as f64).sum::<f64>() / costs.len() as f64;
-        let avg_throughput_cycles = costs
-            .iter()
-            .map(|c| c.throughput_cycles as f64)
-            .sum::<f64>()
-            / costs.len() as f64;
-        let mut latencies: Vec<u64> = costs.iter().map(|c| c.latency_cycles).collect();
-        latencies.sort_unstable();
-        let activity = costs
-            .iter()
-            .fold(ModuleActivity::default(), |acc, c| acc.add(&c.activity));
-        SimReport {
-            queries: costs.len(),
-            total_cycles,
-            avg_latency_cycles,
-            p50_latency_cycles: percentile(&latencies, 50),
-            p95_latency_cycles: percentile(&latencies, 95),
-            p99_latency_cycles: percentile(&latencies, 99),
-            avg_throughput_cycles,
-            throughput_ops_per_s: self.config.clock_hz / avg_throughput_cycles,
-            avg_latency_s: avg_latency_cycles * self.config.clock_period_s(),
-            preprocessing_cycles: 0,
-            incremental_prepare_cycles: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            batches: 1,
-            avg_batch_fill: costs.len() as f64,
-            max_queue_depth: 0,
-            avg_queue_depth: 0.0,
-            deadline_misses: 0,
-            deadline_miss_rate: 0.0,
-            shards: 1,
-            merge_cycles: 0,
-            activity,
-        }
+        Drain::new(&[costs], 0).report(&self.config)
     }
 
     /// Amortized per-query preprocessing overhead, in cycles, for workloads where the
@@ -620,7 +691,7 @@ mod tests {
     #[test]
     fn approx_latency_matches_m_c_2k_alpha() {
         let m = PipelineModel::new(A3Config::paper_conservative());
-        let trace = ApproxQueryTrace {
+        let trace = WorkProfile {
             m: 160,
             candidates: 60,
             selected: 10,
@@ -719,6 +790,20 @@ mod tests {
     fn empty_batch_panics() {
         let m = PipelineModel::new(A3Config::paper_base());
         let _ = m.aggregate(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no approximation stage")]
+    fn a_base_unit_rejects_approximate_work() {
+        let m = PipelineModel::new(A3Config::paper_base());
+        let (keys, values, queries) = skewed_memory(120, 64);
+        m.run_batch_with(
+            &ApproximateBackend::conservative(),
+            &mut MemoryCache::new(1),
+            &keys,
+            &values,
+            &queries,
+        );
     }
 
     #[test]

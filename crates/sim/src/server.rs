@@ -26,7 +26,7 @@ use a3_core::serve::{
 use a3_core::Matrix;
 use serde::{Deserialize, Serialize};
 
-use crate::pipeline::{percentile, ModuleActivity, PipelineModel, SimReport};
+use crate::pipeline::{Drain, ModuleActivity, PipelineModel, SimReport};
 
 /// One request of a replayable serving trace. `session` indexes the memory slice
 /// handed to [`ServerSim::replay`].
@@ -265,30 +265,6 @@ impl ServerSim {
         for (keys, _) in memories {
             self.model.config().assert_fits(keys.rows(), keys.dim());
         }
-        let empty_tenant_reports = |tenants: &[TenantSpec]| {
-            tenants
-                .iter()
-                .enumerate()
-                .map(|(t, _)| TenantReport {
-                    tenant: t,
-                    offered: 0,
-                    admitted: 0,
-                    throttled: 0,
-                    completed: 0,
-                    deadline_misses: 0,
-                    avg_latency_cycles: 0.0,
-                    p99_latency_cycles: 0,
-                })
-                .collect::<Vec<_>>()
-        };
-        if trace.is_empty() {
-            return (
-                self.empty_report(),
-                empty_tenant_reports(tenants),
-                Vec::new(),
-            );
-        }
-
         // Arrival order (stable for equal cycles, so replays are deterministic).
         let mut order: Vec<usize> = (0..trace.len()).collect();
         order.sort_by_key(|&i| trace[i].arrival_cycle);
@@ -307,7 +283,18 @@ impl ServerSim {
             .iter()
             .map(|spec| spec.rate.map(|limit| TokenBucket::new(limit, 0)))
             .collect();
-        let mut tenant_reports = empty_tenant_reports(tenants);
+        let mut tenant_reports: Vec<TenantReport> = (0..tenants.len())
+            .map(|tenant| TenantReport {
+                tenant,
+                offered: 0,
+                admitted: 0,
+                throttled: 0,
+                completed: 0,
+                deadline_misses: 0,
+                avg_latency_cycles: 0.0,
+                p99_latency_cycles: 0,
+            })
+            .collect();
         let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; trace.len()];
         let mut accel_free_at: u64 = 0;
         let mut batches: u64 = 0;
@@ -385,7 +372,7 @@ impl ServerSim {
 
                 let queries: Vec<&[f32]> =
                     batch.requests.iter().map(|r| r.query.as_slice()).collect();
-                let costs = self.model.batch_costs(backend, &memory, &queries);
+                let drain = Drain::new(&[self.model.batch_costs(backend, &memory, &queries)], 0);
 
                 // The batch cannot start before its requests exist, before the
                 // scheduler flushed it, or before the unit drains earlier batches.
@@ -397,30 +384,27 @@ impl ServerSim {
                     .unwrap_or(batch.formed_at)
                     .max(batch.formed_at);
                 let start = ready.max(accel_free_at);
-                let mut completion = start + prep;
-                for (cost, request) in costs.iter().zip(&batch.requests) {
-                    // Pipelined drain: the first query pays full latency, later
-                    // queries drain one initiation interval apart.
-                    completion += if completion == start + prep {
-                        cost.latency_cycles
-                    } else {
-                        cost.throughput_cycles
-                    };
+                for ((&offset, &interval), request) in drain
+                    .completions
+                    .iter()
+                    .zip(&drain.intervals)
+                    .zip(&batch.requests)
+                {
                     let index = request.id.raw() as usize;
                     outcomes[index] = Some(RequestOutcome {
                         trace_index: index,
                         session,
                         arrival_cycle: request.arrival,
                         dispatched_cycle: start,
-                        completion_cycle: completion,
+                        completion_cycle: start + prep + offset,
                         deadline_cycle: request.deadline,
                         batch: batches as usize,
                     });
-                    activity = activity.add(&cost.activity);
-                    throughput_sum += cost.throughput_cycles as f64;
+                    throughput_sum += interval as f64;
                 }
-                busy_cycles += completion - (start + prep);
-                accel_free_at = completion;
+                activity = activity.add(&drain.activity);
+                busy_cycles += drain.total_cycles();
+                accel_free_at = start + prep + drain.total_cycles();
                 batches += 1;
             }
         }
@@ -431,126 +415,52 @@ impl ServerSim {
             report.completed += 1;
             report.deadline_misses += u64::from(outcome.missed_deadline());
         }
+        let config = self.model.config();
         for report in &mut tenant_reports {
-            let mut latencies: Vec<u64> = admitted
+            let latencies: Vec<u64> = admitted
                 .iter()
                 .filter(|o| session_tenants[o.session] == report.tenant)
                 .map(RequestOutcome::latency_cycles)
                 .collect();
-            latencies.sort_unstable();
-            if !latencies.is_empty() {
-                report.avg_latency_cycles =
-                    latencies.iter().map(|&l| l as f64).sum::<f64>() / latencies.len() as f64;
-                report.p99_latency_cycles = percentile(&latencies, 99);
-            }
+            let stats = SimReport::from_latencies(&latencies, config);
+            report.avg_latency_cycles = stats.avg_latency_cycles;
+            report.p99_latency_cycles = stats.p99_latency_cycles;
         }
-        let report = if admitted.is_empty() {
-            self.empty_report()
-        } else {
-            self.summarize(
-                &admitted,
-                busy_cycles,
+
+        let latencies: Vec<u64> = admitted
+            .iter()
+            .map(RequestOutcome::latency_cycles)
+            .collect();
+        let mut report = SimReport::from_latencies(&latencies, config);
+        if !admitted.is_empty() {
+            let queries = admitted.len() as f64;
+            let deadline_misses = admitted.iter().filter(|o| o.missed_deadline()).count() as u64;
+            let first_arrival = admitted.iter().map(|o| o.arrival_cycle).min().unwrap_or(0);
+            let last_completion = admitted
+                .iter()
+                .map(|o| o.completion_cycle)
+                .max()
+                .unwrap_or(0);
+            let makespan = (last_completion - first_arrival).max(1);
+            report = SimReport {
+                total_cycles: busy_cycles,
+                avg_throughput_cycles: throughput_sum / queries,
+                throughput_ops_per_s: config.clock_hz * queries / makespan as f64,
                 preprocessing_cycles,
                 cache_hits,
                 cache_misses,
                 batches,
-                throughput_sum,
+                avg_batch_fill: queries / batches as f64,
                 max_queue_depth,
-                depth_sum,
-                depth_samples,
+                // Every admitted request sampled the depth once.
+                avg_queue_depth: depth_sum as f64 / depth_samples as f64,
+                deadline_misses,
+                deadline_miss_rate: deadline_misses as f64 / queries,
                 activity,
-            )
-        };
+                ..report
+            };
+        }
         (report, tenant_reports, outcomes)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn summarize(
-        &self,
-        outcomes: &[RequestOutcome],
-        busy_cycles: u64,
-        preprocessing_cycles: u64,
-        cache_hits: u64,
-        cache_misses: u64,
-        batches: u64,
-        throughput_sum: f64,
-        max_queue_depth: u64,
-        depth_sum: u64,
-        depth_samples: u64,
-        activity: ModuleActivity,
-    ) -> SimReport {
-        let queries = outcomes.len();
-        let mut latencies: Vec<u64> = outcomes
-            .iter()
-            .map(RequestOutcome::latency_cycles)
-            .collect();
-        latencies.sort_unstable();
-        let avg_latency_cycles = latencies.iter().map(|&l| l as f64).sum::<f64>() / queries as f64;
-        let deadline_misses = outcomes.iter().filter(|o| o.missed_deadline()).count() as u64;
-        let first_arrival = outcomes.iter().map(|o| o.arrival_cycle).min().unwrap_or(0);
-        let last_completion = outcomes
-            .iter()
-            .map(|o| o.completion_cycle)
-            .max()
-            .unwrap_or(0);
-        let makespan = (last_completion - first_arrival).max(1);
-        let config = self.model.config();
-        SimReport {
-            queries,
-            total_cycles: busy_cycles,
-            avg_latency_cycles,
-            p50_latency_cycles: percentile(&latencies, 50),
-            p95_latency_cycles: percentile(&latencies, 95),
-            p99_latency_cycles: percentile(&latencies, 99),
-            avg_throughput_cycles: throughput_sum / queries as f64,
-            throughput_ops_per_s: config.clock_hz * queries as f64 / makespan as f64,
-            avg_latency_s: avg_latency_cycles * config.clock_period_s(),
-            preprocessing_cycles,
-            incremental_prepare_cycles: 0,
-            cache_hits,
-            cache_misses,
-            batches,
-            avg_batch_fill: queries as f64 / batches as f64,
-            max_queue_depth,
-            avg_queue_depth: if depth_samples == 0 {
-                0.0
-            } else {
-                depth_sum as f64 / depth_samples as f64
-            },
-            deadline_misses,
-            deadline_miss_rate: deadline_misses as f64 / queries as f64,
-            shards: 1,
-            merge_cycles: 0,
-            activity,
-        }
-    }
-
-    /// The all-zero report of an empty trace.
-    fn empty_report(&self) -> SimReport {
-        SimReport {
-            queries: 0,
-            total_cycles: 0,
-            avg_latency_cycles: 0.0,
-            p50_latency_cycles: 0,
-            p95_latency_cycles: 0,
-            p99_latency_cycles: 0,
-            avg_throughput_cycles: 0.0,
-            throughput_ops_per_s: 0.0,
-            avg_latency_s: 0.0,
-            preprocessing_cycles: 0,
-            incremental_prepare_cycles: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            batches: 0,
-            avg_batch_fill: 0.0,
-            max_queue_depth: 0,
-            avg_queue_depth: 0.0,
-            deadline_misses: 0,
-            deadline_miss_rate: 0.0,
-            shards: 1,
-            merge_cycles: 0,
-            activity: ModuleActivity::default(),
-        }
     }
 }
 

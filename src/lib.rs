@@ -6,7 +6,7 @@
 //! * [`fixed`] — fixed-point arithmetic and the lookup-table exponent ([`a3_fixed`]),
 //! * [`core`] — attention mechanisms and the approximation algorithms ([`a3_core`]),
 //! * [`workloads`] — the synthetic MemN2N / KV-MemN2N / BERT workloads ([`a3_workloads`]),
-//! * [`baselines`] — dense attention and CPU/GPU analytical models ([`a3_baselines`]),
+//! * [`baselines`] — operation counts and CPU/GPU analytical models ([`a3_baselines`]),
 //! * [`sim`] — the cycle-level accelerator simulator and energy model ([`a3_sim`]),
 //! * [`eval`] — the experiment drivers that regenerate the paper's figures ([`a3_eval`]).
 //!
