@@ -84,20 +84,6 @@ impl Interval {
         self.hi
     }
 
-    /// Largest absolute value in the interval.
-    pub fn max_abs(self) -> i128 {
-        self.lo.abs().max(self.hi.abs())
-    }
-
-    /// Left shift by `bits` (the abstraction of `extend`: a pure scale change
-    /// with no clamp).
-    pub fn shift_left(self, bits: u32) -> Self {
-        Self {
-            lo: self.lo << bits,
-            hi: self.hi << bits,
-        }
-    }
-
     /// Hull of every partial sum of at most `count` terms drawn independently
     /// from `self`, starting from zero — the abstraction of an accumulation
     /// loop. (The zero start means the hull always contains zero.)
@@ -160,14 +146,6 @@ impl Interval {
         self.within(Self {
             lo: i128::from(i32::MIN),
             hi: i128::from(i32::MAX),
-        })
-    }
-
-    /// Whether every value fits an `i64` container.
-    pub fn fits_i64(self) -> bool {
-        self.within(Self {
-            lo: i128::from(i64::MIN),
-            hi: i128::from(i64::MAX),
         })
     }
 }

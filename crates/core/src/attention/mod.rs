@@ -1,13 +1,13 @@
 //! Reference (exact) attention mechanisms.
 //!
 //! These functions implement Figure 1 of the paper (the textbook soft attention
-//! mechanism) and the reordered variant of Figure 5 used by the base A3 pipeline, plus
-//! the batched self-attention used by BERT-style workloads.
+//! mechanism) and the reordered variant of Figure 5 used by the base A3 pipeline.
+//! Self-attention, where every token queries a memory built from the same tokens, is
+//! [`ComputeBackend::attend_batch`](crate::backend::ComputeBackend::attend_batch) with
+//! the token states as keys, values and queries.
 
-mod self_attention;
 mod softmax;
 
-pub use self_attention::{self_attention, SelfAttentionOutput};
 pub use softmax::{softmax, softmax_in_place, stable_softmax};
 
 use crate::{AttentionError, Matrix};

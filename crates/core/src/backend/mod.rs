@@ -27,7 +27,13 @@
 //! [`ShardedMemory`] prepares each shard independently (per-shard cache keys), and
 //! [`ComputeBackend::attend_sharded`] runs per-shard partials and merges them — a
 //! log-sum-exp rescale for the dense datapaths, a candidate-set union for the
-//! approximate one. See the [`shard`](self) module docs on [`ShardedMemory`].
+//! approximate one, whose stages 2–4 (dot products, post-scoring, softmax and the
+//! weighted sum) are the same function the whole-memory attend runs. See the
+//! [`shard`](self) module docs on [`ShardedMemory`].
+//!
+//! [`ApproximateBackend::attend_detailed`] is the approximate datapath's one entry
+//! point beyond the trait: it also reports the rows candidate selection and
+//! post-scoring kept, and the work counts `profile` returns.
 //!
 //! ```
 //! use a3_core::backend::{ApproximateBackend, ComputeBackend, MemoryCache};
@@ -60,8 +66,10 @@ pub use shard::{
 };
 pub use simd::{SimdBackend, SimdLevel};
 
-use crate::approx::{ApproxConfig, ApproximateAttention, SortedKeyColumns};
-use crate::attention::{attention_with_scores, AttentionResult};
+use crate::approx::{
+    post_scoring_select, select_candidates, ApproxAttentionOutput, ApproxConfig, SortedKeyColumns,
+};
+use crate::attention::{attention_with_scores, stable_softmax, AttentionResult};
 use crate::quantized::QuantizedMemory;
 use crate::{AttentionError, Matrix};
 use a3_fixed::QFormat;
@@ -774,18 +782,30 @@ impl ComputeBackend for ExactBackend {
 }
 
 /// The A3 approximate datapath: greedy candidate selection over the per-column sorted
-/// key matrix, then post-scoring selection (paper Section IV).
+/// key matrix, then post-scoring selection, then softmax and the weighted sum over the
+/// rows that survive (paper Section IV).
+///
+/// ```
+/// use a3_core::backend::{ApproximateBackend, ComputeBackend};
+/// use a3_core::Matrix;
+///
+/// let keys = Matrix::from_rows(vec![vec![1.0, 0.0], vec![-1.0, 0.5], vec![0.9, 0.1]]).unwrap();
+/// let values = keys.clone();
+/// let backend = ApproximateBackend::conservative();
+/// let memory = backend.prepare(&keys, &values).unwrap();
+/// let out = backend.attend_detailed(&memory, &[1.0, 0.0]).unwrap();
+/// assert!(out.work.candidates >= 1);
+/// assert_eq!(out.result.output.len(), 2);
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ApproximateBackend {
-    inner: ApproximateAttention,
+    config: ApproxConfig,
 }
 
 impl ApproximateBackend {
     /// Creates an approximate backend with the given configuration.
     pub fn new(config: ApproxConfig) -> Self {
-        Self {
-            inner: ApproximateAttention::new(config),
-        }
+        Self { config }
     }
 
     /// The paper's conservative configuration (`M = n/2`, `T = 5%`).
@@ -800,24 +820,167 @@ impl ApproximateBackend {
 
     /// The configuration in use.
     pub fn config(&self) -> &ApproxConfig {
-        self.inner.config()
+        &self.config
     }
 
-    /// The underlying approximate-attention operator (exposes the rich
-    /// [`crate::approx::ApproxAttentionOutput`] with candidate/selection sets).
-    pub fn inner(&self) -> &ApproximateAttention {
-        &self.inner
-    }
-
-    fn sorted<'m>(
+    /// Attends `query` over a prepared memory and reports, beside the result, the
+    /// rows candidate selection and post-scoring kept and the work counts the
+    /// cycle-level simulator prices. [`ComputeBackend::attend_prepared`] returns this
+    /// output's `result`, and [`ComputeBackend::profile`] its `work`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the memory was not prepared by an approximate backend, if
+    /// its sorted key columns do not match its shape, or if the query dimension does
+    /// not match the memory.
+    pub fn attend_detailed(
         &self,
-        memory: &'m PreparedMemory,
-    ) -> Result<&'m SortedKeyColumns, AttentionError> {
-        memory.sorted().ok_or(AttentionError::BackendMismatch {
-            expected: "sorted",
-            actual: memory.state().label(),
+        memory: &PreparedMemory,
+        query: &[f32],
+    ) -> Result<ApproxAttentionOutput, AttentionError> {
+        let sorted = sorted_columns(memory)?;
+        memory.validate_query(query)?;
+        self.attend_sorted(sorted, memory.keys(), memory.values(), query)
+    }
+
+    /// The whole pipeline over one memory whose per-column sort is `sorted`.
+    fn attend_sorted(
+        &self,
+        sorted: &SortedKeyColumns,
+        keys: &Matrix,
+        values: &Matrix,
+        query: &[f32],
+    ) -> Result<ApproxAttentionOutput, AttentionError> {
+        let n = keys.rows();
+        let (candidates, m) = select_stage(&self.config, sorted, query);
+        let (result, selected) =
+            attend_candidates(&self.config, n, keys.dim(), &candidates, query, |r| {
+                (r < n).then_some((keys, values, r))
+            })?;
+        let work = WorkProfile {
+            m,
+            candidates: candidates.len(),
+            selected: selected.len(),
+            n,
+        };
+        Ok(ApproxAttentionOutput {
+            result,
+            candidates,
+            selected,
+            work,
         })
     }
+}
+
+/// The sorted key columns of a memory prepared by an approximate backend, provided
+/// they cover the memory's shape.
+fn sorted_columns(memory: &PreparedMemory) -> Result<&SortedKeyColumns, AttentionError> {
+    let sorted = memory.sorted().ok_or(AttentionError::BackendMismatch {
+        expected: "sorted",
+        actual: memory.state().label(),
+    })?;
+    if sorted.rows() != memory.n() || sorted.dim() != memory.d() {
+        return Err(AttentionError::InvalidParameter {
+            name: "sorted",
+            constraint: "preprocessed key columns must match the key matrix shape",
+        });
+    }
+    Ok(sorted)
+}
+
+/// Stage 1 of the approximate pipeline over one memory's sorted columns: the
+/// ascending rows greedy candidate selection keeps and the iterations `M` it ran, or
+/// every row and `M = 0` when candidate selection is off. An empty greedy selection
+/// falls back to the best greedy row, so the pipeline always has a row to attend.
+fn select_stage(
+    config: &ApproxConfig,
+    sorted: &SortedKeyColumns,
+    query: &[f32],
+) -> (Vec<usize>, usize) {
+    match config.resolve_m(sorted.rows()) {
+        Some(m) => {
+            let selection = select_candidates(sorted, query, m);
+            if selection.candidates.is_empty() {
+                (vec![selection.best_row], m)
+            } else {
+                (selection.candidates, m)
+            }
+        }
+        None => ((0..sorted.rows()).collect(), 0),
+    }
+}
+
+/// Stages 2–4 of the approximate pipeline (Section IV, Figure 10), for the whole
+/// memory and the sharded union alike: the full dot products of the ascending
+/// `candidates`, post-scoring selection, then softmax and the weighted sum over the
+/// rows that survive. Each survivor's softmax reuses its stage-2 score, and rows of
+/// weight zero add nothing to the output.
+///
+/// `row` maps a logical row to the key matrix, value matrix and local row holding
+/// it: the identity on a whole memory, [`ShardedMemory::locate`] on a sharded one.
+/// Returns the result over all `n` logical rows of width `d` (score and weight zero
+/// where a row was dropped) and the surviving rows, ascending.
+fn attend_candidates<'m>(
+    config: &ApproxConfig,
+    n: usize,
+    d: usize,
+    candidates: &[usize],
+    query: &[f32],
+    row: impl Fn(usize) -> Option<(&'m Matrix, &'m Matrix, usize)>,
+) -> Result<(AttentionResult, Vec<usize>), AttentionError> {
+    let outside = || AttentionError::InvalidParameter {
+        name: "candidates",
+        constraint: "candidate rows must be ascending and lie within the memory",
+    };
+
+    // Stage 2: full dot products for the candidates only.
+    let candidate_scores: Vec<f32> = candidates
+        .iter()
+        .map(|&r| row(r).map(|(keys, _, local)| keys.row_dot(local, query)))
+        .collect::<Option<_>>()
+        .ok_or_else(outside)?;
+
+    // Stage 3: post-scoring selection.
+    let selected: Vec<usize> = match config.threshold() {
+        Some(t) => post_scoring_select(candidates, &candidate_scores, t),
+        None => candidates.to_vec(),
+    };
+
+    // Stage 4: softmax + weighted sum over the surviving rows. `selected` is an
+    // ascending subset of the ascending `candidates`, so one forward cursor reads
+    // each survivor's stage-2 score back.
+    let mut pairs = candidates.iter().zip(&candidate_scores);
+    let selected_scores: Vec<f32> = selected
+        .iter()
+        .map(|&r| pairs.by_ref().find(|&(&c, _)| c == r).map(|(_, &s)| s))
+        .collect::<Option<_>>()
+        .ok_or_else(outside)?;
+    let selected_weights = stable_softmax(&selected_scores);
+    let mut scores = vec![0.0f32; n];
+    let mut weights = vec![0.0f32; n];
+    let mut output = vec![0.0f32; d];
+    for (&r, (&s, &w)) in selected
+        .iter()
+        .zip(selected_scores.iter().zip(&selected_weights))
+    {
+        if let (Some(score), Some(weight)) = (scores.get_mut(r), weights.get_mut(r)) {
+            *score = s;
+            *weight = w;
+        }
+        if w == 0.0 {
+            continue;
+        }
+        let (_, values, local) = row(r).ok_or_else(outside)?;
+        for (o, v) in output.iter_mut().zip(values.row(local)) {
+            *o += w * v;
+        }
+    }
+    let result = AttentionResult {
+        scores,
+        weights,
+        output,
+    };
+    Ok((result, selected))
 }
 
 impl ComputeBackend for ApproximateBackend {
@@ -892,11 +1055,7 @@ impl ComputeBackend for ApproximateBackend {
         memory: &PreparedMemory,
         query: &[f32],
     ) -> Result<AttentionResult, AttentionError> {
-        let sorted = self.sorted(memory)?;
-        Ok(self
-            .inner
-            .attend_prepared(sorted, memory.keys(), memory.values(), query)?
-            .result)
+        Ok(self.attend_detailed(memory, query)?.result)
     }
 
     fn attend_sharded(
@@ -919,16 +1078,7 @@ impl ComputeBackend for ApproximateBackend {
         memory: &PreparedMemory,
         query: &[f32],
     ) -> Result<Option<WorkProfile>, AttentionError> {
-        let sorted = self.sorted(memory)?;
-        let out = self
-            .inner
-            .attend_prepared(sorted, memory.keys(), memory.values(), query)?;
-        Ok(Some(WorkProfile {
-            m: out.stats.m_used,
-            candidates: out.stats.num_candidates,
-            selected: out.stats.num_selected,
-            n: out.stats.n,
-        }))
+        Ok(Some(self.attend_detailed(memory, query)?.work))
     }
 
     fn attend(
@@ -939,7 +1089,9 @@ impl ComputeBackend for ApproximateBackend {
     ) -> Result<AttentionResult, AttentionError> {
         // One-shot: sort on the fly without cloning the matrices into a
         // PreparedMemory (bit-identical to the prepared path).
-        Ok(self.inner.attend(keys, values, query)?.result)
+        keys.validate_attention(values, query)?;
+        let sorted = SortedKeyColumns::preprocess(keys);
+        Ok(self.attend_sorted(&sorted, keys, values, query)?.result)
     }
 }
 
@@ -989,11 +1141,6 @@ impl QuantizedBackend {
     /// The paper's `Q4.4` input quantization, pinned to the scalar datapath.
     pub fn paper_scalar() -> Self {
         Self::scalar(a3_fixed::paper_input_format())
-    }
-
-    /// Whether this backend pins the scalar datapath.
-    pub fn is_forced_scalar(&self) -> bool {
-        self.force_scalar
     }
 
     /// The input quantization format.

@@ -37,13 +37,13 @@
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use crate::approx::{post_scoring_select, select_candidates};
-use crate::attention::{stable_softmax, AttentionResult};
+use crate::attention::AttentionResult;
 use crate::{AttentionError, Matrix};
 
 use super::{
-    fingerprint_append, fingerprint_update, memory_fingerprint, validate_append, validate_memory,
-    validate_row_width, ComputeBackend, MemoryCache, PreparedMemory, SimdBackend,
+    attend_candidates, fingerprint_append, fingerprint_update, memory_fingerprint, select_stage,
+    sorted_columns, validate_append, validate_memory, validate_row_width, ComputeBackend,
+    MemoryCache, PreparedMemory, SimdBackend,
 };
 
 /// How to split one logical memory across shards (row-wise, contiguous, balanced).
@@ -678,19 +678,13 @@ pub(super) fn attend_sharded_dense<B: ComputeBackend + ?Sized>(
 /// Sharded execution of the approximate datapath: per-shard greedy candidate
 /// selection over each shard's own sorted key columns, a **union** of the per-shard
 /// candidate sets at the merge, then global post-scoring selection, softmax and the
-/// weighted sum — stages 2–4 of the unsharded pipeline over the merged candidates.
-/// (The per-partition top-k + merge decomposition of kNN attention.)
+/// weighted sum — the whole-memory pipeline's stages 2–4, run by the same function
+/// with rows addressed through [`ShardedMemory::locate`]. (The per-partition top-k +
+/// merge decomposition of kNN attention.)
 ///
 /// `M` resolves against each shard's row count, so a `FractionOfN` budget splits the
 /// candidate-selection work across shards. A shard whose greedy selection comes back
 /// empty contributes its best greedy row, mirroring the unsharded fallback per unit.
-///
-/// Stages 2–4 must stay in lock-step with
-/// [`ApproximateAttention::attend_prepared`](crate::approx::ApproximateAttention::attend_prepared)
-/// (same threshold dispatch, same fallback, same scatter), only with rows addressed
-/// through [`ShardedMemory::locate`]; the K = 1 delegation in
-/// [`super::ApproximateBackend`]'s `attend_sharded` plus the sharded property tests
-/// pin that contract.
 pub(crate) fn attend_sharded_union(
     backend: &super::ApproximateBackend,
     memory: &ShardedMemory,
@@ -701,105 +695,25 @@ pub(crate) fn attend_sharded_union(
     // Stage 1, per shard (in parallel on hardware): candidate selection.
     let mut candidates: Vec<usize> = Vec::new();
     for shard in memory.shards() {
-        let sorted = shard
-            .memory()
-            .sorted()
-            .ok_or(AttentionError::BackendMismatch {
-                expected: "sorted",
-                actual: shard.memory().state().label(),
-            })?;
-        match config.resolve_m(shard.rows()) {
-            Some(m) => {
-                let selection = select_candidates(sorted, query, m);
-                if selection.candidates.is_empty() {
-                    candidates.push(shard.start() + selection.best_row);
-                } else {
-                    candidates.extend(selection.candidates.iter().map(|&r| shard.start() + r));
-                }
-            }
-            None => candidates.extend(shard.start()..shard.end()),
-        }
+        let (rows, _) = select_stage(config, sorted_columns(shard.memory())?, query);
+        candidates.extend(rows.iter().map(|&r| shard.start() + r));
     }
     // Shards are visited in row order and report ascending local rows, so the union
     // is already sorted ascending and duplicate-free (shards are disjoint).
 
-    // Stage 2: full dot products for the merged candidate set only.
-    let mut candidate_scores: Vec<f32> = Vec::with_capacity(candidates.len());
-    for &global in &candidates {
-        let (shard, local) = shard_of(memory, global)?;
-        candidate_scores.push(shard.memory().keys().row_dot(local, query));
-    }
-
-    // Stage 3: post-scoring selection across the union.
-    let selected: Vec<usize> = match config.threshold() {
-        Some(t) => post_scoring_select(&candidates, &candidate_scores, t),
-        None => candidates.clone(),
-    };
-
-    // Stage 4: softmax + weighted sum over the surviving rows. `selected` is an
-    // (ascending) subset of the ascending `candidates`, so each survivor's score is
-    // read back from `candidate_scores` with one forward cursor instead of
-    // recomputing the dot product.
-    let selected_scores: Vec<f32> = {
-        let mut pairs = candidates.iter().zip(&candidate_scores);
-        selected
-            .iter()
-            .map(|&r| {
-                pairs
-                    .by_ref()
-                    .find(|&(&c, _)| c == r)
-                    .map(|(_, &score)| score)
-                    .ok_or(AttentionError::InvalidParameter {
-                        name: "selected",
-                        constraint: "selected rows must be a subset of the candidate set",
-                    })
-            })
-            .collect::<Result<_, _>>()?
-    };
-    let selected_weights = stable_softmax(&selected_scores);
-    let mut scores = vec![0.0f32; memory.n()];
-    let mut weights = vec![0.0f32; memory.n()];
-    let mut output = vec![0.0f32; memory.d()];
-    for (&r, (&s, &w)) in selected
-        .iter()
-        .zip(selected_scores.iter().zip(&selected_weights))
-    {
-        let (shard, local) = shard_of(memory, r)?;
-        if let (Some(score_slot), Some(weight_slot)) = (scores.get_mut(r), weights.get_mut(r)) {
-            *score_slot = s;
-            *weight_slot = w;
-        }
-        for (o, v) in output.iter_mut().zip(shard.memory().values().row(local)) {
-            *o += w * v;
-        }
-    }
-    Ok(AttentionResult {
-        scores,
-        weights,
-        output,
-    })
-}
-
-/// Resolves a logical row to its owning shard and local index, as an error (not a
-/// panic) when the row is out of range — candidate and selection sets are produced
-/// internally, but the serving path must not be able to crash on a bad index.
-fn shard_of(
-    memory: &ShardedMemory,
-    global: usize,
-) -> Result<(&MemoryShard, usize), AttentionError> {
-    memory
-        .locate(global)
-        .and_then(|(s, local)| memory.shards().get(s).map(|shard| (shard, local)))
-        .ok_or(AttentionError::InvalidParameter {
-            name: "rows",
-            constraint: "row indices must lie within the sharded memory",
-        })
+    let (result, _) = attend_candidates(config, memory.n(), memory.d(), &candidates, query, |r| {
+        let (index, local) = memory.locate(r)?;
+        let shard = memory.shards().get(index)?.memory();
+        Some((shard.keys(), shard.values(), local))
+    })?;
+    Ok(result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx::preprocess_count;
+    use crate::approx::{preprocess_count, ApproxConfig};
+    use crate::attention::stable_softmax;
     use crate::backend::{ApproximateBackend, ExactBackend, QuantizedBackend};
 
     fn memory_case(n: usize, d: usize) -> (Matrix, Matrix, Vec<f32>) {
@@ -1098,6 +1012,38 @@ mod tests {
         let unsharded = backend.attend(&keys, &values, &query).unwrap();
         for (a, b) in merged.output.iter().zip(&unsharded.output) {
             assert!((a - b).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn unapproximated_union_is_bit_identical_to_the_whole_memory() {
+        // Without approximation every row is a candidate and survives, so the union
+        // attends the rows the whole memory does, through the same stages 2–4. Row 3
+        // of the second memory scores 201 below row 0: its weight underflows to
+        // exactly 0, so its infinite value must not reach the output.
+        let (keys, values, query) = memory_case(29, 7);
+        let rows = |rows: [[f32; 2]; 4]| Matrix::from_rows(rows.map(Vec::from).to_vec()).unwrap();
+        let zero_weight_inf = (
+            rows([[1.0, 0.0], [0.9, 0.1], [0.8, 0.0], [-200.0, 0.0]]),
+            rows([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [f32::INFINITY, 1.0]]),
+            vec![1.0, 0.0],
+        );
+        assert_eq!(stable_softmax(&[1.0, 0.9, 0.8, -200.0])[3], 0.0);
+        let bits = |r: &AttentionResult| -> Vec<u32> {
+            let all = r.scores.iter().chain(&r.weights).chain(&r.output);
+            all.map(|x| x.to_bits()).collect()
+        };
+        let backend = ApproximateBackend::new(ApproxConfig::none());
+        for (keys, values, query) in [(keys, values, query), zero_weight_inf] {
+            let whole = backend.prepare(&keys, &values).unwrap();
+            let expected = backend.attend_prepared(&whole, &query).unwrap();
+            assert!(expected.output.iter().all(|x| x.is_finite()));
+            for shards in 2..=4 {
+                let plan = ShardPlan::new(shards).unwrap();
+                let sharded = ShardedMemory::prepare(&backend, plan, &keys, &values).unwrap();
+                let merged = backend.attend_sharded(&sharded, &query).unwrap();
+                assert_eq!(bits(&merged), bits(&expected), "{shards} shards");
+            }
         }
     }
 

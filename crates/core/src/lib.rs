@@ -12,7 +12,10 @@
 //! * the dynamic post-scoring selection scheme (Section IV-D), in
 //!   [`approx::post_scoring`];
 //! * the end-to-end approximate attention pipeline combining the two with configurable
-//!   `(M, T)` knobs, in [`approx`];
+//!   `(M, T)` knobs ([`approx::ApproxConfig`]), served by
+//!   [`backend::ApproximateBackend`], whose
+//!   [`attend_detailed`](backend::ApproximateBackend::attend_detailed) also reports
+//!   the rows each stage kept;
 //! * a bit-accurate fixed-point (quantized) model of the base pipeline built on
 //!   [`a3_fixed`], in [`quantized`];
 //! * a vectorised exact datapath in [`backend::simd`]: [`backend::SimdBackend`] runs
@@ -28,7 +31,8 @@
 //!   [`backend::ShardedMemory`] splits one logical memory row-wise across shards
 //!   (each independently cached) and [`backend::ComputeBackend::attend_sharded`]
 //!   merges per-shard partials — log-sum-exp for the dense datapaths, candidate-set
-//!   union for the approximate one;
+//!   union for the approximate one, which then runs the same stages 2–4 as a whole
+//!   memory;
 //! * the request-oriented serving front-end, in [`serve`]: an [`serve::AttentionServer`]
 //!   owns registered memories as sessions, accepts single-query deadline-tagged
 //!   [`serve::Request`]s, and a dynamic-batching [`serve::Scheduler`] decides which
@@ -37,7 +41,7 @@
 //! # Quick start
 //!
 //! ```
-//! use a3_core::{Matrix, attention::attention, approx::{ApproxConfig, ApproximateAttention}};
+//! use a3_core::{Matrix, attention::attention, backend::{ApproximateBackend, ComputeBackend}};
 //!
 //! // A tiny key/value memory with 4 rows of dimension 3 (the paper's Figure 6 example).
 //! let key = Matrix::from_rows(vec![
@@ -53,9 +57,11 @@
 //! let exact = attention(&key, &value, &query).unwrap();
 //!
 //! // Approximate attention with the paper's "conservative" configuration.
-//! let approx = ApproximateAttention::new(ApproxConfig::conservative());
-//! let out = approx.attend(&key, &value, &query).unwrap();
-//! assert_eq!(out.output.len(), exact.len());
+//! let approx = ApproximateBackend::conservative();
+//! let memory = approx.prepare(&key, &value).unwrap();
+//! let out = approx.attend_detailed(&memory, &query).unwrap();
+//! assert_eq!(out.result.output.len(), exact.len());
+//! assert!(out.selected.iter().all(|row| out.candidates.contains(row)));
 //! ```
 
 #![deny(missing_docs)]

@@ -144,23 +144,6 @@ impl Matrix {
         row.iter().zip(query).map(|(a, b)| a * b).sum()
     }
 
-    /// Returns a sub-matrix containing only the listed rows (in the given order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn gather_rows(&self, indices: &[usize]) -> Matrix {
-        let mut data = Vec::with_capacity(indices.len() * self.dim);
-        for &i in indices {
-            data.extend_from_slice(self.row(i));
-        }
-        Matrix {
-            data,
-            rows: indices.len(),
-            dim: self.dim,
-        }
-    }
-
     /// Appends every row of `other` to this matrix (the streaming-append
     /// primitive: `O(other.rows() * dim)`, no reallocation of existing rows
     /// beyond the usual amortized `Vec` growth).
@@ -288,15 +271,6 @@ mod tests {
         let q = vec![1.0, 0.0, -1.0];
         assert_eq!(m.row_dot(0, &q), 1.0 - 3.0);
         assert_eq!(m.row_dot(2, &q), 7.0 - 9.0);
-    }
-
-    #[test]
-    fn gather_rows_selects_in_order() {
-        let m = sample();
-        let g = m.gather_rows(&[2, 0]);
-        assert_eq!(g.rows(), 2);
-        assert_eq!(g.row(0), &[7.0, 8.0, 9.0]);
-        assert_eq!(g.row(1), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

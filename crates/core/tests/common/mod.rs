@@ -74,21 +74,22 @@ impl Stream {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &byte| {
+        (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+    })
+}
+
 /// FNV-1a over the bit patterns of every result's scores, weights and output.
 pub fn hash_results(results: &[AttentionResult]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for result in results {
-        for x in result
-            .scores
-            .iter()
-            .chain(&result.weights)
-            .chain(&result.output)
-        {
-            for byte in x.to_bits().to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        }
-    }
-    hash
+    results
+        .iter()
+        .flat_map(|r| r.scores.iter().chain(&r.weights).chain(&r.output))
+        .fold(FNV_OFFSET, |h, x| fnv1a(h, &x.to_bits().to_le_bytes()))
+}
+
+/// FNV-1a over the UTF-8 bytes of `text`.
+pub fn hash_text(text: &str) -> u64 {
+    fnv1a(FNV_OFFSET, text.as_bytes())
 }

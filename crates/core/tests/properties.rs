@@ -2,7 +2,7 @@
 
 use a3_core::approx::{
     post_scoring_select, preprocess_count, select_candidates, select_candidates_naive,
-    ApproxConfig, ApproximateAttention, SortedKeyColumns,
+    ApproxAttentionOutput, ApproxConfig, SortedKeyColumns,
 };
 use a3_core::attention::{attention_with_scores, stable_softmax};
 use a3_core::backend::{
@@ -49,6 +49,18 @@ fn attention_case() -> impl Strategy<Value = (Matrix, Matrix, Vec<f32>)> {
                 )
             })
     })
+}
+
+/// Prepares the memory under `config` and attends `query` with the detailed output.
+fn attend_detailed(
+    config: ApproxConfig,
+    keys: &Matrix,
+    values: &Matrix,
+    query: &[f32],
+) -> ApproxAttentionOutput {
+    let backend = ApproximateBackend::new(config);
+    let memory = backend.prepare(keys, values).unwrap();
+    backend.attend_detailed(&memory, query).unwrap()
 }
 
 /// Strategy producing a random (keys, values, queries) batch with `n` in 2..24,
@@ -250,13 +262,13 @@ proptest! {
     #[test]
     fn disabled_approximation_is_exact((keys, values, query) in attention_case()) {
         let exact = attention_with_scores(&keys, &values, &query).unwrap();
-        let approx = ApproximateAttention::new(ApproxConfig::none())
+        let approx = ApproximateBackend::new(ApproxConfig::none())
             .attend(&keys, &values, &query)
             .unwrap();
         for (a, b) in exact.output.iter().zip(&approx.output) {
             prop_assert!((a - b).abs() < 1e-4);
         }
-        for (a, b) in exact.weights.iter().zip(&approx.result.weights) {
+        for (a, b) in exact.weights.iter().zip(&approx.weights) {
             prop_assert!((a - b).abs() < 1e-4);
         }
     }
@@ -279,16 +291,14 @@ proptest! {
         let total: f64 = exps.iter().sum();
         let weights: Vec<f64> = exps.iter().map(|e| e / total).collect();
         for config in [ApproxConfig::conservative(), ApproxConfig::aggressive()] {
-            let out = ApproximateAttention::new(config)
-                .attend(&keys, &values, &query)
-                .unwrap();
+            let out = attend_detailed(config, &keys, &values, &query);
             let sum: f32 = out.result.weights.iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-3);
-            prop_assert!(out.stats.num_selected <= out.stats.num_candidates
-                || out.stats.num_candidates == 0);
-            prop_assert!(out.stats.num_candidates <= keys.rows());
+            prop_assert!(out.work.selected <= out.work.candidates
+                || out.work.candidates == 0);
+            prop_assert!(out.work.candidates <= keys.rows());
             let omitted = 1.0 - out.selected.iter().map(|&i| weights[i]).sum::<f64>();
-            for (j, &approx) in out.output.iter().enumerate() {
+            for (j, &approx) in out.result.output.iter().enumerate() {
                 let column: Vec<f64> = values.iter_rows().map(|row| f64::from(row[j])).collect();
                 let exact: f64 = weights.iter().zip(&column).map(|(w, v)| w * v).sum();
                 let lo = column.iter().copied().fold(f64::INFINITY, f64::min);
@@ -325,13 +335,9 @@ proptest! {
     /// approximation on the same input.
     #[test]
     fn aggressive_selects_no_more_than_conservative((keys, values, query) in attention_case()) {
-        let cons = ApproximateAttention::new(ApproxConfig::conservative())
-            .attend(&keys, &values, &query)
-            .unwrap();
-        let aggr = ApproximateAttention::new(ApproxConfig::aggressive())
-            .attend(&keys, &values, &query)
-            .unwrap();
-        prop_assert!(aggr.stats.num_candidates <= cons.stats.num_candidates + 1);
+        let cons = attend_detailed(ApproxConfig::conservative(), &keys, &values, &query);
+        let aggr = attend_detailed(ApproxConfig::aggressive(), &keys, &values, &query);
+        prop_assert!(aggr.work.candidates <= cons.work.candidates + 1);
     }
 
     /// For every backend, attending through a prepared memory is bit-identical to the

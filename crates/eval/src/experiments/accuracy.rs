@@ -1,12 +1,12 @@
 //! Accuracy experiments: Figures 11, 12 and 13 plus the quantization study
 //! (Section VI-B).
 
-use a3_core::approx::{ApproxConfig, ApproximateAttention};
+use a3_core::approx::{ApproxAttentionOutput, ApproxConfig};
 use a3_core::attention::attention_with_scores;
-use a3_core::backend::{ApproximateBackend, ExactBackend, QuantizedBackend};
+use a3_core::backend::{ApproximateBackend, ComputeBackend, ExactBackend, QuantizedBackend};
 use a3_fixed::QFormat;
 use a3_workloads::metrics::top_k_recall;
-use a3_workloads::Workload;
+use a3_workloads::{AttentionCase, Workload};
 
 use crate::experiments::paper_workloads;
 use crate::report::{fmt3, Table};
@@ -51,7 +51,10 @@ pub fn fig11(settings: &EvalSettings) -> Vec<Table> {
         let config = ApproxConfig::candidate_only(frac);
         let mut row = vec![format!("M = {}n", frac)];
         for w in &workloads {
-            row.push(fmt3(mean_candidate_fraction(w.as_ref(), config, settings)));
+            let fraction = mean_over_cases(w.as_ref(), config, settings, |case, out| {
+                out.work.candidates as f64 / case.n() as f64
+            });
+            row.push(fmt3(fraction));
         }
         candidates.push_row(row);
     }
@@ -91,7 +94,10 @@ pub fn fig12(settings: &EvalSettings) -> Vec<Table> {
         let config = ApproxConfig::post_scoring_only(t);
         let mut row = vec![format!("T = {t}%")];
         for w in &workloads {
-            row.push(fmt3(mean_selected_fraction(w.as_ref(), config, settings)));
+            let fraction = mean_over_cases(w.as_ref(), config, settings, |case, out| {
+                out.work.selected as f64 / case.n() as f64
+            });
+            row.push(fmt3(fraction));
         }
         selected.push_row(row);
     }
@@ -140,7 +146,13 @@ pub fn fig13(settings: &EvalSettings) -> Vec<Table> {
         for w in &workloads {
             let value = match config {
                 None => 1.0,
-                Some(c) => mean_top_k_recall_for(w.as_ref(), *c, settings),
+                // Top-k recall (k from the workload kind) of the approximation's
+                // selected rows against the exact attention's true top-k rows.
+                Some(c) => mean_over_cases(w.as_ref(), *c, settings, |case, out| {
+                    let exact = attention_with_scores(&case.keys, &case.values, &case.query)
+                        .expect("workload shapes are consistent");
+                    top_k_recall(&exact.top_k(w.kind().top_k()), &out.selected)
+                }),
             };
             row.push(fmt3(value));
         }
@@ -176,61 +188,23 @@ pub fn quantization(settings: &EvalSettings) -> Table {
     table
 }
 
-/// Mean fraction of rows selected as candidates over the workload's attention cases.
-fn mean_candidate_fraction(
+/// Mean of `per_case` over the workload's attention cases, each given the case and
+/// its approximate attention under `config` (with the rows each stage kept).
+fn mean_over_cases(
     workload: &dyn Workload,
     config: ApproxConfig,
     settings: &EvalSettings,
+    per_case: impl Fn(&AttentionCase, &ApproxAttentionOutput) -> f64,
 ) -> f64 {
-    let approx = ApproximateAttention::new(config);
+    let backend = ApproximateBackend::new(config);
     let cases = workload.attention_cases(settings.cases_per_workload);
     let mut sum = 0.0;
     for case in &cases {
-        let out = approx
-            .attend(&case.keys, &case.values, &case.query)
+        let out = backend
+            .prepare(&case.keys, &case.values)
+            .and_then(|memory| backend.attend_detailed(&memory, &case.query))
             .expect("workload shapes are consistent");
-        sum += out.stats.num_candidates as f64 / case.n() as f64;
-    }
-    sum / cases.len() as f64
-}
-
-/// Mean fraction of rows surviving post-scoring selection over the workload's cases.
-fn mean_selected_fraction(
-    workload: &dyn Workload,
-    config: ApproxConfig,
-    settings: &EvalSettings,
-) -> f64 {
-    let approx = ApproximateAttention::new(config);
-    let cases = workload.attention_cases(settings.cases_per_workload);
-    let mut sum = 0.0;
-    for case in &cases {
-        let out = approx
-            .attend(&case.keys, &case.values, &case.query)
-            .expect("workload shapes are consistent");
-        sum += out.stats.num_selected as f64 / case.n() as f64;
-    }
-    sum / cases.len() as f64
-}
-
-/// Mean top-k recall (k from the workload kind) of the approximation's selected rows
-/// against the exact attention's true top-k rows.
-fn mean_top_k_recall_for(
-    workload: &dyn Workload,
-    config: ApproxConfig,
-    settings: &EvalSettings,
-) -> f64 {
-    let approx = ApproximateAttention::new(config);
-    let k = workload.kind().top_k();
-    let cases = workload.attention_cases(settings.cases_per_workload);
-    let mut sum = 0.0;
-    for case in &cases {
-        let exact = attention_with_scores(&case.keys, &case.values, &case.query)
-            .expect("workload shapes are consistent");
-        let true_top = exact.top_k(k);
-        let out = approx
-            .attend(&case.keys, &case.values, &case.query)
-            .expect("workload shapes are consistent");
-        sum += top_k_recall(&true_top, &out.selected);
+        sum += per_case(case, &out);
     }
     sum / cases.len() as f64
 }

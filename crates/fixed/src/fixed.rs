@@ -285,11 +285,6 @@ impl Fixed {
         }
     }
 
-    /// Returns true if this value is negative.
-    pub fn is_negative(&self) -> bool {
-        self.raw < 0
-    }
-
     /// Returns true if this value is zero.
     pub fn is_zero(&self) -> bool {
         self.raw == 0

@@ -132,11 +132,6 @@ impl QFormat {
     pub fn widen_int(&self, extra: u32) -> QFormat {
         QFormat::new(self.int_bits + extra, self.frac_bits)
     }
-
-    /// Format with `extra` additional fraction bits.
-    pub fn widen_frac(&self, extra: u32) -> QFormat {
-        QFormat::new(self.int_bits, self.frac_bits + extra)
-    }
 }
 
 impl fmt::Display for QFormat {
@@ -244,6 +239,5 @@ mod tests {
     fn widen_helpers() {
         let fmt = QFormat::new(4, 4);
         assert_eq!(fmt.widen_int(2), QFormat::new(6, 4));
-        assert_eq!(fmt.widen_frac(4), QFormat::new(4, 8));
     }
 }

@@ -15,7 +15,6 @@
 //! and its end-task F1 responds to attention approximation the same way: pruning rows
 //! that carry real attention weight hurts, pruning near-zero rows does not.
 
-use a3_core::attention::self_attention;
 use a3_core::backend::ComputeBackend;
 use a3_core::Matrix;
 
@@ -90,13 +89,18 @@ impl BertLite {
         for _ in 0..self.num_layers {
             // Self-attention over the token states (queries = keys = values = states,
             // the paper's n x d self-attention shape), followed by a residual mix.
-            let attended = self_attention(backend, &states, &states, &states)
-                .expect("workload-generated shapes are consistent")
-                .outputs;
+            let attended = backend
+                .attend_batch(&states, &states, &states)
+                .expect("workload-generated shapes are consistent");
             let mixed: Vec<Vec<f32>> = states
                 .iter_rows()
-                .zip(attended.iter_rows())
-                .map(|(s, a)| s.iter().zip(a).map(|(x, y)| 0.5 * x + 0.5 * y).collect())
+                .zip(&attended)
+                .map(|(s, a)| {
+                    s.iter()
+                        .zip(&a.output)
+                        .map(|(x, y)| 0.5 * x + 0.5 * y)
+                        .collect()
+                })
                 .collect();
             states = Matrix::from_rows(mixed).expect("non-empty sequence");
         }

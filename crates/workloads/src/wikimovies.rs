@@ -148,12 +148,6 @@ impl WikiMoviesGenerator {
         }
     }
 
-    /// Number of facts each movie contributes.
-    pub fn facts_per_movie(&self) -> usize {
-        // director + writer + actors + genre + year
-        4 + self.actors_per_movie
-    }
-
     /// Generates the `index`-th knowledge base (with its questions).
     pub fn generate(&self, index: usize) -> WikiMoviesKb {
         let mut rng =

@@ -79,15 +79,6 @@ impl WorkloadKind {
         }
     }
 
-    /// Maximum `n` observed for this workload (bAbI maxes out at 50 statements).
-    pub fn max_n(&self) -> usize {
-        match self {
-            WorkloadKind::MemN2N => 50,
-            WorkloadKind::KvMemN2N => 200,
-            WorkloadKind::Bert => 320,
-        }
-    }
-
     /// The `k` used for the top-k-recall metric of Figure 13b (2 for bAbI, 5 for the
     /// other two workloads).
     pub fn top_k(&self) -> usize {

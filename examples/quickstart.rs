@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use a3::core::approx::{ApproxConfig, ApproximateAttention};
 use a3::core::attention::attention_with_scores;
+use a3::core::backend::{ApproximateBackend, ComputeBackend};
 use a3::core::Matrix;
 use a3::sim::{A3Config, EnergyModel, PipelineModel};
 
@@ -33,14 +33,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("most relevant  : row {}", exact.argmax());
 
     // Approximate attention with the paper's conservative configuration.
-    let approx = ApproximateAttention::new(ApproxConfig::conservative());
-    let out = approx.attend(&keys, &values, &query)?;
+    let approx = ApproximateBackend::conservative();
+    let memory = approx.prepare(&keys, &values)?;
+    let out = approx.attend_detailed(&memory, &query)?;
     println!("\ncandidates     : {:?}", out.candidates);
     println!("selected       : {:?}", out.selected);
-    println!("approx output  : {:?}", out.output);
+    println!("approx output  : {:?}", out.result.output);
     println!(
         "work           : M={} C={} K={} (of n={})",
-        out.stats.m_used, out.stats.num_candidates, out.stats.num_selected, out.stats.n
+        out.work.m, out.work.candidates, out.work.selected, out.work.n
     );
 
     // What would this cost on the accelerator? (Use a small synthesized instance.)

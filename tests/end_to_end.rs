@@ -1,6 +1,6 @@
 //! Cross-crate integration tests: workloads -> approximation -> simulator -> energy.
 
-use a3::core::approx::{ApproxConfig, ApproximateAttention};
+use a3::core::approx::ApproxConfig;
 use a3::core::attention::attention_with_scores;
 use a3::core::backend::{
     ApproximateBackend, ComputeBackend, ExactBackend, QuantizedBackend, SimdBackend,
@@ -44,15 +44,14 @@ fn every_workload_produces_consistent_attention_cases() {
 fn approximation_prunes_work_but_keeps_relevant_rows_mostly() {
     for w in workloads() {
         let cases = w.attention_cases(6);
-        let approx = ApproximateAttention::new(ApproxConfig::conservative());
+        let approx = ApproximateBackend::conservative();
         let mut kept = 0usize;
         let mut total = 0usize;
         for case in &cases {
-            let out = approx
-                .attend(&case.keys, &case.values, &case.query)
-                .unwrap();
-            assert!(out.stats.num_candidates <= case.n());
-            assert!(out.stats.num_selected <= out.stats.num_candidates.max(1));
+            let memory = approx.prepare(&case.keys, &case.values).unwrap();
+            let out = approx.attend_detailed(&memory, &case.query).unwrap();
+            assert!(out.work.candidates <= case.n());
+            assert!(out.work.selected <= out.work.candidates.max(1));
             let exact = attention_with_scores(&case.keys, &case.values, &case.query).unwrap();
             let true_top = exact.top_k(w.kind().top_k());
             kept += true_top.iter().filter(|r| out.selected.contains(r)).count();
@@ -245,9 +244,9 @@ fn top_k_recall_matches_metric_definition_across_crates() {
     let w = MemN2N::new(11);
     let case = w.attention_cases(1).remove(0);
     let exact = attention_with_scores(&case.keys, &case.values, &case.query).unwrap();
-    let out = ApproximateAttention::new(ApproxConfig::none())
-        .attend(&case.keys, &case.values, &case.query)
-        .unwrap();
+    let approx = ApproximateBackend::new(ApproxConfig::none());
+    let memory = approx.prepare(&case.keys, &case.values).unwrap();
+    let out = approx.attend_detailed(&memory, &case.query).unwrap();
     let recall = top_k_recall(&exact.top_k(WorkloadKind::MemN2N.top_k()), &out.selected);
     assert_eq!(recall, 1.0);
 }
