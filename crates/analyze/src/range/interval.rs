@@ -132,22 +132,6 @@ impl Interval {
         };
         (clamped, !self.within(bounds))
     }
-
-    /// Whether every value fits an `i16` container.
-    pub fn fits_i16(self) -> bool {
-        self.within(Self {
-            lo: i128::from(i16::MIN),
-            hi: i128::from(i16::MAX),
-        })
-    }
-
-    /// Whether every value fits an `i32` container.
-    pub fn fits_i32(self) -> bool {
-        self.within(Self {
-            lo: i128::from(i32::MIN),
-            hi: i128::from(i32::MAX),
-        })
-    }
 }
 
 /// Exact (unclamped) interval addition.
@@ -228,15 +212,6 @@ mod tests {
         let (same, no_clamp) = Interval::new(-8, 7).saturate(fmt);
         assert_eq!(same, range);
         assert!(!no_clamp);
-    }
-
-    #[test]
-    fn container_fits() {
-        assert!(Interval::new(-32768, 32767).fits_i16());
-        assert!(!Interval::new(-32769, 0).fits_i16());
-        assert!(!Interval::new(0, 32768).fits_i16());
-        assert!(Interval::exact(i128::from(i32::MAX)).fits_i32());
-        assert!(!Interval::exact(i128::from(i32::MAX) + 1).fits_i32());
     }
 
     #[test]

@@ -45,14 +45,6 @@ pub enum ThresholdSpec {
 }
 
 impl ThresholdSpec {
-    /// The raw-score distance `t` corresponding to this threshold, if enabled.
-    pub fn score_margin(&self) -> Option<f64> {
-        match *self {
-            ThresholdSpec::Disabled => None,
-            ThresholdSpec::Percent(t) => Some((100.0 / t).ln()),
-        }
-    }
-
     /// The threshold in percent, if enabled.
     pub fn percent(&self) -> Option<f64> {
         match *self {
@@ -172,16 +164,6 @@ mod tests {
         assert_eq!(MSpec::FractionOfN(0.5).resolve(320), Some(160));
         assert_eq!(MSpec::FractionOfN(0.125).resolve(20), Some(3)); // ceil(2.5)
         assert_eq!(MSpec::FractionOfN(0.001).resolve(10), Some(1));
-    }
-
-    #[test]
-    fn threshold_margin_matches_formula() {
-        // T = 100 * e^-t  =>  t = ln(100/T).
-        let t5 = ThresholdSpec::Percent(5.0).score_margin().unwrap();
-        assert!((t5 - (100.0f64 / 5.0).ln()).abs() < 1e-12);
-        let t100 = ThresholdSpec::Percent(100.0).score_margin().unwrap();
-        assert!(t100.abs() < 1e-12);
-        assert_eq!(ThresholdSpec::Disabled.score_margin(), None);
     }
 
     #[test]

@@ -105,16 +105,6 @@ impl SortedKeyColumns {
         &self.columns[c]
     }
 
-    /// Size in bytes of the preprocessed structure as it would be laid out in the
-    /// candidate-selection module's SRAM: one value plus one row index per element,
-    /// conservatively counted as 4 bytes per element. The paper's Table I reports a
-    /// 40 KB "Sorted Key Matrix" SRAM for n = 320, d = 64 because each entry is packed
-    /// into ~18 bits (a 9-bit Q4.4 value plus a 9-bit row ID); this estimate is a
-    /// deliberate 2x upper bound of that packing.
-    pub fn sram_bytes(&self) -> usize {
-        self.rows * self.dim() * 4
-    }
-
     /// Mutable access to the per-column entry vectors, for the incremental
     /// maintenance routines in [`crate::approx::incremental`]. Callers must
     /// preserve the sorted-permutation invariant and keep [`Self::set_rows`]
@@ -195,17 +185,6 @@ mod tests {
             rows.sort_unstable();
             assert_eq!(rows, (0..50u32).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn sram_bytes_matches_table1_for_paper_size() {
-        // n = 320, d = 64 => 320 * 64 * 4 bytes = 80 KiB... the paper reports 40 KB for
-        // the sorted key matrix because each entry is ~18 bits; our 4-byte estimate is a
-        // deliberate upper bound. Check it is within 2x of the paper's figure.
-        let keys = Matrix::zeros(320, 64);
-        let sorted = SortedKeyColumns::preprocess(&keys);
-        let bytes = sorted.sram_bytes();
-        assert!((40 * 1024..=2 * 40 * 1024).contains(&bytes));
     }
 
     #[test]

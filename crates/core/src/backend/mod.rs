@@ -941,7 +941,7 @@ fn attend_candidates<'m>(
         .ok_or_else(outside)?;
 
     // Stage 3: post-scoring selection.
-    let selected: Vec<usize> = match config.threshold() {
+    let selected: Vec<usize> = match post_scoring_threshold(config)? {
         Some(t) => post_scoring_select(candidates, &candidate_scores, t),
         None => candidates.to_vec(),
     };
@@ -983,6 +983,19 @@ fn attend_candidates<'m>(
     Ok((result, selected))
 }
 
+/// The post-scoring threshold `T` of `config` in percent, or `None` when
+/// post-scoring is off. A `T` outside (0, 100], NaN included, is a typed error
+/// here, before [`post_scoring_select`] would panic on it.
+fn post_scoring_threshold(config: &ApproxConfig) -> Result<Option<f64>, AttentionError> {
+    match config.threshold() {
+        Some(t) if !(t > 0.0 && t <= 100.0) => Err(AttentionError::InvalidParameter {
+            name: "threshold",
+            constraint: "the post-scoring threshold T must lie in (0, 100] percent",
+        }),
+        t => Ok(t),
+    }
+}
+
 impl ComputeBackend for ApproximateBackend {
     fn name(&self) -> String {
         let m = match self.config().m {
@@ -999,6 +1012,7 @@ impl ComputeBackend for ApproximateBackend {
 
     fn prepare(&self, keys: &Matrix, values: &Matrix) -> Result<PreparedMemory, AttentionError> {
         validate_memory(keys, values)?;
+        post_scoring_threshold(&self.config)?;
         let sorted = SortedKeyColumns::preprocess(keys);
         let ops = sorted.preprocess_comparisons();
         PreparedMemory::new(keys, values, ops, PreparedState::Sorted(sorted))
@@ -1391,6 +1405,43 @@ mod tests {
                 let single = backend.attend(&keys, &values, q).unwrap();
                 assert_eq!(out, &single, "{}", backend.name());
             }
+        }
+    }
+
+    #[test]
+    fn an_out_of_range_post_scoring_threshold_is_a_typed_error() {
+        fn is_threshold_error<T>(result: Result<T, AttentionError>) -> bool {
+            matches!(
+                result,
+                Err(AttentionError::InvalidParameter {
+                    name: "threshold",
+                    ..
+                })
+            )
+        }
+        let (keys, values, query) = case(24, 8);
+        let valid = ApproximateBackend::conservative();
+        let memory = valid.prepare(&keys, &values).unwrap();
+        let sharded =
+            ShardedMemory::prepare(&valid, ShardPlan::new(2).unwrap(), &keys, &values).unwrap();
+        for t in [0.0, -5.0, 100.5, f64::NAN, f64::INFINITY] {
+            let backend = ApproximateBackend::new(ApproxConfig::post_scoring_only(t));
+            assert!(
+                is_threshold_error(backend.prepare(&keys, &values)),
+                "T = {t}"
+            );
+            assert!(
+                is_threshold_error(backend.attend(&keys, &values, &query)),
+                "T = {t}"
+            );
+            assert!(
+                is_threshold_error(backend.attend_prepared(&memory, &query)),
+                "T = {t}"
+            );
+            assert!(
+                is_threshold_error(backend.attend_sharded(&sharded, &query)),
+                "T = {t}"
+            );
         }
     }
 

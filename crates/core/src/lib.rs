@@ -35,7 +35,7 @@
 //!   memory;
 //! * the request-oriented serving front-end, in [`serve`]: an [`serve::AttentionServer`]
 //!   owns registered memories as sessions, accepts single-query deadline-tagged
-//!   [`serve::Request`]s, and a dynamic-batching [`serve::Scheduler`] decides which
+//!   [`serve::Request`]s, and its weighted-fair dynamic batching decides which
 //!   requests run together — bit-identical to direct per-query calls.
 //!
 //! # Quick start
@@ -80,7 +80,3 @@ pub use matrix::Matrix;
 
 /// The embedding dimension used for every workload in the paper's evaluation.
 pub const PAPER_D: usize = 64;
-
-/// The maximum number of key/value rows the evaluated A3 instance was sized for
-/// (the BERT/SQuAD sequence length).
-pub const PAPER_N_MAX: usize = 320;

@@ -11,7 +11,7 @@
 //! * **Tenants** ([`TenantId`]) are isolation domains — products, customers, traffic
 //!   classes. Each carries a [`TenantConfig`]: a [`Priority`] class that maps to a
 //!   weighted-fair-queueing weight, and an optional [`RateLimit`] enforced by an
-//!   exact integer [`TokenBucket`] at submission time. The default tenant always
+//!   exact integer token bucket at submission time. The default tenant always
 //!   exists, so single-tenant callers never touch this layer.
 //! * **Sessions** ([`SessionId`]) are registered memories.
 //!   [`AttentionServer::register`] takes a [`MemoryConfig`] (keys/values, optional
@@ -23,7 +23,7 @@
 //!   SRAM copies.
 //! * **Requests** ([`Request`]) are single queries tagged with a session, an arrival
 //!   tick and an optional deadline, accepted by [`AttentionServer::submit`] (after
-//!   the tenant's token bucket admits them) and batched by a [`Scheduler`] — flushing
+//!   the tenant's token bucket admits them) and batched per session — flushing
 //!   when a batch fills ([`BatchPolicy::max_batch`]), when the batch window expires
 //!   ([`BatchPolicy::batch_window`]), or when a queued deadline would otherwise be
 //!   missed. When several tenants hold due batches, flush order is weighted-fair
@@ -37,8 +37,8 @@
 //! numerics decisions.
 //!
 //! Time is a logical [`Tick`] counter supplied by the caller, which makes every
-//! schedule deterministic and lets `a3-sim`'s discrete-event model replay the same
-//! scheduler with ticks interpreted as accelerator clock cycles.
+//! schedule deterministic and lets `a3-sim`'s discrete-event model drive this
+//! server with ticks interpreted as accelerator clock cycles.
 //!
 //! ```
 //! use a3_core::backend::ApproximateBackend;
@@ -65,8 +65,11 @@ mod scheduler;
 mod tenant;
 
 pub use config::{MemoryConfig, ServerBuilder};
-pub use scheduler::{BatchPolicy, FlushReason, FormedBatch, QueuedRequest, Scheduler};
-pub use tenant::{Priority, RateLimit, TenantConfig, TenantId, TenantStats, TokenBucket};
+pub use scheduler::{BatchPolicy, FlushReason};
+pub use tenant::{Priority, RateLimit, TenantConfig, TenantId, TenantStats};
+
+use scheduler::{FormedBatch, QueuedRequest, Scheduler};
+use tenant::TokenBucket;
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -378,9 +381,9 @@ struct TenantRuntime {
     stats: TenantStats,
 }
 
-/// A request-oriented attention server: tenants, registered memories, a
-/// weighted-fair dynamic-batching [`Scheduler`], and one [`ComputeBackend`]
-/// executing the batches it forms on the caller's thread.
+/// A request-oriented attention server: tenants, registered memories,
+/// weighted-fair dynamic batching, and one [`ComputeBackend`] executing the
+/// batches it forms on the caller's thread.
 ///
 /// Construct via [`AttentionServer::builder`]. See the
 /// [module documentation](self) for the full request flow.
@@ -506,14 +509,16 @@ impl AttentionServer {
     /// fingerprint reuses its preparation — either whole or split row-wise across
     /// [`MemoryConfig::sharded`] shards (each shard cached under its own
     /// fingerprint, batches execute per shard and merge, bit-identical to direct
-    /// [`ComputeBackend::attend_sharded`] calls).
+    /// [`ComputeBackend::attend_sharded`] calls). Session ids are issued densely
+    /// from 0, in the order of the calls that succeed.
     ///
     /// # Errors
     ///
     /// * [`ServeError::UnknownTenant`] if [`MemoryConfig::tenant`] named a tenant
     ///   that was never registered.
-    /// * [`ServeError::Attention`] if the key/value shapes are inconsistent or the
-    ///   shard count is zero.
+    /// * [`ServeError::Attention`] if the key/value shapes are inconsistent, the
+    ///   shard count is zero, or the backend rejects its own configuration (an
+    ///   approximate backend's post-scoring threshold outside (0, 100]).
     pub fn register(&mut self, config: MemoryConfig<'_>) -> Result<SessionId, ServeError> {
         let tenant = config.tenant_id();
         if !self.tenants.contains_key(&tenant) {
@@ -716,8 +721,9 @@ impl AttentionServer {
     }
 
     /// Accepts a request into its session's queue and returns the id its response
-    /// will carry. The request is *not* executed yet — call [`AttentionServer::poll`]
-    /// with the current tick to run due batches.
+    /// will carry. Request ids are issued densely from 0 in call order, to
+    /// admitted requests only. The request is *not* executed yet — call
+    /// [`AttentionServer::poll`] with the current tick to run due batches.
     ///
     /// # Errors
     ///

@@ -4,7 +4,7 @@
 //! The scheduler is a pure batching policy — it decides *which requests run together
 //! and when*, and nothing else. [`super::AttentionServer`] pairs it with a
 //! [`crate::backend::ComputeBackend`] to actually execute batches; `a3-sim`'s
-//! discrete-event server model pairs the same scheduler with the cycle model, so the
+//! discrete-event server model replays its traces through that server, so the
 //! software and the simulator form identical batches from identical traces.
 //!
 //! A session's queue flushes at the earliest of three triggers:
@@ -55,8 +55,8 @@ const VIRTUAL_TIME_SCALE: u64 = 1 << 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Flush a session's queue as soon as it holds this many requests.
-    /// [`BatchPolicy::new`] rejects 0; a policy built with a literal 0 is
-    /// treated as 1 by [`Scheduler::new`].
+    /// [`BatchPolicy::new`] rejects 0; a server given a policy built with a
+    /// literal 0 treats it as 1.
     pub max_batch: usize,
     /// Flush a session's queue once its oldest request has waited this many ticks,
     /// even if the batch is not full. `0` removes the batching wait: a queue flushes
@@ -116,13 +116,14 @@ pub enum FlushReason {
     Deadline,
     /// The oldest queued request waited out the batch window.
     Window,
-    /// The caller force-flushed ([`Scheduler::pop_all`]), e.g. at shutdown.
+    /// The caller force-flushed ([`super::AttentionServer::flush_all`]), e.g. at
+    /// shutdown.
     Forced,
 }
 
 /// A request sitting in (or popped from) a session queue.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QueuedRequest {
+pub(crate) struct QueuedRequest {
     /// Server-issued request id.
     pub id: RequestId,
     /// The session (registered memory) this request targets.
@@ -137,7 +138,7 @@ pub struct QueuedRequest {
 
 /// A batch the scheduler decided to run: requests of one session, in arrival order.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FormedBatch {
+pub(crate) struct FormedBatch {
     /// The session every request in this batch targets.
     pub session: SessionId,
     /// Tick at which the batch became due (full/deadline/window trigger tick, or the
@@ -147,19 +148,6 @@ pub struct FormedBatch {
     pub reason: FlushReason,
     /// The batched requests, oldest first.
     pub requests: Vec<QueuedRequest>,
-}
-
-impl FormedBatch {
-    /// Number of requests in the batch.
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// True when the batch holds no requests (never produced by the scheduler; a
-    /// flush of an idle server yields no batches at all).
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
 }
 
 /// The tick at which a queue becomes due, and the trigger that makes it so.
@@ -215,7 +203,7 @@ struct DueLane {
 /// tenant id, session id) — identical request sequences always produce identical
 /// batch sequences.
 #[derive(Debug, Clone)]
-pub struct Scheduler {
+pub(crate) struct Scheduler {
     policy: BatchPolicy,
     /// Every session ever assigned a tenant or sent a request, sorted by id
     /// (a binary search is several times cheaper than a map lookup here).
@@ -296,6 +284,7 @@ impl Scheduler {
     }
 
     /// The tenant lane a session's requests flush through.
+    #[cfg(test)]
     pub fn session_tenant(&self, session: SessionId) -> TenantId {
         self.queue(session)
             .map_or(TenantId::DEFAULT, |queue| queue.tenant)
@@ -499,6 +488,7 @@ impl Scheduler {
 mod tests {
     use super::*;
     use crate::serve::Priority;
+    use proptest::prelude::*;
 
     fn req(id: u64, session: u64, arrival: Tick, deadline: Option<Tick>) -> QueuedRequest {
         QueuedRequest {
@@ -541,7 +531,7 @@ mod tests {
         assert_eq!(due.len(), 2);
         assert!(due
             .iter()
-            .all(|b| b.len() == 1 && b.reason == FlushReason::Full));
+            .all(|b| b.requests.len() == 1 && b.reason == FlushReason::Full));
         let forced = s.pop_all(100);
         assert_eq!(forced.len(), 1);
         assert_eq!(forced[0].requests[0].id, RequestId::from_raw(2));
@@ -559,7 +549,7 @@ mod tests {
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].reason, FlushReason::Full);
         assert_eq!(batches[0].formed_at, 25);
-        assert_eq!(batches[0].len(), 2);
+        assert_eq!(batches[0].requests.len(), 2);
         assert_eq!(s.pending(), 0);
     }
 
@@ -573,7 +563,7 @@ mod tests {
         let batches = s.pop_due(110);
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].reason, FlushReason::Window);
-        assert_eq!(batches[0].len(), 2);
+        assert_eq!(batches[0].requests.len(), 2);
     }
 
     #[test]
@@ -587,7 +577,7 @@ mod tests {
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].reason, FlushReason::Deadline);
         assert_eq!(batches[0].formed_at, 50);
-        assert_eq!(batches[0].len(), 2);
+        assert_eq!(batches[0].requests.len(), 2);
     }
 
     #[test]
@@ -624,7 +614,7 @@ mod tests {
         assert_eq!(batches.len(), 2);
         assert!(batches.iter().all(|b| b.reason == FlushReason::Forced));
         assert!(batches.iter().all(|b| b.formed_at == 7));
-        assert_eq!(batches.iter().map(FormedBatch::len).sum::<usize>(), 3);
+        assert_eq!(batches.iter().map(|b| b.requests.len()).sum::<usize>(), 3);
         assert_eq!(s.pending(), 0);
     }
 
@@ -976,5 +966,59 @@ mod tests {
             }
         }
         assert!(batches_seen > 10_000, "only {batches_seen} batches");
+    }
+
+    proptest! {
+        /// Under saturation (every session always has queued work), the weighted-fair
+        /// scheduler starves no tenant: over any long pop sequence, every tenant's
+        /// share of flushed requests is at least half its weight fraction.
+        #[test]
+        fn weighted_fair_flushing_starves_no_tenant(
+            weights in prop::collection::vec(1u64..9, 2..5),
+            rounds in 20usize..60,
+        ) {
+            let mut scheduler = Scheduler::new(BatchPolicy::per_request());
+            for (t, &w) in weights.iter().enumerate() {
+                let tenant = TenantId::from_raw(t as u64);
+                scheduler.set_tenant_weight(tenant, w);
+                scheduler.assign_session(SessionId::from_raw(t as u64), tenant);
+            }
+            // Saturate: every tenant has one session with `rounds` queued requests.
+            let mut id = 0u64;
+            for (t, _) in weights.iter().enumerate() {
+                for _ in 0..rounds {
+                    scheduler.enqueue(QueuedRequest {
+                        id: RequestId::from_raw(id),
+                        session: SessionId::from_raw(t as u64),
+                        query: vec![0.0],
+                        arrival: 0,
+                        deadline: None,
+                    });
+                    id += 1;
+                }
+            }
+            // Observe a window smaller than any single tenant's backlog, so the
+            // shares reflect the fair schedule, not queue exhaustion.
+            let window = rounds;
+            let mut popped = vec![0u64; weights.len()];
+            let mut seen = 0usize;
+            while seen < window {
+                for batch in scheduler.pop_due(0) {
+                    if seen < window {
+                        popped[batch.session.raw() as usize] += batch.requests.len() as u64;
+                        seen += batch.requests.len();
+                    }
+                }
+            }
+            let total_weight: u64 = weights.iter().sum();
+            for (t, &w) in weights.iter().enumerate() {
+                let fair_share = window as f64 * w as f64 / total_weight as f64;
+                prop_assert!(
+                    popped[t] as f64 >= (fair_share / 2.0).floor(),
+                    "tenant {t} (weight {w}) got {} of {window} pops, fair share {fair_share:.1}",
+                    popped[t]
+                );
+            }
+        }
     }
 }

@@ -16,8 +16,8 @@
 //!   without ever starving the rest.
 //!
 //! Everything here is integer arithmetic on logical [`Tick`]s: admission
-//! decisions are exact and deterministic, which keeps the software server and
-//! the `a3-sim` discrete-event model bit-for-bit agreed on which requests run.
+//! decisions are exact and deterministic, so a trace replayed through the server
+//! (as `a3-sim`'s discrete-event model does) always admits the same requests.
 
 use std::fmt;
 
@@ -157,20 +157,8 @@ impl RateLimit {
 /// scaled tokens. No floating point, no rounding drift: over any interval
 /// `[t0, t1]` the bucket admits at most
 /// `burst + (t1 - t0) · requests / per_ticks` requests.
-///
-/// ```
-/// use a3_core::serve::{RateLimit, TokenBucket};
-/// // 1 request per 100 ticks, burst of 2: the burst admits two back-to-back,
-/// // the third must wait for a refill.
-/// let limit = RateLimit::new(1, 100, 2).unwrap();
-/// let mut bucket = TokenBucket::new(limit, 0);
-/// assert!(bucket.try_admit(0));
-/// assert!(bucket.try_admit(0));
-/// assert!(!bucket.try_admit(50));
-/// assert!(bucket.try_admit(100));
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     limit: RateLimit,
     /// Scaled tokens: one admission costs `limit.per_ticks`.
     tokens: u64,
@@ -186,11 +174,6 @@ impl TokenBucket {
             tokens: Self::capacity_scaled(limit),
             refilled_at: now,
         }
-    }
-
-    /// The limit this bucket enforces.
-    pub fn limit(&self) -> RateLimit {
-        self.limit
     }
 
     fn capacity_scaled(limit: RateLimit) -> u64 {
@@ -212,6 +195,7 @@ impl TokenBucket {
     }
 
     /// Number of whole requests admissible at `now`, without admitting any.
+    #[cfg(test)]
     pub fn available(&self, now: Tick) -> u64 {
         self.tokens_at(now) / self.limit.per_ticks
     }
@@ -285,6 +269,7 @@ pub struct TenantStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn ids_and_priorities_render() {
@@ -350,7 +335,6 @@ mod tests {
         assert!(!bucket.try_admit(50));
         assert!(!bucket.try_admit(109));
         assert!(bucket.try_admit(110));
-        assert_eq!(bucket.limit(), limit);
     }
 
     #[test]
@@ -362,5 +346,95 @@ mod tests {
         let config = TenantConfig::new(Priority::High).with_rate_limit(limit);
         assert_eq!(config.priority(), Priority::High);
         assert_eq!(config.rate_limit(), Some(limit));
+    }
+
+    #[test]
+    fn burst_admits_back_to_back_then_waits_for_a_refill() {
+        // 1 request per 100 ticks, burst of 2: the burst admits two back-to-back,
+        // the third must wait for a refill.
+        let limit = RateLimit::new(1, 100, 2).unwrap();
+        let mut bucket = TokenBucket::new(limit, 0);
+        assert!(bucket.try_admit(0));
+        assert!(bucket.try_admit(0));
+        assert!(!bucket.try_admit(50));
+        assert!(bucket.try_admit(100));
+    }
+
+    /// Strategy producing a valid rate limit and a monotone tick trace to offer
+    /// against it.
+    fn rate_limit_case() -> impl Strategy<Value = (RateLimit, Vec<u64>)> {
+        (
+            1u64..8,
+            1u64..200,
+            1u64..6,
+            prop::collection::vec(0u64..50, 1..120),
+        )
+            .prop_map(|(requests, per_ticks, burst, gaps)| {
+                let limit = RateLimit::new(requests, per_ticks, burst).unwrap();
+                let mut now = 0u64;
+                let ticks = gaps
+                    .into_iter()
+                    .map(|gap| {
+                        now += gap;
+                        now
+                    })
+                    .collect();
+                (limit, ticks)
+            })
+    }
+
+    proptest! {
+        /// The token bucket never admits more than `burst + rate * elapsed` requests
+        /// over any trace, and an idle bucket refills to exactly its burst capacity —
+        /// the integer arithmetic neither leaks nor banks fractional tokens.
+        #[test]
+        fn token_bucket_never_exceeds_its_contracted_rate((limit, ticks) in rate_limit_case()) {
+            let start = ticks[0];
+            let mut bucket = TokenBucket::new(limit, start);
+            let mut admitted = 0u64;
+            for &now in &ticks {
+                if bucket.try_admit(now) {
+                    admitted += 1;
+                }
+            }
+            let elapsed = ticks.last().unwrap() - start;
+            // Upper bound: the initial burst plus every token the elapsed time can
+            // mint (integer refill: elapsed * requests / per_ticks, rounded up for
+            // the partial token the last admit may have consumed).
+            let minted = elapsed * limit.requests() / limit.per_ticks() + 1;
+            prop_assert!(
+                admitted <= limit.burst() + minted,
+                "admitted {admitted} > burst {} + minted {minted}",
+                limit.burst()
+            );
+        }
+
+        /// After draining, a bucket left idle for long enough refills back to exactly
+        /// `burst` available admissions — never more.
+        #[test]
+        fn token_bucket_refills_exactly_to_burst((limit, _) in rate_limit_case(), idle in 1u64..4) {
+            let mut bucket = TokenBucket::new(limit, 0);
+            while bucket.try_admit(0) {}
+            prop_assert_eq!(bucket.available(0), 0);
+            // Enough idle time to mint the full burst several times over.
+            let later = idle * limit.burst() * limit.per_ticks() / limit.requests() + limit.per_ticks();
+            prop_assert_eq!(bucket.available(later), limit.burst());
+            let mut readmitted = 0u64;
+            while bucket.try_admit(later) {
+                readmitted += 1;
+            }
+            prop_assert_eq!(readmitted, limit.burst());
+        }
+    }
+
+    #[test]
+    fn token_bucket_ignores_time_running_backwards() {
+        let limit = RateLimit::new(1, 100, 1).unwrap();
+        let mut bucket = TokenBucket::new(limit, 1_000);
+        assert!(bucket.try_admit(1_000));
+        // An out-of-order earlier tick earns no refill and admits nothing.
+        assert!(!bucket.try_admit(500));
+        assert!(!bucket.try_admit(1_050));
+        assert!(bucket.try_admit(1_100));
     }
 }

@@ -1,132 +1,13 @@
-//! Property-based tests for the multi-tenant serving layer: token-bucket
-//! admission, weighted-fair flushing, and session lookup.
+//! Tests of the multi-tenant serving layer through its public API: session
+//! lookup and priority weights. Token-bucket admission and weighted-fair
+//! flushing are crate-private; their property tests live beside them.
 
 use std::collections::BTreeMap;
 
-use a3_core::serve::{
-    BatchPolicy, Priority, QueuedRequest, RateLimit, RequestId, Scheduler, SessionId, TenantId,
-    TokenBucket,
-};
+use a3_core::serve::{Priority, SessionId};
 use proptest::prelude::*;
 
-/// Strategy producing a valid rate limit and a monotone tick trace to offer
-/// against it.
-fn rate_limit_case() -> impl Strategy<Value = (RateLimit, Vec<u64>)> {
-    (
-        1u64..8,
-        1u64..200,
-        1u64..6,
-        prop::collection::vec(0u64..50, 1..120),
-    )
-        .prop_map(|(requests, per_ticks, burst, gaps)| {
-            let limit = RateLimit::new(requests, per_ticks, burst).unwrap();
-            let mut now = 0u64;
-            let ticks = gaps
-                .into_iter()
-                .map(|gap| {
-                    now += gap;
-                    now
-                })
-                .collect();
-            (limit, ticks)
-        })
-}
-
 proptest! {
-    /// The token bucket never admits more than `burst + rate * elapsed` requests
-    /// over any trace, and an idle bucket refills to exactly its burst capacity —
-    /// the integer arithmetic neither leaks nor banks fractional tokens.
-    #[test]
-    fn token_bucket_never_exceeds_its_contracted_rate((limit, ticks) in rate_limit_case()) {
-        let start = ticks[0];
-        let mut bucket = TokenBucket::new(limit, start);
-        let mut admitted = 0u64;
-        for &now in &ticks {
-            if bucket.try_admit(now) {
-                admitted += 1;
-            }
-        }
-        let elapsed = ticks.last().unwrap() - start;
-        // Upper bound: the initial burst plus every token the elapsed time can
-        // mint (integer refill: elapsed * requests / per_ticks, rounded up for
-        // the partial token the last admit may have consumed).
-        let minted = elapsed * limit.requests() / limit.per_ticks() + 1;
-        prop_assert!(
-            admitted <= limit.burst() + minted,
-            "admitted {admitted} > burst {} + minted {minted}",
-            limit.burst()
-        );
-    }
-
-    /// After draining, a bucket left idle for long enough refills back to exactly
-    /// `burst` available admissions — never more.
-    #[test]
-    fn token_bucket_refills_exactly_to_burst((limit, _) in rate_limit_case(), idle in 1u64..4) {
-        let mut bucket = TokenBucket::new(limit, 0);
-        while bucket.try_admit(0) {}
-        prop_assert_eq!(bucket.available(0), 0);
-        // Enough idle time to mint the full burst several times over.
-        let later = idle * limit.burst() * limit.per_ticks() / limit.requests() + limit.per_ticks();
-        prop_assert_eq!(bucket.available(later), limit.burst());
-        let mut readmitted = 0u64;
-        while bucket.try_admit(later) {
-            readmitted += 1;
-        }
-        prop_assert_eq!(readmitted, limit.burst());
-    }
-
-    /// Under saturation (every session always has queued work), the weighted-fair
-    /// scheduler starves no tenant: over any long pop sequence, every tenant's
-    /// share of flushed requests is at least half its weight fraction.
-    #[test]
-    fn weighted_fair_flushing_starves_no_tenant(
-        weights in prop::collection::vec(1u64..9, 2..5),
-        rounds in 20usize..60,
-    ) {
-        let mut scheduler = Scheduler::new(BatchPolicy::per_request());
-        for (t, &w) in weights.iter().enumerate() {
-            let tenant = TenantId::from_raw(t as u64);
-            scheduler.set_tenant_weight(tenant, w);
-            scheduler.assign_session(SessionId::from_raw(t as u64), tenant);
-        }
-        // Saturate: every tenant has one session with `rounds` queued requests.
-        let mut id = 0u64;
-        for (t, _) in weights.iter().enumerate() {
-            for _ in 0..rounds {
-                scheduler.enqueue(QueuedRequest {
-                    id: RequestId::from_raw(id),
-                    session: SessionId::from_raw(t as u64),
-                    query: vec![0.0],
-                    arrival: 0,
-                    deadline: None,
-                });
-                id += 1;
-            }
-        }
-        // Observe a window smaller than any single tenant's backlog, so the
-        // shares reflect the fair schedule, not queue exhaustion.
-        let window = rounds;
-        let mut popped = vec![0u64; weights.len()];
-        let mut seen = 0usize;
-        while seen < window {
-            for batch in scheduler.pop_due(0) {
-                if seen < window {
-                    popped[batch.session.raw() as usize] += batch.requests.len() as u64;
-                    seen += batch.requests.len();
-                }
-            }
-        }
-        let total_weight: u64 = weights.iter().sum();
-        for (t, &w) in weights.iter().enumerate() {
-            let fair_share = window as f64 * w as f64 / total_weight as f64;
-            prop_assert!(
-                popped[t] as f64 >= (fair_share / 2.0).floor(),
-                "tenant {t} (weight {w}) got {} of {window} pops, fair share {fair_share:.1}",
-                popped[t]
-            );
-        }
-    }
-
     /// Session lookup is observationally equivalent to a flat `BTreeMap` over
     /// arbitrary register/lookup traces: same lookups, same length, same
     /// id-ordered iteration.
@@ -165,17 +46,6 @@ proptest! {
             prop_assert!(server.session(id).is_some());
         }
     }
-}
-
-#[test]
-fn token_bucket_ignores_time_running_backwards() {
-    let limit = RateLimit::new(1, 100, 1).unwrap();
-    let mut bucket = TokenBucket::new(limit, 1_000);
-    assert!(bucket.try_admit(1_000));
-    // An out-of-order earlier tick earns no refill and admits nothing.
-    assert!(!bucket.try_admit(500));
-    assert!(!bucket.try_admit(1_050));
-    assert!(bucket.try_admit(1_100));
 }
 
 #[test]

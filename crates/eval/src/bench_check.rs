@@ -36,8 +36,8 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use a3_core::backend::{
-    ApproximateBackend, ComputeBackend, ExactBackend, MemoryCache, QuantizedBackend, SimdBackend,
-    SimdLevel,
+    ApproximateBackend, ComputeBackend, ExactBackend, MemoryCache, PreparedMemory,
+    QuantizedBackend, SimdBackend, SimdLevel,
 };
 use a3_core::Matrix;
 use a3_sim::{A3Config, MultiUnit, PipelineModel};
@@ -221,7 +221,7 @@ const APPEND_BURST: usize = 8;
 fn measure_incremental_append(
     effort: Effort,
     approx: &ApproximateBackend,
-    base: &a3_core::backend::PreparedMemory,
+    base: &PreparedMemory,
 ) -> (f64, f64) {
     let pool_size = match effort {
         Effort::Full => 48,
@@ -390,85 +390,48 @@ pub fn measure(effort: Effort) -> Vec<Metric> {
     }
 
     // -- Wall-clock medians of the software hot paths (informational). ----------
-    let exact_memory = ExactBackend.prepare(&keys, &values).expect("valid shapes");
-    let exact_ns = median_ns(effort, || {
-        std::hint::black_box(
-            ExactBackend
-                .attend_batch_prepared(&exact_memory, std::hint::black_box(&rows))
-                .expect("valid shapes"),
-        );
-    });
-    metrics.push(Metric::new(
-        "wall_ns/exact_batch_320x64",
-        MetricUnit::Nanos,
-        exact_ns,
-        false,
-    ));
-
-    let simd = SimdBackend::new();
-    let simd_memory = simd.prepare(&keys, &values).expect("valid shapes");
-    let simd_ns = median_ns(effort, || {
-        std::hint::black_box(
-            simd.attend_batch_prepared(&simd_memory, std::hint::black_box(&rows))
-                .expect("valid shapes"),
-        );
-    });
-    metrics.push(Metric::new(
-        "wall_ns/simd_batch_320x64",
-        MetricUnit::Nanos,
-        simd_ns,
-        false,
-    ));
-
-    let quantized = QuantizedBackend::paper();
-    let quantized_memory = quantized.prepare(&keys, &values).expect("valid shapes");
-    let quantized_ns = median_ns(effort, || {
-        std::hint::black_box(
-            quantized
-                .attend_batch_prepared(&quantized_memory, std::hint::black_box(&rows))
-                .expect("valid shapes"),
-        );
-    });
-    metrics.push(Metric::new(
-        "wall_ns/quantized_simd_batch_320x64",
-        MetricUnit::Nanos,
-        quantized_ns,
-        false,
-    ));
-
-    let quantized_scalar = QuantizedBackend::paper_scalar();
-    let quantized_scalar_memory = quantized_scalar
-        .prepare(&keys, &values)
-        .expect("valid shapes");
-    let quantized_scalar_ns = median_ns(effort, || {
-        std::hint::black_box(
-            quantized_scalar
-                .attend_batch_prepared(&quantized_scalar_memory, std::hint::black_box(&rows))
-                .expect("valid shapes"),
-        );
-    });
-    metrics.push(Metric::new(
-        "wall_ns/quantized_batch_320x64",
-        MetricUnit::Nanos,
-        quantized_scalar_ns,
-        false,
-    ));
-
+    //
+    // The five warm-batch datapaths, each prepared once; `batch(label)` times one
+    // 32-query batch against the resident memory, and every wall-clock row and
+    // batch-against-batch ratio below reads its closures from this table.
     let approx = ApproximateBackend::conservative();
-    let approx_memory = approx.prepare(&keys, &values).expect("valid shapes");
-    let approx_ns = median_ns(effort, || {
-        std::hint::black_box(
-            approx
-                .attend_batch_prepared(&approx_memory, std::hint::black_box(&rows))
-                .expect("valid shapes"),
-        );
-    });
-    metrics.push(Metric::new(
-        "wall_ns/approx_warm_batch_320x64",
-        MetricUnit::Nanos,
-        approx_ns,
-        false,
-    ));
+    let datapaths: [(&str, &dyn ComputeBackend); 5] = [
+        ("exact", &ExactBackend),
+        ("simd", &SimdBackend::new()),
+        ("quantized_simd", &QuantizedBackend::paper()),
+        ("quantized", &QuantizedBackend::paper_scalar()),
+        ("approx_warm", &approx),
+    ];
+    let prepared: Vec<PreparedMemory> = datapaths
+        .iter()
+        .map(|(_, backend)| backend.prepare(&keys, &values).expect("valid shapes"))
+        .collect();
+    let slot = |label: &str| {
+        datapaths
+            .iter()
+            .position(|&(l, _)| l == label)
+            .expect("a datapath of the table")
+    };
+    let rows = &rows;
+    let batch = |label: &str| {
+        let (backend, memory) = (datapaths[slot(label)].1, &prepared[slot(label)]);
+        move || {
+            std::hint::black_box(
+                backend
+                    .attend_batch_prepared(memory, std::hint::black_box(rows))
+                    .expect("valid shapes"),
+            );
+        }
+    };
+    for (label, _) in &datapaths {
+        metrics.push(Metric::new(
+            &format!("wall_ns/{label}_batch_320x64"),
+            MetricUnit::Nanos,
+            median_ns(effort, batch(label)),
+            false,
+        ));
+    }
+    let approx_memory = &prepared[slot("approx_warm")];
 
     let prepare_ns = median_ns(effort, || {
         std::hint::black_box(
@@ -490,7 +453,7 @@ pub fn measure(effort: Effort) -> Vec<Metric> {
     // like the server's uniquely-owned `Arc`), against the rebuild-per-token
     // full re-prepare it replaces. Both timings interleave inside each sample,
     // so machine-wide noise divides out of the ratio.
-    let (append_ns, append_ratio) = measure_incremental_append(effort, &approx, &approx_memory);
+    let (append_ns, append_ratio) = measure_incremental_append(effort, &approx, approx_memory);
     metrics.push(Metric::new(
         "wall_ns/incremental_append_320x64",
         MetricUnit::Nanos,
@@ -499,29 +462,13 @@ pub fn measure(effort: Effort) -> Vec<Metric> {
     ));
 
     // -- Machine-transferable ratios between components, interleaved (gated). ----
-    let exact_batch = || {
-        std::hint::black_box(
-            ExactBackend
-                .attend_batch_prepared(&exact_memory, std::hint::black_box(&rows))
-                .expect("valid shapes"),
-        );
-    };
-    if simd.level() == SimdLevel::Avx2 {
+    if SimdBackend::new().level() == SimdLevel::Avx2 {
         // Skipped on scalar hosts: with both sides the same code the ratio is ~1
         // and would spuriously trip the gate against an AVX2 baseline.
         metrics.push(Metric::new(
             "ratio/simd_vs_exact_batch",
             MetricUnit::Ratio,
-            median_interleaved_ratio(
-                effort,
-                || {
-                    std::hint::black_box(
-                        simd.attend_batch_prepared(&simd_memory, std::hint::black_box(&rows))
-                            .expect("valid shapes"),
-                    );
-                },
-                exact_batch,
-            ),
+            median_interleaved_ratio(effort, batch("simd"), batch("exact")),
             true,
         ));
         // The integer-kernel win over the scalar quantized datapath; like the
@@ -530,43 +477,14 @@ pub fn measure(effort: Effort) -> Vec<Metric> {
         metrics.push(Metric::new(
             "ratio/quantized_simd_vs_quantized_batch",
             MetricUnit::Ratio,
-            median_interleaved_ratio(
-                effort,
-                || {
-                    std::hint::black_box(
-                        quantized
-                            .attend_batch_prepared(&quantized_memory, std::hint::black_box(&rows))
-                            .expect("valid shapes"),
-                    );
-                },
-                || {
-                    std::hint::black_box(
-                        quantized_scalar
-                            .attend_batch_prepared(
-                                &quantized_scalar_memory,
-                                std::hint::black_box(&rows),
-                            )
-                            .expect("valid shapes"),
-                    );
-                },
-            ),
+            median_interleaved_ratio(effort, batch("quantized_simd"), batch("quantized")),
             true,
         ));
     }
     metrics.push(Metric::new(
         "ratio/approx_warm_vs_exact_batch",
         MetricUnit::Ratio,
-        median_interleaved_ratio(
-            effort,
-            || {
-                std::hint::black_box(
-                    approx
-                        .attend_batch_prepared(&approx_memory, std::hint::black_box(&rows))
-                        .expect("valid shapes"),
-                );
-            },
-            exact_batch,
-        ),
+        median_interleaved_ratio(effort, batch("approx_warm"), batch("exact")),
         true,
     ));
     metrics.push(Metric::new(
@@ -580,14 +498,8 @@ pub fn measure(effort: Effort) -> Vec<Metric> {
         MetricUnit::Ratio,
         median_interleaved_ratio(
             effort,
-            || {
-                // Warm: the prepared memory is resident, only per-query work runs.
-                std::hint::black_box(
-                    approx
-                        .attend_batch_prepared(&approx_memory, std::hint::black_box(&rows))
-                        .expect("valid shapes"),
-                );
-            },
+            // Warm: the prepared memory is resident, only per-query work runs.
+            batch("approx_warm"),
             || {
                 // Cold: every batch re-runs the per-column key sort first.
                 let memory = approx
@@ -595,7 +507,7 @@ pub fn measure(effort: Effort) -> Vec<Metric> {
                     .expect("valid shapes");
                 std::hint::black_box(
                     approx
-                        .attend_batch_prepared(&memory, std::hint::black_box(&rows))
+                        .attend_batch_prepared(&memory, std::hint::black_box(rows))
                         .expect("valid shapes"),
                 );
             },

@@ -1,8 +1,9 @@
 //! Multi-tenant QoS serving: priority isolation and cost-aware cache admission.
 //!
 //! The serve layer's tenancy policies (weighted-fair flushing, token-bucket
-//! admission, cost-aware preprocessing-cache admission) are replayed through the
-//! cycle-accurate [`a3_sim::ServerSim`] mirror. Two sweeps:
+//! admission, cost-aware preprocessing-cache admission) are replayed through
+//! [`a3_sim::ServerSim`], which drives the real server on a cycle clock. Two
+//! sweeps:
 //!
 //! * **Isolation** — one high-priority tenant shares the unit with a growing set
 //!   of rate-limited background tenants that offer up to 10x their admitted
@@ -22,7 +23,7 @@ use a3_core::backend::{ApproximateBackend, ExactBackend};
 use a3_core::Matrix;
 use a3_sim::{
     A3Config, BatchPolicy, CacheAdmission, MemoryCache, PipelineModel, Priority, RateLimit,
-    ServerSim, SimReport, TenantSpec, TraceRequest,
+    ServerSim, SimReport, TenantConfig, TraceRequest,
 };
 
 use crate::report::{fmt_ratio, Table};
@@ -142,11 +143,12 @@ fn isolation_case(
         memories.push(memory(64, 100 + b as u64));
     }
     let session_tenants: Vec<usize> = (0..memories.len()).collect();
-    let mut tenants = vec![TenantSpec::with_priority(Priority::High)];
+    let mut tenants = vec![TenantConfig::new(Priority::High)];
     for _ in 0..background_tenants {
         tenants.push(
-            TenantSpec::with_priority(Priority::Background)
-                .with_rate(RateLimit::new(1, BACKGROUND_ADMIT_TICKS, 2).expect("non-zero rate")),
+            TenantConfig::new(Priority::Background).with_rate_limit(
+                RateLimit::new(1, BACKGROUND_ADMIT_TICKS, 2).expect("non-zero rate"),
+            ),
         );
     }
 

@@ -50,11 +50,6 @@ pub(crate) fn index_to_raw_magnitude(index: usize) -> i64 {
     index as i64
 }
 
-/// A table entry count as an operation/size count for reports.
-pub(crate) fn len_as_u64(len: usize) -> u64 {
-    len as u64
-}
-
 /// A sample/loop count as an `f64` for averaging (exact below 2^53).
 pub(crate) fn count_to_f64(count: usize) -> f64 {
     count as f64
@@ -98,6 +93,5 @@ mod tests {
     fn index_helpers_round_trip() {
         assert_eq!(table_index(511), 511);
         assert_eq!(index_to_raw_magnitude(511), 511);
-        assert_eq!(len_as_u64(4096), 4096);
     }
 }

@@ -157,12 +157,6 @@ impl ExpLut {
         }
     }
 
-    /// Total table size in bits (entries times entry width), used by the area model.
-    pub fn table_bits(&self) -> u64 {
-        let (a, b) = self.table_entries();
-        (a + b) * u64::from(self.entry_format.storage_bits())
-    }
-
     /// The fixed-point format of the stored ROM entries
     /// (`Q1.(output_frac + guard)` for the paper configuration). Range-prover
     /// metadata: together with [`ExpLut::max_entry_raw`] it bounds every table
@@ -265,8 +259,6 @@ impl ExpLut {
             lower_bits: self.lower_bits,
             round_shift: 2 * self.entry_format.frac_bits() - self.config.output_format.frac_bits(),
             out_max_raw: self.config.output_format.max_raw(),
-            model_upper: 1u64 << self.upper_bits,
-            model_lower: 1u64 << self.lower_bits,
             upper_range: entry_range(&upper),
             lower_range: entry_range(&lower),
             upper,
@@ -350,8 +342,6 @@ pub struct ExpLutTables {
     lower_bits: u32,
     round_shift: u32,
     out_max_raw: i64,
-    model_upper: u64,
-    model_lower: u64,
     upper_range: (i64, i64),
     lower_range: (i64, i64),
     upper: Vec<i32>,
@@ -413,18 +403,6 @@ impl ExpLutTables {
     /// `magnitude & (2^lower_bits - 1)` reads exactly this layout).
     pub fn lower_entries(&self) -> &[i32] {
         &self.lower
-    }
-
-    /// Number of entries in the (upper, lower) tables as the hardware area model
-    /// counts them (the implementation's sentinel entry for the most negative input
-    /// is an artifact of modelling in software, not a stored ROM word).
-    pub fn model_entries(&self) -> (u64, u64) {
-        (self.model_upper, self.model_lower)
-    }
-
-    /// Physical number of `i32` entries held in memory by this materialization.
-    pub fn physical_entries(&self) -> u64 {
-        cast::len_as_u64(self.upper.len()) + cast::len_as_u64(self.lower.len())
     }
 
     /// `(min, max)` over the raw upper-table entries, sentinel included.
@@ -534,13 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn two_half_is_much_smaller_than_single() {
-        let two = ExpLut::two_half(QFormat::new(8, 8), QFormat::new(0, 8));
-        let single = ExpLut::single(QFormat::new(8, 8), QFormat::new(0, 8));
-        assert!(two.table_bits() * 32 < single.table_bits());
-    }
-
-    #[test]
     fn report_error_bounded() {
         let lut = paper_lut();
         let report = lut.report(-16.0, 512);
@@ -647,7 +618,9 @@ mod tests {
     fn materialized_entry_counts() {
         let lut = ExpLut::two_half(QFormat::new(8, 8), QFormat::new(0, 8));
         let tables = lut.materialize().unwrap();
-        assert_eq!(tables.model_entries(), (256, 256));
-        assert_eq!(tables.physical_entries(), 256 + 256 + 1);
+        // Two 256-entry tables, plus the upper table's sentinel for the most
+        // negative input.
+        assert_eq!(tables.upper_entries().len(), 257);
+        assert_eq!(tables.lower_entries().len(), 256);
     }
 }

@@ -4,7 +4,6 @@ use std::ops::RangeInclusive;
 
 use serde::{Deserialize, Serialize};
 
-use crate::cast;
 use crate::qformat::ceil_log2;
 use crate::QFormat;
 
@@ -240,18 +239,6 @@ impl PipelineFormats {
             && Self::GRID_LN.contains(&ceil_log2(self.n))
             && self.lane_gates().iter().all(LaneGate::holds)
     }
-
-    /// Total number of register bits needed for the dot-product outcome register file
-    /// (`n` entries in the dot-product format). Used by the energy/area model.
-    pub fn dot_product_register_bits(&self) -> u64 {
-        cast::len_as_u64(self.n) * u64::from(self.dot_product.storage_bits())
-    }
-
-    /// Total number of register bits needed for the output accumulator (`d` entries in
-    /// the output format).
-    pub fn output_register_bits(&self) -> u64 {
-        cast::len_as_u64(self.d) * u64::from(self.output.storage_bits())
-    }
 }
 
 impl Default for PipelineFormats {
@@ -289,15 +276,6 @@ mod tests {
         assert_eq!(f.output(), QFormat::new(6, 9));
         assert_eq!(f.n(), 16);
         assert_eq!(f.d(), 8);
-    }
-
-    #[test]
-    fn register_bit_counts() {
-        let f = PipelineFormats::paper_default();
-        // 320 entries x (14 + 8 + 1) bits
-        assert_eq!(f.dot_product_register_bits(), 320 * 23);
-        // 64 entries x (13 + 12 + 1) bits
-        assert_eq!(f.output_register_bits(), 64 * 26);
     }
 
     #[test]

@@ -7,8 +7,7 @@ use serde::{Deserialize, Serialize};
 /// Synthesis-time and run-time configuration of one A3 unit.
 ///
 /// The defaults reproduce the instance evaluated in the paper: `n = 320`, `d = 64`,
-/// 1 GHz clock, `Q4.4` inputs, a 4-entry component-multiplication refill pipeline and a
-/// 16-wide greedy-score / post-scoring scan.
+/// 1 GHz clock, `Q4.4` inputs and a 16-wide greedy-score / post-scoring scan.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct A3Config {
     /// Maximum number of key/value rows held in SRAM (`n`).
@@ -19,9 +18,6 @@ pub struct A3Config {
     pub clock_hz: f64,
     /// Input fixed-point format (`Q4.4` in the paper).
     pub input_format: QFormat,
-    /// Critical-path length of the candidate-selection loop body in cycles (`c = 4`),
-    /// i.e. the depth of the per-column component-multiplication circular buffers.
-    pub refill_depth: usize,
     /// Number of greedy-score registers scanned per cycle (and post-scoring comparisons
     /// per cycle): 16 in the paper.
     pub scan_width: usize,
@@ -37,7 +33,6 @@ impl A3Config {
             d: 64,
             clock_hz: 1e9,
             input_format: a3_fixed::paper_input_format(),
-            refill_depth: 4,
             scan_width: 16,
             approx: ApproxConfig::none(),
         }
@@ -70,11 +65,6 @@ impl A3Config {
     /// Clock period in seconds.
     pub fn clock_period_s(&self) -> f64 {
         1.0 / self.clock_hz
-    }
-
-    /// Converts a cycle count into seconds at this configuration's clock.
-    pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
-        cycles as f64 * self.clock_period_s()
     }
 
     /// True when this configuration uses any approximation stage.
@@ -119,7 +109,6 @@ mod tests {
         assert_eq!(c.n_max, 320);
         assert_eq!(c.d, 64);
         assert_eq!(c.clock_hz, 1e9);
-        assert_eq!(c.refill_depth, 4);
         assert_eq!(c.scan_width, 16);
         assert!(!c.is_approximate());
         assert!(A3Config::paper_conservative().is_approximate());
@@ -129,7 +118,6 @@ mod tests {
     #[test]
     fn cycle_conversion() {
         let c = A3Config::paper_base();
-        assert!((c.cycles_to_seconds(1_000_000_000) - 1.0).abs() < 1e-12);
         assert!((c.clock_period_s() - 1e-9).abs() < 1e-20);
     }
 

@@ -2,15 +2,13 @@
 //!
 //! The crate models the hardware described in Sections III and V of the paper:
 //!
-//! * [`config`] — the synthesis-time configuration (`n`, `d`, clock, refill depth `c`,
-//!   scan width) and the run-time approximation knobs;
+//! * [`config`] — the synthesis-time configuration (`n`, `d`, clock, scan width)
+//!   and the run-time approximation knobs;
 //! * [`pipeline`] — the cycle model of the base three-module pipeline (latency
 //!   `3n + 27`, throughput `n + 9` cycles/query) and of the five-module approximate
 //!   pipeline (latency `M + C + 2K + α`, throughput limited by the candidate selector),
 //!   driven by the *actual* candidate/selection counts produced by the algorithms in
 //!   [`a3_core`];
-//! * [`sram`] — the on-chip buffer sizing (20 KB key, 20 KB value, 40 KB sorted-key
-//!   SRAMs for the paper's `n = 320`, `d = 64` instance);
 //! * [`energy`] — the per-module area and power characteristics of Table I and an
 //!   activity-based energy model that reproduces Figure 15;
 //! * [`multi_unit`] — scaling across multiple A3 units (Section III-C and the BERT
@@ -18,11 +16,11 @@
 //!   with an explicit cross-shard merge stage, plus the paper's analytic
 //!   independent-operation formula kept as a cross-check;
 //! * [`server`] — a discrete-event queue model of the request-oriented serving
-//!   front-end: replays a request trace through the dynamic-batching scheduler of
-//!   [`a3_core::serve`] and charges batching wait, queueing delay,
-//!   preprocessing-on-miss and accelerator cycles into per-request latency —
-//!   including the serve layer's multi-tenant weighted-fair scheduling and
-//!   token-bucket admission policies.
+//!   front-end: replays a request trace through a real
+//!   [`a3_core::serve::AttentionServer`], which decides token-bucket admission and
+//!   weighted-fair dynamic batching, and charges batching wait, queueing delay,
+//!   preprocessing-on-miss and accelerator cycles into per-request latency on its
+//!   own cycle clock.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -32,20 +30,16 @@ pub mod energy;
 pub mod multi_unit;
 pub mod pipeline;
 pub mod server;
-pub mod sram;
 
 pub use config::A3Config;
 pub use energy::{EnergyBreakdown, EnergyModel, ModuleCharacteristics, TableI};
 pub use multi_unit::{merge_query_cycles, MultiUnit, ShardedSimReport, MERGE_ALPHA, MERGE_LANES};
 pub use pipeline::{PipelineModel, QueryCost, SimReport};
-pub use server::{
-    poisson_arrival_cycles, RequestOutcome, ServerSim, TenantReport, TenantSpec, TraceRequest,
-};
-pub use sram::SramConfig;
+pub use server::{poisson_arrival_cycles, RequestOutcome, ServerSim, TenantReport, TraceRequest};
 
 // Re-exported so simulator callers can drive the cached serving entry points without
 // depending on `a3_core::backend` directly.
 pub use a3_core::backend::{CacheAdmission, ComputeBackend, MemoryCache, ShardPlan, ShardedMemory};
-// Re-exported so request-trace callers can build policies and tenant QoS specs
-// without depending on `a3_core::serve` directly.
-pub use a3_core::serve::{BatchPolicy, Priority, RateLimit, TenantId, TokenBucket};
+// Re-exported so request-trace callers can build policies and tenant
+// configurations without depending on `a3_core::serve` directly.
+pub use a3_core::serve::{BatchPolicy, Priority, RateLimit, TenantConfig, TenantId};

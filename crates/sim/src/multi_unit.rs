@@ -127,12 +127,6 @@ impl MultiUnit {
         TableI::paper().total_area_mm2() * self.units as f64
     }
 
-    /// Aggregate peak power in watts.
-    pub fn peak_power_w(&self) -> f64 {
-        let t = TableI::paper();
-        (t.total_dynamic_mw() + t.total_static_mw()) * 1e-3 * self.units as f64
-    }
-
     /// Energy per attention operation in joules (identical to a single unit — scaling
     /// out does not change per-operation energy).
     pub fn energy_per_op_j(&self, single_unit: &SimReport) -> f64 {
@@ -310,7 +304,6 @@ mod tests {
         let cfg = A3Config::paper_base();
         let g = MultiUnit::new(7, cfg);
         assert!((g.total_area_mm2() - 7.0 * 2.082).abs() < 0.1);
-        assert!(g.peak_power_w() < 7.0 * 0.111);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Discrete-event queue model of the request-oriented serving front-end.
 //!
-//! [`ServerSim`] replays a trace of single-query requests through the *same*
-//! dynamic-batching [`Scheduler`] the software [`a3_core::serve::AttentionServer`]
-//! uses, interpreting ticks as accelerator clock cycles, and charges every component
-//! of per-request latency:
+//! [`ServerSim`] replays a trace of single-query requests through a real
+//! [`AttentionServer`], interpreting ticks as accelerator clock cycles: the server
+//! decides admission, tenant accounting and weighted-fair dynamic batching, and the
+//! simulator keeps only its cycle clock, charging every component of per-request
+//! latency:
 //!
 //! * **batching wait** — the gap between a request's arrival and its batch's flush
-//!   (full / window / deadline trigger, exactly the software scheduler's decision);
+//!   (full / window / deadline trigger, the server's own decision);
 //! * **queueing delay** — time the flushed batch spends waiting for the single A3
 //!   unit to drain earlier batches;
 //! * **preprocessing on miss** — host-side sort/quantization cycles when the batch's
@@ -18,12 +19,12 @@
 //! The replay extends [`SimReport`] with queue-depth, batch-fill and deadline-miss
 //! statistics; per-request detail is available from [`ServerSim::replay_detailed`].
 
-use a3_core::backend::{ComputeBackend, MemoryCache};
+use a3_core::attention::AttentionResult;
+use a3_core::backend::{ComputeBackend, MemoryCache, PreparedMemory, PreparedState};
 use a3_core::serve::{
-    BatchPolicy, Priority, QueuedRequest, RateLimit, RequestId, Scheduler, SessionId, TenantId,
-    TokenBucket,
+    AttentionServer, BatchPolicy, MemoryConfig, Request, SessionId, TenantConfig, TenantId,
 };
-use a3_core::Matrix;
+use a3_core::{AttentionError, Matrix, ServeError};
 use serde::{Deserialize, Serialize};
 
 use crate::pipeline::{Drain, ModuleActivity, PipelineModel, SimReport};
@@ -93,34 +94,6 @@ impl RequestOutcome {
     }
 }
 
-/// Per-tenant QoS configuration of a multi-tenant replay: the scheduling
-/// priority class (mapped to a weighted-fair lane weight, exactly as in
-/// [`a3_core::serve::AttentionServer`]) and an optional token-bucket admission
-/// rate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantSpec {
-    /// Priority class; the default is [`Priority::Normal`].
-    pub priority: Priority,
-    /// Optional admission rate; `None` admits every arrival.
-    pub rate: Option<RateLimit>,
-}
-
-impl TenantSpec {
-    /// A spec with the given priority and no rate limit.
-    pub fn with_priority(priority: Priority) -> Self {
-        Self {
-            priority,
-            rate: None,
-        }
-    }
-
-    /// Attaches a token-bucket admission rate.
-    pub fn with_rate(mut self, rate: RateLimit) -> Self {
-        self.rate = Some(rate);
-        self
-    }
-}
-
 /// Per-tenant outcome aggregation of one multi-tenant replay.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantReport {
@@ -167,8 +140,8 @@ impl ServerSim {
         self.policy
     }
 
-    /// Replays `trace` against `memories` through `backend`, forming batches with the
-    /// serve-layer scheduler, and aggregates the result. See
+    /// Replays `trace` against `memories` through `backend`, forming batches with a
+    /// real [`AttentionServer`], and aggregates the result. See
     /// [`ServerSim::replay_detailed`] for per-request outcomes.
     ///
     /// # Panics
@@ -206,7 +179,7 @@ impl ServerSim {
             cache,
             memories,
             &session_tenants,
-            &[TenantSpec::default()],
+            &[TenantConfig::default()],
             trace,
         );
         let outcomes = outcomes
@@ -217,10 +190,12 @@ impl ServerSim {
     }
 
     /// Replays `trace` with tenancy: `session_tenants[s]` names the tenant (an
-    /// index into `tenants`) owning memory `s`. Each tenant's priority class
-    /// weights the scheduler's fair flush order and its optional rate limit arms
-    /// a token bucket that drops over-rate arrivals at admission — mirroring
-    /// [`a3_core::serve::AttentionServer`]'s policies cycle-accurately.
+    /// index into `tenants`) owning memory `s`. The trace runs through a real
+    /// [`AttentionServer`] with tenant `t` registered as
+    /// `TenantId::from_raw(t)`, so each tenant's priority class weights the
+    /// server's fair flush order and its optional rate limit drops over-rate
+    /// arrivals at admission. The server's own backend computes nothing: each
+    /// batch it forms is priced on `backend`, with residency in `cache`.
     ///
     /// Returns the aggregate report over *admitted* requests, one
     /// [`TenantReport`] per tenant, and one `Option<RequestOutcome>` per trace
@@ -239,7 +214,7 @@ impl ServerSim {
         cache: &mut MemoryCache,
         memories: &[(Matrix, Matrix)],
         session_tenants: &[usize],
-        tenants: &[TenantSpec],
+        tenants: &[TenantConfig],
         trace: &[TraceRequest],
     ) -> (SimReport, Vec<TenantReport>, Vec<Option<RequestOutcome>>) {
         assert_eq!(
@@ -265,36 +240,25 @@ impl ServerSim {
         for (keys, _) in memories {
             self.model.config().assert_fits(keys.rows(), keys.dim());
         }
+        // Tenant `t` is `TenantId::from_raw(t)`, and the server issues session and
+        // request ids densely from 0 in registration and admission order, so the
+        // ids index `tenants`, `memories` and `trace_index` (the trace position of
+        // each admitted request).
+        let mut server = AttentionServer::builder(Box::new(ScheduleOnly))
+            .batch_policy(self.policy)
+            .build();
+        for (t, &config) in tenants.iter().enumerate() {
+            server.register_tenant(TenantId::from_raw(t as u64), config);
+        }
+        for ((keys, values), &tenant) in memories.iter().zip(session_tenants) {
+            let config = MemoryConfig::new(keys, values).tenant(TenantId::from_raw(tenant as u64));
+            server.register(config).expect("consistent memory shapes");
+        }
         // Arrival order (stable for equal cycles, so replays are deterministic).
         let mut order: Vec<usize> = (0..trace.len()).collect();
         order.sort_by_key(|&i| trace[i].arrival_cycle);
 
-        let mut scheduler = Scheduler::new(self.policy);
-        for (t, spec) in tenants.iter().enumerate() {
-            scheduler.set_tenant_weight(TenantId::from_raw(t as u64), spec.priority.weight());
-        }
-        for (session, &tenant) in session_tenants.iter().enumerate() {
-            scheduler.assign_session(
-                SessionId::from_raw(session as u64),
-                TenantId::from_raw(tenant as u64),
-            );
-        }
-        let mut buckets: Vec<Option<TokenBucket>> = tenants
-            .iter()
-            .map(|spec| spec.rate.map(|limit| TokenBucket::new(limit, 0)))
-            .collect();
-        let mut tenant_reports: Vec<TenantReport> = (0..tenants.len())
-            .map(|tenant| TenantReport {
-                tenant,
-                offered: 0,
-                admitted: 0,
-                throttled: 0,
-                completed: 0,
-                deadline_misses: 0,
-                avg_latency_cycles: 0.0,
-                p99_latency_cycles: 0,
-            })
-            .collect();
+        let mut trace_index: Vec<usize> = Vec::new();
         let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; trace.len()];
         let mut accel_free_at: u64 = 0;
         let mut batches: u64 = 0;
@@ -310,51 +274,42 @@ impl ServerSim {
 
         let mut next_arrival = 0usize;
         loop {
-            // Advance to the next event: an arrival or a scheduler flush, whichever
+            // Advance to the next event: an arrival or a server flush, whichever
             // is earlier.
             let arrival_at = order.get(next_arrival).map(|&i| trace[i].arrival_cycle);
-            let due_at = scheduler.next_due();
-            let now = match (arrival_at, due_at) {
+            let now = match (arrival_at, server.next_due()) {
                 (None, None) => break,
                 (Some(a), None) => a,
                 (None, Some(d)) => d,
                 (Some(a), Some(d)) => a.min(d),
             };
 
-            // Enqueue every request arriving at this cycle (before popping, so a
+            // Submit every request arriving at this cycle (before polling, so a
             // request arriving exactly at a flush tick rides the flushed batch).
             while next_arrival < order.len() && trace[order[next_arrival]].arrival_cycle == now {
                 let index = order[next_arrival];
                 let request = &trace[index];
                 next_arrival += 1;
-                // Token-bucket admission, charged at the arrival cycle exactly as
-                // `AttentionServer::submit` does: over-rate arrivals never queue.
-                let tenant = session_tenants[request.session];
-                tenant_reports[tenant].offered += 1;
-                if let Some(bucket) = &mut buckets[tenant] {
-                    if !bucket.try_admit(request.arrival_cycle) {
-                        tenant_reports[tenant].throttled += 1;
-                        continue;
-                    }
-                }
-                tenant_reports[tenant].admitted += 1;
-                scheduler.enqueue(QueuedRequest {
-                    id: RequestId::from_raw(index as u64),
+                match server.submit(Request {
                     session: SessionId::from_raw(request.session as u64),
                     query: request.query.clone(),
                     arrival: request.arrival_cycle,
                     deadline: request.deadline_cycle,
-                });
-                let depth = scheduler.pending() as u64;
+                }) {
+                    Ok(_) => trace_index.push(index),
+                    // Over-rate arrivals never queue.
+                    Err(ServeError::Throttled { .. }) => continue,
+                    Err(error) => panic!("trace request {index} was rejected: {error}"),
+                }
+                let depth = server.pending() as u64;
                 max_queue_depth = max_queue_depth.max(depth);
                 depth_samples += 1;
                 depth_sum += depth;
             }
 
-            // Execute every batch the scheduler declares due, in weighted-fair
-            // (tenant virtual time, tenant, session) order, serialized on the
-            // single accelerator unit.
-            for batch in scheduler.pop_due(now) {
+            // Price every batch the server flushes, in its weighted-fair order,
+            // serialized on the single accelerator unit.
+            for batch in server.poll(now).expect("the server's backend never fails") {
                 let session = batch.session.raw() as usize;
                 let (keys, values) = &memories[session];
                 let (memory, hit) = cache
@@ -370,34 +325,35 @@ impl ServerSim {
                 };
                 preprocessing_cycles += prep;
 
+                let indices: Vec<usize> = batch
+                    .responses
+                    .iter()
+                    .map(|response| trace_index[response.request.raw() as usize])
+                    .collect();
                 let queries: Vec<&[f32]> =
-                    batch.requests.iter().map(|r| r.query.as_slice()).collect();
+                    indices.iter().map(|&i| trace[i].query.as_slice()).collect();
                 let drain = Drain::new(&[self.model.batch_costs(backend, &memory, &queries)], 0);
 
                 // The batch cannot start before its requests exist, before the
-                // scheduler flushed it, or before the unit drains earlier batches.
+                // server flushed it, or before the unit drains earlier batches.
                 let ready = batch
-                    .requests
+                    .responses
                     .iter()
                     .map(|r| r.arrival)
                     .max()
                     .unwrap_or(batch.formed_at)
                     .max(batch.formed_at);
                 let start = ready.max(accel_free_at);
-                for ((&offset, &interval), request) in drain
-                    .completions
-                    .iter()
-                    .zip(&drain.intervals)
-                    .zip(&batch.requests)
+                for ((&offset, &interval), &index) in
+                    drain.completions.iter().zip(&drain.intervals).zip(&indices)
                 {
-                    let index = request.id.raw() as usize;
                     outcomes[index] = Some(RequestOutcome {
                         trace_index: index,
                         session,
-                        arrival_cycle: request.arrival,
+                        arrival_cycle: trace[index].arrival_cycle,
                         dispatched_cycle: start,
                         completion_cycle: start + prep + offset,
-                        deadline_cycle: request.deadline,
+                        deadline_cycle: trace[index].deadline_cycle,
                         batch: batches as usize,
                     });
                     throughput_sum += interval as f64;
@@ -409,23 +365,33 @@ impl ServerSim {
             }
         }
 
+        // Admission counts are the server's; completions and latencies are the
+        // cycle clock's.
         let admitted: Vec<RequestOutcome> = outcomes.iter().filter_map(|o| *o).collect();
-        for outcome in &admitted {
-            let report = &mut tenant_reports[session_tenants[outcome.session]];
-            report.completed += 1;
-            report.deadline_misses += u64::from(outcome.missed_deadline());
-        }
         let config = self.model.config();
-        for report in &mut tenant_reports {
-            let latencies: Vec<u64> = admitted
-                .iter()
-                .filter(|o| session_tenants[o.session] == report.tenant)
-                .map(RequestOutcome::latency_cycles)
-                .collect();
-            let stats = SimReport::from_latencies(&latencies, config);
-            report.avg_latency_cycles = stats.avg_latency_cycles;
-            report.p99_latency_cycles = stats.p99_latency_cycles;
-        }
+        let tenant_reports: Vec<TenantReport> = (0..tenants.len())
+            .map(|tenant| {
+                let stats = server
+                    .tenant_stats(TenantId::from_raw(tenant as u64))
+                    .expect("every tenant is registered");
+                let served: Vec<&RequestOutcome> = admitted
+                    .iter()
+                    .filter(|o| session_tenants[o.session] == tenant)
+                    .collect();
+                let latencies: Vec<u64> = served.iter().map(|o| o.latency_cycles()).collect();
+                let latency = SimReport::from_latencies(&latencies, config);
+                TenantReport {
+                    tenant,
+                    offered: stats.offered,
+                    admitted: stats.admitted,
+                    throttled: stats.throttled,
+                    completed: served.len() as u64,
+                    deadline_misses: served.iter().filter(|o| o.missed_deadline()).count() as u64,
+                    avg_latency_cycles: latency.avg_latency_cycles,
+                    p99_latency_cycles: latency.p99_latency_cycles,
+                }
+            })
+            .collect();
 
         let latencies: Vec<u64> = admitted
             .iter()
@@ -464,6 +430,33 @@ impl ServerSim {
     }
 }
 
+/// The backend of a replay's [`AttentionServer`]. The server only decides which
+/// requests run together and when; the replay prices each batch on the caller's
+/// backend, so this one keeps a plain copy of each memory and computes nothing.
+struct ScheduleOnly;
+
+impl ComputeBackend for ScheduleOnly {
+    fn name(&self) -> String {
+        "schedule-only".to_owned()
+    }
+
+    fn prepare(&self, keys: &Matrix, values: &Matrix) -> Result<PreparedMemory, AttentionError> {
+        PreparedMemory::new(keys, values, 0, PreparedState::Exact)
+    }
+
+    fn attend_prepared(
+        &self,
+        _memory: &PreparedMemory,
+        _query: &[f32],
+    ) -> Result<AttentionResult, AttentionError> {
+        Ok(AttentionResult {
+            scores: Vec::new(),
+            weights: Vec::new(),
+            output: Vec::new(),
+        })
+    }
+}
+
 /// Deterministic open-loop "Poisson-ish" arrival times: exponential inter-arrival
 /// gaps with the given mean, drawn from the seeded [`rand::rngs::StdRng`]. The same
 /// seed always yields the same trace, which keeps examples and experiments
@@ -492,6 +485,7 @@ mod tests {
     use super::*;
     use crate::config::A3Config;
     use a3_core::backend::{ApproximateBackend, ExactBackend, QuantizedBackend};
+    use a3_core::serve::{Priority, RateLimit};
 
     fn memory(tag: f32, n: usize, d: usize) -> (Matrix, Matrix) {
         let rows: Vec<Vec<f32>> = (0..n)
@@ -700,7 +694,7 @@ mod tests {
             &mut cache,
             &memories,
             &[0, 0],
-            &[TenantSpec::default()],
+            &[TenantConfig::default()],
             &trace,
         );
         assert_eq!(legacy, multi, "one unlimited tenant must change nothing");
@@ -724,7 +718,7 @@ mod tests {
             .collect();
         let server = sim(BatchPolicy::per_request());
         let mut cache = MemoryCache::new(2);
-        let spec = TenantSpec::default().with_rate(RateLimit::new(1, 1_000, 2).unwrap());
+        let spec = TenantConfig::default().with_rate_limit(RateLimit::new(1, 1_000, 2).unwrap());
         let (report, tenants, outcomes) = server.replay_multi_tenant(
             &ApproximateBackend::conservative(),
             &mut cache,
@@ -758,8 +752,8 @@ mod tests {
         }
         let server = sim(BatchPolicy::per_request());
         let specs = [
-            TenantSpec::with_priority(Priority::Background),
-            TenantSpec::with_priority(Priority::High),
+            TenantConfig::new(Priority::Background),
+            TenantConfig::new(Priority::High),
         ];
         let mut cache = MemoryCache::new(4);
         let (_, tenants, _) = server.replay_multi_tenant(
@@ -790,7 +784,7 @@ mod tests {
             &mut cache,
             &[memory(0.0, 8, 64)],
             &[3],
-            &[TenantSpec::default()],
+            &[TenantConfig::default()],
             &trace,
         );
     }

@@ -20,7 +20,7 @@ use a3_core::backend::{ApproximateBackend, ComputeBackend, ExactBackend, Quantiz
 use a3_core::Matrix;
 use a3_sim::{
     poisson_arrival_cycles, A3Config, BatchPolicy, CacheAdmission, MemoryCache, MultiUnit,
-    PipelineModel, Priority, RateLimit, ServerSim, TenantSpec, TraceRequest,
+    PipelineModel, Priority, RateLimit, ServerSim, TenantConfig, TraceRequest,
 };
 
 /// The hash every report below reproduces.
@@ -141,9 +141,8 @@ fn hash_replays(hash: &mut Hash, config: A3Config, backend: &dyn ComputeBackend)
     hash.add(&outcomes);
 
     let tenants = [
-        TenantSpec::with_priority(Priority::High),
-        TenantSpec::with_priority(Priority::Background)
-            .with_rate(RateLimit::new(1, 400, 3).unwrap()),
+        TenantConfig::new(Priority::High),
+        TenantConfig::new(Priority::Background).with_rate_limit(RateLimit::new(1, 400, 3).unwrap()),
     ];
     for admission in [CacheAdmission::Lru, CacheAdmission::CostAware] {
         let mut cache = MemoryCache::with_admission(2, admission);

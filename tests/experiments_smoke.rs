@@ -2,8 +2,8 @@
 //! produce non-empty, well-formed tables with reduced settings.
 
 use a3::eval::experiments::{
-    ablation, accuracy, backend_comparison, fig3, latency_model, performance, serving, sharding,
-    table1,
+    ablation, accuracy, backend_comparison, fig3, latency_model, multi_tenant, performance,
+    serving, sharding, streaming, table1,
 };
 use a3::eval::EvalSettings;
 
@@ -33,6 +33,8 @@ fn every_experiment_driver_produces_tables() {
     all_tables.extend(backend_comparison(&settings));
     all_tables.extend(serving(&settings));
     all_tables.extend(sharding(&settings));
+    all_tables.extend(streaming(&settings));
+    all_tables.extend(multi_tenant(&settings));
     assert!(all_tables.len() >= 21);
     for table in &all_tables {
         assert!(!table.is_empty(), "{} is empty", table.title);
