@@ -24,7 +24,11 @@
 //! once; [`MemoryCache::take`], [`MemoryCache::insert_updated`] and the
 //! in-place mutation behind the serving layer's streaming appends find the slot
 //! by comparing `&str`s, so keeping an entry current allocates nothing once the
-//! name is known.
+//! name is known; the server's registrations and rebalances format none.
+//!
+//! The fingerprint ([`memory_fingerprint`]) hashes each row's content once, in
+//! one pass, then mixes in its position. A lookup checks shapes first: the
+//! fingerprint covers only the rows keys and values share.
 //!
 //! The cache holds only preparations some session serves. A streaming append or
 //! row update moves its entry to the mutated memory's fingerprint instead of
@@ -38,7 +42,7 @@ use std::sync::Arc;
 
 use crate::{AttentionError, Matrix};
 
-use super::{memory_fingerprint, ComputeBackend, PreparedMemory};
+use super::{memory_fingerprint, validate_memory, ComputeBackend, PreparedMemory};
 
 /// Cache key: the slot of the backend's name in [`MemoryCache`]'s name table
 /// (different backends — or differently configured backends — prepare
@@ -142,8 +146,7 @@ impl MemoryCache {
     ///
     /// # Errors
     ///
-    /// Propagates any preparation error from the backend (nothing is inserted and no
-    /// counter moves in that case).
+    /// As [`MemoryCache::get_or_prepare_with_fingerprint`].
     pub fn get_or_prepare(
         &mut self,
         backend: &dyn ComputeBackend,
@@ -161,8 +164,9 @@ impl MemoryCache {
     ///
     /// # Errors
     ///
-    /// Propagates any preparation error from the backend (nothing is inserted and no
-    /// counter moves in that case).
+    /// Returns [`PreparedMemory::new`]'s shape errors before the lookup and
+    /// propagates any preparation error from the backend (nothing is inserted
+    /// and no counter moves in either case).
     pub fn get_or_prepare_with_fingerprint(
         &mut self,
         backend: &dyn ComputeBackend,
@@ -170,11 +174,25 @@ impl MemoryCache {
         values: &Matrix,
         fingerprint: u64,
     ) -> Result<(Arc<PreparedMemory>, bool), AttentionError> {
-        let name = backend.name();
+        self.get_or_prepare_named(backend, &backend.name(), keys, values, fingerprint)
+    }
+
+    /// [`MemoryCache::get_or_prepare_with_fingerprint`] for a caller that
+    /// already holds `backend`'s name, so the lookup formats none.
+    pub(crate) fn get_or_prepare_named(
+        &mut self,
+        backend: &dyn ComputeBackend,
+        name: &str,
+        keys: &Matrix,
+        values: &Matrix,
+        fingerprint: u64,
+    ) -> Result<(Arc<PreparedMemory>, bool), AttentionError> {
+        // Values with extra rows fingerprint like their prefix.
+        validate_memory(keys, values)?;
         self.clock += 1;
         let inflation = self.inflation;
         if let Some(entry) = self
-            .name_slot(&name)
+            .name_slot(name)
             .and_then(|slot| self.entries.get_mut(&(slot, fingerprint)))
         {
             entry.last_used = self.clock;
@@ -193,7 +211,7 @@ impl MemoryCache {
             self.evict_one();
         }
         let cost = memory.preprocess_ops().max(1);
-        let key = (self.intern(&name), fingerprint);
+        let key = (self.intern(name), fingerprint);
         self.entries.insert(
             key,
             CacheEntry {
@@ -530,6 +548,27 @@ mod tests {
             .is_err());
         assert!(cache.is_empty());
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
+    }
+
+    #[test]
+    fn values_with_extra_rows_are_rejected_before_the_lookup() {
+        let (keys, values) = memory(0.0);
+        let mut long_values = values.clone();
+        long_values.append_rows(&memory(1.0).1).unwrap();
+        let mut cache = MemoryCache::new(4);
+        cache.get_or_prepare(&ExactBackend, &keys, &values).unwrap();
+        // A fingerprint covers the rows keys and values share, so a lookup
+        // alone would serve the resident preparation.
+        assert_eq!(
+            memory_fingerprint(&keys, &long_values),
+            memory_fingerprint(&keys, &values)
+        );
+        assert!(matches!(
+            cache.get_or_prepare(&ExactBackend, &keys, &long_values),
+            Err(AttentionError::RowCountMismatch { .. })
+        ));
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -217,11 +217,8 @@ fn validate_memory(keys: &Matrix, values: &Matrix) -> Result<(), AttentionError>
     Ok(())
 }
 
-/// Lane seeds of the fingerprint mix (hexadecimal digits of pi).
+/// Seed of the fingerprint's shape hash (hexadecimal digits of pi).
 const SEED_A: u64 = 0x243f_6a88_85a3_08d3;
-const SEED_B: u64 = 0x1319_8a2e_0370_7344;
-const SEED_C: u64 = 0xa409_3822_299f_31d0;
-const SEED_D: u64 = 0x082e_fa98_ec4e_6c89;
 /// Odd multipliers of the fingerprint mix (digits of e, and the golden ratio).
 const MUL_A: u64 = 0xb7e1_5162_8aed_2a6b;
 const MUL_B: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -250,37 +247,12 @@ fn shape_hash(rows: usize, dim: usize) -> u64 {
     avalanche(folded_multiply(h ^ dim as u64, MUL_B))
 }
 
-/// Absorbs `xs` into four independent multiply chains, one 64-bit word (two
-/// elements' bit patterns) per chain per step, so the chains' multiplies
-/// overlap. A tail shorter than eight elements enters chain `a` one element
-/// per word.
-fn absorb([mut a, mut b, mut c, mut d]: [u64; 4], xs: &[f32]) -> [u64; 4] {
-    let word = |lo: f32, hi: f32| u64::from(lo.to_bits()) | (u64::from(hi.to_bits()) << 32);
-    let mut chunks = xs.chunks_exact(8);
-    for chunk in &mut chunks {
-        if let [x0, x1, x2, x3, x4, x5, x6, x7] = *chunk {
-            a = folded_multiply(a ^ word(x0, x1), MUL_A);
-            b = folded_multiply(b ^ word(x2, x3), MUL_B);
-            c = folded_multiply(c ^ word(x4, x5), MUL_A);
-            d = folded_multiply(d ^ word(x6, x7), MUL_B);
-        }
-    }
-    for &x in chunks.remainder() {
-        a = folded_multiply(a ^ u64::from(x.to_bits()), MUL_A);
-    }
-    [a, b, c, d]
-}
-
-/// Hash of one memory row: its index plus the bit patterns of its key and
-/// value elements, mixed a word at a time and finished with a full
-/// avalanche. The row index seeds a chain, so equal rows at different
-/// positions hash apart.
-fn row_hash(row: usize, key: &[f32], value: &[f32]) -> u64 {
-    let seeds = [SEED_A ^ row as u64, SEED_B, SEED_C, SEED_D];
-    let [a, b, c, d] = absorb(absorb(seeds, key), value);
-    let h = folded_multiply(a ^ b, MUL_A);
-    let h = folded_multiply(h ^ c, MUL_B);
-    avalanche(folded_multiply(h ^ d, MUL_A))
+/// Hash of the memory row at position `row` whose content hash
+/// ([`simd::row_content_hash`]) is `content`: one full avalanche (a
+/// bijection) of the content xored with the position times an odd constant,
+/// so equal rows at different positions hash apart without a second pass.
+fn row_hash(row: usize, content: u64) -> u64 {
+    avalanche(content ^ (row as u64).wrapping_mul(MUL_B))
 }
 
 /// Fingerprint of a (keys, values) memory: shape plus every element's bit
@@ -289,20 +261,23 @@ fn row_hash(row: usize, key: &[f32], value: &[f32]) -> u64 {
 /// miss. The cache serves a hit on fingerprint equality alone, so every bit of
 /// every element reaches every bit of its row's hash.
 ///
-/// The fingerprint is a **commutative sum of per-row hashes** (each covering
-/// the row index and the row's key/value bits, mixed a 64-bit word at a time
-/// and finished with a full avalanche) plus a shape hash. The structure makes
-/// it *deltable*: [`fingerprint_append`] and [`fingerprint_update`] advance a
+/// The fingerprint is a **commutative sum of per-row hashes** plus a shape
+/// hash. A row's hash is a position-free *content hash* of its bits (in AVX2
+/// lanes, or a scalar mirror of equal value), finished with the row index by
+/// one avalanche; this function reads each row once. The structure makes it
+/// *deltable*: [`fingerprint_append`] and [`fingerprint_update`] advance a
 /// fingerprint across a streaming mutation in `O(delta * d)` — touching only
 /// the changed rows — and produce exactly the value this function computes
 /// over the mutated matrices, which is what lets the serving layer turn an
-/// append into a cache *update* instead of a miss. Fingerprints are
-/// in-process cache keys only; nothing persists them.
+/// append into a cache *update* instead of a miss. A [`ShardedMemory`] keeps
+/// its rows' content hashes, so it fingerprints itself and every shard, even
+/// after a rebalance, hashing each row once. Fingerprints are in-process
+/// cache keys only; nothing persists them.
 pub fn memory_fingerprint(keys: &Matrix, values: &Matrix) -> u64 {
     let mut fp = shape_hash(keys.rows(), keys.dim());
-    for (row, (key, value)) in keys.iter_rows().zip(values.iter_rows()).enumerate() {
-        fp = fp.wrapping_add(row_hash(row, key, value));
-    }
+    SimdBackend::process().for_each_row_content_hash(keys, values, |row, content| {
+        fp = fp.wrapping_add(row_hash(row, content));
+    });
     fp
 }
 
@@ -317,13 +292,10 @@ pub fn fingerprint_append(
     new_keys: &Matrix,
     new_values: &Matrix,
 ) -> u64 {
-    let new_rows = old_rows + new_keys.rows();
-    let mut fp = old_fingerprint
-        .wrapping_sub(shape_hash(old_rows, dim))
-        .wrapping_add(shape_hash(new_rows, dim));
-    for (i, (key, value)) in new_keys.iter_rows().zip(new_values.iter_rows()).enumerate() {
-        fp = fp.wrapping_add(row_hash(old_rows + i, key, value));
-    }
+    let mut fp = fingerprint_extend(old_fingerprint, old_rows, dim, new_keys.rows(), &[]);
+    SimdBackend::process().for_each_row_content_hash(new_keys, new_values, |i, content| {
+        fp = fp.wrapping_add(row_hash(old_rows + i, content));
+    });
     fp
 }
 
@@ -338,9 +310,33 @@ pub fn fingerprint_update(
     new_key: &[f32],
     new_value: &[f32],
 ) -> u64 {
-    old_fingerprint
-        .wrapping_sub(row_hash(row, old_key, old_value))
-        .wrapping_add(row_hash(row, new_key, new_value))
+    let [old, new] = [(old_key, old_value), (new_key, new_value)]
+        .map(|(key, value)| row_hash(row, simd::row_content_hash(key, value)));
+    old_fingerprint.wrapping_sub(old).wrapping_add(new)
+}
+
+/// Moves a fingerprint of `old_rows` rows to `old_rows + new_rows` rows and
+/// adds the rows whose content hashes are `contents`, from position
+/// `old_rows` on, reading no row.
+pub(crate) fn fingerprint_extend(
+    old_fingerprint: u64,
+    old_rows: usize,
+    dim: usize,
+    new_rows: usize,
+    contents: &[u64],
+) -> u64 {
+    let fp = old_fingerprint
+        .wrapping_sub(shape_hash(old_rows, dim))
+        .wrapping_add(shape_hash(old_rows + new_rows, dim));
+    (old_rows..).zip(contents).fold(fp, |fp, (row, &content)| {
+        fp.wrapping_add(row_hash(row, content))
+    })
+}
+
+/// [`memory_fingerprint`] of the `dim`-wide rows whose content hashes are
+/// `contents`.
+pub(crate) fn contents_fingerprint(dim: usize, contents: &[u64]) -> u64 {
+    fingerprint_extend(shape_hash(0, dim), 0, dim, contents.len(), contents)
 }
 
 /// Outcome of one incremental-prepare mutation
@@ -1503,6 +1499,96 @@ mod tests {
         for (i, (name_a, a)) in fingerprints.iter().enumerate() {
             for (name_b, b) in fingerprints.iter().skip(i + 1) {
                 assert_ne!(a, b, "{name_a} and {name_b} share a fingerprint");
+            }
+        }
+    }
+
+    /// Flips bit `bit` of element `col` of row `row` of `matrix`.
+    fn flip_bit(matrix: &mut Matrix, row: usize, col: usize, bit: u32) {
+        let x = &mut matrix.row_mut(row)[col];
+        *x = f32::from_bits(x.to_bits() ^ (1 << bit));
+    }
+
+    /// A `rows` x `d` memory whose elements are distinct within each row.
+    fn distinct_memory(rows: usize, d: usize) -> (Matrix, Matrix) {
+        let element = |i: usize| ((i * 53 % 97) as f32 - 48.0) / 8.0;
+        let keys = Matrix::from_flat((0..rows * d).map(element).collect(), rows, d).unwrap();
+        let values =
+            Matrix::from_flat((0..rows * d).map(|i| element(i + 11)).collect(), rows, d).unwrap();
+        (keys, values)
+    }
+
+    #[test]
+    fn flipping_any_bit_changes_the_content_hash_and_the_fingerprint() {
+        // Widths 1..=70 give every `len mod 16` tail of the 16-element stripes.
+        use simd::test_support::content_hashes;
+        let levels: Vec<SimdLevel> = [SimdLevel::Scalar, SimdLevel::Avx2]
+            .into_iter()
+            .filter(|level| level.available())
+            .collect();
+        for d in 1..=70 {
+            let (mut keys, mut values) = distinct_memory(2, d);
+            let fingerprint = memory_fingerprint(&keys, &values);
+            let contents: Vec<Vec<u64>> = levels
+                .iter()
+                .map(|&level| content_hashes(level, &keys, &values))
+                .collect();
+            for (in_values, col, bit) in (0..2).flat_map(|m| {
+                (0..d).flat_map(move |col| (0..32).map(move |bit| (m == 1, col, bit)))
+            }) {
+                let target = if in_values { &mut values } else { &mut keys };
+                flip_bit(target, 1, col, bit);
+                for (&level, contents) in levels.iter().zip(&contents) {
+                    let flipped = content_hashes(level, &keys, &values);
+                    assert_eq!(flipped[0], contents[0]);
+                    assert_ne!(
+                        flipped[1], contents[1],
+                        "{level:?}, d = {d}, values = {in_values}, element {col}, bit {bit}"
+                    );
+                }
+                assert_ne!(
+                    memory_fingerprint(&keys, &values),
+                    fingerprint,
+                    "d = {d}, values = {in_values}, element {col}, bit {bit}"
+                );
+                let target = if in_values { &mut values } else { &mut keys };
+                flip_bit(target, 1, col, bit);
+            }
+        }
+    }
+
+    #[test]
+    fn swapping_two_rows_or_two_elements_of_a_row_changes_the_fingerprint() {
+        let (n, d) = (6, 37);
+        let (keys, values) = distinct_memory(n, d);
+        let fingerprint = memory_fingerprint(&keys, &values);
+        for a in 0..n {
+            for b in a + 1..n {
+                let swap_rows = |m: &Matrix| {
+                    let mut swapped = m.clone();
+                    swapped.row_mut(a).copy_from_slice(m.row(b));
+                    swapped.row_mut(b).copy_from_slice(m.row(a));
+                    swapped
+                };
+                assert_ne!(
+                    memory_fingerprint(&swap_rows(&keys), &swap_rows(&values)),
+                    fingerprint,
+                    "rows {a} and {b}"
+                );
+            }
+        }
+        for in_values in [false, true] {
+            for i in 0..d {
+                for j in i + 1..d {
+                    let (mut k, mut v) = (keys.clone(), values.clone());
+                    let target = if in_values { &mut v } else { &mut k };
+                    target.row_mut(2).swap(i, j);
+                    assert_ne!(
+                        memory_fingerprint(&k, &v),
+                        fingerprint,
+                        "values = {in_values}, elements {i} and {j}"
+                    );
+                }
             }
         }
     }

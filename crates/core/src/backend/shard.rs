@@ -35,13 +35,13 @@
 //! the same error a real per-unit quantized pipeline would exhibit.
 
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::attention::AttentionResult;
 use crate::{AttentionError, Matrix};
 
 use super::{
-    attend_candidates, fingerprint_append, fingerprint_update, memory_fingerprint, select_stage,
+    attend_candidates, contents_fingerprint, fingerprint_extend, row_hash, select_stage, simd,
     sorted_columns, validate_append, validate_memory, validate_row_width, ComputeBackend,
     MemoryCache, PreparedMemory, SimdBackend,
 };
@@ -185,12 +185,19 @@ pub struct ShardPrepareStats {
 /// let out = backend.attend_sharded(&sharded, &[1.0, 0.2]).unwrap();
 /// assert_eq!(out.output.len(), 2);
 /// ```
+///
+/// It keeps each row's content hash (8 bytes; see
+/// [`memory_fingerprint`](super::memory_fingerprint)): a row is hashed once,
+/// and a rebalance reads no row to fingerprint its new shards.
 #[derive(Debug, Clone)]
 pub struct ShardedMemory {
-    n: usize,
     d: usize,
     plan: ShardPlan,
     shards: Vec<MemoryShard>,
+    /// Every logical row's content hash, in row order (`n` of them), and the
+    /// whole logical memory's fingerprint.
+    row_hashes: Vec<u64>,
+    fingerprint: u64,
 }
 
 /// Copies a contiguous row range of a matrix into its own matrix.
@@ -240,28 +247,37 @@ impl ShardedMemory {
         keys: &Matrix,
         values: &Matrix,
     ) -> Result<(Self, ShardPrepareStats), AttentionError> {
+        Self::prepare_named(backend, &backend.name(), plan, cache, keys, values)
+    }
+
+    /// [`ShardedMemory::prepare_cached`] for a caller that already holds
+    /// `backend`'s name, so the preparation formats none.
+    pub(crate) fn prepare_named(
+        backend: &dyn ComputeBackend,
+        backend_name: &str,
+        plan: ShardPlan,
+        cache: &mut MemoryCache,
+        keys: &Matrix,
+        values: &Matrix,
+    ) -> Result<(Self, ShardPrepareStats), AttentionError> {
         validate_memory(keys, values)?;
-        let mut shards = Vec::new();
+        let mut row_hashes = Vec::with_capacity(keys.rows());
+        SimdBackend::process().for_each_row_content_hash(keys, values, |_, h| row_hashes.push(h));
+        let mut memory = Self {
+            d: keys.dim(),
+            plan,
+            shards: Vec::new(),
+            fingerprint: contents_fingerprint(keys.dim(), &row_hashes),
+            row_hashes,
+        };
         let mut stats = ShardPrepareStats::default();
         for range in plan.ranges(keys.rows()) {
-            shards.push(prepare_shard(
-                backend,
-                cache,
-                range.start,
-                &submatrix(keys, &range)?,
-                &submatrix(values, &range)?,
-                &mut stats,
-            )?);
+            let rows = (&submatrix(keys, &range)?, &submatrix(values, &range)?);
+            let shard =
+                memory.prepare_shard(backend, backend_name, cache, range, rows, &mut stats)?;
+            memory.shards.push(shard);
         }
-        Ok((
-            Self {
-                n: keys.rows(),
-                d: keys.dim(),
-                plan,
-                shards,
-            },
-            stats,
-        ))
+        Ok((memory, stats))
     }
 
     /// The split this memory was prepared with (kept for rebalancing appends).
@@ -325,24 +341,34 @@ impl ShardedMemory {
                 name: "shards",
                 constraint: "a sharded memory must hold at least one shard",
             })?;
+        // Each new row is content-hashed once, for the tail shard and the
+        // whole memory.
+        let (old_n, new_n) = (self.row_hashes.len(), new_keys.rows());
+        let rows = &mut self.row_hashes;
+        SimdBackend::process().for_each_row_content_hash(new_keys, new_values, |_, h| rows.push(h));
+        let new = self.row_hashes.get(old_n..).unwrap_or_default();
         let old_fingerprint = last.fingerprint;
-        let new_fingerprint =
-            fingerprint_append(old_fingerprint, last.rows(), d, new_keys, new_values);
-        let stats = cache.mutate_in_place(
+        let new_fingerprint = fingerprint_extend(old_fingerprint, last.rows(), d, new_n, new);
+        let fingerprint = fingerprint_extend(self.fingerprint, old_n, d, new_n, new);
+        let appended = cache.mutate_in_place(
             backend_name,
             &mut last.memory,
             (old_fingerprint, new_fingerprint),
             |memory| backend.append_rows(memory, new_keys, new_values),
-        )?;
+        );
+        if appended.is_err() {
+            self.row_hashes.truncate(old_n);
+        }
+        let stats = appended?;
         last.fingerprint = new_fingerprint;
-        self.n += new_keys.rows();
+        self.fingerprint = fingerprint;
         let mut mutation = ShardMutationStats {
             incremental_ops: stats.incremental_ops,
             full_reprepares: u64::from(stats.full_reprepare),
             rebalanced: false,
         };
         let tail_rows = self.shards.last().map_or(0, MemoryShard::rows);
-        if tail_rows > 2 * self.n.div_ceil(self.plan.shards()) {
+        if tail_rows > 2 * self.n().div_ceil(self.plan.shards()) {
             self.rebalance(backend, backend_name, cache)?;
             mutation.rebalanced = true;
         }
@@ -387,22 +413,20 @@ impl ShardedMemory {
         // Checked before the shard's cache entry is taken out, so a rejected
         // update leaves the entry resident.
         validate_row_width(self.d, key, value)?;
-        let shard = self
-            .shards
-            .get_mut(index)
-            .ok_or(AttentionError::InvalidParameter {
+        let (Some(shard), Some(stored)) =
+            (self.shards.get_mut(index), self.row_hashes.get_mut(row))
+        else {
+            return Err(AttentionError::InvalidParameter {
                 name: "row",
                 constraint: "row index must be within the sharded memory",
-            })?;
+            });
+        };
+        // The old row's content hash is stored, so only the new row is read.
+        let (old, new) = (*stored, simd::row_content_hash(key, value));
+        let replace =
+            |fp: u64, row| fp.wrapping_add(row_hash(row, new).wrapping_sub(row_hash(row, old)));
         let old_fingerprint = shard.fingerprint;
-        let new_fingerprint = fingerprint_update(
-            old_fingerprint,
-            local,
-            shard.memory.keys().row(local),
-            shard.memory.values().row(local),
-            key,
-            value,
-        );
+        let new_fingerprint = replace(old_fingerprint, local);
         let stats = cache.mutate_in_place(
             backend_name,
             &mut shard.memory,
@@ -410,6 +434,8 @@ impl ShardedMemory {
             |memory| backend.update_row(memory, local, key, value),
         )?;
         shard.fingerprint = new_fingerprint;
+        *stored = new;
+        self.fingerprint = replace(self.fingerprint, row);
         Ok(ShardMutationStats {
             incremental_ops: stats.incremental_ops,
             full_reprepares: u64::from(stats.full_reprepare),
@@ -419,27 +445,23 @@ impl ShardedMemory {
 
     /// Re-splits the logical memory into balanced shards under the stored plan.
     /// Each new shard's rows are copied once, straight from the old shards, and
-    /// prepared through the cache (a shard whose rows are unchanged still hits).
-    /// Once the new layout is in place, the entries of the old shards it does
-    /// not reuse are released. On error the old layout stays.
+    /// prepared through the cache (a shard whose rows are unchanged still hits)
+    /// under the fingerprint of their stored hashes. Once the new layout is in
+    /// place, the entries of the old shards it does not reuse are released. On
+    /// error the old layout stays.
     fn rebalance(
         &mut self,
         backend: &dyn ComputeBackend,
         backend_name: &str,
         cache: &mut MemoryCache,
     ) -> Result<(), AttentionError> {
-        let ranges = self.plan.ranges(self.n);
+        let ranges = self.plan.ranges(self.n());
         let mut shards = Vec::with_capacity(ranges.len());
         for range in ranges {
             let (keys, values) = self.gather(&range)?;
-            shards.push(prepare_shard(
-                backend,
-                cache,
-                range.start,
-                &keys,
-                &values,
-                &mut ShardPrepareStats::default(),
-            )?);
+            let stats = &mut ShardPrepareStats::default();
+            let rows = (&keys, &values);
+            shards.push(self.prepare_shard(backend, backend_name, cache, range, rows, stats)?);
         }
         let replaced = std::mem::replace(&mut self.shards, shards);
         for old in replaced {
@@ -482,7 +504,41 @@ impl ShardedMemory {
 
     /// Total number of logical rows (`n`).
     pub fn n(&self) -> usize {
-        self.n
+        self.row_hashes.len()
+    }
+
+    /// The whole logical memory's fingerprint.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// Prepares the logical rows `range`, copied into `rows` (keys, values),
+    /// through `cache` under the fingerprint of their stored hashes, and
+    /// counts the lookup in `stats`.
+    fn prepare_shard(
+        &self,
+        backend: &dyn ComputeBackend,
+        backend_name: &str,
+        cache: &mut MemoryCache,
+        range: Range<usize>,
+        (keys, values): (&Matrix, &Matrix),
+        stats: &mut ShardPrepareStats,
+    ) -> Result<MemoryShard, AttentionError> {
+        let contents = self.row_hashes.get(range.clone()).unwrap_or_default();
+        let fingerprint = contents_fingerprint(self.d, contents);
+        let (memory, hit) =
+            cache.get_or_prepare_named(backend, backend_name, keys, values, fingerprint)?;
+        if hit {
+            stats.hits += 1;
+        } else {
+            stats.misses += 1;
+            stats.missed_preprocess_ops += memory.preprocess_ops();
+        }
+        Ok(MemoryShard {
+            start: range.start,
+            fingerprint,
+            memory,
+        })
     }
 
     /// Embedding dimension (`d`).
@@ -512,7 +568,7 @@ impl ShardedMemory {
 
     /// The shard owning a logical row, as `(shard index, local row)`.
     pub fn locate(&self, row: usize) -> Option<(usize, usize)> {
-        if row >= self.n {
+        if row >= self.n() {
             return None;
         }
         let index = self.shards.partition_point(|s| s.end() <= row);
@@ -528,32 +584,6 @@ impl ShardedMemory {
         }
         Ok(())
     }
-}
-
-/// Prepares one shard's (`keys`, `values`) rows through `cache`, keyed by their
-/// fingerprint, and counts the lookup in `stats`.
-fn prepare_shard(
-    backend: &dyn ComputeBackend,
-    cache: &mut MemoryCache,
-    start: usize,
-    keys: &Matrix,
-    values: &Matrix,
-    stats: &mut ShardPrepareStats,
-) -> Result<MemoryShard, AttentionError> {
-    let fingerprint = memory_fingerprint(keys, values);
-    let (memory, hit) =
-        cache.get_or_prepare_with_fingerprint(backend, keys, values, fingerprint)?;
-    if hit {
-        stats.hits += 1;
-    } else {
-        stats.misses += 1;
-        stats.missed_preprocess_ops += memory.preprocess_ops();
-    }
-    Ok(MemoryShard {
-        start,
-        fingerprint,
-        memory,
-    })
 }
 
 /// Numerically stable log-sum-exp merge of per-shard partial softmax results — the
@@ -577,8 +607,8 @@ fn prepare_shard(
 /// `2^-1022` stay far below half an ulp of that. The lane sums differ from an
 /// in-order libm sum only at the level of `f64` rounding, far below the `f32`
 /// outputs' precision; golden hashes pin the sharded quantized outputs on both
-/// dispatch levels. The level is detected once per process, on the first merge,
-/// and `len mod 4` tail rows, the `K` rescale factors, non-AVX2 hosts and
+/// dispatch levels. The level is detected once per process, on the first merge
+/// or memory fingerprint, and `len mod 4` tail rows, the `K` rescale factors, non-AVX2 hosts and
 /// `A3_FORCE_SCALAR=1` (set before the process starts) use libm `exp`.
 ///
 /// # Panics
@@ -624,12 +654,8 @@ pub(super) fn merge_core<'p>(
     partials: impl Iterator<Item = (&'p [f32], &'p [f32])> + Clone,
     mut rescale: impl FnMut(usize, f64),
 ) -> Vec<f32> {
-    // Detection consults the environment, which costs more than one shard's
-    // normaliser, so it runs once per process. One level for every merge also
-    // keeps two merges of the same partials bit-identical if the environment
-    // changes while the process runs.
-    static MERGE_SIMD: OnceLock<SimdBackend> = OnceLock::new();
-    let simd = *MERGE_SIMD.get_or_init(SimdBackend::new);
+    // The level is detected once per process (`SimdBackend::process`).
+    let simd = SimdBackend::process();
     // Per-shard statistics the merge unit receives alongside each partial output.
     let stats: Vec<(f64, f64)> = partials
         .clone()
@@ -714,7 +740,7 @@ mod tests {
     use super::*;
     use crate::approx::{preprocess_count, ApproxConfig};
     use crate::attention::stable_softmax;
-    use crate::backend::{ApproximateBackend, ExactBackend, QuantizedBackend};
+    use crate::backend::{memory_fingerprint, ApproximateBackend, ExactBackend, QuantizedBackend};
 
     fn memory_case(n: usize, d: usize) -> (Matrix, Matrix, Vec<f32>) {
         let rows: Vec<Vec<f32>> = (0..n)
@@ -1279,6 +1305,60 @@ mod tests {
             backend.attend_sharded(&sharded, &query).unwrap(),
             backend.attend_sharded(&fresh, &query).unwrap()
         );
+    }
+
+    #[test]
+    fn rows_are_content_hashed_once_and_a_rebalance_hashes_none() {
+        use crate::backend::simd::test_support::ROWS_HASHED;
+        let rows_hashed = || ROWS_HASHED.with(std::cell::Cell::get);
+        let (keys, values, _) = memory_case(12, 4);
+        let backend = ExactBackend;
+        let mut cache = MemoryCache::new(16);
+        let before = rows_hashed();
+        let (mut sharded, _) = ShardedMemory::prepare_cached(
+            &backend,
+            ShardPlan::new(4).unwrap(),
+            &mut cache,
+            &keys,
+            &values,
+        )
+        .unwrap();
+        assert_eq!(rows_hashed() - before, 12, "one content hash per row");
+        assert_eq!(sharded.fingerprint(), memory_fingerprint(&keys, &values));
+
+        // The tail shard grows from 3 to 7 rows, below the rebalance
+        // threshold of 2 * ceil(16 / 4) = 8; the rebalance then moves three
+        // shard boundaries without hashing a row.
+        let (extra_keys, extra_values, _) = memory_case(4, 4);
+        sharded
+            .append_rows_cached(&backend, &mut cache, &extra_keys, &extra_values)
+            .unwrap();
+        let before = rows_hashed();
+        sharded
+            .rebalance(&backend, &backend.name(), &mut cache)
+            .unwrap();
+        assert_eq!(rows_hashed(), before, "a rebalance hashes no row");
+
+        let sizes: Vec<usize> = sharded.shards().iter().map(MemoryShard::rows).collect();
+        assert_eq!(sizes, [4, 4, 4, 4]);
+        let mut grown_keys = keys.clone();
+        grown_keys.append_rows(&extra_keys).unwrap();
+        let mut grown_values = values.clone();
+        grown_values.append_rows(&extra_values).unwrap();
+        assert_eq!(
+            sharded.fingerprint(),
+            memory_fingerprint(&grown_keys, &grown_values)
+        );
+        for shard in sharded.shards() {
+            let range = shard.start()..shard.end();
+            assert_eq!(
+                shard.fingerprint(),
+                memory_fingerprint(
+                    &submatrix(&grown_keys, &range).unwrap(),
+                    &submatrix(&grown_values, &range).unwrap()
+                )
+            );
+        }
     }
 
     #[test]

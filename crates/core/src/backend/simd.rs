@@ -62,11 +62,12 @@
 //! ```
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::attention::{attention_with_scores, AttentionResult};
 use crate::{AttentionError, Matrix};
 
-use super::{ComputeBackend, PreparedMemory, PreparedState};
+use super::{folded_multiply, ComputeBackend, PreparedMemory, PreparedState};
 
 /// Environment variable forcing the scalar fallback regardless of CPU features.
 /// Any value other than `0` or the empty string counts as set.
@@ -207,6 +208,28 @@ impl SimdBackend {
         }
     }
 
+    /// The level detected on the first call: one environment read per process.
+    pub(crate) fn process() -> Self {
+        static PROCESS: OnceLock<SimdBackend> = OnceLock::new();
+        *PROCESS.get_or_init(Self::new)
+    }
+
+    /// Calls `each(row, row_content_hash(key, value))` for every row pair, in
+    /// one pass; in lanes at [`SimdLevel::Avx2`], prefetching rows ahead.
+    pub(crate) fn for_each_row_content_hash(
+        &self,
+        keys: &Matrix,
+        values: &Matrix,
+        mut each: impl FnMut(usize, u64),
+    ) {
+        let rows = keys.iter_rows().zip(values.iter_rows()).enumerate();
+        match self.level {
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => x86::for_each_row_content_hash(rows, each),
+            _ => rows.for_each(|(row, (key, value))| each(row, row_content_hash(key, value))),
+        }
+    }
+
     /// One attention operation through the selected kernel. Shapes are validated
     /// here so the unsafe kernels below only ever see consistent inputs.
     fn attend_raw(
@@ -302,6 +325,65 @@ fn softmax_stats_scalar(scores: &[f32]) -> (f64, f64) {
     )
 }
 
+/// Elements per content-hash stripe: 64 bytes, eight 64-bit words.
+const STRIPE: usize = 16;
+/// Lane `l`'s stripe-`t` secret: `8t + l` golden ratios past a word of pi.
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+const STRIPE_STEP: u64 = GOLDEN.wrapping_mul(8);
+fn first_secrets() -> [u64; 8] {
+    std::array::from_fn(|l| 0x4528_21e6_38d0_1377_u64.wrapping_add(GOLDEN.wrapping_mul(l as u64)))
+}
+
+/// The content hash of one memory row, wherever it sits (the AVX2 pass
+/// agrees): an xxh3-style accumulate over the key's, then the value's 64-byte
+/// stripes, a `len mod 16` tail zero-padded. Word `l` of a stripe joins lane
+/// `l`'s word sum, and, xored with a secret unique to the lane and stripe,
+/// the product of its 32-bit halves joins the lane's product sum.
+pub(crate) fn row_content_hash(key: &[f32], value: &[f32]) -> u64 {
+    #[cfg(test)]
+    test_support::count_row_hashed();
+    let mut raw = [0u64; 8];
+    let mut product = [0u64; 8];
+    let mut secret = first_secrets();
+    let mut absorb = |stripe: &[f32]| {
+        let lanes = raw.iter_mut().zip(&mut product).zip(&mut secret);
+        for (((raw, product), secret), pair) in lanes.zip(stripe.chunks_exact(2)) {
+            let word = u64::from(pair[0].to_bits()) | u64::from(pair[1].to_bits()) << 32;
+            *raw = raw.wrapping_add(word);
+            let mixed = word ^ *secret;
+            *product = product.wrapping_add((mixed & 0xffff_ffff) * (mixed >> 32));
+            *secret = secret.wrapping_add(STRIPE_STEP);
+        }
+    };
+    for xs in [key, value] {
+        let mut stripes = xs.chunks_exact(STRIPE);
+        for stripe in &mut stripes {
+            absorb(stripe);
+        }
+        let tail = stripes.remainder();
+        if !tail.is_empty() {
+            let mut padded = [0.0f32; STRIPE];
+            padded[..tail.len()].copy_from_slice(tail);
+            absorb(&padded);
+        }
+    }
+    let [raw, product] = [raw, product].map(|lanes| {
+        let sum = |parity: usize| {
+            let lanes = lanes.iter().skip(parity).step_by(2);
+            lanes.fold(0u64, |sum, &lane| sum.wrapping_add(lane))
+        };
+        [sum(0), sum(1)]
+    });
+    fold_parities(raw, product)
+}
+
+/// Ends a content hash: each parity's keyed word and product sums, folded.
+fn fold_parities(raw: [u64; 2], product: [u64; 2]) -> u64 {
+    let [k0, k1, k2, k3, ..] = first_secrets();
+    folded_multiply(raw[0] ^ k0, product[0] ^ k1)
+        .wrapping_add(folded_multiply(raw[1] ^ k2, product[1] ^ k3))
+}
+
 /// Scalar mirror of the vector kernels' polynomial `exp`, used for the tail
 /// elements a lane-width pass leaves over. `mul_add` keeps the operation sequence
 /// identical to the FMA lanes, so tail elements see the same rounding as lane
@@ -329,18 +411,20 @@ fn exp_poly_scalar(x: f32) -> f32 {
 #[allow(unsafe_code)]
 mod x86 {
     use std::arch::x86_64::{
-        __m256, __m256d, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_pd, _mm256_add_ps,
+        __m256, __m256d, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_pd, _mm256_add_ps,
         _mm256_and_pd, _mm256_castpd256_pd128, _mm256_castps256_ps128, _mm256_castsi256_pd,
-        _mm256_castsi256_ps, _mm256_cmp_pd, _mm256_cvtepi32_epi64, _mm256_cvtpd_epi32,
-        _mm256_cvtps_pd, _mm256_cvttps_epi32, _mm256_div_ps, _mm256_extractf128_pd,
-        _mm256_extractf128_ps, _mm256_floor_ps, _mm256_fmadd_pd, _mm256_fmadd_ps, _mm256_fnmadd_pd,
-        _mm256_fnmadd_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_pd,
+        _mm256_castsi256_ps, _mm256_castsi256_si128, _mm256_cmp_pd, _mm256_cvtepi32_epi64,
+        _mm256_cvtpd_epi32, _mm256_cvtps_pd, _mm256_cvttps_epi32, _mm256_div_ps,
+        _mm256_extractf128_pd, _mm256_extractf128_ps, _mm256_extracti128_si256, _mm256_floor_ps,
+        _mm256_fmadd_pd, _mm256_fmadd_ps, _mm256_fnmadd_pd, _mm256_fnmadd_ps, _mm256_loadu_ps,
+        _mm256_loadu_si256, _mm256_max_ps, _mm256_min_ps, _mm256_mul_epu32, _mm256_mul_pd,
         _mm256_mul_ps, _mm256_permute2f128_ps, _mm256_round_pd, _mm256_set1_epi32,
         _mm256_set1_epi64x, _mm256_set1_pd, _mm256_set1_ps, _mm256_setzero_pd, _mm256_setzero_ps,
-        _mm256_shuffle_ps, _mm256_slli_epi32, _mm256_slli_epi64, _mm256_storeu_ps, _mm256_sub_pd,
-        _mm256_sub_ps, _mm_add_pd, _mm_add_ps, _mm_add_ss, _mm_cvtsd_f64, _mm_cvtss_f32,
-        _mm_loadu_ps, _mm_movehl_ps, _mm_shuffle_ps, _mm_unpackhi_pd, _CMP_NLT_UQ,
-        _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT,
+        _mm256_setzero_si256, _mm256_shuffle_ps, _mm256_slli_epi32, _mm256_slli_epi64,
+        _mm256_srli_epi64, _mm256_storeu_ps, _mm256_sub_pd, _mm256_sub_ps, _mm256_xor_si256,
+        _mm_add_epi64, _mm_add_pd, _mm_add_ps, _mm_add_ss, _mm_cvtsd_f64, _mm_cvtss_f32,
+        _mm_loadu_ps, _mm_movehl_ps, _mm_prefetch, _mm_shuffle_ps, _mm_storeu_si128,
+        _mm_unpackhi_pd, _CMP_NLT_UQ, _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT, _MM_HINT_T0,
     };
 
     use super::exp_poly_scalar;
@@ -534,6 +618,81 @@ mod x86 {
         // NaN propagates and only the flushed lanes are zeroed.
         let keep = _mm256_cmp_pd::<_CMP_NLT_UQ>(x, _mm256_set1_pd(EXP64_MIN));
         _mm256_and_pd(_mm256_mul_pd(y, pow2n), keep)
+    }
+
+    /// How many rows ahead of the one it hashes the lane pass prefetches.
+    const PREFETCH_ROWS: usize = 4;
+
+    /// [`SimdBackend::for_each_row_content_hash`](super::SimdBackend::for_each_row_content_hash)
+    /// in lanes. Caller contract: the CPU supports `avx2` and `fma`.
+    pub(super) fn for_each_row_content_hash<'m>(
+        rows: impl Iterator<Item = (usize, (&'m [f32], &'m [f32]))>,
+        each: impl FnMut(usize, u64),
+    ) {
+        // SAFETY: only reached through `SimdBackend` at `SimdLevel::Avx2`,
+        // which `with_level` stores only once `avx2` and `fma` are confirmed.
+        unsafe { row_content_hashes(rows, each) }
+    }
+
+    // SAFETY: callers must ensure `avx2`/`fma` are available (the
+    // `#[target_feature]` contract). A prefetch never faults, `wrapping_add`
+    // reads nothing, each stripe absorbed is a full chunk of a borrowed row or
+    // a padded local tail, and the secret loads read the eight-word table.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn row_content_hashes<'m>(
+        rows: impl Iterator<Item = (usize, (&'m [f32], &'m [f32]))>,
+        mut each: impl FnMut(usize, u64),
+    ) {
+        let step = _mm256_set1_epi64x(super::STRIPE_STEP as i64);
+        let table = super::first_secrets();
+        let secret = [0, 4].map(|lane| _mm256_loadu_si256(table.as_ptr().add(lane).cast()));
+        let zero = [_mm256_setzero_si256(); 2];
+        for (row, (key, value)) in rows {
+            #[cfg(test)]
+            super::test_support::count_row_hashed();
+            let mut lanes = [zero, zero, secret];
+            for xs in [key, value] {
+                let (p, bytes) = (xs.as_ptr().cast::<i8>(), std::mem::size_of_val(xs));
+                for line in (0..bytes).step_by(64) {
+                    _mm_prefetch::<_MM_HINT_T0>(p.wrapping_add(PREFETCH_ROWS * bytes + line));
+                }
+                let mut stripes = xs.chunks_exact(super::STRIPE);
+                for stripe in &mut stripes {
+                    absorb(stripe.as_ptr(), &mut lanes, step);
+                }
+                let tail = stripes.remainder();
+                if !tail.is_empty() {
+                    let mut padded = [0.0f32; super::STRIPE];
+                    padded[..tail.len()].copy_from_slice(tail);
+                    absorb(padded.as_ptr(), &mut lanes, step);
+                }
+            }
+            // Lanes 0–3 plus 4–7, then the two halves: the parities' sums.
+            let mut sums = [[0u64; 2]; 2];
+            for (sum, [low, high]) in sums.iter_mut().zip([lanes[0], lanes[1]]) {
+                let v = _mm256_add_epi64(low, high);
+                let v = _mm_add_epi64(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+                _mm_storeu_si128(sum.as_mut_ptr().cast(), v);
+            }
+            each(row, super::fold_parities(sums[0], sums[1]));
+        }
+    }
+
+    /// Absorbs the sixteen elements at `p` into `lanes` (word sums, product
+    /// sums, secrets) and advances the secrets by `step`.
+    // SAFETY: callers must ensure `avx2`/`fma` (the `#[target_feature]`
+    // contract) and that `p` addresses sixteen `f32`s.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn absorb(p: *const f32, [raw, product, secret]: &mut [[__m256i; 2]; 3], step: __m256i) {
+        for half in 0..2 {
+            let words = _mm256_loadu_si256(p.cast::<__m256i>().add(half));
+            let mixed = _mm256_xor_si256(words, secret[half]);
+            let halves = _mm256_mul_epu32(mixed, _mm256_srli_epi64::<32>(mixed));
+            raw[half] = _mm256_add_epi64(raw[half], words);
+            product[half] = _mm256_add_epi64(product[half], halves);
+            secret[half] = _mm256_add_epi64(secret[half], step);
+        }
     }
 
     /// Exact attention over validated shapes, vectorised with AVX2 + FMA.
@@ -884,17 +1043,38 @@ mod x86 {
     }
 }
 
-/// Shared helpers for tests that touch process-global dispatch state.
+/// Shared helpers for tests of the dispatch levels.
 #[cfg(test)]
 pub(crate) mod test_support {
     /// Serialises the tests — here and in `quantized_simd` — that mutate
     /// [`super::FORCE_SCALAR_ENV`] (process-global state).
     pub(crate) static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    thread_local! {
+        /// Rows content-hashed on this thread, at either level.
+        pub(crate) static ROWS_HASHED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    pub(crate) fn count_row_hashed() {
+        ROWS_HASHED.with(|count| count.set(count.get() + 1));
+    }
+
+    /// The content hash of every row of (`keys`, `values`) at `level`.
+    pub(crate) fn content_hashes(
+        level: super::SimdLevel,
+        keys: &crate::Matrix,
+        values: &crate::Matrix,
+    ) -> Vec<u64> {
+        let mut hashes = Vec::new();
+        super::SimdBackend::with_level(level)
+            .for_each_row_content_hash(keys, values, |_, hash| hashes.push(hash));
+        hashes
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::ENV_LOCK;
+    use super::test_support::{content_hashes, ENV_LOCK};
     use super::*;
     use crate::backend::ExactBackend;
 
@@ -1229,6 +1409,48 @@ mod tests {
                 "exp({x}): poly {poly} vs libm {libm}"
             );
             x += 0.0137;
+        }
+    }
+
+    #[test]
+    fn lane_and_scalar_content_hashes_agree() {
+        // Every tail length (widths 1..=70), NaN payloads, both zeros,
+        // subnormals, both infinities, and key and value widths that differ.
+        let specials = [
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0xffc1_2345),
+            f32::from_bits(0x7f80_0001),
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            f32::from_bits(0x807f_ffff),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+        ];
+        let mut cases = vec![(case(3, 3, 1).0, case(3, 19, 2).1)];
+        for d in 1..=70 {
+            let (keys, values, _) = case(9, d, d as u64);
+            let special: Vec<f32> = (0..9 * d)
+                .map(|j| specials[(j * 7 + d) % specials.len()])
+                .collect();
+            let special = Matrix::from_flat(special, 9, d).unwrap();
+            cases.push((special.clone(), values.clone()));
+            cases.push((keys.clone(), special));
+            cases.push((keys, values));
+        }
+        for (keys, values) in &cases {
+            let scalar = content_hashes(SimdLevel::Scalar, keys, values);
+            let rows: Vec<u64> = keys
+                .iter_rows()
+                .zip(values.iter_rows())
+                .map(|(key, value)| row_content_hash(key, value))
+                .collect();
+            assert_eq!(scalar, rows, "widths {} and {}", keys.dim(), values.dim());
+            if SimdLevel::Avx2.available() {
+                let lanes = content_hashes(SimdLevel::Avx2, keys, values);
+                assert_eq!(lanes, rows, "widths {} and {}", keys.dim(), values.dim());
+            }
         }
     }
 }

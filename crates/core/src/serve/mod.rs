@@ -76,7 +76,10 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::attention::AttentionResult;
-use crate::backend::{ComputeBackend, MemoryCache, PreparedMemory, ShardPlan, ShardedMemory};
+use crate::backend::{
+    fingerprint_append, fingerprint_update, memory_fingerprint, validate_append,
+    validate_row_width, ComputeBackend, MemoryCache, PreparedMemory, ShardPlan, ShardedMemory,
+};
 use crate::{AttentionError, Matrix, ServeError};
 
 /// Logical time unit of the serving layer. The server never reads a wall clock: the
@@ -222,18 +225,6 @@ impl SessionMemory {
             SessionMemory::Whole(_) => None,
             SessionMemory::Sharded(s) => Some(s),
         }
-    }
-
-    /// The key and value of logical row `row`, or `None` past the last row.
-    fn row(&self, row: usize) -> Option<(&[f32], &[f32])> {
-        let (memory, local) = match self {
-            SessionMemory::Whole(m) => (m.as_ref(), row),
-            SessionMemory::Sharded(s) => {
-                let (shard, local) = s.locate(row)?;
-                (s.shards().get(shard)?.memory(), local)
-            }
-        };
-        (local < memory.n()).then(|| (memory.keys().row(local), memory.values().row(local)))
     }
 }
 
@@ -528,25 +519,30 @@ impl AttentionServer {
         }
         let keys = config.keys();
         let values = config.values();
-        let fingerprint = crate::backend::memory_fingerprint(keys, values);
-        let (memory, reused_preparation) = if config.shard_request() == 1 {
-            let (memory, hit) = self.cache.get_or_prepare_with_fingerprint(
-                self.backend.as_ref(),
+        let backend = self.backend.as_ref();
+        let (memory, fingerprint, reused_preparation) = if config.shard_request() == 1 {
+            let fingerprint = memory_fingerprint(keys, values);
+            let (memory, hit) = self.cache.get_or_prepare_named(
+                backend,
+                &self.backend_name,
                 keys,
                 values,
                 fingerprint,
             )?;
-            (SessionMemory::Whole(memory), hit)
+            (SessionMemory::Whole(memory), fingerprint, hit)
         } else {
             let plan = ShardPlan::new(config.shard_request())?;
-            let (sharded, stats) = ShardedMemory::prepare_cached(
-                self.backend.as_ref(),
+            let (sharded, stats) = ShardedMemory::prepare_named(
+                backend,
+                &self.backend_name,
                 plan,
                 &mut self.cache,
                 keys,
                 values,
             )?;
-            (SessionMemory::Sharded(Arc::new(sharded)), stats.misses == 0)
+            let fingerprint = sharded.fingerprint();
+            let memory = SessionMemory::Sharded(Arc::new(sharded));
+            (memory, fingerprint, stats.misses == 0)
         };
         let id = SessionId(self.sessions.len() as u64);
         self.scheduler.assign_session(id, tenant);
@@ -592,7 +588,7 @@ impl AttentionServer {
         // Shape errors are caught before a cache entry is taken out, so a
         // rejected append leaves it resident. An empty append is a no-op on
         // both session shapes: no cache update, the same prepared memory.
-        crate::backend::validate_append(d, new_keys, new_values)?;
+        validate_append(d, new_keys, new_values)?;
         if new_keys.rows() == 0 {
             return Ok(SessionMutation {
                 incremental_ops: 0,
@@ -601,10 +597,10 @@ impl AttentionServer {
                 fingerprint: old_fingerprint,
             });
         }
-        let new_fingerprint =
-            crate::backend::fingerprint_append(old_fingerprint, old_n, d, new_keys, new_values);
         let mutation = match &mut handle.memory {
             SessionMemory::Whole(memory) => {
+                let new_fingerprint =
+                    fingerprint_append(old_fingerprint, old_n, d, new_keys, new_values);
                 let backend = self.backend.as_ref();
                 let stats = self.cache.mutate_in_place(
                     &self.backend_name,
@@ -620,7 +616,9 @@ impl AttentionServer {
                 }
             }
             SessionMemory::Sharded(sharded) => {
-                let stats = Arc::make_mut(sharded).append_rows_named(
+                // The shard's row hashes give the session's fingerprint.
+                let sharded = Arc::make_mut(sharded);
+                let stats = sharded.append_rows_named(
                     self.backend.as_ref(),
                     &self.backend_name,
                     &mut self.cache,
@@ -631,11 +629,11 @@ impl AttentionServer {
                     incremental_ops: stats.incremental_ops,
                     full_reprepares: stats.full_reprepares,
                     rebalanced: stats.rebalanced,
-                    fingerprint: new_fingerprint,
+                    fingerprint: sharded.fingerprint(),
                 }
             }
         };
-        handle.fingerprint = new_fingerprint;
+        handle.fingerprint = mutation.fingerprint;
         Ok(mutation)
     }
 
@@ -660,37 +658,39 @@ impl AttentionServer {
             .slot()
             .and_then(|slot| self.sessions.get_mut(slot))
             .ok_or(ServeError::UnknownSession { session: id.raw() })?;
-        let (old_key, old_value) = handle.memory.row(row).ok_or(ServeError::Attention(
-            AttentionError::InvalidParameter {
+        if row >= handle.memory.n() {
+            return Err(ServeError::Attention(AttentionError::InvalidParameter {
                 name: "row",
                 constraint: "row index must be within the memory",
-            },
-        ))?;
+            }));
+        }
         // Checked before the cache entry is taken out, so a rejected update
         // leaves it resident.
-        crate::backend::validate_row_width(handle.memory.d(), key, value)?;
-        // Hashed while the memory still holds the old row, so nothing is copied.
-        let fingerprint = crate::backend::fingerprint_update(
-            handle.fingerprint,
-            row,
-            old_key,
-            old_value,
-            key,
-            value,
-        );
+        validate_row_width(handle.memory.d(), key, value)?;
         let backend = self.backend.as_ref();
-        let (incremental_ops, full_reprepares) = match &mut handle.memory {
+        let (incremental_ops, full_reprepares, fingerprint) = match &mut handle.memory {
             SessionMemory::Whole(memory) => {
+                // Hashed while the memory still holds the old row.
+                let fingerprint = fingerprint_update(
+                    handle.fingerprint,
+                    row,
+                    memory.keys().row(row),
+                    memory.values().row(row),
+                    key,
+                    value,
+                );
                 let stats = self.cache.mutate_in_place(
                     &self.backend_name,
                     memory,
                     (handle.fingerprint, fingerprint),
                     |prepared| backend.update_row(prepared, row, key, value),
                 )?;
-                (stats.incremental_ops, u64::from(stats.full_reprepare))
+                let full_reprepares = u64::from(stats.full_reprepare);
+                (stats.incremental_ops, full_reprepares, fingerprint)
             }
             SessionMemory::Sharded(sharded) => {
-                let stats = Arc::make_mut(sharded).update_row_named(
+                let sharded = Arc::make_mut(sharded);
+                let stats = sharded.update_row_named(
                     backend,
                     &self.backend_name,
                     &mut self.cache,
@@ -698,7 +698,8 @@ impl AttentionServer {
                     key,
                     value,
                 )?;
-                (stats.incremental_ops, stats.full_reprepares)
+                let fingerprint = sharded.fingerprint();
+                (stats.incremental_ops, stats.full_reprepares, fingerprint)
             }
         };
         handle.fingerprint = fingerprint;
@@ -1046,6 +1047,54 @@ mod tests {
             server.session(second).unwrap().fingerprint()
         );
         assert_eq!((server.cache().hits(), server.cache().misses()), (1, 1));
+    }
+
+    #[test]
+    fn a_registration_content_hashes_each_row_once() {
+        use crate::backend::simd::test_support::ROWS_HASHED;
+        let rows_hashed = || ROWS_HASHED.with(std::cell::Cell::get);
+        let (keys, values) = memory(0.0, 24, 8);
+        for shards in [1, 4] {
+            let mut server = server_with(Box::new(ExactBackend), BatchPolicy::default());
+            let before = rows_hashed();
+            let id = server
+                .register(MemoryConfig::new(&keys, &values).sharded(shards))
+                .unwrap();
+            assert_eq!(rows_hashed() - before, 24, "x{shards}");
+            assert_eq!(
+                server.session(id).unwrap().fingerprint(),
+                crate::backend::memory_fingerprint(&keys, &values),
+                "x{shards}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_registration_whose_values_carry_extra_rows_is_rejected_warm_or_cold() {
+        let (keys, _) = memory(0.0, 2, 4);
+        let (long_values, _) = memory(0.5, 3, 4);
+        for shards in [1, 2] {
+            let mut server = server_with(Box::new(ExactBackend), BatchPolicy::default());
+            server
+                .register(MemoryConfig::new(&keys, &keys).sharded(shards))
+                .unwrap();
+            // The fingerprint of (keys, long_values) covers two rows, like
+            // the registered memory's; the shapes are checked first.
+            for _ in 0..2 {
+                assert!(
+                    matches!(
+                        server.register(MemoryConfig::new(&keys, &long_values).sharded(shards)),
+                        Err(ServeError::Attention(AttentionError::RowCountMismatch {
+                            keys: 2,
+                            values: 3
+                        }))
+                    ),
+                    "x{shards}"
+                );
+            }
+            assert_eq!(server.sessions().count(), 1, "x{shards}");
+            assert_eq!(server.cache().hits(), 0, "x{shards}");
+        }
     }
 
     #[test]

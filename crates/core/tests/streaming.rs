@@ -130,27 +130,48 @@ proptest! {
     /// keeps every shard bit-identical to a fresh prepare of its own row range
     /// (whatever layout the appends and rebalances produced), with per-shard
     /// fingerprints that match the from-scratch fingerprints of the submatrices.
+    /// The same trace replayed on a server session of the same shard count
+    /// keeps the session's fingerprint, which a sharded session derives from
+    /// its shards' stored row hashes, equal to the from-scratch fingerprint of
+    /// the whole memory after the registration and after every append
+    /// (rebalancing or not) and update.
     #[test]
     fn sharded_trace_matches_fresh_prepare_per_shard(
         (keys, values, ops, query) in streaming_trace(),
         shards in 1usize..5,
     ) {
-        for backend in [
-            Box::new(ExactBackend) as Box<dyn ComputeBackend>,
-            Box::new(ApproximateBackend::conservative()),
-            Box::new(QuantizedBackend::paper()),
-        ] {
+        let backends: [fn() -> Box<dyn ComputeBackend>; 3] = [
+            || Box::new(ExactBackend),
+            || Box::new(ApproximateBackend::conservative()),
+            || Box::new(QuantizedBackend::paper()),
+        ];
+        for make_backend in backends {
+            let backend = make_backend();
             let plan = ShardPlan::new(shards).unwrap();
             let mut cache = MemoryCache::new(16);
             let (mut sharded, _) =
                 ShardedMemory::prepare_cached(backend.as_ref(), plan, &mut cache, &keys, &values)
                     .unwrap();
+            let mut server = AttentionServer::builder(make_backend()).build();
+            let session = server
+                .register(MemoryConfig::new(&keys, &values).sharded(shards))
+                .unwrap();
             let mut mirror_keys: Vec<Vec<f32>> =
                 (0..keys.rows()).map(|r| keys.row(r).to_vec()).collect();
             let mut mirror_values: Vec<Vec<f32>> =
                 (0..values.rows()).map(|r| values.row(r).to_vec()).collect();
+            let whole_fingerprint = |keys: &[Vec<f32>], values: &[Vec<f32>]| {
+                memory_fingerprint(
+                    &Matrix::from_rows(keys.to_vec()).unwrap(),
+                    &Matrix::from_rows(values.to_vec()).unwrap(),
+                )
+            };
+            prop_assert_eq!(
+                server.session(session).unwrap().fingerprint(),
+                whole_fingerprint(&mirror_keys, &mirror_values)
+            );
             for (kind, rows, select) in &ops {
-                if *kind == 0 {
+                let mutation = if *kind == 0 {
                     let (new_keys, new_values) = rows_to_matrices(rows);
                     sharded
                         .append_rows_cached(backend.as_ref(), &mut cache, &new_keys, &new_values)
@@ -159,6 +180,7 @@ proptest! {
                         mirror_keys.push(k.clone());
                         mirror_values.push(v.clone());
                     }
+                    server.append_to_session(session, &new_keys, &new_values).unwrap()
                 } else {
                     let row = *select as usize % mirror_keys.len();
                     let (key, value) = &rows[0];
@@ -167,7 +189,11 @@ proptest! {
                         .unwrap();
                     mirror_keys[row].clone_from(key);
                     mirror_values[row].clone_from(value);
-                }
+                    server.update_session_row(session, row, key, value).unwrap()
+                };
+                let expected = whole_fingerprint(&mirror_keys, &mirror_values);
+                prop_assert_eq!(mutation.fingerprint, expected);
+                prop_assert_eq!(server.session(session).unwrap().fingerprint(), expected);
             }
             prop_assert_eq!(sharded.n(), mirror_keys.len());
             let covered: usize = sharded.shards().iter().map(|s| s.rows()).sum();

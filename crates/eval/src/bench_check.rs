@@ -36,8 +36,8 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use a3_core::backend::{
-    ApproximateBackend, ComputeBackend, ExactBackend, MemoryCache, PreparedMemory,
-    QuantizedBackend, SimdBackend, SimdLevel,
+    memory_fingerprint, ApproximateBackend, ComputeBackend, ExactBackend, MemoryCache,
+    PreparedMemory, QuantizedBackend, SimdBackend, SimdLevel,
 };
 use a3_core::Matrix;
 use a3_sim::{A3Config, MultiUnit, PipelineModel};
@@ -444,6 +444,20 @@ pub fn measure(effort: Effort) -> Vec<Metric> {
         "wall_ns/approx_prepare_320x64",
         MetricUnit::Nanos,
         prepare_ns,
+        false,
+    ));
+
+    // The cache identity every registration computes: one content hash per
+    // row, finished with its position, over the resident 320x64 memory.
+    metrics.push(Metric::new(
+        "wall_ns/fingerprint_320x64",
+        MetricUnit::Nanos,
+        median_ns(effort, || {
+            std::hint::black_box(memory_fingerprint(
+                std::hint::black_box(&keys),
+                std::hint::black_box(&values),
+            ));
+        }),
         false,
     ));
 
