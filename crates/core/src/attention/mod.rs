@@ -73,15 +73,26 @@ pub fn dot_product_scores(keys: &Matrix, query: &[f32]) -> Result<Vec<f32>, Atte
 ///
 /// Returns [`AttentionError::RowCountMismatch`] if `weights.len() != values.rows()`.
 pub fn weighted_sum(values: &Matrix, weights: &[f32]) -> Result<Vec<f32>, AttentionError> {
+    let mut output = Vec::with_capacity(values.dim());
+    weighted_sum_into(values, weights, &mut output)?;
+    Ok(output)
+}
+
+/// [`weighted_sum`] into `output`, whose previous contents are discarded.
+fn weighted_sum_into(
+    values: &Matrix,
+    weights: &[f32],
+    output: &mut Vec<f32>,
+) -> Result<(), AttentionError> {
     if weights.len() != values.rows() {
         return Err(AttentionError::RowCountMismatch {
             keys: weights.len(),
             values: values.rows(),
         });
     }
-    let mut output = vec![0.0f32; values.dim()];
-    for (i, row) in values.iter_rows().enumerate() {
-        let w = weights[i];
+    output.clear();
+    output.resize(values.dim(), 0.0);
+    for (row, &w) in values.iter_rows().zip(weights) {
         if w == 0.0 {
             continue;
         }
@@ -89,7 +100,42 @@ pub fn weighted_sum(values: &Matrix, weights: &[f32]) -> Result<Vec<f32>, Attent
             *o += w * v;
         }
     }
-    Ok(output)
+    Ok(())
+}
+
+/// A query an attend kernel reads and then turns into the buffer its output
+/// is written to. A borrowed query (`&[f32]`) turns into a fresh buffer; an
+/// owned one (`Vec<f32>`) into its own, which is why a kernel may call
+/// [`QueryBuffer::into_output`] only once it has read the query for the last
+/// time. Either way the kernel writes the same output bits.
+pub(crate) trait QueryBuffer {
+    /// The query.
+    fn query(&self) -> &[f32];
+
+    /// An empty buffer with room for `d` elements.
+    fn into_output(self, d: usize) -> Vec<f32>;
+}
+
+impl QueryBuffer for &[f32] {
+    fn query(&self) -> &[f32] {
+        self
+    }
+
+    fn into_output(self, d: usize) -> Vec<f32> {
+        Vec::with_capacity(d)
+    }
+}
+
+impl QueryBuffer for Vec<f32> {
+    fn query(&self) -> &[f32] {
+        self
+    }
+
+    fn into_output(mut self, d: usize) -> Vec<f32> {
+        self.clear();
+        self.reserve(d);
+        self
+    }
 }
 
 /// The attention mechanism exactly as written in Figure 1 of the paper: dot-product
@@ -119,10 +165,21 @@ pub fn attention_with_scores(
     values: &Matrix,
     query: &[f32],
 ) -> Result<AttentionResult, AttentionError> {
-    keys.validate_attention(values, query)?;
-    let scores = dot_product_scores(keys, query)?;
+    attend_exact(keys, values, query)
+}
+
+/// [`attention_with_scores`] for any [`QueryBuffer`]: the output lands in the
+/// buffer the query turns into once the scores are computed.
+pub(crate) fn attend_exact(
+    keys: &Matrix,
+    values: &Matrix,
+    query: impl QueryBuffer,
+) -> Result<AttentionResult, AttentionError> {
+    keys.validate_attention(values, query.query())?;
+    let scores = dot_product_scores(keys, query.query())?;
     let weights = stable_softmax(&scores);
-    let output = weighted_sum(values, &weights)?;
+    let mut output = query.into_output(values.dim());
+    weighted_sum_into(values, &weights, &mut output)?;
     Ok(AttentionResult {
         scores,
         weights,

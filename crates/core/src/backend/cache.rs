@@ -153,6 +153,8 @@ impl MemoryCache {
         keys: &Matrix,
         values: &Matrix,
     ) -> Result<(Arc<PreparedMemory>, bool), AttentionError> {
+        // Shape errors come before the memory is hashed.
+        validate_memory(keys, values)?;
         let fingerprint = memory_fingerprint(keys, values);
         self.get_or_prepare_with_fingerprint(backend, keys, values, fingerprint)
     }

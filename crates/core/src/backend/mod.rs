@@ -17,7 +17,10 @@
 //! 2. [`ComputeBackend::attend_prepared`] / [`ComputeBackend::attend_batch_prepared`]
 //!    serve queries against the prepared memory. The results are **bit-identical** to
 //!    the one-shot [`ComputeBackend::attend`]; preparation is a pure wall-clock
-//!    optimization.
+//!    optimization. [`ComputeBackend::attend_batch_owned`] serves a batch whose
+//!    queries the caller hands over, with the same bits: the exact, SIMD and
+//!    quantized backends write each output into its query's buffer once the query
+//!    is read, so a query's output costs no allocation.
 //!
 //! Repeated batches against the same memory should go through a [`MemoryCache`], which
 //! keys prepared memories by a fingerprint of the memory contents so the preprocessing
@@ -69,7 +72,7 @@ pub use simd::{SimdBackend, SimdLevel};
 use crate::approx::{
     post_scoring_select, select_candidates, ApproxAttentionOutput, ApproxConfig, SortedKeyColumns,
 };
-use crate::attention::{attention_with_scores, stable_softmax, AttentionResult};
+use crate::attention::{attend_exact, attention_with_scores, stable_softmax, AttentionResult};
 use crate::quantized::QuantizedMemory;
 use crate::{AttentionError, Matrix};
 use a3_fixed::QFormat;
@@ -120,6 +123,7 @@ impl PreparedMemory {
     /// # Errors
     ///
     /// Returns [`AttentionError::EmptyMemory`] when `keys` has no rows,
+    /// [`AttentionError::InvalidParameter`] when its rows have no elements,
     /// [`AttentionError::RowCountMismatch`] when `values` disagrees with `keys`
     /// on the number of rows, and [`AttentionError::DimensionMismatch`] when
     /// the two matrices disagree on the feature dimension.
@@ -197,10 +201,17 @@ impl PreparedMemory {
     }
 }
 
-/// Validates that `keys` and `values` form a consistent non-empty memory.
-fn validate_memory(keys: &Matrix, values: &Matrix) -> Result<(), AttentionError> {
+/// Validates that `keys` and `values` form a consistent non-empty memory whose
+/// rows have at least one element.
+pub(crate) fn validate_memory(keys: &Matrix, values: &Matrix) -> Result<(), AttentionError> {
     if keys.is_empty() {
         return Err(AttentionError::EmptyMemory);
+    }
+    if keys.dim() == 0 {
+        return Err(AttentionError::InvalidParameter {
+            name: "keys",
+            constraint: "memory rows must have at least one element",
+        });
     }
     if keys.rows() != values.rows() {
         return Err(AttentionError::RowCountMismatch {
@@ -272,7 +283,8 @@ fn row_hash(row: usize, content: u64) -> u64 {
 /// append into a cache *update* instead of a miss. A [`ShardedMemory`] keeps
 /// its rows' content hashes, so it fingerprints itself and every shard, even
 /// after a rebalance, hashing each row once. Fingerprints are in-process
-/// cache keys only; nothing persists them.
+/// cache keys only; nothing persists them. Every pair of matrices has one,
+/// zero-width or mismatched ones included.
 pub fn memory_fingerprint(keys: &Matrix, values: &Matrix) -> u64 {
     let mut fp = shape_hash(keys.rows(), keys.dim());
     SimdBackend::process().for_each_row_content_hash(keys, values, |row, content| {
@@ -497,6 +509,28 @@ pub(crate) fn update_row_exact_state<B: ComputeBackend + ?Sized>(
     Ok(IncrementalPrepareStats::incremental(0))
 }
 
+/// [`ComputeBackend::attend_batch_owned`] for a backend that attends one owned
+/// query at a time: drains `queries` through `attend` and appends each result
+/// to `results`; on the first error, appends nothing.
+fn attend_each_owned(
+    queries: &mut Vec<Vec<f32>>,
+    results: &mut Vec<AttentionResult>,
+    mut attend: impl FnMut(Vec<f32>) -> Result<AttentionResult, AttentionError>,
+) -> Result<(), AttentionError> {
+    let start = results.len();
+    results.reserve(queries.len());
+    for query in queries.drain(..) {
+        match attend(query) {
+            Ok(result) => results.push(result),
+            Err(error) => {
+                results.truncate(start);
+                return Err(error);
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Data-dependent work counts of one query, reported by backends whose per-query work
 /// varies with the data (the approximate pipeline). The cycle-level simulator turns
 /// this into latency/throughput cycles; backends with query-independent work (exact,
@@ -523,8 +557,9 @@ pub struct WorkProfile {
 ///
 /// For every backend, [`ComputeBackend::attend_prepared`] against a memory produced by
 /// [`ComputeBackend::prepare`] must be **bit-identical** to the one-shot
-/// [`ComputeBackend::attend`], and [`ComputeBackend::attend_batch_prepared`] must be
-/// bit-identical to calling `attend_prepared` once per query, in query order.
+/// [`ComputeBackend::attend`], and [`ComputeBackend::attend_batch_prepared`] and
+/// [`ComputeBackend::attend_batch_owned`] must be bit-identical to calling
+/// `attend_prepared` once per query, in query order.
 pub trait ComputeBackend: Send {
     /// Short human-readable name used in reports and as part of the cache key (e.g.
     /// `"exact"`, `"approx(M=0.5n,T=5%)"`). Backends with different configurations
@@ -622,6 +657,37 @@ pub trait ComputeBackend: Send {
             .iter()
             .map(|q| self.attend_prepared(memory, q))
             .collect()
+    }
+
+    /// [`ComputeBackend::attend_batch_prepared`] for queries the caller hands
+    /// over: drains `queries` and appends one result per query to `results`, in
+    /// query order, bit-identical to `attend_batch_prepared`. A result's
+    /// `output` may reuse its query's buffer, which is how the built-in exact,
+    /// SIMD and quantized backends answer a query without allocating its
+    /// output. The serving layer runs every whole-session batch through this
+    /// method.
+    ///
+    /// The default borrows the queries and forwards to
+    /// `attend_batch_prepared`, one call per batch, so a backend that
+    /// overrides only that method is served unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Returns `attend_batch_prepared`'s first (in query order) error, and
+    /// then appends nothing. `queries` is left empty either way.
+    fn attend_batch_owned(
+        &self,
+        memory: &PreparedMemory,
+        queries: &mut Vec<Vec<f32>>,
+        results: &mut Vec<AttentionResult>,
+    ) -> Result<(), AttentionError> {
+        let batch = {
+            let borrowed: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
+            self.attend_batch_prepared(memory, &borrowed)
+        };
+        queries.clear();
+        results.extend(batch?);
+        Ok(())
     }
 
     /// Computes attention of `query` over a row-sharded memory: every shard produces
@@ -763,6 +829,17 @@ impl ComputeBackend for ExactBackend {
         // Exact attention only needs the raw matrices, which every prepared memory
         // carries, so it can serve memories prepared by any backend.
         attention_with_scores(memory.keys(), memory.values(), query)
+    }
+
+    fn attend_batch_owned(
+        &self,
+        memory: &PreparedMemory,
+        queries: &mut Vec<Vec<f32>>,
+        results: &mut Vec<AttentionResult>,
+    ) -> Result<(), AttentionError> {
+        attend_each_owned(queries, results, |query| {
+            attend_exact(memory.keys(), memory.values(), query)
+        })
     }
 
     fn attend(
@@ -1290,6 +1367,18 @@ impl ComputeBackend for QuantizedBackend {
         self.quantized(memory)?.attend(query)
     }
 
+    fn attend_batch_owned(
+        &self,
+        memory: &PreparedMemory,
+        queries: &mut Vec<Vec<f32>>,
+        results: &mut Vec<AttentionResult>,
+    ) -> Result<(), AttentionError> {
+        attend_each_owned(queries, results, |query| {
+            memory.validate_query(&query)?;
+            self.quantized(memory)?.attend_with(query)
+        })
+    }
+
     /// The default per-shard path, fused when every shard carries the AVX2
     /// pipeline in this backend's input format: the query is quantized once,
     /// one work buffer serves every shard, and each shard's partial result
@@ -1387,6 +1476,106 @@ mod tests {
                 Err(AttentionError::DimensionMismatch { .. })
             ));
         }
+    }
+
+    #[test]
+    fn owned_batches_are_bit_identical_to_borrowed_ones() {
+        let (keys, values, query) = case(20, 6);
+        let q2: Vec<f32> = query.iter().map(|x| -x).collect();
+        let borrowed = [query.as_slice(), q2.as_slice()];
+        for backend in backends() {
+            let name = backend.name();
+            let memory = backend.prepare(&keys, &values).unwrap();
+            let want = backend.attend_batch_prepared(&memory, &borrowed).unwrap();
+            let mut queries = vec![query.clone(), q2.clone()];
+            let mut results = vec![want[1].clone()];
+            backend
+                .attend_batch_owned(&memory, &mut queries, &mut results)
+                .unwrap();
+            assert!(queries.is_empty(), "{name}");
+            assert_eq!(results.len(), 3, "{name}: results are appended");
+            assert_eq!(results[1..], want[..], "{name}");
+
+            // The same first error, nothing appended, and the queries drained.
+            let mut queries = vec![query.clone(), vec![0.0; 3], vec![0.0; 2]];
+            let mut results = Vec::new();
+            assert_eq!(
+                backend.attend_batch_owned(&memory, &mut queries, &mut results),
+                Err(AttentionError::DimensionMismatch {
+                    expected: 6,
+                    actual: 3
+                }),
+                "{name}"
+            );
+            assert!(queries.is_empty() && results.is_empty(), "{name}");
+        }
+    }
+
+    #[test]
+    fn owned_exact_simd_and_quantized_outputs_take_over_their_query_buffers() {
+        let (keys, values, query) = case(20, 6);
+        let owners: [Box<dyn ComputeBackend>; 5] = [
+            Box::new(ExactBackend),
+            Box::new(SimdBackend::new()),
+            Box::new(SimdBackend::scalar()),
+            Box::new(QuantizedBackend::paper()),
+            Box::new(QuantizedBackend::paper_scalar()),
+        ];
+        for backend in owners {
+            let memory = backend.prepare(&keys, &values).unwrap();
+            let mut queries = vec![query.clone()];
+            let buffer = queries[0].as_ptr();
+            let mut results = Vec::new();
+            backend
+                .attend_batch_owned(&memory, &mut queries, &mut results)
+                .unwrap();
+            assert_eq!(results[0].output.as_ptr(), buffer, "{}", backend.name());
+        }
+    }
+
+    #[test]
+    fn a_zero_width_memory_is_a_typed_error_and_still_fingerprints() {
+        let zero_width = Matrix::from_flat(vec![], 2, 0).unwrap();
+        let is_width_error = |result: Result<_, AttentionError>| {
+            matches!(
+                result,
+                Err(AttentionError::InvalidParameter { name: "keys", .. })
+            )
+        };
+        for backend in backends() {
+            assert!(
+                is_width_error(backend.prepare(&zero_width, &zero_width).map(|_| ())),
+                "{}",
+                backend.name()
+            );
+        }
+        let mut cache = MemoryCache::new(4);
+        assert!(is_width_error(
+            cache
+                .get_or_prepare(&ExactBackend, &zero_width, &zero_width)
+                .map(|_| ())
+        ));
+        assert!(cache.is_empty());
+        assert!(is_width_error(
+            ShardedMemory::prepare(
+                &ExactBackend,
+                ShardPlan::new(2).unwrap(),
+                &zero_width,
+                &zero_width
+            )
+            .map(|_| ())
+        ));
+        // The fingerprint is total: zero-width and mismatched matrices hash.
+        let three_rows = Matrix::from_flat(vec![], 3, 0).unwrap();
+        let (keys, values, _) = case(2, 4);
+        assert_ne!(
+            memory_fingerprint(&zero_width, &zero_width),
+            memory_fingerprint(&three_rows, &three_rows)
+        );
+        assert_ne!(
+            memory_fingerprint(&keys, &zero_width),
+            memory_fingerprint(&keys, &values)
+        );
     }
 
     #[test]

@@ -137,7 +137,7 @@ use a3_fixed::{ceil_log2, ExpLutTables, PipelineFormats, QFormat};
 use super::shard::{merge_core, rescale_weight};
 use super::simd::SimdLevel;
 use super::{MemoryShard, ShardedMemory};
-use crate::attention::AttentionResult;
+use crate::attention::{AttentionResult, QueryBuffer};
 use crate::quantized::QuantizedMemory;
 
 /// Prepared vector state for one quantized memory: operands quantized into
@@ -263,8 +263,8 @@ impl QuantizedSimdPipeline {
     ///
     /// Caller contract (upheld by `QuantizedMemory::attend`, the only route
     /// here): `query.len() == d`.
-    pub(crate) fn attend(&self, query: &[f32]) -> AttentionResult {
-        debug_assert_eq!(query.len(), self.d);
+    pub(crate) fn attend(&self, query: impl QueryBuffer) -> AttentionResult {
+        debug_assert_eq!(query.query().len(), self.d);
         x86::attend(self, query)
     }
 
@@ -555,7 +555,7 @@ mod x86 {
     };
 
     use super::{LaneQuantizer, QuantizedSimdPipeline, MAX_D};
-    use crate::attention::AttentionResult;
+    use crate::attention::{AttentionResult, QueryBuffer};
 
     /// `i16` lanes per 256-bit vector (module 1).
     const LANES_16: usize = 16;
@@ -652,25 +652,28 @@ mod x86 {
     ///
     /// Caller contract (enforced by `QuantizedSimdPipeline::attend`):
     /// `query.len() == d`.
-    pub(super) fn attend(p: &QuantizedSimdPipeline, query: &[f32]) -> AttentionResult {
+    pub(super) fn attend(p: &QuantizedSimdPipeline, query: impl QueryBuffer) -> AttentionResult {
         // SAFETY: a `QuantizedSimdPipeline` only exists when its `prepare`
         // saw `SimdLevel::detect() == Avx2`, so the CPU supports `avx2`; this
         // function is only reached through such a pipeline.
         unsafe { attend_avx2(p, query) }
     }
 
+    /// The output lands in the buffer `query` turns into once it is
+    /// quantized, zeroed first as `attend_rows` requires.
     // SAFETY: callers must ensure the CPU supports `avx2` (the
     // `#[target_feature]` contract) and the `attend` caller contract above;
-    // the only caller is `attend`. `work` and the three result vectors are
-    // allocated here with exactly `n` (resp. `d`) elements, the lengths
-    // `attend_rows_avx2` requires.
+    // the only caller is `attend`. `work`, `scores` and `weights` are
+    // allocated here with exactly `n` elements and `output` resized to
+    // exactly `d`, the lengths `attend_rows_avx2` requires.
     #[target_feature(enable = "avx2")]
-    unsafe fn attend_avx2(p: &QuantizedSimdPipeline, query: &[f32]) -> AttentionResult {
+    unsafe fn attend_avx2(p: &QuantizedSimdPipeline, query: impl QueryBuffer) -> AttentionResult {
         let (n, d) = (p.n, p.d);
-        let q = quantize_query(&p.quantizer, query);
+        let q = quantize_query(&p.quantizer, query.query());
+        let mut output = query.into_output(d);
+        output.resize(d, 0.0);
         let mut scores = vec![0.0f32; n];
         let mut weights = vec![0.0f32; n];
-        let mut output = vec![0.0f32; d];
         let mut work = vec![0i32; n];
         attend_rows_avx2(p, &q, &mut work, &mut scores, &mut weights, &mut output);
         AttentionResult {

@@ -64,7 +64,7 @@
 use std::fmt;
 use std::sync::OnceLock;
 
-use crate::attention::{attention_with_scores, AttentionResult};
+use crate::attention::{attend_exact, AttentionResult, QueryBuffer};
 use crate::{AttentionError, Matrix};
 
 use super::{folded_multiply, ComputeBackend, PreparedMemory, PreparedState};
@@ -215,13 +215,17 @@ impl SimdBackend {
     }
 
     /// Calls `each(row, row_content_hash(key, value))` for every row pair, in
-    /// one pass; in lanes at [`SimdLevel::Avx2`], prefetching rows ahead.
+    /// one pass; in lanes at [`SimdLevel::Avx2`], prefetching rows ahead. A
+    /// zero-width matrix holds no content, so it yields no row.
     pub(crate) fn for_each_row_content_hash(
         &self,
         keys: &Matrix,
         values: &Matrix,
         mut each: impl FnMut(usize, u64),
     ) {
+        if keys.dim() == 0 || values.dim() == 0 {
+            return;
+        }
         let rows = keys.iter_rows().zip(values.iter_rows()).enumerate();
         match self.level {
             #[cfg(target_arch = "x86_64")]
@@ -230,23 +234,24 @@ impl SimdBackend {
         }
     }
 
-    /// One attention operation through the selected kernel. Shapes are validated
-    /// here so the unsafe kernels below only ever see consistent inputs.
+    /// One attention operation through the selected kernel, its output written
+    /// to the buffer `query` turns into. Shapes are validated here so the unsafe
+    /// kernels below only ever see consistent inputs.
     fn attend_raw(
         &self,
         keys: &Matrix,
         values: &Matrix,
-        query: &[f32],
+        query: impl QueryBuffer,
     ) -> Result<AttentionResult, AttentionError> {
-        keys.validate_attention(values, query)?;
+        keys.validate_attention(values, query.query())?;
         match self.level {
-            SimdLevel::Scalar => attention_with_scores(keys, values, query),
+            SimdLevel::Scalar => attend_exact(keys, values, query),
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Avx2 => Ok(x86::attend(keys, values, query)),
             // `with_level` never stores an unavailable level, but stay safe if the
             // enum is matched on a target without the kernels.
             #[cfg(not(target_arch = "x86_64"))]
-            SimdLevel::Avx2 => attention_with_scores(keys, values, query),
+            SimdLevel::Avx2 => attend_exact(keys, values, query),
         }
     }
 }
@@ -295,6 +300,18 @@ impl ComputeBackend for SimdBackend {
         // Only the raw matrices are needed, so memories prepared by any backend are
         // served (mirroring ExactBackend).
         self.attend_raw(memory.keys(), memory.values(), query)
+    }
+
+    /// Each query's output takes over the query's buffer, at both levels.
+    fn attend_batch_owned(
+        &self,
+        memory: &PreparedMemory,
+        queries: &mut Vec<Vec<f32>>,
+        results: &mut Vec<AttentionResult>,
+    ) -> Result<(), AttentionError> {
+        super::attend_each_owned(queries, results, |query| {
+            self.attend_raw(memory.keys(), memory.values(), query)
+        })
     }
 
     fn attend(
@@ -428,7 +445,7 @@ mod x86 {
     };
 
     use super::exp_poly_scalar;
-    use crate::attention::AttentionResult;
+    use crate::attention::{AttentionResult, QueryBuffer};
     use crate::Matrix;
 
     /// Number of `f32` lanes per AVX2 vector.
@@ -695,11 +712,17 @@ mod x86 {
         }
     }
 
-    /// Exact attention over validated shapes, vectorised with AVX2 + FMA.
+    /// Exact attention over validated shapes, vectorised with AVX2 + FMA. The
+    /// output lands in the buffer `query` turns into after the score pass,
+    /// the last read of the query.
     ///
     /// Caller contract (enforced by `SimdBackend::attend_raw`): shapes are
     /// consistent and the CPU supports `avx2` and `fma`.
-    pub(super) fn attend(keys: &Matrix, values: &Matrix, query: &[f32]) -> AttentionResult {
+    pub(super) fn attend(
+        keys: &Matrix,
+        values: &Matrix,
+        query: impl QueryBuffer,
+    ) -> AttentionResult {
         // SAFETY: `SimdBackend::with_level` only stores `Avx2` when
         // `SimdLevel::available` confirmed `avx2` and `fma` on this CPU, and this
         // function is only reached through that backend.
@@ -711,11 +734,15 @@ mod x86 {
     // exclusively through a `SimdBackend` that verified both features at
     // construction. Shapes are validated by `SimdBackend::attend_raw` before entry.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn attend_avx2(keys: &Matrix, values: &Matrix, query: &[f32]) -> AttentionResult {
+    unsafe fn attend_avx2(
+        keys: &Matrix,
+        values: &Matrix,
+        query: impl QueryBuffer,
+    ) -> AttentionResult {
         // The max reduction of the stable softmax is fused into the score pass.
-        let (scores, max) = dots(keys, query);
+        let (scores, max) = dots(keys, query.query());
         let weights = softmax(&scores, max);
-        let output = weighted_sum(values, &weights);
+        let output = weighted_sum(values, &weights, query.into_output(values.dim()));
         AttentionResult {
             scores,
             weights,
@@ -969,19 +996,22 @@ mod x86 {
     /// ([`column_block`]); the last `d mod 8` columns are scalar. Per output
     /// element the rows are still accumulated in ascending row order (the
     /// scalar path's order), and zero-weight rows are skipped as the scalar
-    /// path does, so the block widths do not change a single bit.
+    /// path does, so the block widths do not change a single bit. The output
+    /// is written into `output`, whose previous contents are discarded.
     // SAFETY: callers must ensure `avx2`/`fma` are available (the
     // `#[target_feature]` contract) and `weights.len() == values.rows()`.
     // Every block satisfies `column_block`'s contract: `j + K*LANES <= d`
-    // inside the `n*d` value buffer and the `d`-element capacity of a fresh
-    // output vector, which is not otherwise referenced while the pointer is
-    // live. The scalar tail reads `data + i*d + j` with `i < n`, `j < d`.
-    // The blocks and the tail write every output column before `set_len`.
+    // inside the `n*d` value buffer and the `d`-element capacity `reserve`
+    // gives the emptied output vector, which is not otherwise referenced
+    // while the pointer is live. The scalar tail reads `data + i*d + j` with
+    // `i < n`, `j < d`. The blocks and the tail write every output column
+    // before `set_len`.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn weighted_sum(values: &Matrix, weights: &[f32]) -> Vec<f32> {
+    unsafe fn weighted_sum(values: &Matrix, weights: &[f32], mut output: Vec<f32>) -> Vec<f32> {
         let d = values.dim();
         let data = values.as_slice().as_ptr();
-        let mut output = Vec::with_capacity(d);
+        output.clear();
+        output.reserve(d);
         let out: *mut f32 = output.as_mut_ptr();
         let mut j = 0;
         while j + 8 * LANES <= d {

@@ -33,10 +33,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use a3_fixed::{ExpLut, ExpLutConfig, ExpLutTables, Fixed, PipelineFormats, QFormat};
 
-use crate::attention::AttentionResult;
+use crate::attention::{AttentionResult, QueryBuffer};
 #[cfg(target_arch = "x86_64")]
 use crate::backend::quantized_simd::QuantizedSimdPipeline;
-use crate::backend::{validate_append, validate_row_width};
+use crate::backend::{validate_append, validate_memory, validate_row_width};
 use crate::{AttentionError, Matrix};
 
 /// A key/value memory quantized for the fixed-point base pipeline: the per-stage
@@ -138,21 +138,7 @@ impl QuantizedMemory {
         values: &Matrix,
         allow_vector: bool,
     ) -> Result<Self, AttentionError> {
-        if keys.is_empty() {
-            return Err(AttentionError::EmptyMemory);
-        }
-        if keys.rows() != values.rows() {
-            return Err(AttentionError::RowCountMismatch {
-                keys: keys.rows(),
-                values: values.rows(),
-            });
-        }
-        if keys.dim() != values.dim() {
-            return Err(AttentionError::DimensionMismatch {
-                expected: keys.dim(),
-                actual: values.dim(),
-            });
-        }
+        validate_memory(keys, values)?;
         let formats = PipelineFormats::new(input_format, keys.rows(), keys.dim());
         let exp_lut = ExpLut::two_half(formats.shifted_dot_product(), formats.score());
         let datapath = Datapath::select(&formats, &exp_lut, keys, values, allow_vector);
@@ -236,10 +222,19 @@ impl QuantizedMemory {
     /// Returns [`AttentionError::DimensionMismatch`] if the query dimension does
     /// not match the memory.
     pub fn attend(&self, query: &[f32]) -> Result<AttentionResult, AttentionError> {
-        if query.len() != self.d() {
+        self.attend_with(query)
+    }
+
+    /// [`QuantizedMemory::attend`] with the output written to the buffer
+    /// `query` turns into once the query is quantized.
+    pub(crate) fn attend_with(
+        &self,
+        query: impl QueryBuffer,
+    ) -> Result<AttentionResult, AttentionError> {
+        if query.query().len() != self.d() {
             return Err(AttentionError::DimensionMismatch {
                 expected: self.d(),
-                actual: query.len(),
+                actual: query.query().len(),
             });
         }
         Ok(match &self.datapath {
@@ -514,13 +509,15 @@ impl DynamicPipeline {
         &self,
         formats: &PipelineFormats,
         exp_lut: &ExpLut,
-        query: &[f32],
+        query: impl QueryBuffer,
     ) -> AttentionResult {
         let n = formats.n();
         let d = formats.d();
 
-        // Quantize the query once (it is reused by every row).
-        let q_raw: Vec<i64> = Fixed::quantize_slice(query, formats.input()).collect();
+        // Quantize the query once (it is reused by every row); the float query
+        // is not read again, so its buffer can take the output.
+        let q_raw: Vec<i64> = Fixed::quantize_slice(query.query(), formats.input()).collect();
+        let mut output = query.into_output(d);
 
         // Module 1: dot products and the running maximum. Element products are
         // full-precision; each accumulation step saturates at the dot-product
@@ -574,15 +571,14 @@ impl DynamicPipeline {
         }
 
         // Dequantize.
-        let dequantize = |raws: &[i64], resolution: f64| -> Vec<f32> {
-            raws.iter()
-                .map(|&x| (x as f64 * resolution) as f32)
-                .collect()
-        };
+        fn dequantize(raws: &[i64], resolution: f64) -> impl Iterator<Item = f32> + '_ {
+            raws.iter().map(move |&x| (x as f64 * resolution) as f32)
+        }
+        output.extend(dequantize(&output_acc, formats.output().resolution()));
         AttentionResult {
-            scores: dequantize(&dot_products, formats.dot_product().resolution()),
-            weights: dequantize(&weights, formats.weight().resolution()),
-            output: dequantize(&output_acc, formats.output().resolution()),
+            scores: dequantize(&dot_products, formats.dot_product().resolution()).collect(),
+            weights: dequantize(&weights, formats.weight().resolution()).collect(),
+            output,
         }
     }
 }

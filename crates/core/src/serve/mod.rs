@@ -36,6 +36,17 @@
 //! query: batching, admission and fairness are pure scheduling decisions, never
 //! numerics decisions.
 //!
+//! A request pays for its results only. A whole session's batch runs through
+//! [`ComputeBackend::attend_batch_owned`], which takes over the requests' query
+//! buffers: the built-in exact, SIMD and quantized backends write each
+//! response's output into its own query's buffer. A submission finds its
+//! queue, and its tenant's lane and counters, by the indices the server
+//! issued, with no search and no map lookup. The queues and the server's
+//! per-batch lists keep their buffers between polls, so a warm poll allocates
+//! only its batch list, each batch's response list and what the backend
+//! allocates for its results. [`AttentionServer::next_due`] and each poll still
+//! scan every session's queue, idle ones included.
+//!
 //! Time is a logical [`Tick`] counter supplied by the caller, which makes every
 //! schedule deterministic and lets `a3-sim`'s discrete-event model drive this
 //! server with ticks interpreted as accelerator clock cycles.
@@ -68,10 +79,9 @@ pub use config::{MemoryConfig, ServerBuilder};
 pub use scheduler::{BatchPolicy, FlushReason};
 pub use tenant::{Priority, RateLimit, TenantConfig, TenantId, TenantStats};
 
-use scheduler::{FormedBatch, QueuedRequest, Scheduler};
+use scheduler::{BatchHead, QueuedRequest, Scheduler};
 use tenant::TokenBucket;
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -235,6 +245,8 @@ impl SessionMemory {
 pub struct SessionHandle {
     id: SessionId,
     tenant: TenantId,
+    /// The tenant's index in the server's tenant table (its scheduler lane).
+    tenant_slot: usize,
     memory: SessionMemory,
     fingerprint: u64,
     reused_preparation: bool,
@@ -306,7 +318,8 @@ pub struct Response {
     /// Tick at which the result became available (the poll/flush tick).
     pub completed_at: Tick,
     /// The attention output — bit-identical to a direct
-    /// [`ComputeBackend::attend_prepared`] call with the same query.
+    /// [`ComputeBackend::attend_prepared`] call with the same query. Its
+    /// `output` may occupy the buffer the request's query arrived in.
     pub result: AttentionResult,
 }
 
@@ -367,9 +380,26 @@ impl ServerStats {
 /// lifetime counters.
 #[derive(Debug, Clone)]
 struct TenantRuntime {
+    id: TenantId,
     config: TenantConfig,
     bucket: Option<TokenBucket>,
     stats: TenantStats,
+}
+
+/// Buffers a poll reuses across batches and polls. Each holds at most the
+/// largest poll's worth of requests, so a warm server allocates per batch only
+/// the responses it returns. Each pop replaces the lists' contents.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// One head per popped batch, in execution order.
+    heads: Vec<BatchHead>,
+    /// Every popped request, batch after batch; a run batch's requests have
+    /// handed their queries to the backend.
+    requests: Vec<QueuedRequest>,
+    /// One batch's queries, handed to the backend.
+    queries: Vec<Vec<f32>>,
+    /// One batch's results.
+    results: Vec<AttentionResult>,
 }
 
 /// A request-oriented attention server: tenants, registered memories,
@@ -386,10 +416,14 @@ pub struct AttentionServer {
     /// Every registered session, indexed by its raw id: [`Self::register`]
     /// issues ids densely from 0.
     sessions: Vec<SessionHandle>,
-    tenants: BTreeMap<TenantId, TenantRuntime>,
+    /// Every registered tenant, at the index of its scheduler lane; a session
+    /// stores its tenant's index. Only [`Self::register_tenant`] starts a
+    /// lane (the default tenant's first), so the two tables stay aligned.
+    tenants: Vec<TenantRuntime>,
     scheduler: Scheduler,
     next_request: u64,
     stats: ServerStats,
+    scratch: Scratch,
 }
 
 impl fmt::Debug for AttentionServer {
@@ -426,10 +460,11 @@ impl AttentionServer {
             backend,
             cache,
             sessions: Vec::new(),
-            tenants: BTreeMap::new(),
+            tenants: Vec::new(),
             scheduler: Scheduler::new(policy),
             next_request: 0,
             stats: ServerStats::default(),
+            scratch: Scratch::default(),
         };
         server.register_tenant(TenantId::DEFAULT, TenantConfig::default());
         server
@@ -461,37 +496,49 @@ impl AttentionServer {
     /// sessions. Reconfiguring an existing tenant resets its bucket but keeps
     /// its lifetime counters.
     pub fn register_tenant(&mut self, id: TenantId, config: TenantConfig) {
-        self.scheduler
+        let slot = self
+            .scheduler
             .set_tenant_weight(id, config.priority().weight());
         let bucket = config.rate_limit().map(|limit| TokenBucket::new(limit, 0));
-        self.tenants
-            .entry(id)
-            .and_modify(|runtime| {
+        match self.tenants.get_mut(slot) {
+            Some(runtime) => {
                 runtime.config = config;
                 runtime.bucket = bucket;
-            })
-            .or_insert(TenantRuntime {
+            }
+            None => self.tenants.push(TenantRuntime {
+                id,
                 config,
                 bucket,
                 stats: TenantStats::default(),
-            });
+            }),
+        }
+    }
+
+    /// A registered tenant's index in the tenant table.
+    fn tenant(&self, id: TenantId) -> Option<usize> {
+        self.scheduler
+            .lane(id)
+            .filter(|&slot| slot < self.tenants.len())
     }
 
     /// A tenant's configuration, if registered.
     pub fn tenant_config(&self, id: TenantId) -> Option<TenantConfig> {
-        self.tenants.get(&id).map(|runtime| runtime.config)
+        let runtime = self.tenants.get(self.tenant(id)?)?;
+        Some(runtime.config)
     }
 
     /// A tenant's lifetime admission/completion counters, if registered.
     pub fn tenant_stats(&self, id: TenantId) -> Option<TenantStats> {
-        self.tenants.get(&id).map(|runtime| runtime.stats)
+        let runtime = self.tenants.get(self.tenant(id)?)?;
+        Some(runtime.stats)
     }
 
     /// Iterates over every registered tenant in id order.
     pub fn tenants(&self) -> impl Iterator<Item = (TenantId, TenantConfig)> + '_ {
-        self.tenants
-            .iter()
-            .map(|(&id, runtime)| (id, runtime.config))
+        self.scheduler
+            .lanes_by_tenant()
+            .filter_map(|slot| self.tenants.get(slot))
+            .map(|runtime| (runtime.id, runtime.config))
     }
 
     /// Registers a memory described by `config` and opens a session serving it:
@@ -512,11 +559,9 @@ impl AttentionServer {
     ///   approximate backend's post-scoring threshold outside (0, 100]).
     pub fn register(&mut self, config: MemoryConfig<'_>) -> Result<SessionId, ServeError> {
         let tenant = config.tenant_id();
-        if !self.tenants.contains_key(&tenant) {
-            return Err(ServeError::UnknownTenant {
-                tenant: tenant.raw(),
-            });
-        }
+        let tenant_slot = self.tenant(tenant).ok_or(ServeError::UnknownTenant {
+            tenant: tenant.raw(),
+        })?;
         let keys = config.keys();
         let values = config.values();
         let backend = self.backend.as_ref();
@@ -549,6 +594,7 @@ impl AttentionServer {
         self.sessions.push(SessionHandle {
             id,
             tenant,
+            tenant_slot,
             memory,
             fingerprint,
             reused_preparation,
@@ -746,8 +792,8 @@ impl AttentionServer {
                 actual: request.query.len(),
             }));
         }
-        let tenant = session.tenant;
-        if let Some(runtime) = self.tenants.get_mut(&tenant) {
+        let (tenant, tenant_slot) = (session.tenant, session.tenant_slot);
+        if let Some(runtime) = self.tenants.get_mut(tenant_slot) {
             runtime.stats.offered += 1;
             if let Some(bucket) = runtime.bucket.as_mut() {
                 if !bucket.try_admit(request.arrival) {
@@ -762,7 +808,7 @@ impl AttentionServer {
         }
         let id = RequestId(self.next_request);
         self.next_request += 1;
-        self.scheduler.enqueue(QueuedRequest {
+        let depth = self.scheduler.enqueue(QueuedRequest {
             id,
             session: request.session,
             query: request.query,
@@ -770,7 +816,6 @@ impl AttentionServer {
             deadline: request.deadline,
         });
         self.stats.submitted += 1;
-        let depth = self.scheduler.queue_depth(request.session);
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(depth);
         Ok(id)
     }
@@ -800,8 +845,11 @@ impl AttentionServer {
     /// happen for requests validated by [`AttentionServer::submit`] against a live
     /// session).
     pub fn poll(&mut self, now: Tick) -> Result<Vec<CompletedBatch>, ServeError> {
-        let batches = self.scheduler.pop_due(now);
-        self.execute(batches, now)
+        let Scratch {
+            heads, requests, ..
+        } = &mut self.scratch;
+        self.scheduler.pop_due_into(now, heads, requests);
+        self.execute(now)
     }
 
     /// Force-flushes every queued request regardless of due times (e.g. at
@@ -812,41 +860,70 @@ impl AttentionServer {
     ///
     /// Returns [`ServeError::Attention`] if the backend rejects a batch.
     pub fn flush_all(&mut self, now: Tick) -> Result<Vec<CompletedBatch>, ServeError> {
-        let batches = self.scheduler.pop_all(now);
-        self.execute(batches, now)
+        let Scratch {
+            heads, requests, ..
+        } = &mut self.scratch;
+        self.scheduler.pop_all_into(now, heads, requests);
+        self.execute(now)
     }
 
-    /// Runs formed batches through the backend's prepared batch path. Results are
-    /// bit-identical to per-query [`ComputeBackend::attend_prepared`] calls in
-    /// arrival order (the backend contract).
-    fn execute(
-        &mut self,
-        batches: Vec<FormedBatch>,
-        now: Tick,
-    ) -> Result<Vec<CompletedBatch>, ServeError> {
-        let mut completed = Vec::with_capacity(batches.len());
-        for batch in batches {
-            let session = self
-                .session(batch.session)
+    /// Runs the batches just popped into the scratch lists through the
+    /// backend. A whole session's batch goes through
+    /// [`ComputeBackend::attend_batch_owned`], so each response's output may
+    /// take over its request's query buffer; a sharded one through
+    /// [`ComputeBackend::attend_batch_sharded`]. Results are bit-identical to
+    /// per-query [`ComputeBackend::attend_prepared`] (or `attend_sharded`)
+    /// calls in arrival order (the backend contract).
+    fn execute(&mut self, now: Tick) -> Result<Vec<CompletedBatch>, ServeError> {
+        let Self {
+            backend,
+            sessions,
+            tenants,
+            stats,
+            scratch,
+            ..
+        } = self;
+        let Scratch {
+            heads,
+            requests,
+            queries,
+            results,
+        } = scratch;
+        let mut completed = Vec::with_capacity(heads.len());
+        let mut rest = requests.as_mut_slice();
+        for head in heads.iter() {
+            let len = head.len.min(rest.len());
+            let (batch, after) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = after;
+            // A batch that failed left its queries or results behind.
+            queries.clear();
+            results.clear();
+            queries.extend(
+                batch
+                    .iter_mut()
+                    .map(|request| std::mem::take(&mut request.query)),
+            );
+            let session = head
+                .session
+                .slot()
+                .and_then(|slot| sessions.get(slot))
                 .ok_or(ServeError::UnknownSession {
-                    session: batch.session.raw(),
+                    session: head.session.raw(),
                 })?;
-            let tenant = session.tenant;
-            let queries: Vec<&[f32]> = batch.requests.iter().map(|r| r.query.as_slice()).collect();
-            let results = match &session.memory {
+            match &session.memory {
                 SessionMemory::Whole(memory) => {
-                    self.backend.attend_batch_prepared(memory, &queries)?
+                    backend.attend_batch_owned(memory, queries, results)?;
                 }
                 // Sharded session: every query runs on every shard and the
                 // per-shard partials merge.
                 SessionMemory::Sharded(sharded) => {
-                    self.backend.attend_batch_sharded(sharded, &queries)?
+                    let borrowed: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
+                    results.extend(backend.attend_batch_sharded(sharded, &borrowed)?);
                 }
-            };
+            }
             let responses: Vec<Response> = batch
-                .requests
                 .iter()
-                .zip(results)
+                .zip(results.drain(..))
                 .map(|(request, result)| Response {
                     request: request.id,
                     session: request.session,
@@ -857,17 +934,17 @@ impl AttentionServer {
                 })
                 .collect();
             let misses = responses.iter().filter(|r| r.missed_deadline()).count() as u64;
-            self.stats.batches += 1;
-            self.stats.completed += responses.len() as u64;
-            self.stats.deadline_misses += misses;
-            if let Some(runtime) = self.tenants.get_mut(&tenant) {
+            stats.batches += 1;
+            stats.completed += responses.len() as u64;
+            stats.deadline_misses += misses;
+            if let Some(runtime) = tenants.get_mut(session.tenant_slot) {
                 runtime.stats.completed += responses.len() as u64;
                 runtime.stats.deadline_misses += misses;
             }
             completed.push(CompletedBatch {
-                session: batch.session,
-                formed_at: batch.formed_at,
-                reason: batch.reason,
+                session: head.session,
+                formed_at: head.formed_at,
+                reason: head.reason,
                 responses,
             });
         }
@@ -1066,6 +1143,25 @@ mod tests {
                 crate::backend::memory_fingerprint(&keys, &values),
                 "x{shards}"
             );
+        }
+    }
+
+    #[test]
+    fn a_zero_width_memory_is_a_typed_error_at_registration() {
+        let zero_width = Matrix::from_flat(vec![], 2, 0).unwrap();
+        for shards in [1, 2] {
+            let mut server = server_with(Box::new(ExactBackend), BatchPolicy::default());
+            assert!(
+                matches!(
+                    server.register(MemoryConfig::new(&zero_width, &zero_width).sharded(shards)),
+                    Err(ServeError::Attention(AttentionError::InvalidParameter {
+                        name: "keys",
+                        ..
+                    }))
+                ),
+                "x{shards}"
+            );
+            assert_eq!(server.sessions().count(), 0, "x{shards}");
         }
     }
 

@@ -29,16 +29,23 @@
 //!
 //! # Cost
 //!
-//! One [`Scheduler::pop_due`] call evaluates each non-empty queue's due time
-//! once, grouping the due sessions by lane in session order. Every batch it then
-//! pops costs O(lanes): it picks the lane with the least (virtual time, tenant
-//! id), pops that lane's first due session, and re-evaluates only that session.
-//! Within one call no request arrives and only the popped queue and its lane
-//! change, so this yields exactly the batch sequence of a full rescan per pop.
-//! A session's queue and tenant share one entry in a table sorted by session id,
-//! so [`Scheduler::enqueue`] and [`Scheduler::queue_depth`] find both with one
-//! binary search. [`Scheduler::pending`] reads a running count, and
-//! [`Scheduler::next_due`] still scans every queue.
+//! A session's queue and tenant lane share one entry in a table sorted by
+//! session id. The server issues ids densely from 0, so its sessions sit at
+//! their own index: [`Scheduler::enqueue`] finds the entry by index and its
+//! lane by the lane index the entry stores, with no search and no map lookup,
+//! and returns the queue's depth. Sparse ids, which only tests use, fall back
+//! to a binary search.
+//!
+//! One pop call evaluates each queue's due time once, grouping the due
+//! sessions by lane in session order. Every batch it then pops costs O(lanes):
+//! it picks the lane with the least (virtual time, tenant id), pops that lane's
+//! first due session, and re-evaluates only that session. Within one call no
+//! request arrives and only the popped queue and its lane change, so this
+//! yields exactly the batch sequence of a full rescan per pop. Popped requests
+//! drain into a list the caller keeps, and a drained queue keeps its buffer, so
+//! a warm scheduler allocates nothing per request. [`Scheduler::pending`] reads
+//! a running count. [`Scheduler::next_due`] and each pop call still scan every
+//! queue, idle ones included.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -136,7 +143,19 @@ pub(crate) struct QueuedRequest {
     pub deadline: Option<Tick>,
 }
 
-/// A batch the scheduler decided to run: requests of one session, in arrival order.
+/// A batch the scheduler decided to run: which session, when it became due
+/// (full/deadline/window trigger tick, or the force-flush tick), why, and how
+/// many of the popped requests it takes, oldest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BatchHead {
+    pub session: SessionId,
+    pub formed_at: Tick,
+    pub reason: FlushReason,
+    pub len: usize,
+}
+
+/// A batch with its requests, as the pops' test wrappers return it.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FormedBatch {
     /// The session every request in this batch targets.
@@ -177,43 +196,39 @@ impl Lane {
 }
 
 /// One session's queue and the tenant lane it flushes through. The entry
-/// outlives its requests; a drained queue releases its buffer.
+/// outlives its requests, and a drained queue keeps its buffer.
 #[derive(Debug, Clone)]
 struct SessionQueue {
     id: SessionId,
-    tenant: TenantId,
+    /// Index of the session's tenant lane in [`Scheduler::lanes`].
+    lane: usize,
     requests: VecDeque<QueuedRequest>,
-}
-
-/// The due sessions of one tenant lane during one [`Scheduler::pop_due`] or
-/// [`Scheduler::pop_all`] call: their slots in the scheduler's session table,
-/// in session-id order, and when each became due.
-#[derive(Debug, Clone)]
-struct DueLane {
-    tenant: TenantId,
-    virtual_time: u64,
-    sessions: VecDeque<(usize, DueAt)>,
 }
 
 /// Per-session dynamic-batching queues under one [`BatchPolicy`], flushed in
 /// weighted-fair order across tenant lanes.
 ///
-/// Deterministic: queues are kept in [`SessionId`] order, lanes are keyed by
-/// [`TenantId`], and every pop selects by the total order (lane virtual time,
-/// tenant id, session id) — identical request sequences always produce identical
-/// batch sequences.
+/// Deterministic: queues are kept in [`SessionId`] order, and every pop selects
+/// by the total order (lane virtual time, tenant id, session id) — identical
+/// request sequences always produce identical batch sequences.
 #[derive(Debug, Clone)]
 pub(crate) struct Scheduler {
     policy: BatchPolicy,
-    /// Every session ever assigned a tenant or sent a request, sorted by id
-    /// (a binary search is several times cheaper than a map lookup here).
+    /// Every session ever assigned a tenant or sent a request, sorted by id.
     sessions: Vec<SessionQueue>,
-    lanes: BTreeMap<TenantId, Lane>,
+    /// Every tenant a session was assigned to or weighted, in that order, and
+    /// its lane. A lane starts once the tenant is weighted or one of its
+    /// sessions receives a request; until then it is `None`, reads virtual
+    /// time 0 and is charged nothing.
+    lanes: Vec<(TenantId, Option<Lane>)>,
+    /// Each tenant's index in `lanes`.
+    lane_index: BTreeMap<TenantId, usize>,
     /// Requests queued across all sessions.
     pending: usize,
-    /// `pop_fair`'s per-lane lists, empty between calls and kept so that a
-    /// poll allocates nothing but its batches.
-    due_lanes: Vec<DueLane>,
+    /// During a pop call, entry `i` lists the due sessions of lane `i`: their
+    /// slots, in session-id order, and when each became due. Kept between
+    /// calls so that a pop allocates nothing.
+    due_lanes: Vec<VecDeque<(usize, DueAt)>>,
 }
 
 impl Scheduler {
@@ -227,16 +242,22 @@ impl Scheduler {
                 ..policy
             },
             sessions: Vec::new(),
-            lanes: BTreeMap::new(),
+            lanes: Vec::new(),
+            lane_index: BTreeMap::new(),
             pending: 0,
             due_lanes: Vec::new(),
         }
     }
 
-    /// Where `session`'s entry is (`Ok`) or would be inserted (`Err`).
+    /// Where `session`'s entry is (`Ok`) or would be inserted (`Err`). A
+    /// server-issued id is its own slot.
     fn slot(&self, session: SessionId) -> Result<usize, usize> {
-        self.sessions
-            .binary_search_by_key(&session, |queue| queue.id)
+        match session.slot() {
+            Some(slot) if self.sessions.get(slot).is_some_and(|q| q.id == session) => Ok(slot),
+            _ => self
+                .sessions
+                .binary_search_by_key(&session, |queue| queue.id),
+        }
     }
 
     /// `session`'s entry, if it has one.
@@ -244,20 +265,34 @@ impl Scheduler {
         self.sessions.get(self.slot(session).ok()?)
     }
 
-    /// `session`'s entry, created unassigned and empty if it has none.
-    fn queue_mut(&mut self, session: SessionId) -> Option<&mut SessionQueue> {
-        let slot = self.slot(session).unwrap_or_else(|slot| {
-            self.sessions.insert(
-                slot,
-                SessionQueue {
-                    id: session,
-                    tenant: TenantId::DEFAULT,
-                    requests: VecDeque::new(),
-                },
-            );
-            slot
-        });
-        self.sessions.get_mut(slot)
+    /// The index of `tenant`'s entry in `lanes`, added unstarted if it has none.
+    fn lane_for(&mut self, tenant: TenantId) -> usize {
+        let next = self.lanes.len();
+        let lane = *self.lane_index.entry(tenant).or_insert(next);
+        if lane == next {
+            self.lanes.push((tenant, None));
+        }
+        lane
+    }
+
+    /// `session`'s slot, creating an entry on the default lane if it has
+    /// none. A sparse id inserted mid-table shifts the slots after it.
+    fn slot_or_insert(&mut self, session: SessionId) -> usize {
+        match self.slot(session) {
+            Ok(slot) => slot,
+            Err(slot) => {
+                let lane = self.lane_for(TenantId::DEFAULT);
+                self.sessions.insert(
+                    slot,
+                    SessionQueue {
+                        id: session,
+                        lane,
+                        requests: VecDeque::new(),
+                    },
+                );
+                slot
+            }
+        }
     }
 
     /// The batching policy in force.
@@ -265,21 +300,34 @@ impl Scheduler {
         self.policy
     }
 
-    /// Sets a tenant lane's weighted-fair weight (clamped to at least 1). Lanes
-    /// default to [`super::Priority::Normal`]'s weight when first touched.
-    pub fn set_tenant_weight(&mut self, tenant: TenantId, weight: u64) {
-        let lane = self
-            .lanes
-            .entry(tenant)
-            .or_insert_with(|| Lane::new(weight));
-        lane.weight = weight.max(1);
+    /// Sets a tenant lane's weighted-fair weight (clamped to at least 1) and
+    /// returns the lane's index, which never changes. Lanes default to
+    /// [`super::Priority::Normal`]'s weight when first touched.
+    pub fn set_tenant_weight(&mut self, tenant: TenantId, weight: u64) -> usize {
+        let index = self.lane_for(tenant);
+        if let Some((_, lane)) = self.lanes.get_mut(index) {
+            lane.get_or_insert(Lane::new(weight)).weight = weight.max(1);
+        }
+        index
+    }
+
+    /// The index of `tenant`'s lane, if it has one.
+    pub fn lane(&self, tenant: TenantId) -> Option<usize> {
+        self.lane_index.get(&tenant).copied()
+    }
+
+    /// Every lane's index, in tenant-id order.
+    pub fn lanes_by_tenant(&self) -> impl Iterator<Item = usize> + '_ {
+        self.lane_index.values().copied()
     }
 
     /// Routes a session's future requests through `tenant`'s lane. Unassigned
     /// sessions share [`TenantId::DEFAULT`]'s lane.
     pub fn assign_session(&mut self, session: SessionId, tenant: TenantId) {
-        if let Some(queue) = self.queue_mut(session) {
-            queue.tenant = tenant;
+        let lane = self.lane_for(tenant);
+        let slot = self.slot_or_insert(session);
+        if let Some(queue) = self.sessions.get_mut(slot) {
+            queue.lane = lane;
         }
     }
 
@@ -287,49 +335,56 @@ impl Scheduler {
     #[cfg(test)]
     pub fn session_tenant(&self, session: SessionId) -> TenantId {
         self.queue(session)
-            .map_or(TenantId::DEFAULT, |queue| queue.tenant)
+            .and_then(|queue| self.lanes.get(queue.lane))
+            .map_or(TenantId::DEFAULT, |&(tenant, _)| tenant)
     }
 
     /// A tenant lane's accumulated virtual time (0 for an untouched lane).
-    /// Observable for tests and diagnostics; the scale is
-    /// `VIRTUAL_TIME_SCALE / weight` per popped request.
+    /// Observable for tests; the scale is `VIRTUAL_TIME_SCALE / weight` per
+    /// popped request.
+    #[cfg(test)]
     pub fn tenant_virtual_time(&self, tenant: TenantId) -> u64 {
-        self.lanes.get(&tenant).map_or(0, |l| l.virtual_time)
+        self.lane_index
+            .get(&tenant)
+            .and_then(|&lane| self.lanes.get(lane)?.1)
+            .map_or(0, |l| l.virtual_time)
     }
 
-    /// Adds a request to its session's queue. The caller is responsible for popping
-    /// due batches afterwards (a full queue is due immediately).
-    pub fn enqueue(&mut self, request: QueuedRequest) {
-        // `queue_mut` always finds or creates the entry.
-        let Some(queue) = self.queue_mut(request.session) else {
-            return;
+    /// Adds a request to its session's queue and returns the queue's depth.
+    /// The caller is responsible for popping due batches afterwards (a full
+    /// queue is due immediately).
+    pub fn enqueue(&mut self, request: QueuedRequest) -> usize {
+        let slot = self.slot_or_insert(request.session);
+        let Some(queue) = self.sessions.get_mut(slot) else {
+            return 0;
         };
-        let tenant = queue.tenant;
         queue.requests.push_back(request);
+        let (depth, lane) = (queue.requests.len(), queue.lane);
         self.pending += 1;
-        if let Some(lane) = self.lanes.get_mut(&tenant) {
-            if lane.pending > 0 {
-                lane.pending += 1;
-                return;
-            }
-        }
         // A lane waking from idle catches up to the busiest lanes' virtual time
         // floor: it must not burn accumulated credit monopolizing the unit, only
         // compete fairly from now on.
-        let active_floor = self
+        let idle = self
             .lanes
-            .values()
-            .filter(|l| l.pending > 0)
-            .map(|l| l.virtual_time)
-            .min();
-        let lane = self
-            .lanes
-            .entry(tenant)
-            .or_insert_with(|| Lane::new(super::Priority::Normal.weight()));
-        if let Some(floor) = active_floor {
-            lane.virtual_time = lane.virtual_time.max(floor);
+            .get(lane)
+            .is_some_and(|(_, l)| l.map_or(true, |l| l.pending == 0));
+        let active_floor = if idle {
+            self.lanes
+                .iter()
+                .filter_map(|(_, l)| l.filter(|l| l.pending > 0))
+                .map(|l| l.virtual_time)
+                .min()
+        } else {
+            None
+        };
+        if let Some((_, lane)) = self.lanes.get_mut(lane) {
+            let lane = lane.get_or_insert(Lane::new(super::Priority::Normal.weight()));
+            if let Some(floor) = active_floor {
+                lane.virtual_time = lane.virtual_time.max(floor);
+            }
+            lane.pending += 1;
         }
-        lane.pending += 1;
+        depth
     }
 
     /// Total number of queued requests across all sessions.
@@ -378,37 +433,44 @@ impl Scheduler {
     }
 
     /// Pops one batch (up to `max_batch` requests) from the queue in `slot`
-    /// and charges its lane's virtual time. A batch that takes the whole queue
-    /// takes its buffer too, so a drained queue holds no buffer.
-    fn pop_batch(&mut self, slot: usize, due: DueAt) -> Option<FormedBatch> {
+    /// into `requests`, charges its lane's virtual time and records its head.
+    /// A drained queue keeps its buffer.
+    fn pop_batch(
+        &mut self,
+        slot: usize,
+        due: DueAt,
+        heads: &mut Vec<BatchHead>,
+        requests: &mut Vec<QueuedRequest>,
+    ) -> Option<()> {
         let queue = self.sessions.get_mut(slot)?;
-        let requests: Vec<QueuedRequest> = if queue.requests.len() <= self.policy.max_batch {
-            Vec::from(std::mem::take(&mut queue.requests))
-        } else {
-            queue.requests.drain(..self.policy.max_batch).collect()
-        };
-        let (session, tenant) = (queue.id, queue.tenant);
-        self.pending = self.pending.saturating_sub(requests.len());
-        if let Some(lane) = self.lanes.get_mut(&tenant) {
-            lane.pending = lane.pending.saturating_sub(requests.len());
-            lane.virtual_time = lane.virtual_time.saturating_add(
-                (requests.len() as u64).saturating_mul(VIRTUAL_TIME_SCALE) / lane.weight,
-            );
+        let len = queue.requests.len().min(self.policy.max_batch);
+        requests.extend(queue.requests.drain(..len));
+        let (session, lane) = (queue.id, queue.lane);
+        self.pending = self.pending.saturating_sub(len);
+        if let Some((_, Some(lane))) = self.lanes.get_mut(lane) {
+            lane.pending = lane.pending.saturating_sub(len);
+            lane.virtual_time = lane
+                .virtual_time
+                .saturating_add((len as u64).saturating_mul(VIRTUAL_TIME_SCALE) / lane.weight);
         }
-        Some(FormedBatch {
+        heads.push(BatchHead {
             session,
             formed_at: due.tick,
             reason: due.reason,
-            requests,
-        })
+            len,
+        });
+        Some(())
     }
 
     /// Pops batches from every queue `due` accepts until none is left, in
-    /// weighted-fair (lane virtual time, tenant id, session id) order.
+    /// weighted-fair (lane virtual time, tenant id, session id) order: one head
+    /// per batch into `heads`, and its requests, oldest first, into `requests`,
+    /// replacing both lists' contents.
     ///
     /// `due` runs once per queue, grouping the accepted sessions by lane in
     /// session order; after that, `due` only re-runs on the queue just popped.
-    /// No entry is added during the call, so the sessions' slots stay put. That is enough because within one call no request arrives and
+    /// No entry is added during the call, so the sessions' slots stay put.
+    /// That is enough because within one call no request arrives and
     /// only the popped queue and its lane change: every other queue keeps its
     /// verdict, and every due session of a lane shares the lane's key, so the
     /// least (virtual time, tenant id, session id) overall is the first due
@@ -416,49 +478,44 @@ impl Scheduler {
     fn pop_fair(
         &mut self,
         due: impl Fn(&VecDeque<QueuedRequest>) -> Option<DueAt>,
-    ) -> Vec<FormedBatch> {
+        heads: &mut Vec<BatchHead>,
+        requests: &mut Vec<QueuedRequest>,
+    ) {
+        heads.clear();
+        requests.clear();
         let mut lanes = std::mem::take(&mut self.due_lanes);
-        for lane in &mut lanes {
-            lane.sessions.clear();
-            lane.virtual_time = self.tenant_virtual_time(lane.tenant);
-        }
+        lanes.iter_mut().for_each(VecDeque::clear);
+        lanes.resize_with(self.lanes.len(), VecDeque::new);
         for (slot, queue) in self.sessions.iter().enumerate() {
-            let Some(at) = due(&queue.requests) else {
-                continue;
-            };
-            match lanes.iter_mut().find(|lane| lane.tenant == queue.tenant) {
-                Some(lane) => lane.sessions.push_back((slot, at)),
-                None => lanes.push(DueLane {
-                    tenant: queue.tenant,
-                    virtual_time: self.tenant_virtual_time(queue.tenant),
-                    sessions: VecDeque::from([(slot, at)]),
-                }),
+            if let (Some(at), Some(lane)) = (due(&queue.requests), lanes.get_mut(queue.lane)) {
+                lane.push_back((slot, at));
             }
         }
-        let mut batches = Vec::new();
-        while let Some(lane) = lanes
-            .iter_mut()
-            .filter(|lane| !lane.sessions.is_empty())
-            .min_by_key(|lane| (lane.virtual_time, lane.tenant.raw()))
-        {
-            let Some(front) = lane.sessions.front_mut() else {
+        loop {
+            let least = lanes
+                .iter()
+                .zip(&self.lanes)
+                .enumerate()
+                .filter(|(_, (due, _))| !due.is_empty())
+                .min_by_key(|(_, (_, (tenant, lane)))| {
+                    (lane.map_or(0, |l| l.virtual_time), tenant.raw())
+                });
+            let Some((i, _)) = least else {
                 break;
             };
-            let (slot, at) = *front;
-            let Some(batch) = self.pop_batch(slot, at) else {
+            let Some((slot, at)) = lanes.get_mut(i).and_then(VecDeque::pop_front) else {
                 break;
             };
-            batches.push(batch);
-            match self.sessions.get(slot).and_then(|q| due(&q.requests)) {
-                Some(next) => front.1 = next,
-                None => {
-                    lane.sessions.pop_front();
+            if self.pop_batch(slot, at, heads, requests).is_none() {
+                break;
+            }
+            if let Some(next) = self.sessions.get(slot).and_then(|q| due(&q.requests)) {
+                if let Some(lane) = lanes.get_mut(i) {
+                    lane.push_front((slot, next));
                 }
             }
-            lane.virtual_time = self.tenant_virtual_time(lane.tenant);
         }
         self.due_lanes = lanes;
-        batches
     }
 
     /// Pops every batch that is due at or before `now`, in weighted-fair
@@ -466,21 +523,70 @@ impl Scheduler {
     /// so tenants interleave by weight instead of draining whole sessions in id
     /// order. A queue holding more than `max_batch` requests yields multiple full
     /// batches; a deadline- or window-triggered flush takes the whole (partial)
-    /// queue.
-    pub fn pop_due(&mut self, now: Tick) -> Vec<FormedBatch> {
+    /// queue. Heads and requests land in the caller's lists, as in
+    /// [`Self::pop_fair`].
+    pub fn pop_due_into(
+        &mut self,
+        now: Tick,
+        heads: &mut Vec<BatchHead>,
+        requests: &mut Vec<QueuedRequest>,
+    ) {
         let policy = self.policy;
-        self.pop_fair(|queue| Self::due_at(policy, queue).filter(|due| due.tick <= now))
+        self.pop_fair(
+            |queue| Self::due_at(policy, queue).filter(|due| due.tick <= now),
+            heads,
+            requests,
+        );
     }
 
     /// Pops everything regardless of due times (reason [`FlushReason::Forced`],
-    /// formed at `now`), still in weighted-fair order. An idle scheduler yields an
-    /// empty vector — the legal "empty-batch flush".
-    pub fn pop_all(&mut self, now: Tick) -> Vec<FormedBatch> {
+    /// formed at `now`), still in weighted-fair order, into the caller's lists.
+    /// An idle scheduler pops nothing — the legal "empty-batch flush".
+    pub fn pop_all_into(
+        &mut self,
+        now: Tick,
+        heads: &mut Vec<BatchHead>,
+        requests: &mut Vec<QueuedRequest>,
+    ) {
         let forced = DueAt {
             tick: now,
             reason: FlushReason::Forced,
         };
-        self.pop_fair(|queue| (!queue.is_empty()).then_some(forced))
+        self.pop_fair(
+            |queue| (!queue.is_empty()).then_some(forced),
+            heads,
+            requests,
+        );
+    }
+
+    /// [`Self::pop_due_into`], each batch with its own requests.
+    #[cfg(test)]
+    pub fn pop_due(&mut self, now: Tick) -> Vec<FormedBatch> {
+        let (mut heads, mut requests) = (Vec::new(), Vec::new());
+        self.pop_due_into(now, &mut heads, &mut requests);
+        Self::formed(heads, requests)
+    }
+
+    /// [`Self::pop_all_into`], each batch with its own requests.
+    #[cfg(test)]
+    pub fn pop_all(&mut self, now: Tick) -> Vec<FormedBatch> {
+        let (mut heads, mut requests) = (Vec::new(), Vec::new());
+        self.pop_all_into(now, &mut heads, &mut requests);
+        Self::formed(heads, requests)
+    }
+
+    #[cfg(test)]
+    fn formed(heads: Vec<BatchHead>, requests: Vec<QueuedRequest>) -> Vec<FormedBatch> {
+        let mut requests = requests.into_iter();
+        heads
+            .into_iter()
+            .map(|head| FormedBatch {
+                session: head.session,
+                formed_at: head.formed_at,
+                reason: head.reason,
+                requests: requests.by_ref().take(head.len).collect(),
+            })
+            .collect()
     }
 }
 

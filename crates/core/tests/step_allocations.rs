@@ -1,15 +1,16 @@
-//! Heap allocations of one warm decode step, the loop of the `decode_stream`
-//! serving benchmark: append the next token row to a live quantized session,
-//! then submit it as a query and poll its response. A counting global
-//! allocator counts per thread, so tests running in parallel do not mix
-//! their counts.
+//! Heap allocations of the two serving loops the benchmark drives. One warm
+//! decode step, the loop of `decode_stream`: append the next token row to a
+//! live quantized session, then submit it as a query and poll its response.
+//! One batched poll, the loop of `babi_small`: 16 requests queued on a whole
+//! `SimdBackend` session, served by one poll. A counting global allocator
+//! counts per thread, so tests running in parallel do not mix their counts.
 //!
 //! The sessions are warm and every measured step stays inside the capacity
 //! of every buffer it grows: the first warm-up append moves each buffer past
 //! its first capacity boundary, and the measured appends stay far below the
 //! next one. Any allocation counted here is therefore per-step bookkeeping.
 
-use a3_core::backend::QuantizedBackend;
+use a3_core::backend::{QuantizedBackend, SimdBackend};
 use a3_core::serve::{AttentionServer, BatchPolicy, MemoryConfig, Request, SessionId, Tick};
 use a3_core::Matrix;
 
@@ -148,18 +149,21 @@ fn warm_session(shards: usize) -> (AttentionServer, SessionId, Matrix, bool) {
 
 /// A warm append allocates nothing: it moves the session's cache entry
 /// under a backend name the server formatted once, and every buffer it grows
-/// has room. Serving the step allocates the scheduler's batch list, the
-/// batch's own bookkeeping and the attend's results, but not the batch's
-/// request list, which takes over the drained queue's buffer.
+/// has room. Serving the step allocates the poll's batch list, the batch's
+/// response list and the attend's results, but no request or batch
+/// bookkeeping: the session's queue keeps its buffer and the server reuses
+/// its scratch lists. A whole session's output takes over the query's
+/// buffer; a sharded one still borrows its queries.
 ///
-/// On the AVX2 datapath a whole-memory step serves in at most 10 allocations
-/// and a 4-shard step, which runs the fused sharded query, in at most 13.
-/// Under `A3_FORCE_SCALAR=1` the scalar pipeline and the per-shard merge
-/// allocate more per query: at most 14 and 44, the merge reading no
-/// environment variable.
+/// On the AVX2 datapath a whole-memory step serves in 5 allocations (the
+/// scores, the weights and the work buffer) and a 4-shard step, which runs
+/// the fused sharded query, in 11 (its 7, the borrowed query list and the
+/// batch call's result list). Under `A3_FORCE_SCALAR=1` the scalar pipeline
+/// and the per-shard merge allocate more per query: 9 and 42, the merge
+/// reading no environment variable.
 #[test]
 fn a_warm_decode_step_allocates_only_its_results() {
-    for (shards, vector_budget, scalar_budget) in [(1, 10, 14), (4, 13, 44)] {
+    for (shards, vector_budget, scalar_budget) in [(1, 5, 9), (4, 11, 42)] {
         let (mut server, session, tokens, vectorized) = warm_session(shards);
         let budget = if vectorized {
             vector_budget
@@ -184,5 +188,52 @@ fn a_warm_decode_step_allocates_only_its_results() {
             ROWS + WARM_STEPS + STEPS
         );
         assert_eq!(server.cache().len(), shards, "one entry per shard");
+    }
+}
+
+/// Requests a batched poll serves: one full `babi_small` batch.
+const BATCH: usize = 16;
+
+/// A warm poll of `BATCH` requests queued on one whole `SimdBackend` session
+/// allocates, per request, only the scores and weights of its result. Each
+/// output takes over its query's buffer, and the poll adds its batch list and
+/// the batch's response list: `2 * BATCH + 2` allocations at both dispatch
+/// levels.
+#[test]
+fn a_warm_batched_poll_allocates_only_scores_and_weights_per_request() {
+    let memory = seeded_rows(48, D, 11);
+    let queries = seeded_rows(2 * BATCH, D, 13);
+    for backend in [SimdBackend::new(), SimdBackend::scalar()] {
+        let level = backend.level();
+        let mut server = AttentionServer::builder(Box::new(backend))
+            .batch_policy(BatchPolicy::new(BATCH, 200).unwrap())
+            .build();
+        let session = server
+            .register(MemoryConfig::new(&memory, &memory))
+            .unwrap();
+        for round in 0..3 {
+            let requests: Vec<Request> = queries
+                .iter_rows()
+                .skip(round % 2 * BATCH)
+                .take(BATCH)
+                .map(|q| Request::new(session, q.to_vec(), round as Tick))
+                .collect();
+            let (batches, counted) = allocations(|| {
+                for request in requests {
+                    server.submit(request).unwrap();
+                }
+                server.poll(round as Tick).unwrap()
+            });
+            assert_eq!(batches.len(), 1);
+            assert_eq!(batches[0].responses.len(), BATCH);
+            // The first round grows the queue and the server's scratch lists.
+            if round > 0 {
+                assert_eq!(
+                    counted,
+                    2 * BATCH as u64 + 2,
+                    "{level}, round {round}: submit + poll allocated {counted} times"
+                );
+            }
+        }
     }
 }

@@ -35,10 +35,12 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
+use a3_core::attention::AttentionResult;
 use a3_core::backend::{
     memory_fingerprint, ApproximateBackend, ComputeBackend, ExactBackend, MemoryCache,
     PreparedMemory, QuantizedBackend, SimdBackend, SimdLevel,
 };
+use a3_core::serve::{AttentionServer, BatchPolicy, MemoryConfig, Request};
 use a3_core::Matrix;
 use a3_sim::{A3Config, MultiUnit, PipelineModel};
 
@@ -272,6 +274,99 @@ fn measure_incremental_append(
     (median(per_row_ns), median(ratios))
 }
 
+/// Sessions of the serving backlog round, the requests queued on each, and
+/// each session's memory rows: `babi_small`'s 64 whole sessions and full
+/// batches of 16, over memories of 4 rows, so that the serving layer's share
+/// of a round is large enough to measure.
+const BACKLOG_SESSIONS: usize = 64;
+const BACKLOG_BATCH: usize = 16;
+const BACKLOG_ROWS: usize = 4;
+
+/// Measures a serving backlog round, the loop of `babi_small`'s throughput
+/// phase: one full batch of [`BACKLOG_BATCH`] requests submitted to each of
+/// [`BACKLOG_SESSIONS`] whole `SimdBackend` sessions ([`BACKLOG_ROWS`] x
+/// `D`), one poll serving all of them, and the responses dropped. Returns
+/// `(ns per round, median overhead)`, where the overhead is the server's
+/// round over the same batches run straight through
+/// [`ComputeBackend::attend_batch_prepared`] with every result held until the
+/// round ends, minus 1: the serving layer's own cost as a share of the
+/// backend's. The requests are built before each sample is timed, as
+/// perfbench builds its rounds, and both sides alternate within each sample,
+/// like [`median_interleaved_ratio`].
+///
+/// The overhead, not the ratio, is gated: on a 2-vCPU AVX2 host it reads
+/// about 0.25 with every request-path saving and about 0.65 without them,
+/// while the whole ratio moves by less than `ratio/*`'s 30% headroom.
+fn measure_serve_backlog(effort: Effort) -> (f64, f64) {
+    let rounds = match effort {
+        Effort::Full => 32,
+        Effort::Quick => 2,
+    };
+    let backend = SimdBackend::new();
+    let mut server = AttentionServer::builder(Box::new(backend))
+        .batch_policy(BatchPolicy::new(BACKLOG_BATCH, 200).expect("non-zero batch"))
+        .build();
+    let memories: Vec<(Matrix, Matrix)> = (0..BACKLOG_SESSIONS)
+        .map(|s| memory(BACKLOG_ROWS, D, 100 + s as u64))
+        .collect();
+    let sessions: Vec<_> = memories
+        .iter()
+        .map(|(keys, values)| {
+            server
+                .register(MemoryConfig::new(keys, values))
+                .expect("valid memory")
+        })
+        .collect();
+    let prepared: Vec<PreparedMemory> = memories
+        .iter()
+        .map(|(keys, values)| backend.prepare(keys, values).expect("valid memory"))
+        .collect();
+    let queries = batch_queries(BACKLOG_BATCH, D);
+    let rows: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
+    let round_requests = || -> Vec<Request> {
+        sessions
+            .iter()
+            .flat_map(|&session| {
+                queries
+                    .iter()
+                    .map(move |q| Request::new(session, q.clone(), 0))
+            })
+            .collect()
+    };
+    let mut round_ns = Vec::new();
+    let mut overheads = Vec::new();
+    // Sample 0 warms the queues, the server's buffers and the caches.
+    for sample in 0..=effort.samples() {
+        let requests: Vec<Vec<Request>> = (0..rounds).map(|_| round_requests()).collect();
+        let start = Instant::now();
+        for round in requests {
+            for request in round {
+                server.submit(request).expect("valid request");
+            }
+            std::hint::black_box(server.poll(0).expect("valid batches"));
+        }
+        let serve_ns = start.elapsed().as_secs_f64() * 1e9 / rounds as f64;
+        let start = Instant::now();
+        for _ in 0..rounds {
+            let held: Vec<Vec<AttentionResult>> = prepared
+                .iter()
+                .map(|memory| {
+                    backend
+                        .attend_batch_prepared(memory, std::hint::black_box(&rows))
+                        .expect("valid shapes")
+                })
+                .collect();
+            std::hint::black_box(held);
+        }
+        let direct_ns = start.elapsed().as_secs_f64() * 1e9 / rounds as f64;
+        if sample > 0 {
+            round_ns.push(serve_ns);
+            overheads.push(serve_ns / direct_ns - 1.0);
+        }
+    }
+    (median(round_ns), median(overheads))
+}
+
 /// Runs the deterministic perf smoke and returns every metric, `cycles/*` first.
 pub fn measure(effort: Effort) -> Vec<Metric> {
     let (keys, values) = memory(N, D, 17);
@@ -475,7 +570,23 @@ pub fn measure(effort: Effort) -> Vec<Metric> {
         false,
     ));
 
+    // The serving layer's own cost: a backlog round through the server,
+    // against the same batches through the backend alone.
+    let (backlog_ns, backlog_overhead) = measure_serve_backlog(effort);
+    metrics.push(Metric::new(
+        "wall_ns/serve_backlog_64x16",
+        MetricUnit::Nanos,
+        backlog_ns,
+        false,
+    ));
+
     // -- Machine-transferable ratios between components, interleaved (gated). ----
+    metrics.push(Metric::new(
+        "ratio/serve_overhead_backlog",
+        MetricUnit::Ratio,
+        backlog_overhead,
+        true,
+    ));
     if SimdBackend::new().level() == SimdLevel::Avx2 {
         // Skipped on scalar hosts: with both sides the same code the ratio is ~1
         // and would spuriously trip the gate against an AVX2 baseline.
