@@ -1156,7 +1156,7 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::simd::test_support::ENV_LOCK;
+    use crate::backend::simd::test_support::env_lock;
     use crate::backend::simd::FORCE_SCALAR_ENV;
     use crate::quantized::QuantizedMemory;
     use crate::Matrix;
@@ -1193,7 +1193,7 @@ mod tests {
         // grid's n = 512 edge, formats other than the paper's, and every
         // width up to 64, so each module 3 block (0 to 8 full lane chunks
         // plus 0 to 7 tail columns) meets the scalar pipeline.
-        let _guard = ENV_LOCK.lock().unwrap();
+        let _guard = env_lock();
         if SimdLevel::detect() != SimdLevel::Avx2 {
             eprintln!("skipping: host has no AVX2");
             return;
@@ -1271,7 +1271,7 @@ mod tests {
 
     #[test]
     fn lane_quantizer_matches_the_scalar_quantizer_on_every_grid_format() {
-        let _guard = ENV_LOCK.lock().unwrap();
+        let _guard = env_lock();
         if SimdLevel::detect() != SimdLevel::Avx2 {
             eprintln!("skipping: host has no AVX2");
             return;
@@ -1327,7 +1327,7 @@ mod tests {
 
     #[test]
     fn blocked_dots_equal_per_row_dots_for_every_block_and_column_remainder() {
-        let _guard = ENV_LOCK.lock().unwrap();
+        let _guard = env_lock();
         if SimdLevel::detect() != SimdLevel::Avx2 {
             eprintln!("skipping: host has no AVX2");
             return;
@@ -1360,7 +1360,7 @@ mod tests {
 
     #[test]
     fn lane_division_equals_integer_floor_division() {
-        let _guard = ENV_LOCK.lock().unwrap();
+        let _guard = env_lock();
         if SimdLevel::detect() != SimdLevel::Avx2 {
             eprintln!("skipping: host has no AVX2");
             return;
@@ -1406,7 +1406,7 @@ mod tests {
         use crate::backend::{
             merge_partial_softmax, ComputeBackend, QuantizedBackend, ShardPlan, ShardedMemory,
         };
-        let _guard = ENV_LOCK.lock().unwrap();
+        let _guard = env_lock();
         if SimdLevel::detect() != SimdLevel::Avx2 {
             eprintln!("skipping: host has no AVX2");
             return;
@@ -1436,7 +1436,7 @@ mod tests {
     fn forced_scalar_env_disables_vector_dispatch() {
         // Regression test for the CI fallback matrix: under A3_FORCE_SCALAR
         // the prepare-time dispatch must stay scalar regardless of the CPU.
-        let _guard = ENV_LOCK.lock().unwrap();
+        let _guard = env_lock();
         let previous = std::env::var_os(FORCE_SCALAR_ENV);
         std::env::set_var(FORCE_SCALAR_ENV, "1");
         let (keys, values, query) = case(12, 8, 3);
@@ -1454,7 +1454,7 @@ mod tests {
 
     #[test]
     fn ineligible_formats_stay_scalar() {
-        let _guard = ENV_LOCK.lock().unwrap();
+        let _guard = env_lock();
         let (keys, values, _) = case(8, 4, 1);
         // Q8.8 raws do not fit i16 lanes (total bits 16 > 15).
         let wide = QuantizedMemory::prepare(QFormat::new(8, 8), &keys, &values).unwrap();

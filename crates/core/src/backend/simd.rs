@@ -1078,7 +1078,16 @@ mod x86 {
 pub(crate) mod test_support {
     /// Serialises the tests — here and in `quantized_simd` — that mutate
     /// [`super::FORCE_SCALAR_ENV`] (process-global state).
-    pub(crate) static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Takes [`ENV_LOCK`], also after a test failed while holding it: each
+    /// holder restores [`super::FORCE_SCALAR_ENV`] before it asserts, so a
+    /// poisoned lock guards nothing broken, and one failure stays one failure.
+    pub(crate) fn env_lock() -> std::sync::MutexGuard<'static, ()> {
+        ENV_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     thread_local! {
         /// Rows content-hashed on this thread, at either level.
@@ -1104,7 +1113,7 @@ pub(crate) mod test_support {
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::{content_hashes, ENV_LOCK};
+    use super::test_support::{content_hashes, env_lock};
     use super::*;
     use crate::backend::ExactBackend;
 
@@ -1256,7 +1265,7 @@ mod tests {
         // detection must return Scalar no matter what the CPU supports. The env var
         // is restored immediately; concurrent tests constructing a SimdBackend in
         // the window at worst run the (always-correct) scalar path.
-        let _guard = ENV_LOCK.lock().unwrap();
+        let _guard = env_lock();
         let previous = std::env::var_os(FORCE_SCALAR_ENV);
         std::env::set_var(FORCE_SCALAR_ENV, "1");
         let forced = SimdLevel::detect();
@@ -1271,7 +1280,7 @@ mod tests {
 
     #[test]
     fn force_scalar_zero_and_empty_do_not_count_as_set() {
-        let _guard = ENV_LOCK.lock().unwrap();
+        let _guard = env_lock();
         let previous = std::env::var_os(FORCE_SCALAR_ENV);
         std::env::set_var(FORCE_SCALAR_ENV, "0");
         let zero = force_scalar_requested();
@@ -1293,7 +1302,7 @@ mod tests {
         // Constructing with a level the host cannot run must fall back safely; on
         // AVX2 hosts this is an identity check instead. The lock keeps the
         // `default == new` check stable against the env-mutating tests.
-        let _guard = ENV_LOCK.lock().unwrap();
+        let _guard = env_lock();
         let requested = SimdBackend::with_level(SimdLevel::Avx2);
         if SimdLevel::Avx2.available() {
             assert_eq!(requested.level(), SimdLevel::Avx2);

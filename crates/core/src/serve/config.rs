@@ -7,10 +7,10 @@
 //!   matrices plus optional sharding and tenant assignment — consumed by
 //!   [`super::AttentionServer::register`];
 //! * [`ServerBuilder`] assembles an [`super::AttentionServer`] from a backend,
-//!   a batch policy, cache sizing/admission and the tenant roster, via
+//!   a batch policy, the cache size and the tenant roster, via
 //!   [`super::AttentionServer::builder`].
 
-use crate::backend::{CacheAdmission, ComputeBackend, MemoryCache};
+use crate::backend::{ComputeBackend, MemoryCache};
 use crate::Matrix;
 
 use super::{AttentionServer, BatchPolicy, TenantConfig, TenantId};
@@ -85,13 +85,13 @@ impl<'a> MemoryConfig<'a> {
 }
 
 /// Assembles an [`AttentionServer`]: backend, batch policy, cache capacity and
-/// admission policy, and the tenant roster.
+/// the tenant roster.
 ///
 /// The default tenant ([`TenantId::DEFAULT`]) always exists — normal priority,
 /// no rate limit — so single-tenant callers need none of the tenant knobs.
 ///
 /// ```
-/// use a3_core::backend::{CacheAdmission, ExactBackend};
+/// use a3_core::backend::ExactBackend;
 /// use a3_core::serve::{
 ///     AttentionServer, BatchPolicy, Priority, RateLimit, TenantConfig, TenantId,
 /// };
@@ -99,7 +99,6 @@ impl<'a> MemoryConfig<'a> {
 /// let server = AttentionServer::builder(Box::new(ExactBackend))
 ///     .batch_policy(BatchPolicy::new(8, 256).unwrap())
 ///     .cache_capacity(32)
-///     .cache_admission(CacheAdmission::CostAware)
 ///     .tenant(
 ///         TenantId::from_raw(1),
 ///         TenantConfig::new(Priority::High)
@@ -112,7 +111,6 @@ pub struct ServerBuilder {
     backend: Box<dyn ComputeBackend>,
     policy: BatchPolicy,
     cache_capacity: usize,
-    admission: CacheAdmission,
     tenants: Vec<(TenantId, TenantConfig)>,
 }
 
@@ -122,7 +120,6 @@ impl std::fmt::Debug for ServerBuilder {
             .field("backend", &self.backend.name())
             .field("policy", &self.policy)
             .field("cache_capacity", &self.cache_capacity)
-            .field("admission", &self.admission)
             .field("tenants", &self.tenants.len())
             .finish()
     }
@@ -134,7 +131,6 @@ impl ServerBuilder {
             backend,
             policy: BatchPolicy::default(),
             cache_capacity: MemoryCache::default().capacity(),
-            admission: CacheAdmission::default(),
             tenants: Vec::new(),
         }
     }
@@ -151,12 +147,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Sets the cache admission/eviction policy (default [`CacheAdmission::Lru`]).
-    pub fn cache_admission(mut self, admission: CacheAdmission) -> Self {
-        self.admission = admission;
-        self
-    }
-
     /// Registers a tenant with its priority class and optional rate limit.
     /// Repeating an id keeps the last configuration.
     pub fn tenant(mut self, id: TenantId, config: TenantConfig) -> Self {
@@ -164,14 +154,14 @@ impl ServerBuilder {
         self
     }
 
-    /// Builds the server: the cache is constructed to the configured shape, the
-    /// default tenant is registered first, then every explicit tenant in the
-    /// order given.
+    /// Builds the server: the cache is an LRU cache of the configured capacity,
+    /// the default tenant is registered first, then every explicit tenant in
+    /// the order given.
     pub fn build(self) -> AttentionServer {
         let mut server = AttentionServer::from_parts(
             self.backend,
             self.policy,
-            MemoryCache::with_admission(self.cache_capacity, self.admission),
+            MemoryCache::new(self.cache_capacity),
         );
         for (id, config) in self.tenants {
             server.register_tenant(id, config);
@@ -202,12 +192,11 @@ mod tests {
     }
 
     #[test]
-    fn builder_configures_cache_policy_and_tenants() {
+    fn builder_configures_cache_and_tenants() {
         let limit = RateLimit::new(10, 100, 5).unwrap();
         let builder = AttentionServer::builder(Box::new(ExactBackend))
             .batch_policy(BatchPolicy::per_request())
             .cache_capacity(3)
-            .cache_admission(CacheAdmission::CostAware)
             .tenant(
                 TenantId::from_raw(2),
                 TenantConfig::new(Priority::High).with_rate_limit(limit),
@@ -216,7 +205,6 @@ mod tests {
         let server = builder.build();
         assert_eq!(server.policy(), BatchPolicy::per_request());
         assert_eq!(server.cache().capacity(), 3);
-        assert_eq!(server.cache().admission(), CacheAdmission::CostAware);
         let config = server.tenant_config(TenantId::from_raw(2)).unwrap();
         assert_eq!(config.priority(), Priority::High);
         assert_eq!(config.rate_limit(), Some(limit));

@@ -15,12 +15,10 @@
 //!   exists, so single-tenant callers never touch this layer.
 //! * **Sessions** ([`SessionId`]) are registered memories.
 //!   [`AttentionServer::register`] takes a [`MemoryConfig`] (keys/values, optional
-//!   row-sharding, owning tenant), runs the backend's preprocessing through a
-//!   [`MemoryCache`] — so re-registering a known memory is free, and under
-//!   [`crate::backend::CacheAdmission::CostAware`] expensive popular preparations
-//!   outlive cheap one-offs — and issues an id. The [`SessionHandle`] owns the
-//!   [`PreparedMemory`] for the session's lifetime, like the accelerator's resident
-//!   SRAM copies.
+//!   row-sharding, owning tenant), runs the backend's preprocessing through an
+//!   LRU [`MemoryCache`] — so re-registering a known memory is free — and
+//!   issues an id. The [`SessionHandle`] owns the [`PreparedMemory`] for the
+//!   session's lifetime, like the accelerator's resident SRAM copies.
 //! * **Requests** ([`Request`]) are single queries tagged with a session, an arrival
 //!   tick and an optional deadline, accepted by [`AttentionServer::submit`] (after
 //!   the tenant's token bucket admits them) and batched per session — flushing
@@ -441,8 +439,7 @@ impl fmt::Debug for AttentionServer {
 
 impl AttentionServer {
     /// Starts building a server around `backend`. All other knobs (batch policy,
-    /// cache capacity and admission, tenants) have defaults — see
-    /// [`ServerBuilder`].
+    /// cache capacity, tenants) have defaults — see [`ServerBuilder`].
     pub fn builder(backend: Box<dyn ComputeBackend>) -> ServerBuilder {
         ServerBuilder::new(backend)
     }

@@ -3,7 +3,7 @@
 //! Four PRs of perf-sensitive code (serving layer, cache, scheduler, sharding, SIMD
 //! backend) mean CI must catch throughput regressions, not just compile errors. This
 //! module measures a small, quick, deterministic set of metrics and compares them
-//! against baselines committed in `BENCH_BASELINE.json`:
+//! against baselines committed in `BENCH_BASELINE.tsv`:
 //!
 //! * **`cycles/...`** — accelerator cycle counts from the cycle-level simulator.
 //!   Fully deterministic: any drift means the performance *model* changed, so these
@@ -27,9 +27,8 @@
 //! job summary. `scripts/bench_check.sh` runs the gate; `scripts/bench_update.sh`
 //! regenerates the baselines after an *intentional* performance change.
 //!
-//! The baseline file is read and written by the minimal JSON subset implemented in
-//! [`Json`] (objects, arrays, strings, numbers, booleans) — the workspace has no
-//! route to crates.io, so no `serde_json`.
+//! The baseline file is a flat table, one tab-separated row per metric, written
+//! by [`render_baseline`] and read by [`parse_baseline`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -666,379 +665,71 @@ pub fn host_simd_level() -> &'static str {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline file (minimal JSON)
+// Baseline file
 // ---------------------------------------------------------------------------
 
-/// A minimal JSON value: the subset the baseline file uses (objects, arrays,
-/// strings, `f64` numbers, booleans, null). Strings support the standard escapes
-/// plus BMP `\uXXXX`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `{...}` with string keys, insertion-stable via [`BTreeMap`].
-    Object(BTreeMap<String, Json>),
-    /// `[...]`.
-    Array(Vec<Json>),
-    /// `"..."`.
-    Str(String),
-    /// Any JSON number, as `f64`.
-    Num(f64),
-    /// `true` / `false`.
-    Bool(bool),
-    /// `null`.
-    Null,
-}
-
-impl Json {
-    /// Parses a JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message naming the byte offset of the first error.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut parser = JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(format!("trailing data at byte {}", parser.pos));
-        }
-        Ok(value)
-    }
-
-    /// Renders the value as pretty-printed JSON (two-space indent, stable key
-    /// order), ending with a newline at the top level.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn render_into(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        match self {
-            Json::Object(map) => {
-                if map.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (key, value)) in map.iter().enumerate() {
-                    let _ = write!(out, "{pad}  \"{}\": ", escape(key));
-                    value.render_into(out, indent + 1);
-                    out.push_str(if i + 1 < map.len() { ",\n" } else { "\n" });
-                }
-                let _ = write!(out, "{pad}}}");
-            }
-            Json::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad);
-                    out.push_str("  ");
-                    item.render_into(out, indent + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                let _ = write!(out, "{pad}]");
-            }
-            Json::Str(s) => {
-                let _ = write!(out, "\"{}\"", escape(s));
-            }
-            Json::Num(x) => {
-                if x.fract() == 0.0 && x.abs() < 1e15 {
-                    let _ = write!(out, "{}", *x as i64);
-                } else {
-                    let _ = write!(out, "{x}");
-                }
-            }
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Null => out.push_str("null"),
-        }
-    }
-
-    fn as_object(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Object(map) => Some(map),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// Renders metrics as the baseline file: a `schema` line and a
+/// `host_simd_level` line, then one `name<TAB>unit<TAB>value<TAB>gated` row per
+/// metric, sorted by name. Each value is written with `f64`'s `Display`, which
+/// parses back to the same bits.
+pub fn render_baseline(metrics: &[Metric]) -> String {
+    let mut rows: Vec<&Metric> = metrics.iter().collect();
+    rows.sort_by(|a, b| a.name.cmp(&b.name));
+    let level = host_simd_level();
+    let mut out = format!("schema\t{SCHEMA_VERSION}\nhost_simd_level\t{level}\n");
+    for m in rows {
+        let (unit, value, gated) = (m.unit.label(), m.value, m.gated);
+        let _ = writeln!(out, "{}\t{unit}\t{value}\t{gated}", m.name);
     }
     out
 }
 
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.bytes.get(self.pos) == Some(&byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", byte as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".to_owned()),
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(map));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".to_owned()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(
-                                char::from_u32(code).ok_or("unsupported \\u escape (surrogate)")?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so boundaries
-                    // are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "invalid number")?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number `{text}` at byte {start}"))
-    }
-}
-
-/// Serialises measured metrics into the baseline-file document.
-pub fn baseline_document(metrics: &[Metric]) -> Json {
-    let mut entries = BTreeMap::new();
-    for metric in metrics {
-        let mut entry = BTreeMap::new();
-        entry.insert("unit".to_owned(), Json::Str(metric.unit.label().to_owned()));
-        entry.insert("value".to_owned(), Json::Num(metric.value));
-        entry.insert("gated".to_owned(), Json::Bool(metric.gated));
-        entries.insert(metric.name.clone(), Json::Object(entry));
-    }
-    let mut doc = BTreeMap::new();
-    doc.insert("schema".to_owned(), Json::Num(SCHEMA_VERSION as f64));
-    doc.insert(
-        "host_simd_level".to_owned(),
-        Json::Str(host_simd_level().to_owned()),
-    );
-    doc.insert("metrics".to_owned(), Json::Object(entries));
-    Json::Object(doc)
-}
-
-/// Parses a baseline document back into metrics.
+/// Parses a baseline file written by [`render_baseline`] back into metrics.
 ///
 /// # Errors
 ///
-/// Returns a message describing the first malformed field.
+/// Returns a message naming the first malformed line.
 pub fn parse_baseline(text: &str) -> Result<Vec<Metric>, String> {
-    let doc = Json::parse(text)?;
-    let root = doc.as_object().ok_or("baseline root must be an object")?;
-    let schema = root
-        .get("schema")
-        .and_then(Json::as_f64)
-        .ok_or("missing `schema`")?;
-    if schema as u64 != SCHEMA_VERSION {
+    let mut lines = text.lines();
+    let schema = lines.next().unwrap_or_default();
+    if schema != format!("schema\t{SCHEMA_VERSION}") {
         return Err(format!(
-            "baseline schema {schema} != supported {SCHEMA_VERSION}; regenerate with scripts/bench_update.sh"
+            "line 1: `{schema}` is not `schema\\t{SCHEMA_VERSION}`; \
+             regenerate with scripts/bench_update.sh"
         ));
     }
-    let entries = root
-        .get("metrics")
-        .and_then(Json::as_object)
-        .ok_or("missing `metrics` object")?;
-    let mut metrics = Vec::new();
-    for (name, entry) in entries {
-        let entry = entry
-            .as_object()
-            .ok_or_else(|| format!("metric `{name}` must be an object"))?;
-        let unit = entry
-            .get("unit")
-            .and_then(Json::as_str)
-            .and_then(MetricUnit::from_label)
-            .ok_or_else(|| format!("metric `{name}` has a bad `unit`"))?;
-        let value = entry
-            .get("value")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("metric `{name}` has a bad `value`"))?;
-        let gated = entry
-            .get("gated")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| format!("metric `{name}` has a bad `gated`"))?;
-        metrics.push(Metric {
-            name: name.clone(),
-            unit,
-            value,
-            gated,
-        });
+    let level = lines.next().unwrap_or_default();
+    if !level.starts_with("host_simd_level\t") {
+        return Err(format!(
+            "line 2: `{level}` is not `host_simd_level\\t<level>`"
+        ));
     }
-    Ok(metrics)
+    (3..)
+        .zip(lines)
+        .map(|(number, line)| parse_row(line).map_err(|what| format!("line {number}: {what}")))
+        .collect()
+}
+
+/// Parses one `name<TAB>unit<TAB>value<TAB>gated` row.
+fn parse_row(line: &str) -> Result<Metric, String> {
+    let fields: Vec<&str> = line.split('\t').collect();
+    let [name, unit, value, gated] = fields[..] else {
+        return Err(format!(
+            "{} field(s) in `{line}`, expected name, unit, value and gated",
+            fields.len()
+        ));
+    };
+    Ok(Metric {
+        name: name.to_owned(),
+        unit: MetricUnit::from_label(unit)
+            .ok_or_else(|| format!("`{name}` has an unknown unit `{unit}`"))?,
+        value: value
+            .parse()
+            .map_err(|_| format!("`{name}` has a non-numeric value `{value}`"))?,
+        gated: gated
+            .parse()
+            .map_err(|_| format!("`{name}` has gated `{gated}`, not `true` or `false`"))?,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1254,39 +945,45 @@ mod tests {
     }
 
     #[test]
-    fn baseline_roundtrips_through_json() {
+    fn baseline_roundtrips_through_the_table() {
         let metrics = sample_metrics();
-        let text = baseline_document(&metrics).render();
+        let text = render_baseline(&metrics);
         let parsed = parse_baseline(&text).unwrap();
         assert_eq!(parsed.len(), metrics.len());
         for metric in &metrics {
             let restored = parsed.iter().find(|m| m.name == metric.name).unwrap();
             assert_eq!(restored.unit, metric.unit);
             assert_eq!(restored.gated, metric.gated);
-            assert!((restored.value - metric.value).abs() < 1e-9);
+            assert_eq!(restored.value.to_bits(), metric.value.to_bits());
         }
-        // Rendering is stable (fixed key order), so baseline diffs stay minimal.
-        assert_eq!(text, baseline_document(&parsed).render());
-    }
+        // Rendering is stable (rows sorted by name), so baseline diffs stay minimal.
+        assert_eq!(text, render_baseline(&parsed));
 
-    #[test]
-    fn json_parser_handles_the_subset_and_rejects_garbage() {
-        let doc = Json::parse(r#"{"a": [1, -2.5e3, "x\n\"yA"], "b": true, "c": null}"#).unwrap();
-        let map = doc.as_object().unwrap();
-        assert_eq!(map.get("b"), Some(&Json::Bool(true)));
-        assert_eq!(map.get("c"), Some(&Json::Null));
-        match map.get("a") {
-            Some(Json::Array(items)) => {
-                assert_eq!(items[0], Json::Num(1.0));
-                assert_eq!(items[1], Json::Num(-2500.0));
-                assert_eq!(items[2], Json::Str("x\n\"yA".to_owned()));
-            }
-            other => panic!("expected array, got {other:?}"),
+        // Every malformed input is rejected with a message naming its line.
+        let schema = format!("schema\t{SCHEMA_VERSION}\n");
+        let head = format!("{schema}host_simd_level\tavx2\ncycles/a\tcycles\t1\ttrue\n");
+        for (row, expected) in [
+            ("x\tcycles\t1000", "3 field(s)"),
+            ("x\tcycles\t1\ttrue\t1", "5 field(s)"),
+            ("x\tms\t1\ttrue", "`x` has an unknown unit"),
+            ("x\tcycles\tfast\ttrue", "`x` has a non-numeric value"),
+            ("x\tcycles\t1\tyes", "`x` has gated `yes`"),
+        ] {
+            let error = parse_baseline(&format!("{head}{row}\n")).unwrap_err();
+            assert!(error.starts_with(&format!("line 4: {expected}")), "{error}");
         }
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("{} trailing").is_err());
-        assert!(Json::parse(r#"{"a": nope}"#).is_err());
+        let unversioned = head.replacen(&schema, "", 1);
+        let unsupported = head.replacen(&schema, "schema\t0\n", 1);
+        let untagged = head.replacen("host_simd_level", "host", 1);
+        for (bad, expected) in [
+            (String::new(), "line 1"),
+            (unversioned, "line 1"),
+            (unsupported, "line 1"),
+            (untagged, "line 2"),
+        ] {
+            let error = parse_baseline(&bad).unwrap_err();
+            assert!(error.starts_with(expected), "{error}");
+        }
     }
 
     #[test]
@@ -1386,5 +1083,24 @@ mod tests {
             .collect();
         let cmp = compare(&cycles, &cycles, DEFAULT_TOLERANCE_PCT);
         assert_eq!(cmp.regressions(), 0);
+
+        // The committed baseline has a row for every metric measured here, and
+        // its simulated numbers (the cycles and the two ratios of simulated
+        // cycles) are exactly this build's. A host without AVX2 measures a
+        // subset of the rows (no SIMD-vs-scalar ratios).
+        let committed =
+            parse_baseline(include_str!("../../../BENCH_BASELINE.tsv")).expect("valid baseline");
+        let exact = [
+            "ratio/tenant_isolation_p99",
+            "ratio/cost_aware_vs_lru_cycles",
+        ];
+        for m in &first {
+            let row = committed.iter().find(|row| row.name == m.name);
+            let row = row.unwrap_or_else(|| panic!("BENCH_BASELINE.tsv has no `{}`", m.name));
+            assert_eq!((row.unit, row.gated), (m.unit, m.gated), "{}", m.name);
+            if m.unit == MetricUnit::Cycles || exact.contains(&m.name.as_str()) {
+                assert_eq!(row.value, m.value, "stale baseline row `{}`", m.name);
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! `check` runs the deterministic perf smoke ([`a3_eval::bench_check::measure`]),
-//! compares it against the committed baselines (default `BENCH_BASELINE.json`),
+//! compares it against the committed baselines (default `BENCH_BASELINE.tsv`),
 //! prints the sorted delta table as Markdown (CI appends stdout to the job summary)
 //! and exits nonzero when any gated metric regressed by more than the tolerance
 //! (default 15%). `update` regenerates the baseline file after an **intentional**
@@ -22,11 +22,11 @@
 use std::process::ExitCode;
 
 use a3_eval::bench_check::{
-    baseline_document, compare, inject_slowdown, measure, parse_baseline, Effort,
+    compare, inject_slowdown, measure, parse_baseline, render_baseline, Effort,
     DEFAULT_TOLERANCE_PCT,
 };
 
-const DEFAULT_BASELINE: &str = "BENCH_BASELINE.json";
+const DEFAULT_BASELINE: &str = "BENCH_BASELINE.tsv";
 
 struct Options {
     command: String,
@@ -90,7 +90,7 @@ fn main() -> ExitCode {
         "update" => {
             eprintln!("measuring perf smoke (full effort)...");
             let metrics = measure(Effort::Full);
-            let text = baseline_document(&metrics).render();
+            let text = render_baseline(&metrics);
             if let Err(error) = std::fs::write(&options.baseline, &text) {
                 eprintln!("error: cannot write {}: {error}", options.baseline);
                 return ExitCode::FAILURE;

@@ -17,7 +17,7 @@
 //!
 //! Both headline numbers are exported as deterministic helpers so the perf
 //! gate (`crates/eval/src/bench_check.rs`) can commit them to
-//! `BENCH_BASELINE.json` as gated `ratio/*` metrics.
+//! `BENCH_BASELINE.tsv` as gated `ratio/*` rows.
 
 use a3_core::backend::{ApproximateBackend, ExactBackend};
 use a3_core::Matrix;

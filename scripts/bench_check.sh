@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Perf-regression gate: runs the deterministic perf smoke (cycle counts from the
 # simulator + wall-clock ratio metrics from the serving hot paths) and compares it
-# against the committed baselines in BENCH_BASELINE.json. Fails (nonzero exit) when
-# any gated metric regressed by more than the tolerance (default 15%).
+# against the committed baselines in BENCH_BASELINE.tsv (one tab-separated row per
+# metric). Fails (nonzero exit) when any gated metric regressed by more than the
+# tolerance (default 15%; 30% for the ratio/* rows).
 #
 # The sorted delta table is printed as Markdown on stdout; when running inside
 # GitHub Actions it is also appended to the job summary.
