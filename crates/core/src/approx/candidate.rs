@@ -3,16 +3,15 @@
 //! Given the per-column-sorted key matrix produced by
 //! [`SortedKeyColumns::preprocess`](crate::approx::SortedKeyColumns::preprocess) and a
 //! query vector, the algorithm walks the component-multiplication results in globally
-//! sorted order — largest first through a max priority queue, smallest first through a
-//! min priority queue — for `M` iterations, accumulating a *greedy score* per row. Rows
-//! that end with a positive greedy score are the candidates passed to the dot-product
-//! module.
+//! sorted order — largest first from the max side, smallest first from the min side —
+//! for `M` iterations, accumulating a *greedy score* per row. Rows that end with a
+//! positive greedy score are the candidates passed to the dot-product module.
 //!
-//! The complexity is `O(M log d)` per query (plus the off-critical-path preprocessing),
-//! independent of `n`, which is exactly the property the hardware exploits.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! Each side keeps the head of every column, the next product its pointer would take.
+//! The hardware picks among the `d` heads with comparators; the host scans a contiguous
+//! array of their order keys, which the compiler vectorises: `O(M·d)` comparisons per
+//! query, independent of `n`. At the paper's `d = 64` that beats a heap's `O(M log d)`;
+//! on a 2-vCPU AVX2 host a heap wins from about `d = 256`.
 
 use serde::{Deserialize, Serialize};
 
@@ -36,66 +35,127 @@ pub struct CandidateSelection {
     pub min_ops_skipped: usize,
 }
 
-/// A priority-queue entry: one component-multiplication result plus its position.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct QueueEntry {
-    score: f32,
-    row: u32,
-    col: u32,
-}
-
-impl Eq for QueueEntry {}
-
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.score
-            .total_cmp(&other.score)
-            .then(self.col.cmp(&other.col))
-            .then(self.row.cmp(&other.row))
-    }
-}
-
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Per-column pointer walking the sorted column from one end to the other.
-#[derive(Debug, Clone, Copy)]
-struct ColumnPointer {
-    /// Next index into the sorted column to be consumed, or `None` when exhausted.
-    next: Option<usize>,
-    /// Direction of travel: `-1` (from the large end downwards) or `+1`.
-    step: isize,
-    /// Number of entries already consumed from this column by this pointer.
-    consumed: usize,
-}
-
-impl ColumnPointer {
-    fn new(start: usize, step: isize) -> Self {
+impl CandidateSelection {
+    /// The selection of no iterations over `n` rows: every greedy score zero, no
+    /// candidates, row 0 as the fallback.
+    pub(crate) fn untouched(n: usize) -> Self {
         Self {
-            next: Some(start),
-            step,
-            consumed: 0,
+            greedy_scores: vec![0.0; n],
+            candidates: Vec::new(),
+            best_row: 0,
+            iterations: 0,
+            min_ops_skipped: 0,
         }
     }
 
-    /// Consumes the current position and advances, returning the consumed index.
-    fn take(&mut self, len: usize) -> Option<usize> {
-        let current = self.next?;
-        self.consumed += 1;
-        self.next = if self.consumed >= len {
-            None
-        } else {
-            let next = current as isize + self.step;
-            if next < 0 || next as usize >= len {
-                None
-            } else {
-                Some(next as usize)
-            }
+    /// The candidates and best row of accumulated greedy scores. Among equal
+    /// highest scores the last row is the best, as [`Iterator::max_by`] picks.
+    pub(crate) fn from_scores(greedy_scores: Vec<f32>, iterations: usize, skipped: usize) -> Self {
+        let scored = || greedy_scores.iter().enumerate();
+        let candidates = scored().filter(|(_, &g)| g > 0.0).map(|(r, _)| r).collect();
+        let best_row = scored()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map_or(0, |(r, _)| r);
+        Self {
+            greedy_scores,
+            candidates,
+            best_row,
+            iterations,
+            min_ops_skipped: skipped,
+        }
+    }
+}
+
+/// The key that orders `x` as [`f32::total_cmp`] does, compared as an `i32`.
+fn order_key(x: f32) -> i32 {
+    let bits = x.to_bits() as i32;
+    bits ^ (((bits >> 31) as u32) >> 1) as i32
+}
+
+/// One column's head on one side.
+#[derive(Clone, Copy, Default)]
+struct Head {
+    product: f32,
+    row: u32,
+    /// Entries of the column this side has taken; the column is spent at `n`.
+    taken: u32,
+}
+
+/// One side's column heads (Figure 7's `max_ptr` or `min_ptr` with the queue it
+/// feeds). `keys[c]` is the order key of `heads[c].product`, or `spent` once column
+/// `c` is spent. That key is also the order key of a NaN (`i32::MIN` of `0xFFFF_FFFF`,
+/// `i32::MAX` of `0x7FFF_FFFF`), so a pop that lands on it asks `taken` which columns
+/// are live.
+struct Heads {
+    keys: Vec<i32>,
+    heads: Vec<Head>,
+    spent: i32,
+    /// The max side pops the largest product, ties to the highest column; the min
+    /// side pops the smallest, ties to the lowest, as
+    /// [`select_candidates_naive`](crate::approx::select_candidates_naive) orders them.
+    max: bool,
+}
+
+impl Heads {
+    /// Every column's first head (Figure 7, lines 9-16).
+    fn new(sorted: &SortedKeyColumns, query: &[f32], max: bool) -> Self {
+        let spent = if max { i32::MIN } else { i32::MAX };
+        let mut side = Self {
+            keys: vec![spent; query.len()],
+            heads: vec![Head::default(); query.len()],
+            spent,
+            max,
         };
-        Some(current)
+        for (col, &q) in query.iter().enumerate() {
+            side.load(sorted, col, q);
+        }
+        side
+    }
+
+    /// Loads column `col`'s next entry as its head, or marks the column spent. The
+    /// max side walks each column from the end whose product with `q` is largest.
+    fn load(&mut self, sorted: &SortedKeyColumns, col: usize, q: f32) {
+        let n = sorted.rows();
+        let (Some(key), Some(head)) = (self.keys.get_mut(col), self.heads.get_mut(col)) else {
+            return;
+        };
+        let taken = head.taken as usize;
+        let index = if (q > 0.0) == self.max {
+            n.wrapping_sub(taken + 1)
+        } else {
+            taken
+        };
+        match sorted.column(col).get(index) {
+            Some(entry) => {
+                head.product = entry.value * q;
+                head.row = entry.row;
+                *key = order_key(head.product);
+            }
+            None => *key = self.spent,
+        }
+    }
+
+    /// The column whose head is popped next, or `None` once every column is spent.
+    fn best(&self, n: usize) -> Option<usize> {
+        let keys = self.keys.iter().copied();
+        let best = if self.max { keys.max() } else { keys.min() }?;
+        let live = |col: &usize| self.heads.get(*col).is_some_and(|h| (h.taken as usize) < n);
+        match (best == self.spent, self.max) {
+            (false, true) => self.keys.iter().rposition(|&k| k == best),
+            (false, false) => self.keys.iter().position(|&k| k == best),
+            (true, true) => (0..self.keys.len()).rev().find(live),
+            (true, false) => (0..self.keys.len()).find(live),
+        }
+    }
+
+    /// Pops the next product and its row, and advances that column.
+    fn pop(&mut self, sorted: &SortedKeyColumns, query: &[f32]) -> Option<(f32, usize)> {
+        let col = self.best(sorted.rows())?;
+        let head = self.heads.get_mut(col)?;
+        let popped = (head.product, head.row as usize);
+        head.taken += 1;
+        self.load(sorted, col, query.get(col).copied()?);
+        Some(popped)
     }
 }
 
@@ -109,59 +169,15 @@ impl ColumnPointer {
 ///
 /// Panics if `query.len() != sorted.dim()`.
 pub fn select_candidates(sorted: &SortedKeyColumns, query: &[f32], m: usize) -> CandidateSelection {
-    assert_eq!(
-        query.len(),
-        sorted.dim(),
-        "query dimension must match the preprocessed key matrix"
-    );
+    assert_eq!(query.len(), sorted.dim(), "query dimension mismatch");
     let n = sorted.rows();
-    let d = sorted.dim();
+    if n == 0 || query.is_empty() || m == 0 {
+        return CandidateSelection::untouched(n);
+    }
     let mut greedy_scores = vec![0.0f32; n];
-    if n == 0 || d == 0 || m == 0 {
-        return CandidateSelection {
-            greedy_scores,
-            candidates: Vec::new(),
-            best_row: 0,
-            iterations: 0,
-            min_ops_skipped: 0,
-        };
-    }
 
-    // Pointer initialization (Figure 7, lines 9-11): the max pointer starts at the
-    // column entry whose product with the query component is largest.
-    let mut max_ptrs: Vec<ColumnPointer> = Vec::with_capacity(d);
-    let mut min_ptrs: Vec<ColumnPointer> = Vec::with_capacity(d);
-    for &q in query {
-        if q > 0.0 {
-            max_ptrs.push(ColumnPointer::new(n - 1, -1));
-            min_ptrs.push(ColumnPointer::new(0, 1));
-        } else {
-            max_ptrs.push(ColumnPointer::new(0, 1));
-            min_ptrs.push(ColumnPointer::new(n - 1, -1));
-        }
-    }
-
-    // Priority-queue initialization (Figure 7, lines 12-16).
-    let mut max_q: BinaryHeap<QueueEntry> = BinaryHeap::with_capacity(d + 1);
-    let mut min_q: BinaryHeap<Reverse<QueueEntry>> = BinaryHeap::with_capacity(d + 1);
-    for col in 0..d {
-        if let Some(idx) = max_ptrs[col].take(n) {
-            let entry = sorted.column(col)[idx];
-            max_q.push(QueueEntry {
-                score: entry.value * query[col],
-                row: entry.row,
-                col: col as u32,
-            });
-        }
-        if let Some(idx) = min_ptrs[col].take(n) {
-            let entry = sorted.column(col)[idx];
-            min_q.push(Reverse(QueueEntry {
-                score: entry.value * query[col],
-                row: entry.row,
-                col: col as u32,
-            }));
-        }
-    }
+    let mut max_heads = Heads::new(sorted, query, true);
+    let mut min_heads = Heads::new(sorted, query, false);
 
     // Iterative candidate selection (Figure 7, lines 17-25), augmented with the
     // negative-cumulative-sum heuristic described at the end of Section IV-C.
@@ -169,56 +185,34 @@ pub fn select_candidates(sorted: &SortedKeyColumns, query: &[f32], m: usize) -> 
     let mut min_ops_skipped = 0usize;
     let mut iterations = 0usize;
     for _ in 0..m {
-        let Some(top) = max_q.pop() else { break };
+        let Some((top, row)) = max_heads.pop(sorted, query) else {
+            break;
+        };
         iterations += 1;
-        cumulative_sum += top.score;
-        if top.score > 0.0 {
-            greedy_scores[top.row as usize] += top.score;
-        }
-        let col = top.col as usize;
-        if let Some(idx) = max_ptrs[col].take(n) {
-            let entry = sorted.column(col)[idx];
-            max_q.push(QueueEntry {
-                score: entry.value * query[col],
-                row: entry.row,
-                col: top.col,
-            });
+        cumulative_sum += top;
+        if top > 0.0 {
+            if let Some(score) = greedy_scores.get_mut(row) {
+                *score += top;
+            }
         }
 
-        // The min-queue side is skipped while the cumulative sum of selected entries is
+        // The min side is skipped while the cumulative sum of selected entries is
         // negative, to avoid suppressing every row when overall similarity is low.
         if cumulative_sum < 0.0 {
             min_ops_skipped += 1;
             continue;
         }
-        if let Some(Reverse(bottom)) = min_q.pop() {
-            cumulative_sum += bottom.score;
-            if bottom.score < 0.0 {
-                greedy_scores[bottom.row as usize] += bottom.score;
-            }
-            let col = bottom.col as usize;
-            if let Some(idx) = min_ptrs[col].take(n) {
-                let entry = sorted.column(col)[idx];
-                min_q.push(Reverse(QueueEntry {
-                    score: entry.value * query[col],
-                    row: entry.row,
-                    col: bottom.col,
-                }));
+        if let Some((bottom, row)) = min_heads.pop(sorted, query) {
+            cumulative_sum += bottom;
+            if bottom < 0.0 {
+                if let Some(score) = greedy_scores.get_mut(row) {
+                    *score += bottom;
+                }
             }
         }
     }
 
-    let candidates: Vec<usize> = (0..n).filter(|&r| greedy_scores[r] > 0.0).collect();
-    let best_row = (0..n)
-        .max_by(|&a, &b| greedy_scores[a].total_cmp(&greedy_scores[b]))
-        .unwrap_or(0);
-    CandidateSelection {
-        greedy_scores,
-        candidates,
-        best_row,
-        iterations,
-        min_ops_skipped,
-    }
+    CandidateSelection::from_scores(greedy_scores, iterations, min_ops_skipped)
 }
 
 #[cfg(test)]

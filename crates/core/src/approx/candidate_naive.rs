@@ -32,23 +32,13 @@ struct ProductEntry {
 ///
 /// Panics if `query.len() != keys.dim()`.
 pub fn select_candidates_naive(keys: &Matrix, query: &[f32], m: usize) -> CandidateSelection {
-    assert_eq!(
-        query.len(),
-        keys.dim(),
-        "query dimension must match the key matrix"
-    );
+    assert_eq!(query.len(), keys.dim(), "query dimension mismatch");
     let n = keys.rows();
     let d = keys.dim();
-    let mut greedy_scores = vec![0.0f32; n];
     if n == 0 || d == 0 || m == 0 {
-        return CandidateSelection {
-            greedy_scores,
-            candidates: Vec::new(),
-            best_row: 0,
-            iterations: 0,
-            min_ops_skipped: 0,
-        };
+        return CandidateSelection::untouched(n);
     }
+    let mut greedy_scores = vec![0.0f32; n];
 
     // Element-wise multiplication of the key matrix with the replicated query.
     let mut products: Vec<ProductEntry> = Vec::with_capacity(n * d);
@@ -63,8 +53,8 @@ pub fn select_candidates_naive(keys: &Matrix, query: &[f32], m: usize) -> Candid
     }
 
     // Descending order for the "kth largest" walk, ascending for the "kth smallest" walk.
-    // Ties are broken by (column, row) to mirror the priority-queue ordering of the
-    // efficient implementation.
+    // Ties are broken by (column, row) to mirror the efficient implementation's rule:
+    // the highest column first on the max side, the lowest on the min side.
     let mut descending: Vec<&ProductEntry> = products.iter().collect();
     descending.sort_by(|a, b| {
         b.score
@@ -84,12 +74,13 @@ pub fn select_candidates_naive(keys: &Matrix, query: &[f32], m: usize) -> Candid
     let mut min_ops_skipped = 0usize;
     let mut iterations = 0usize;
     let mut min_cursor = 0usize;
-    for (iter, top) in descending.iter().take(m).enumerate() {
-        let _ = iter;
+    for top in descending.iter().take(m) {
         iterations += 1;
         cumulative_sum += top.score;
         if top.score > 0.0 {
-            greedy_scores[top.row as usize] += top.score;
+            if let Some(score) = greedy_scores.get_mut(top.row as usize) {
+                *score += top.score;
+            }
         }
         if cumulative_sum < 0.0 {
             min_ops_skipped += 1;
@@ -99,22 +90,13 @@ pub fn select_candidates_naive(keys: &Matrix, query: &[f32], m: usize) -> Candid
             min_cursor += 1;
             cumulative_sum += bottom.score;
             if bottom.score < 0.0 {
-                greedy_scores[bottom.row as usize] += bottom.score;
+                if let Some(score) = greedy_scores.get_mut(bottom.row as usize) {
+                    *score += bottom.score;
+                }
             }
         }
     }
-
-    let candidates: Vec<usize> = (0..n).filter(|&r| greedy_scores[r] > 0.0).collect();
-    let best_row = (0..n)
-        .max_by(|&a, &b| greedy_scores[a].total_cmp(&greedy_scores[b]))
-        .unwrap_or(0);
-    CandidateSelection {
-        greedy_scores,
-        candidates,
-        best_row,
-        iterations,
-        min_ops_skipped,
-    }
+    CandidateSelection::from_scores(greedy_scores, iterations, min_ops_skipped)
 }
 
 #[cfg(test)]

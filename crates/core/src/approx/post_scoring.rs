@@ -19,10 +19,8 @@
 /// `(0, 100]`.
 pub fn post_scoring_select(rows: &[usize], scores: &[f32], threshold_percent: f64) -> Vec<usize> {
     assert_eq!(rows.len(), scores.len(), "rows/scores length mismatch");
-    assert!(
-        threshold_percent > 0.0 && threshold_percent <= 100.0,
-        "threshold must be in (0, 100] percent"
-    );
+    let in_range = threshold_percent > 0.0 && threshold_percent <= 100.0;
+    assert!(in_range, "threshold must be in (0, 100] percent");
     if rows.is_empty() {
         return Vec::new();
     }
@@ -47,9 +45,9 @@ pub fn post_scoring_select(rows: &[usize], scores: &[f32], threshold_percent: f6
 /// Panics if the slices have different lengths.
 pub fn static_top_k(rows: &[usize], scores: &[f32], k: usize) -> Vec<usize> {
     assert_eq!(rows.len(), scores.len(), "rows/scores length mismatch");
-    let mut order: Vec<usize> = (0..rows.len()).collect();
-    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
-    let mut selected: Vec<usize> = order.into_iter().take(k).map(|i| rows[i]).collect();
+    let mut order: Vec<(usize, f32)> = rows.iter().copied().zip(scores.iter().copied()).collect();
+    order.sort_by(|a, b| b.1.total_cmp(&a.1));
+    let mut selected: Vec<usize> = order.into_iter().take(k).map(|(row, _)| row).collect();
     selected.sort_unstable();
     selected
 }

@@ -28,14 +28,9 @@ pub struct AttentionResult {
 impl AttentionResult {
     /// Indices of the `k` rows with the largest weights, in descending weight order.
     pub fn top_k(&self, k: usize) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.weights.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.weights[b]
-                .partial_cmp(&self.weights[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        order.truncate(k);
-        order
+        let mut order: Vec<(usize, f32)> = self.weights.iter().copied().enumerate().collect();
+        order.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        order.into_iter().take(k).map(|(row, _)| row).collect()
     }
 
     /// Index of the highest-weight row.

@@ -7,8 +7,8 @@
 //!   sum — paper Figure 1) and the hardware-oriented reordering used by the base A3
 //!   pipeline (Figure 5), in [`attention`];
 //! * the greedy candidate-selection algorithm in both its naive `O(nd log nd)` form
-//!   (Figure 6) and the efficient preprocessed form with per-column sorted keys and
-//!   dual priority queues (Figures 7–8), in [`approx::candidate`];
+//!   (Figure 6) and the efficient preprocessed form with per-column sorted keys whose
+//!   column heads feed a max and a min side (Figures 7–8), in [`approx::candidate`];
 //! * the dynamic post-scoring selection scheme (Section IV-D), in
 //!   [`approx::post_scoring`];
 //! * the end-to-end approximate attention pipeline combining the two with configurable

@@ -125,7 +125,7 @@ impl Matrix {
     /// Panics if `col >= self.dim()`.
     pub fn column(&self, col: usize) -> impl Iterator<Item = f32> + '_ {
         assert!(col < self.dim, "column index {col} out of bounds");
-        (0..self.rows).map(move |r| self.data[r * self.dim + col])
+        self.data.iter().skip(col).step_by(self.dim).copied()
     }
 
     /// The flat row-major data buffer.

@@ -17,8 +17,16 @@
 //! absolute `M`. The seeded memories have `n` from 1 to 320 and `d` of 1, 8
 //! and 64, three queries each. Each shape comes at scale 1 and at scale 6,
 //! where scores spread so far that most rows' weights underflow to exactly 0.
+//!
+//! A second test pins [`select_candidates`] itself, one digest per family of
+//! seeded cases: every field of each [`CandidateSelection`], greedy scores as
+//! bit patterns. The digests were recorded from the heap-based selection that
+//! the head-array scan replaced, so they pin its pop order, tie rule and
+//! min-side skips, special values included.
 
-use a3_core::approx::{ApproxConfig, MSpec, ThresholdSpec};
+use a3_core::approx::{
+    select_candidates, ApproxConfig, CandidateSelection, MSpec, SortedKeyColumns, ThresholdSpec,
+};
 use a3_core::attention::AttentionResult;
 use a3_core::backend::{ApproximateBackend, ComputeBackend, ShardPlan, ShardedMemory};
 use a3_core::Matrix;
@@ -113,6 +121,130 @@ fn approximate_outputs_match_golden_hashes() {
     assert!(
         mismatches.is_empty(),
         "approximate output bits drifted:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// Golden digest of every [`CandidateSelection`] of each case family.
+const SELECTION_GOLDEN: [(&str, u64); 5] = [
+    ("uniform", 0xbe8d_e464_f62f_e635),
+    ("special", 0x3f2c_ca22_6c2c_f419),
+    ("ties", 0x9679_f7eb_4f3a_988b),
+    ("ragged_d", 0x4130_c6a6_659d_f216),
+    ("single_row", 0xd7dc_546b_501d_dc1d),
+];
+
+/// Bit patterns of special `f32` values: signed zeros, subnormals, infinities,
+/// the extremes, and NaNs of both signs, among them the two whose `total_cmp`
+/// keys are `i32::MAX` (`0x7FFF_FFFF`) and `i32::MIN` (`0xFFFF_FFFF`).
+const SPECIAL: [u32; 16] = [
+    0x0000_0000,
+    0x8000_0000,
+    0x0000_0001,
+    0x8040_0000,
+    0x7F80_0000,
+    0xFF80_0000,
+    0x7F7F_FFFF,
+    0xFF7F_FFFF,
+    0x3F80_0000,
+    0xBF00_0000,
+    0x7FC0_0000,
+    0xFFC0_0000,
+    0x7FFF_FFFF,
+    0xFFFF_FFFF,
+    0x7F80_0001,
+    0xFF80_0001,
+];
+
+/// A few distinct values, so products tie within and across columns.
+const TIES: [f32; 5] = [-1.0, -0.5, 0.0, 0.5, 1.0];
+
+/// An index below `len` drawn from the stream.
+fn pick(stream: &mut Stream, len: usize) -> usize {
+    (((stream.next_f32() + 2.0) / 4.0 * len as f32) as usize).min(len - 1)
+}
+
+/// A special value (half the time) or a uniform draw; NaN only if `nan`.
+fn special(stream: &mut Stream, nan: bool) -> f32 {
+    if stream.next_f32() < 0.0 {
+        return stream.next_f32();
+    }
+    loop {
+        let x = f32::from_bits(SPECIAL[pick(stream, SPECIAL.len())]);
+        if nan || !x.is_nan() {
+            return x;
+        }
+    }
+}
+
+/// Keys and a query of one case family. In the special family NaN goes into
+/// the keys or the query component of a column, never both: the sign of a
+/// product of two NaNs is unspecified, and under `total_cmp` it decides the
+/// pop order.
+fn selection_case(family: &str, n: usize, d: usize, stream: &mut Stream) -> (Matrix, Vec<f32>) {
+    let (keys, query) = match family {
+        "special" | "single_row" => {
+            let nan_in_query: Vec<bool> = (0..d).map(|_| stream.next_f32() < -1.0).collect();
+            let query = nan_in_query.iter().map(|&q| special(stream, q)).collect();
+            let keys = (0..n * d)
+                .map(|i| special(stream, !nan_in_query[i % d]))
+                .collect();
+            (keys, query)
+        }
+        "ties" => {
+            let mut draw = || TIES[pick(stream, TIES.len())];
+            let keys = (0..n * d).map(|_| draw()).collect();
+            (keys, (0..d).map(|_| draw()).collect())
+        }
+        _ => (stream.vector(n * d, 1.0), stream.vector(d, 1.0)),
+    };
+    (Matrix::from_flat(keys, n, d).unwrap(), query)
+}
+
+/// One line per selection: candidates, greedy-score bits, best row,
+/// iterations and min-side skips.
+fn selection_line(sel: &CandidateSelection) -> String {
+    let bits: Vec<u32> = sel.greedy_scores.iter().map(|g| g.to_bits()).collect();
+    format!(
+        "{:?} {bits:x?} {} {} {}\n",
+        sel.candidates, sel.best_row, sel.iterations, sel.min_ops_skipped
+    )
+}
+
+#[test]
+fn candidate_selections_match_golden_digests() {
+    let shapes = |family: &str| -> Vec<(usize, usize)> {
+        let (rows, dims): (&[usize], &[usize]) = match family {
+            "uniform" => (&[2, 5, 33, 100, 320], &[1, 8, 64]),
+            "special" | "ties" => (&[2, 3, 17, 64, 200], &[1, 4, 8, 16, 64]),
+            "ragged_d" => (&[4, 37, 150], &[3, 5, 7, 9, 15, 17, 31, 63, 65]),
+            _ => (&[1], &[1, 2, 3, 7, 8, 9, 16, 64]),
+        };
+        rows.iter()
+            .flat_map(|&n| dims.iter().map(move |&d| (n, d)))
+            .collect()
+    };
+    let mut mismatches = Vec::new();
+    for (seed, (family, golden)) in (1..).zip(SELECTION_GOLDEN) {
+        let mut text = String::new();
+        for (n, d) in shapes(family) {
+            let mut stream = Stream(seed << 32 | (n * 1000 + d) as u64);
+            for _ in 0..QUERIES {
+                let (keys, query) = selection_case(family, n, d, &mut stream);
+                let sorted = SortedKeyColumns::preprocess(&keys);
+                for m in [0, 1, n / 8, n / 2, n, n * d, n * d + 3] {
+                    text.push_str(&selection_line(&select_candidates(&sorted, &query, m)));
+                }
+            }
+        }
+        let digest = hash_text(&text);
+        if digest != golden {
+            mismatches.push(format!("{family}: {digest:#018x}, golden {golden:#018x}"));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "candidate selections drifted:\n{}",
         mismatches.join("\n")
     );
 }

@@ -20,9 +20,12 @@
 //!   warm-cache vs cold-cache). These are gated with [`RATIO_HEADROOM`] extra
 //!   slack: a ratio drifting up by more than that means one side of the
 //!   comparison regressed relative to the other, on whatever host CI runs on.
+//!   Two `ratio/*` rows divide simulated cycles instead, the multi-tenant QoS
+//!   ratios; their unit is [`MetricUnit::SimRatio`], gated at exact equality.
 //!
 //! A gated metric whose value exceeds its baseline by more than the tolerance
-//! (default 15%, [`DEFAULT_TOLERANCE_PCT`]) fails the check; the report is a sorted
+//! (default 15%, [`DEFAULT_TOLERANCE_PCT`]) fails the check, and so does any
+//! change to a simulated ratio; the report is a sorted
 //! delta table (worst first) rendered as a Markdown table so CI can drop it into the
 //! job summary. `scripts/bench_check.sh` runs the gate; `scripts/bench_update.sh`
 //! regenerates the baselines after an *intentional* performance change.
@@ -80,6 +83,9 @@ pub enum MetricUnit {
     Nanos,
     /// Dimensionless wall-clock ratio between two components of the same run.
     Ratio,
+    /// Dimensionless ratio of two simulated cycle counts: the same on every host,
+    /// so gated at exact equality and never scaled by [`inject_slowdown`].
+    SimRatio,
 }
 
 impl MetricUnit {
@@ -89,6 +95,7 @@ impl MetricUnit {
             MetricUnit::Cycles => "cycles",
             MetricUnit::Nanos => "ns",
             MetricUnit::Ratio => "ratio",
+            MetricUnit::SimRatio => "sim_ratio",
         }
     }
 
@@ -98,6 +105,7 @@ impl MetricUnit {
             "cycles" => Some(MetricUnit::Cycles),
             "ns" => Some(MetricUnit::Nanos),
             "ratio" => Some(MetricUnit::Ratio),
+            "sim_ratio" => Some(MetricUnit::SimRatio),
             _ => None,
         }
     }
@@ -485,16 +493,17 @@ pub fn measure(effort: Effort) -> Vec<Metric> {
 
     // -- Wall-clock medians of the software hot paths (informational). ----------
     //
-    // The five warm-batch datapaths, each prepared once; `batch(label)` times one
+    // The six warm-batch datapaths, each prepared once; `batch(label)` times one
     // 32-query batch against the resident memory, and every wall-clock row and
     // batch-against-batch ratio below reads its closures from this table.
     let approx = ApproximateBackend::conservative();
-    let datapaths: [(&str, &dyn ComputeBackend); 5] = [
+    let datapaths: [(&str, &dyn ComputeBackend); 6] = [
         ("exact", &ExactBackend),
         ("simd", &SimdBackend::new()),
         ("quantized_simd", &QuantizedBackend::paper()),
         ("quantized", &QuantizedBackend::paper_scalar()),
         ("approx_warm", &approx),
+        ("approx_aggressive", &ApproximateBackend::aggressive()),
     ];
     let prepared: Vec<PreparedMemory> = datapaths
         .iter()
@@ -611,6 +620,14 @@ pub fn measure(effort: Effort) -> Vec<Metric> {
         median_interleaved_ratio(effort, batch("approx_warm"), batch("exact")),
         true,
     ));
+    // The paper's aggressive point against the host's fastest exact datapath:
+    // below 1 once approximation pays for itself on the host.
+    metrics.push(Metric::new(
+        "ratio/approx_aggressive_vs_simd_batch",
+        MetricUnit::Ratio,
+        median_interleaved_ratio(effort, batch("approx_aggressive"), batch("simd")),
+        true,
+    ));
     metrics.push(Metric::new(
         "ratio/incremental_append_vs_full_prepare",
         MetricUnit::Ratio,
@@ -644,13 +661,13 @@ pub fn measure(effort: Effort) -> Vec<Metric> {
     // cost-aware-admission wins cannot silently regress.
     metrics.push(Metric::new(
         "ratio/tenant_isolation_p99",
-        MetricUnit::Ratio,
+        MetricUnit::SimRatio,
         crate::experiments::multi_tenant::isolation_p99_ratio(),
         true,
     ));
     metrics.push(Metric::new(
         "ratio/cost_aware_vs_lru_cycles",
-        MetricUnit::Ratio,
+        MetricUnit::SimRatio,
         crate::experiments::multi_tenant::cost_aware_vs_lru_cycles_ratio(),
         true,
     ));
@@ -835,8 +852,8 @@ impl Comparison {
         let _ = writeln!(out);
         let _ = writeln!(
             out,
-            "{} gated regression(s) at ±{:.0}% tolerance (±{:.0}% for `ratio/*`, \
-             cross-host headroom).",
+            "{} gated regression(s) at ±{:.0}% tolerance (±{:.0}% for wall-clock \
+             `ratio/*`, cross-host headroom; simulated ratios exact).",
             self.regressions(),
             self.tolerance_pct,
             self.tolerance_pct * RATIO_HEADROOM
@@ -846,7 +863,8 @@ impl Comparison {
 }
 
 /// Compares a measurement run against baselines: gated metrics whose value grew by
-/// more than `tolerance_pct` are regressions; rows come back sorted worst first.
+/// more than `tolerance_pct` are regressions, and so is a simulated ratio that
+/// moved at all; rows come back sorted worst first.
 pub fn compare(baseline: &[Metric], current: &[Metric], tolerance_pct: f64) -> Comparison {
     let by_name: BTreeMap<&str, &Metric> = current.iter().map(|m| (m.name.as_str(), m)).collect();
     let baseline_names: BTreeMap<&str, &Metric> =
@@ -869,6 +887,12 @@ pub fn compare(baseline: &[Metric], current: &[Metric], tolerance_pct: f64) -> C
                 };
                 let verdict = if !gated {
                     Verdict::Info
+                } else if cur.unit == MetricUnit::SimRatio {
+                    if cur.value == base.value {
+                        Verdict::Ok
+                    } else {
+                        Verdict::Regression
+                    }
                 } else if delta_pct > tolerance {
                     Verdict::Regression
                 } else if delta_pct < -tolerance {
@@ -920,10 +944,11 @@ pub fn compare(baseline: &[Metric], current: &[Metric], tolerance_pct: f64) -> C
     }
 }
 
-/// Multiplies every wall-clock and ratio metric by `factor` — the self-test hook
-/// that demonstrates the gate trips on an injected slowdown
-/// (`a3_bench_check check --inject-slowdown 1.2`). Cycle metrics are left alone:
-/// they are deterministic, so scaling them would only test the arithmetic twice.
+/// Multiplies every wall-clock and wall-clock ratio metric by `factor` — the
+/// self-test hook that demonstrates the gate trips on an injected slowdown
+/// (`a3_bench_check check --inject-slowdown 1.2`). Cycle metrics and simulated
+/// ratios are left alone: they are deterministic, so a slowdown of the host
+/// cannot move them.
 pub fn inject_slowdown(metrics: &mut [Metric], factor: f64) {
     for metric in metrics {
         if matches!(metric.unit, MetricUnit::Nanos | MetricUnit::Ratio) {
@@ -941,6 +966,7 @@ mod tests {
             Metric::new("cycles/a", MetricUnit::Cycles, 1000.0, true),
             Metric::new("ratio/b", MetricUnit::Ratio, 0.5, true),
             Metric::new("wall_ns/c", MetricUnit::Nanos, 123456.789, false),
+            Metric::new("ratio/d", MetricUnit::SimRatio, 0.5071414726334408, true),
         ]
     }
 
@@ -966,6 +992,7 @@ mod tests {
             ("x\tcycles\t1000", "3 field(s)"),
             ("x\tcycles\t1\ttrue\t1", "5 field(s)"),
             ("x\tms\t1\ttrue", "`x` has an unknown unit"),
+            ("x\tsim\t1\ttrue", "`x` has an unknown unit"),
             ("x\tcycles\tfast\ttrue", "`x` has a non-numeric value"),
             ("x\tcycles\t1\tyes", "`x` has gated `yes`"),
         ] {
@@ -1018,6 +1045,16 @@ mod tests {
             .deltas
             .iter()
             .any(|d| d.name == "wall_ns/c" && d.verdict == Verdict::Info));
+        // A simulated ratio gates at exact equality, in either direction.
+        for moved in [f64::from_bits(0.5071414726334408f64.to_bits() + 1), 0.4] {
+            current[3].value = moved;
+            let cmp = compare(&baseline, &current, DEFAULT_TOLERANCE_PCT);
+            assert_eq!(cmp.regressions(), 1, "{moved}");
+            assert!(cmp
+                .deltas
+                .iter()
+                .any(|d| d.name == "ratio/d" && d.verdict == Verdict::Regression));
+        }
     }
 
     #[test]
@@ -1050,6 +1087,11 @@ mod tests {
         assert!((metrics[0].value - 1000.0).abs() < 1e-9, "cycles untouched");
         assert!((metrics[1].value - 0.7).abs() < 1e-9);
         assert!((metrics[2].value - 172839.5046).abs() < 1e-3);
+        assert_eq!(
+            metrics[3],
+            sample_metrics()[3],
+            "simulated ratios untouched"
+        );
         // An injected 40% slowdown must trip the gate against itself (ratio
         // metrics gate at tolerance x RATIO_HEADROOM = 30%).
         let baseline = sample_metrics();
@@ -1085,20 +1127,16 @@ mod tests {
         assert_eq!(cmp.regressions(), 0);
 
         // The committed baseline has a row for every metric measured here, and
-        // its simulated numbers (the cycles and the two ratios of simulated
-        // cycles) are exactly this build's. A host without AVX2 measures a
-        // subset of the rows (no SIMD-vs-scalar ratios).
+        // its simulated numbers (the cycles and the ratios of simulated cycles)
+        // are exactly this build's. A host without AVX2 measures a subset of the
+        // rows (no SIMD-vs-scalar ratios).
         let committed =
             parse_baseline(include_str!("../../../BENCH_BASELINE.tsv")).expect("valid baseline");
-        let exact = [
-            "ratio/tenant_isolation_p99",
-            "ratio/cost_aware_vs_lru_cycles",
-        ];
         for m in &first {
             let row = committed.iter().find(|row| row.name == m.name);
             let row = row.unwrap_or_else(|| panic!("BENCH_BASELINE.tsv has no `{}`", m.name));
             assert_eq!((row.unit, row.gated), (m.unit, m.gated), "{}", m.name);
-            if m.unit == MetricUnit::Cycles || exact.contains(&m.name.as_str()) {
+            if matches!(m.unit, MetricUnit::Cycles | MetricUnit::SimRatio) {
                 assert_eq!(row.value, m.value, "stale baseline row `{}`", m.name);
             }
         }
